@@ -1,11 +1,8 @@
-"""Pure-Python byte scanning kernels.
-
-Fallback implementation used when the compiled extension is not built.
-Both backends expose the same functions and must return identical results
-for identical inputs.
-"""
+"""Byte scanning over raw memory buffers."""
 
 from __future__ import annotations
+
+BACKEND = "python"  # run provenance reads this to name the scan implementation
 
 
 def find_all(data: bytes, pattern: bytes, start: int = 0, end: int = -1) -> list[int]:

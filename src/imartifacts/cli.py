@@ -16,11 +16,10 @@ from pathlib import Path
 
 from . import carver, facebook, forge, locator, pcap, regexport, skype, timeline
 from .model import ExtractionError
-from .sqliteio import open_immutable, table_names
+from .sqliteio import SQLITE_MAGIC, open_immutable, table_names
 
 ENV_OUT = "IMARTIFACTS_OUT"
 
-_SQLITE_MAGIC = b"SQLite format 3\x00"
 _PCAP_MAGICS = (
     bytes.fromhex("a1b2c3d4"), bytes.fromhex("d4c3b2a1"),
     bytes.fromhex("a1b23c4d"), bytes.fromhex("4d3cb2a1"),
@@ -69,10 +68,11 @@ def _sniff(path: Path) -> str:
     if name.endswith(locator._SIDECAR_SUFFIXES):
         return "sidecar"
     try:
-        head = path.open("rb").read(4096)
+        with path.open("rb") as handle:
+            head = handle.read(4096)
     except OSError:
         return "unreadable"
-    if head.startswith(_SQLITE_MAGIC):
+    if head.startswith(SQLITE_MAGIC):
         return "sqlite"
     if head[:4] in _PCAP_MAGICS:
         return "pcap"

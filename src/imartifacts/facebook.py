@@ -16,7 +16,7 @@ from datetime import date, datetime
 
 from . import carver
 from .model import Channel, ExtractionError, Provenance, Timestamp, ts_from_iso_text, ts_from_unix
-from .sqliteio import MissingTable, open_immutable, row_value, table_names
+from .sqliteio import MissingTable, as_int, as_text, db_provenance, open_immutable, row_value, table_names, warn
 
 __all__ = [
     "ChatFragment",
@@ -48,15 +48,6 @@ CHAT_MARKER = b"orca_message"
 CHAT_WINDOW = 64 * 1024
 
 EXTRACTOR_PREFIX = "facebook"
-
-
-def _provenance(path: str, what: str) -> Provenance:
-    return Provenance(str(path), "%s.%s" % (EXTRACTOR_PREFIX, what), Channel.DATABASE)
-
-
-def _warn(warnings: list[str] | None, message: str) -> None:
-    if warnings is not None:
-        warnings.append(message)
 
 
 # Event names the analytics log is known to use; anything else is kept
@@ -174,21 +165,6 @@ def _rows(connection, table: str):
     return connection.execute('SELECT rowid AS rowid_, * FROM "%s" ORDER BY rowid_' % table)
 
 
-def _as_text(value):
-    if value is None:
-        return None
-    if isinstance(value, bytes):
-        return value.decode("utf-8", errors="replace")
-    return str(value)
-
-
-def _as_int(value):
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        return None
-
-
 def extract_analytics(path, warnings: list[str] | None = None) -> list[FbAnalyticsEvent]:
     """Read the analytics log: one event per row in row order."""
     with open_immutable(path, warnings) as connection:
@@ -196,19 +172,19 @@ def extract_analytics(path, warnings: list[str] | None = None) -> list[FbAnalyti
         events = []
         for row in _rows(connection, table):
             raw_time = row_value(row, "time", "timestamp")
-            millis = _as_int(raw_time)
+            millis = as_int(raw_time)
             if millis is None:
-                _warn(warnings, "analytics row %s has no usable time" % row["rowid_"])
+                warn(warnings, "analytics row %s has no usable time" % row["rowid_"])
                 continue
             events.append(
                 FbAnalyticsEvent(
                     row_id=row["rowid_"],
                     when=ts_from_unix(millis, "millis"),
-                    log_type=_as_text(row_value(row, "log_type", "type")),
-                    name=_as_text(row_value(row, "name", "event_name")),
-                    module=_as_text(row_value(row, "module")),
-                    extra=_as_text(row_value(row, "extra", "extra_json")),
-                    provenance=_provenance(path, "analytics"),
+                    log_type=as_text(row_value(row, "log_type", "type")),
+                    name=as_text(row_value(row, "name", "event_name")),
+                    module=as_text(row_value(row, "module")),
+                    extra=as_text(row_value(row, "extra", "extra_json")),
+                    provenance=db_provenance(path, EXTRACTOR_PREFIX, "analytics"),
                 )
             )
     return events
@@ -217,11 +193,11 @@ def extract_analytics(path, warnings: list[str] | None = None) -> list[FbAnalyti
 def _parse_birthday(value, warnings, context):
     if value in (None, ""):
         return None
-    text = _as_text(value)
+    text = as_text(value)
     try:
         return datetime.strptime(text[:10], "%Y-%m-%d").date()
     except ValueError:
-        _warn(warnings, "unparsed birthday %r in %s" % (text, context))
+        warn(warnings, "unparsed birthday %r in %s" % (text, context))
         return None
 
 
@@ -231,14 +207,14 @@ def extract_friends(path, warnings: list[str] | None = None) -> list[FbFriend]:
         table = _require_table(connection, "friends", str(path))
         friends = []
         for row in _rows(connection, table):
-            uid = _as_text(row_value(row, "uid", "user_id", "id"))
+            uid = as_text(row_value(row, "uid", "user_id", "id"))
             if uid is None:
-                _warn(warnings, "friend row %s lacks a uid" % row["rowid_"])
+                warn(warnings, "friend row %s lacks a uid" % row["rowid_"])
                 continue
-            first = _as_text(row_value(row, "first_name"))
-            middle = _as_text(row_value(row, "middle_name"))
-            last = _as_text(row_value(row, "last_name"))
-            name = _as_text(row_value(row, "name"))
+            first = as_text(row_value(row, "first_name"))
+            middle = as_text(row_value(row, "middle_name"))
+            last = as_text(row_value(row, "last_name"))
+            name = as_text(row_value(row, "name"))
             if name is None:
                 name = (" ".join(part for part in (first, middle, last) if part)) or None
             rank = row_value(row, "communication_rank", "rank")
@@ -249,14 +225,14 @@ def extract_friends(path, warnings: list[str] | None = None) -> list[FbFriend]:
                     first_name=first,
                     middle_name=middle,
                     last_name=last,
-                    contact_email=_as_text(row_value(row, "contact_email", "email")),
-                    phones=_as_text(row_value(row, "phones")),
-                    profile_url=_as_text(row_value(row, "profile_url", "url")),
+                    contact_email=as_text(row_value(row, "contact_email", "email")),
+                    phones=as_text(row_value(row, "phones")),
+                    profile_url=as_text(row_value(row, "profile_url", "url")),
                     communication_rank=float(rank) if rank is not None else None,
                     birthday=_parse_birthday(
                         row_value(row, "birthday", "birthday_date"), warnings, "friends row %s" % row["rowid_"]
                     ),
-                    provenance=_provenance(path, "friends"),
+                    provenance=db_provenance(path, EXTRACTOR_PREFIX, "friends"),
                 )
             )
     return friends
@@ -286,15 +262,15 @@ def parse_fb_attachments(text: str) -> list[FbAttachment]:
             continue
         attachments.append(
             FbAttachment(
-                name=_as_text(item.get("name")),
-                size=_as_int(item.get("size")),
-                id=_as_text(item.get("id") or item.get("attach_id")),
-                mime=_as_text(item.get("mime") or item.get("mime_type")),
-                type_code=_as_int(item.get("type")),
-                url=_as_text(item.get("url")),
-                preview_url=_as_text(item.get("preview_url") or item.get("preview")),
-                width=_as_int(item.get("width")),
-                height=_as_int(item.get("height")),
+                name=as_text(item.get("name")),
+                size=as_int(item.get("size")),
+                id=as_text(item.get("id") or item.get("attach_id")),
+                mime=as_text(item.get("mime") or item.get("mime_type")),
+                type_code=as_int(item.get("type")),
+                url=as_text(item.get("url")),
+                preview_url=as_text(item.get("preview_url") or item.get("preview")),
+                width=as_int(item.get("width")),
+                height=as_int(item.get("height")),
             )
         )
     return attachments
@@ -303,7 +279,7 @@ def parse_fb_attachments(text: str) -> list[FbAttachment]:
 def _parse_tags(raw, warnings, context) -> tuple[str, ...]:
     if raw in (None, ""):
         return ()
-    text = _as_text(raw)
+    text = as_text(raw)
     try:
         loaded = json.loads(text)
         if isinstance(loaded, list):
@@ -314,29 +290,29 @@ def _parse_tags(raw, warnings, context) -> tuple[str, ...]:
     # strings rather than dropping the row.
     scraped = re.findall(r'"([^"]*)"', text)
     if scraped:
-        _warn(warnings, "tags salvaged from non-JSON text in %s" % context)
+        warn(warnings, "tags salvaged from non-JSON text in %s" % context)
         return tuple(scraped)
-    _warn(warnings, "tags unparsed in %s" % context)
+    warn(warnings, "tags unparsed in %s" % context)
     return ()
 
 
 def _parse_sender(raw, warnings, context):
     if raw in (None, ""):
         return None, None, None
-    text = _as_text(raw)
+    text = as_text(raw)
     try:
         loaded = json.loads(text)
     except ValueError:
-        _warn(warnings, "sender JSON unparsed in %s" % context)
+        warn(warnings, "sender JSON unparsed in %s" % context)
         return None, None, None
     if not isinstance(loaded, dict):
-        _warn(warnings, "sender JSON has unexpected shape in %s" % context)
+        warn(warnings, "sender JSON has unexpected shape in %s" % context)
         return None, None, None
     uid = loaded.get("user_id") or loaded.get("uid") or loaded.get("id")
     return (
-        _as_text(uid),
-        _as_text(loaded.get("name")),
-        _as_text(loaded.get("email")),
+        as_text(uid),
+        as_text(loaded.get("name")),
+        as_text(loaded.get("email")),
     )
 
 
@@ -347,25 +323,25 @@ def extract_messages(path, warnings: list[str] | None = None) -> list[FbMessage]
         messages = []
         for row in _rows(connection, table):
             context = "messages row %s" % row["rowid_"]
-            millis = _as_int(row_value(row, "timestamp", "timestamp_ms", "time"))
+            millis = as_int(row_value(row, "timestamp", "timestamp_ms", "time"))
             if millis is None:
-                _warn(warnings, "%s has no usable timestamp" % context)
+                warn(warnings, "%s has no usable timestamp" % context)
                 continue
-            sender_raw = _as_text(row_value(row, "sender"))
+            sender_raw = as_text(row_value(row, "sender"))
             sender_uid, sender_name, sender_email = _parse_sender(sender_raw, warnings, context)
-            attachments_raw = _as_text(row_value(row, "attachments"))
+            attachments_raw = as_text(row_value(row, "attachments"))
             attachments: tuple[FbAttachment, ...] = ()
             if attachments_raw not in (None, "", "[]"):
                 try:
                     attachments = tuple(parse_fb_attachments(attachments_raw))
                 except MalformedJson:
-                    _warn(warnings, "attachments unparsed in %s" % context)
+                    warn(warnings, "attachments unparsed in %s" % context)
             messages.append(
                 FbMessage(
                     row_id=row["rowid_"],
-                    mid=_as_text(row_value(row, "mid", "message_id")),
-                    thread_id=_as_text(row_value(row, "tid", "thread_id")),
-                    body=_as_text(row_value(row, "body", "text")),
+                    mid=as_text(row_value(row, "mid", "message_id")),
+                    thread_id=as_text(row_value(row, "tid", "thread_id")),
+                    body=as_text(row_value(row, "body", "text")),
                     when=ts_from_unix(millis, "millis"),
                     sender_uid=sender_uid,
                     sender_name=sender_name,
@@ -374,7 +350,7 @@ def extract_messages(path, warnings: list[str] | None = None) -> list[FbMessage]
                     tags=_parse_tags(row_value(row, "tags"), warnings, context),
                     attachments=attachments,
                     attachments_raw=attachments_raw,
-                    provenance=_provenance(path, "messages"),
+                    provenance=db_provenance(path, EXTRACTOR_PREFIX, "messages"),
                 )
             )
     return messages
@@ -386,18 +362,18 @@ def extract_users(path, warnings: list[str] | None = None) -> list[FbUser]:
         table = _require_table(connection, "users", str(path))
         users = []
         for row in _rows(connection, table):
-            uid = _as_text(row_value(row, "uid", "user_id", "id"))
+            uid = as_text(row_value(row, "uid", "user_id", "id"))
             if uid is None:
-                _warn(warnings, "users row %s lacks a uid" % row["rowid_"])
+                warn(warnings, "users row %s lacks a uid" % row["rowid_"])
                 continue
-            seconds = _as_int(row_value(row, "last_active", "last_active_time", "last_active_timestamp"))
+            seconds = as_int(row_value(row, "last_active", "last_active_time", "last_active_timestamp"))
             users.append(
                 FbUser(
                     id=uid,
-                    name=_as_text(row_value(row, "name")),
-                    email=_as_text(row_value(row, "email")),
+                    name=as_text(row_value(row, "name")),
+                    email=as_text(row_value(row, "email")),
                     last_active=ts_from_unix(seconds, "seconds") if seconds is not None else None,
-                    provenance=_provenance(path, "users"),
+                    provenance=db_provenance(path, EXTRACTOR_PREFIX, "users"),
                 )
             )
     return users
@@ -407,9 +383,9 @@ def _parse_iso_column(value, warnings, context):
     if value in (None, ""):
         return None
     try:
-        return ts_from_iso_text(_as_text(value))
+        return ts_from_iso_text(as_text(value))
     except Exception:
-        _warn(warnings, "unparsed time %r in %s" % (value, context))
+        warn(warnings, "unparsed time %r in %s" % (value, context))
         return None
 
 
@@ -420,17 +396,17 @@ def extract_notifications(path, warnings: list[str] | None = None) -> list[FbNot
         notifications = []
         for row in _rows(connection, table):
             context = "notifications row %s" % row["rowid_"]
-            flag = _as_int(row_value(row, "unread", "unread_flag"))
+            flag = as_int(row_value(row, "unread", "unread_flag"))
             notifications.append(
                 FbNotification(
-                    notification_id=_as_text(row_value(row, "notification_id", "id")),
-                    sender_id=_as_text(row_value(row, "sender_id", "sender")),
-                    title_text=_as_text(row_value(row, "title_text", "title")),
-                    href=_as_text(row_value(row, "href", "url")),
+                    notification_id=as_text(row_value(row, "notification_id", "id")),
+                    sender_id=as_text(row_value(row, "sender_id", "sender")),
+                    title_text=as_text(row_value(row, "title_text", "title")),
+                    href=as_text(row_value(row, "href", "url")),
                     unread_flag=flag if flag is not None else 0,
                     created=_parse_iso_column(row_value(row, "created", "created_time"), warnings, context),
                     updated=_parse_iso_column(row_value(row, "updated", "updated_time"), warnings, context),
-                    provenance=_provenance(path, "notifications"),
+                    provenance=db_provenance(path, EXTRACTOR_PREFIX, "notifications"),
                 )
             )
     return notifications
@@ -509,13 +485,13 @@ def _fragment_fields(obj: dict) -> dict:
     time_raw = obj.get("time")
     time_raw = time_raw if isinstance(time_raw, int) else None
     return dict(
-        message=_as_text(obj.get("message")),
+        message=as_text(obj.get("message")),
         time_raw=time_raw,
         time=ts_from_unix(time_raw, "auto") if time_raw is not None and time_raw >= 0 else None,
-        target_uid=_as_text(obj.get("target_uid")),
-        sender_uid=_as_text(params.get("a")),
-        recipient_uid=_as_text(params.get("u")),
-        thread_id=_as_text(params.get("tid")),
+        target_uid=as_text(obj.get("target_uid")),
+        sender_uid=as_text(params.get("a")),
+        recipient_uid=as_text(params.get("u")),
+        thread_id=as_text(params.get("tid")),
     )
 
 

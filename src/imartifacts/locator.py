@@ -27,6 +27,7 @@ __all__ = [
     "Role",
     "RootUnreadable",
     "ZoneMarker",
+    "decode_text",
     "match_catalog",
     "parse_package_id",
     "read_zone_identifier",
@@ -328,11 +329,16 @@ class ZoneMarker:
     extras: tuple[tuple[str, str], ...] = field(default=())
 
 
-def _decode_sidecar(data: bytes) -> str:
+def decode_text(data: bytes) -> str:
+    """Decode exported text by its byte-order mark, dropping the mark.
+
+    Damaged UTF-16 or BOM-marked UTF-8 decodes with replacement
+    characters; unmarked bytes are UTF-8, else latin-1.
+    """
     if data.startswith(b"\xff\xfe"):
-        return data.decode("utf-16-le", errors="replace")
+        return data[2:].decode("utf-16-le", errors="replace")
     if data.startswith(b"\xfe\xff"):
-        return data.decode("utf-16-be", errors="replace")
+        return data[2:].decode("utf-16-be", errors="replace")
     if data.startswith(b"\xef\xbb\xbf"):
         return data.decode("utf-8-sig", errors="replace")
     try:
@@ -347,7 +353,7 @@ def read_zone_identifier(data: bytes, sidecar_path: str = "") -> ZoneMarker:
     Requires a [ZoneTransfer] section with an integer ZoneId of 0 to 4;
     other keys in the section are preserved in extras.
     """
-    text = _decode_sidecar(data)
+    text = decode_text(data)
     section = None
     zone_id = None
     extras = []

@@ -14,8 +14,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .locator import PackageIdentity, parse_package_id
+from .locator import PackageIdentity, decode_text, parse_package_id
 from .model import (
+    AmbiguousInterpretation,
     EPOCH_1601,
     ExtractionError,
     MalformedHex,
@@ -46,10 +47,6 @@ class NotRegExport(ExtractionError):
 
 class PackageKeyNotFound(ExtractionError):
     """No repository key for the requested package."""
-
-
-class AmbiguousInterpretation(ExtractionError):
-    """Zero or two byte-order readings land in the plausibility window."""
 
 
 HEADER_50 = "Windows Registry Editor Version 5.00"
@@ -109,19 +106,6 @@ class RegExport:
         return None
 
 
-def _decode_bytes(data: bytes) -> str:
-    if data.startswith(b"\xff\xfe"):
-        return data.decode("utf-16-le")[1:]
-    if data.startswith(b"\xfe\xff"):
-        return data.decode("utf-16-be")[1:]
-    if data.startswith(b"\xef\xbb\xbf"):
-        return data.decode("utf-8-sig")
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError:
-        return data.decode("latin-1")
-
-
 def _unescape(text: str) -> str:
     return re.sub(r"\\(.)", lambda m: m.group(1), text)
 
@@ -172,7 +156,7 @@ def parse_reg_export(text) -> RegExport:
     a damaged export still yields everything readable.
     """
     if isinstance(text, (bytes, bytearray)):
-        text = _decode_bytes(bytes(text))
+        text = decode_text(bytes(text))
     text = text.lstrip("﻿")
     lines = text.splitlines()
     position = 0

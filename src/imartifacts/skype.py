@@ -16,8 +16,8 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from datetime import date, datetime
 
-from .model import ExtractionError, MalformedHex, OutOfRange, Provenance, Channel, Timestamp, ts_from_unix
-from .sqliteio import open_immutable, row_value, table_names
+from .model import ExtractionError, MalformedHex, OutOfRange, Provenance, Timestamp, ts_from_unix
+from .sqliteio import as_int, as_text, db_provenance, open_immutable, row_value, table_names, warn
 
 __all__ = [
     "AllTablesMissing",
@@ -82,53 +82,29 @@ TYPE_CODE_LABELS = {
 HOSTCACHE_PREFIX = "0400050041050200"
 
 
-def _warn(warnings, message):
-    if warnings is not None:
-        warnings.append(message)
-
-
-def _provenance(path, what):
-    return Provenance(str(path), "%s.%s" % (EXTRACTOR_PREFIX, what), Channel.DATABASE)
-
-
-def _as_text(value):
-    if value is None:
-        return None
-    if isinstance(value, bytes):
-        return value.decode("utf-8", errors="replace")
-    return str(value)
-
-
-def _as_int(value):
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        return None
-
-
 def _birthday(value, warnings, context):
     """Decode the packed YYYYMMDD integer (or text) birthday column."""
     if value in (None, "", 0):
         return None
-    text = _as_text(value).strip()
+    text = as_text(value).strip()
     if not re.fullmatch(r"\d{8}", text):
-        _warn(warnings, "unparsed birthday %r in %s" % (value, context))
+        warn(warnings, "unparsed birthday %r in %s" % (value, context))
         return None
     try:
         return datetime.strptime(text, "%Y%m%d").date()
     except ValueError:
-        _warn(warnings, "implausible birthday %r in %s" % (value, context))
+        warn(warnings, "implausible birthday %r in %s" % (value, context))
         return None
 
 
 def _ts(value, warnings=None, context=""):
-    seconds = _as_int(value)
+    seconds = as_int(value)
     if seconds is None or seconds <= 0:
         return None
     try:
         return ts_from_unix(seconds, "seconds")
     except OutOfRange:
-        _warn(warnings, "time out of range %r in %s" % (value, context))
+        warn(warnings, "time out of range %r in %s" % (value, context))
         return None
 
 
@@ -156,11 +132,11 @@ def classify_message(type_code, chatmsg_type=None, chatmsg_status=None, particip
     chatmsg_status are accepted because rows carry them together, and a
     participant count above two marks the conversation as a group chat.
     """
-    code = _as_int(type_code)
+    code = as_int(type_code)
     if code is None:
         code = -1
     label = TYPE_CODE_LABELS.get(code, "Unknown")
-    count = _as_int(participant_count)
+    count = as_int(participant_count)
     return MessageKind(label=label, code=code, group_chat=count is not None and count > 2)
 
 
@@ -216,15 +192,15 @@ def _files_from_root(root, warnings) -> FilesBody:
     for child in root:
         if child.tag.lower() != "file":
             continue
-        size = _as_int(child.get("size"))
+        size = as_int(child.get("size"))
         if size is None or size < 0:
-            _warn(warnings, "file entry with unusable size %r" % child.get("size"))
+            warn(warnings, "file entry with unusable size %r" % child.get("size"))
             size = 0
-        index = _as_int(child.get("index"))
+        index = as_int(child.get("index"))
         if index is None:
             index = len(files)
         if index in seen_indices:
-            _warn(warnings, "duplicate file index %d in one message" % index)
+            warn(warnings, "duplicate file index %d in one message" % index)
         seen_indices.add(index)
         files.append(
             FileAttachmentXml(
@@ -252,7 +228,7 @@ def parse_body_xml(text, warnings: list[str] | None = None):
     try:
         root = ET.fromstring(stripped)
     except ET.ParseError:
-        _warn(warnings, "body_xml looked like markup but did not parse")
+        warn(warnings, "body_xml looked like markup but did not parse")
         return PlainTextBody(text)
     tag = root.tag.lower()
     if tag == "files":
@@ -326,7 +302,7 @@ def decode_hostcache(hex_text: str, warnings: list[str] | None = None) -> list[S
         start = hit + len(HOSTCACHE_PREFIX)
         chunk = text[start : start + 12]
         if len(chunk) < 12:
-            _warn(warnings, "hostcache entry truncated after prefix at hex offset %d" % hit)
+            warn(warnings, "hostcache entry truncated after prefix at hex offset %d" % hit)
             break
         raw = bytes.fromhex(chunk)
         entries.append(SupernodeEntry(ip=".".join(str(b) for b in raw[:4]), port=int.from_bytes(raw[4:6], "big")))
@@ -370,28 +346,28 @@ def parse_shared_xml(data, warnings: list[str] | None = None) -> SkypeNetworkSta
 
     last_ip = None
     if last_ip_raw:
-        packed = _as_int(last_ip_raw)
+        packed = as_int(last_ip_raw)
         if packed is None or not 0 <= packed <= 0xFFFFFFFF:
-            _warn(warnings, "LastIP is not a 32-bit decimal: %r" % last_ip_raw)
+            warn(warnings, "LastIP is not a 32-bit decimal: %r" % last_ip_raw)
         else:
             last_ip = decode_decimal_ip(packed)
 
-    listening_port = _as_int(port_raw) if port_raw else None
+    listening_port = as_int(port_raw) if port_raw else None
     if listening_port is not None and not 0 <= listening_port <= 65535:
-        _warn(warnings, "ListeningPort out of range: %r" % port_raw)
+        warn(warnings, "ListeningPort out of range: %r" % port_raw)
         listening_port = None
 
     supernode = None
     if supernode_raw:
         host, _, port_text = supernode_raw.rpartition(":")
-        port = _as_int(port_text)
+        port = as_int(port_text)
         if host and port is not None:
             try:
                 supernode = SupernodeEntry(ip=host, port=port)
             except (ValueError, OutOfRange):
-                _warn(warnings, "Supernode address unparsed: %r" % supernode_raw)
+                warn(warnings, "Supernode address unparsed: %r" % supernode_raw)
         else:
-            _warn(warnings, "Supernode address unparsed: %r" % supernode_raw)
+            warn(warnings, "Supernode address unparsed: %r" % supernode_raw)
 
     hostcache: list[SupernodeEntry] = []
     if cache_match:
@@ -448,7 +424,7 @@ def parse_config_xml(data, warnings: list[str] | None = None) -> SkypeConfig:
             entries.append((_unescape_contact(name), value.strip()))
 
     return SkypeConfig(
-        serial=_as_int(serial_match.group(1)) if serial_match else None,
+        serial=as_int(serial_match.group(1)) if serial_match else None,
         last_used=_ts(last_used_raw, warnings, "config LastUsed"),
         contacts=tuple(name for name, _ in entries),
         entries=tuple(entries),
@@ -577,24 +553,24 @@ class SkypeDataset:
 def _account_rows(connection, table, path, warnings):
     out = []
     for row in connection.execute('SELECT * FROM "%s"' % table):
-        skypename = _as_text(row_value(row, "skypename"))
+        skypename = as_text(row_value(row, "skypename"))
         if not skypename:
-            _warn(warnings, "account row without skypename skipped")
+            warn(warnings, "account row without skypename skipped")
             continue
         out.append(
             SkypeAccount(
                 skypename=skypename,
-                liveid=_as_text(row_value(row, "liveid_membername", "liveid")),
-                fullname=_as_text(row_value(row, "fullname")),
+                liveid=as_text(row_value(row, "liveid_membername", "liveid")),
+                fullname=as_text(row_value(row, "fullname")),
                 birthday=_birthday(row_value(row, "birthday"), warnings, "account %s" % skypename),
-                gender=_as_int(row_value(row, "gender")),
-                country=_as_text(row_value(row, "country")),
-                province=_as_text(row_value(row, "province")),
-                city=_as_text(row_value(row, "city")),
-                emails=_as_text(row_value(row, "emails")),
-                mood_text=_as_text(row_value(row, "mood_text")),
+                gender=as_int(row_value(row, "gender")),
+                country=as_text(row_value(row, "country")),
+                province=as_text(row_value(row, "province")),
+                city=as_text(row_value(row, "city")),
+                emails=as_text(row_value(row, "emails")),
+                mood_text=as_text(row_value(row, "mood_text")),
                 registration_time=_ts(row_value(row, "registration_timestamp"), warnings, "account"),
-                provenance=_provenance(path, "accounts"),
+                provenance=db_provenance(path, EXTRACTOR_PREFIX, "accounts"),
             )
         )
     return out
@@ -603,25 +579,25 @@ def _account_rows(connection, table, path, warnings):
 def _contact_rows(connection, table, path, warnings):
     out = []
     for row in connection.execute('SELECT * FROM "%s"' % table):
-        skypename = _as_text(row_value(row, "skypename"))
+        skypename = as_text(row_value(row, "skypename"))
         if not skypename:
-            _warn(warnings, "contact row without skypename skipped")
+            warn(warnings, "contact row without skypename skipped")
             continue
         out.append(
             SkypeContact(
                 skypename=skypename,
-                fullname=_as_text(row_value(row, "fullname")),
-                displayname=_as_text(row_value(row, "displayname")),
+                fullname=as_text(row_value(row, "fullname")),
+                displayname=as_text(row_value(row, "displayname")),
                 birthday=_birthday(row_value(row, "birthday"), warnings, "contact %s" % skypename),
-                gender=_as_int(row_value(row, "gender")),
-                languages=_as_text(row_value(row, "languages")),
-                country=_as_text(row_value(row, "country")),
-                city=_as_text(row_value(row, "city")),
-                phone_mobile=_as_text(row_value(row, "phone_mobile")),
-                emails=_as_text(row_value(row, "emails")),
+                gender=as_int(row_value(row, "gender")),
+                languages=as_text(row_value(row, "languages")),
+                country=as_text(row_value(row, "country")),
+                city=as_text(row_value(row, "city")),
+                phone_mobile=as_text(row_value(row, "phone_mobile")),
+                emails=as_text(row_value(row, "emails")),
                 last_online=_ts(row_value(row, "lastonline_timestamp"), warnings, "contact"),
                 last_used=_ts(row_value(row, "lastused_timestamp"), warnings, "contact"),
-                provenance=_provenance(path, "contacts"),
+                provenance=db_provenance(path, EXTRACTOR_PREFIX, "contacts"),
             )
         )
     return out
@@ -632,28 +608,28 @@ def _message_rows(connection, table, path, warnings):
     for row in connection.execute('SELECT rowid AS rowid_, * FROM "%s" ORDER BY rowid_' % table):
         when = _ts(row_value(row, "timestamp"), warnings, "message")
         if when is None:
-            _warn(warnings, "message row %s has no usable timestamp" % row["rowid_"])
+            warn(warnings, "message row %s has no usable timestamp" % row["rowid_"])
             continue
-        type_code = _as_int(row_value(row, "type"))
+        type_code = as_int(row_value(row, "type"))
         if type_code is None:
             type_code = -1
-        count = _as_int(row_value(row, "participant_count"))
+        count = as_int(row_value(row, "participant_count"))
         out.append(
             SkypeMessage(
-                id=_as_int(row_value(row, "id")) or row["rowid_"],
-                convo_id=_as_int(row_value(row, "convo_id")),
-                chatname=_as_text(row_value(row, "chatname")),
-                author=_as_text(row_value(row, "author")),
-                from_dispname=_as_text(row_value(row, "from_dispname")),
+                id=as_int(row_value(row, "id")) or row["rowid_"],
+                convo_id=as_int(row_value(row, "convo_id")),
+                chatname=as_text(row_value(row, "chatname")),
+                author=as_text(row_value(row, "author")),
+                from_dispname=as_text(row_value(row, "from_dispname")),
                 when=when,
                 type_code=type_code,
-                chatmsg_type=_as_int(row_value(row, "chatmsg_type")),
-                chatmsg_status=_as_int(row_value(row, "chatmsg_status")),
-                body_xml=_as_text(row_value(row, "body_xml")),
+                chatmsg_type=as_int(row_value(row, "chatmsg_type")),
+                chatmsg_status=as_int(row_value(row, "chatmsg_status")),
+                body_xml=as_text(row_value(row, "body_xml")),
                 participant_count=count,
-                reason=_as_text(row_value(row, "reason")),
+                reason=as_text(row_value(row, "reason")),
                 kind=classify_message(type_code, participant_count=count),
-                provenance=_provenance(path, "messages"),
+                provenance=db_provenance(path, EXTRACTOR_PREFIX, "messages"),
             )
         )
     return out
@@ -663,26 +639,26 @@ def _transfer_rows(connection, table, path, warnings):
     out = []
     directions = {1: "receiving", 2: "transferring"}
     for row in connection.execute('SELECT rowid AS rowid_, * FROM "%s" ORDER BY rowid_' % table):
-        type_code = _as_int(row_value(row, "type"))
+        type_code = as_int(row_value(row, "type"))
         direction = directions.get(type_code)
         if direction is None:
-            _warn(warnings, "transfer row %s has unknown type %r" % (row["rowid_"], type_code))
+            warn(warnings, "transfer row %s has unknown type %r" % (row["rowid_"], type_code))
             direction = "undetermined"
         out.append(
             SkypeTransfer(
-                partner_handle=_as_text(row_value(row, "partner_handle")),
-                partner_dispname=_as_text(row_value(row, "partner_dispname")),
+                partner_handle=as_text(row_value(row, "partner_handle")),
+                partner_dispname=as_text(row_value(row, "partner_dispname")),
                 direction=direction,
                 type_code=type_code,
-                status_code=_as_int(row_value(row, "status")),
-                failure_reason=_as_text(row_value(row, "failurereason", "failure_reason")),
+                status_code=as_int(row_value(row, "status")),
+                failure_reason=as_text(row_value(row, "failurereason", "failure_reason")),
                 start=_ts(row_value(row, "starttime"), warnings, "transfer"),
                 finish=_ts(row_value(row, "finishtime"), warnings, "transfer"),
-                filepath=_as_text(row_value(row, "filepath")),
-                filename=_as_text(row_value(row, "filename")),
-                filesize=_as_int(row_value(row, "filesize")),
-                bytes_transferred=_as_int(row_value(row, "bytestransferred", "bytes_transferred")),
-                provenance=_provenance(path, "transfers"),
+                filepath=as_text(row_value(row, "filepath")),
+                filename=as_text(row_value(row, "filename")),
+                filesize=as_int(row_value(row, "filesize")),
+                bytes_transferred=as_int(row_value(row, "bytestransferred", "bytes_transferred")),
+                provenance=db_provenance(path, EXTRACTOR_PREFIX, "transfers"),
             )
         )
     return out
@@ -693,22 +669,22 @@ def _call_rows(connection, table, path, warnings):
     for row in connection.execute('SELECT rowid AS rowid_, * FROM "%s" ORDER BY rowid_' % table):
         begin = _ts(row_value(row, "begin_timestamp"), warnings, "call")
         if begin is None:
-            _warn(warnings, "call row %s has no usable begin time" % row["rowid_"])
+            warn(warnings, "call row %s has no usable begin time" % row["rowid_"])
             continue
-        duration = _as_int(row_value(row, "duration"))
+        duration = as_int(row_value(row, "duration"))
         if duration is not None and duration < 0:
-            _warn(warnings, "call row %s has negative duration" % row["rowid_"])
+            warn(warnings, "call row %s has negative duration" % row["rowid_"])
             duration = None
-        unseen = _as_int(row_value(row, "is_unseen_missed"))
+        unseen = as_int(row_value(row, "is_unseen_missed"))
         out.append(
             SkypeCall(
                 begin=begin,
-                host_identity=_as_text(row_value(row, "host_identity")),
+                host_identity=as_text(row_value(row, "host_identity")),
                 duration_s=duration,
-                is_incoming=bool(_as_int(row_value(row, "is_incoming")) or 0),
-                name=_as_text(row_value(row, "name")),
+                is_incoming=bool(as_int(row_value(row, "is_incoming")) or 0),
+                name=as_text(row_value(row, "name")),
                 unseen_missed=bool(unseen) if unseen is not None else None,
-                provenance=_provenance(path, "calls"),
+                provenance=db_provenance(path, EXTRACTOR_PREFIX, "calls"),
             )
         )
     return out
@@ -727,15 +703,15 @@ def _split_guid(guid: str | None):
 def _call_member_rows(connection, table, path, warnings):
     out = []
     for row in connection.execute('SELECT rowid AS rowid_, * FROM "%s" ORDER BY rowid_' % table):
-        guid = _as_text(row_value(row, "guid"))
+        guid = as_text(row_value(row, "guid"))
         out.append(
             CallMember(
-                identity=_as_text(row_value(row, "identity")),
-                dispname=_as_text(row_value(row, "dispname")),
+                identity=as_text(row_value(row, "identity")),
+                dispname=as_text(row_value(row, "dispname")),
                 guid_raw=guid,
                 guid_parts=_split_guid(guid),
-                duration_s=_as_int(row_value(row, "call_duration")),
-                provenance=_provenance(path, "call_members"),
+                duration_s=as_int(row_value(row, "call_duration")),
+                provenance=db_provenance(path, EXTRACTOR_PREFIX, "call_members"),
             )
         )
     return out
@@ -744,29 +720,29 @@ def _call_member_rows(connection, table, path, warnings):
 def _video_message_rows(connection, table, path, warnings):
     out = []
     for row in connection.execute('SELECT rowid AS rowid_, * FROM "%s" ORDER BY rowid_' % table):
-        sid = _as_text(row_value(row, "sharing_id", "sid"))
+        sid = as_text(row_value(row, "sharing_id", "sid"))
         if not sid:
-            _warn(warnings, "video message row %s without sharing id skipped" % row["rowid_"])
+            warn(warnings, "video message row %s without sharing id skipped" % row["rowid_"])
             continue
-        progress = _as_int(row_value(row, "progress"))
+        progress = as_int(row_value(row, "progress"))
         if progress is None:
             progress = 0
         if not 0 <= progress <= 100:
-            _warn(warnings, "video message %s progress %d clamped" % (sid, progress))
+            warn(warnings, "video message %s progress %d clamped" % (sid, progress))
             progress = min(max(progress, 0), 100)
         out.append(
             SkypeVideoMessage(
                 sid=sid,
-                local_path=_as_text(row_value(row, "local_path")),
-                vod_path=_as_text(row_value(row, "vod_path")),
-                public_link=_as_text(row_value(row, "public_link", "publiclink")),
-                author=_as_text(row_value(row, "author")),
+                local_path=as_text(row_value(row, "local_path")),
+                vod_path=as_text(row_value(row, "vod_path")),
+                public_link=as_text(row_value(row, "public_link", "publiclink")),
+                author=as_text(row_value(row, "author")),
                 progress=progress,
                 creation_time=_ts(row_value(row, "creation_timestamp"), warnings, "video message"),
                 reaction_time=_ts(row_value(row, "reaction_timestamp"), warnings, "video message"),
-                status=_as_int(row_value(row, "status")),
-                vod_status=_as_int(row_value(row, "vod_status")),
-                provenance=_provenance(path, "video_messages"),
+                status=as_int(row_value(row, "status")),
+                vod_status=as_int(row_value(row, "vod_status")),
+                provenance=db_provenance(path, EXTRACTOR_PREFIX, "video_messages"),
             )
         )
     return out
@@ -796,7 +772,7 @@ def extract_main_db(path, warnings: list[str] | None = None) -> SkypeDataset:
         for attr, wanted, reader in _TABLE_READERS:
             actual = present.get(wanted.casefold())
             if actual is None:
-                _warn(warnings, "table %s absent from %s" % (wanted, path))
+                warn(warnings, "table %s absent from %s" % (wanted, path))
                 collected[attr] = []
                 continue
             found_any = True

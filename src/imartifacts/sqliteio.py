@@ -12,9 +12,20 @@ import os
 import sqlite3
 from pathlib import Path
 
-from .model import ExtractionError
+from .model import Channel, ExtractionError, Provenance
 
-__all__ = ["MissingTable", "NotSqlite", "open_immutable", "row_value", "table_names"]
+__all__ = [
+    "MissingTable",
+    "NotSqlite",
+    "SQLITE_MAGIC",
+    "as_int",
+    "as_text",
+    "db_provenance",
+    "open_immutable",
+    "row_value",
+    "table_names",
+    "warn",
+]
 
 SQLITE_MAGIC = b"SQLite format 3\x00"
 
@@ -25,6 +36,19 @@ class NotSqlite(ExtractionError):
 
 class MissingTable(ExtractionError):
     """A required table is absent from the database."""
+
+
+class _ClosingConnection(sqlite3.Connection):
+    """Connection whose with-block closes it on exit.
+
+    The stock context manager only commits or rolls back, which would
+    leave every evidence database open until garbage collection.  The
+    connection is read-only, so there is nothing to commit.
+    """
+
+    def __exit__(self, *exc_info):
+        self.close()
+        return False
 
 
 def open_immutable(path: str | Path, warnings: list[str] | None = None) -> sqlite3.Connection:
@@ -45,7 +69,7 @@ def open_immutable(path: str | Path, warnings: list[str] | None = None) -> sqlit
     if warnings is not None and os.path.exists(path + "-wal"):
         warnings.append("wal-present-not-applied: %s" % path)
     uri = "file:%s?mode=ro&immutable=1" % Path(path).as_posix()
-    connection = sqlite3.connect(uri, uri=True)
+    connection = sqlite3.connect(uri, uri=True, factory=_ClosingConnection)
     connection.row_factory = sqlite3.Row
     return connection
 
@@ -64,3 +88,31 @@ def row_value(row: sqlite3.Row, *names: str, default=None):
         if key is not None:
             return row[key]
     return default
+
+
+def as_text(value):
+    """Column or attribute value as text; undecodable bytes are replaced."""
+    if value is None:
+        return None
+    if isinstance(value, bytes):
+        return value.decode("utf-8", errors="replace")
+    return str(value)
+
+
+def as_int(value):
+    """Value as an int, or None when it does not convert."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def warn(warnings: list[str] | None, message: str) -> None:
+    """Append message to warnings when the caller collects them."""
+    if warnings is not None:
+        warnings.append(message)
+
+
+def db_provenance(path, prefix: str, what: str) -> Provenance:
+    """Provenance of a record read from one table of a database file."""
+    return Provenance(str(path), "%s.%s" % (prefix, what), Channel.DATABASE)

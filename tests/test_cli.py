@@ -1,4 +1,6 @@
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -165,6 +167,14 @@ class TestPipelineCommands:
         assert code == 3
         assert "error" in captured.err
         assert "FsJournal" in captured.out
+
+    def test_report_closes_every_file(self, forged, tmp_path):
+        root, _ = forged
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert main(["report", str(root), "--out", str(tmp_path / "r.jsonl")]) == 0
+            gc.collect()
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_verbose_prints_warnings(self, forged, capfd):
         root, _ = forged

@@ -24,7 +24,7 @@ from imartifacts.facebook import (
     parse_fb_attachments,
 )
 from imartifacts.model import Channel
-from imartifacts.sqliteio import MissingTable, NotSqlite
+from imartifacts.sqliteio import MissingTable, NotSqlite, open_immutable
 
 
 def _make_db(path, schema, table, rows):
@@ -298,6 +298,22 @@ class TestMessages:
         extract_users(messages_db)
         after = hashlib.sha256(messages_db.read_bytes()).hexdigest()
         assert before == after
+
+    def test_connection_closed_on_return_and_raise(self, messages_db, tmp_path, monkeypatch):
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open_immutable(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(facebook, "open_immutable", recording_open)
+        extract_messages(messages_db)
+        with pytest.raises(MissingTable):
+            extract_messages(_make_db(tmp_path / "Other.sqlite", "CREATE TABLE other (x)", "other", []))
+        assert len(opened) == 2
+        for connection in opened:
+            with pytest.raises(sqlite3.ProgrammingError):
+                connection.execute("SELECT 1")
 
     def test_not_sqlite(self, tmp_path):
         path = tmp_path / "plain.txt"

@@ -111,6 +111,10 @@ class TestParse:
         export = parse_reg_export(data)
         assert export.value("HKLM\\U", "n").data == "v"
 
+    def test_utf16_cut_mid_character_is_not_an_export(self):
+        with pytest.raises(NotRegExport):
+            parse_reg_export(b"\xff\xfeW\x00i\x00n")
+
     def test_syntax_errors_collected_with_line_numbers(self):
         text = "\n".join(
             [
