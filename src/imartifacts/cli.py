@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 from . import carver, facebook, forge, locator, pcap, regexport, skype, timeline
-from .model import ExtractionError
 from .sqliteio import SQLITE_MAGIC, open_immutable, table_names
 
 ENV_OUT = "IMARTIFACTS_OUT"
@@ -100,10 +99,9 @@ def _sniff(path: Path) -> str:
     return "raw"
 
 
-def _sqlite_flavor(path: Path) -> str:
+def _table_names(path: Path) -> set[str]:
     with open_immutable(path) as connection:
-        names = {n.casefold() for n in table_names(connection)}
-    return "skype" if names & _SKYPE_TABLES else "facebook"
+        return {n.casefold() for n in table_names(connection)}
 
 
 _FACEBOOK_EXTRACTORS = (
@@ -115,9 +113,8 @@ _FACEBOOK_EXTRACTORS = (
 )
 
 
-def _extract_facebook_db(path: Path, warnings) -> dict[str, list]:
-    with open_immutable(path) as connection:
-        present = {n.casefold() for n in table_names(connection)}
+def _extract_facebook_db(path: Path, warnings, present: set[str]) -> dict[str, list]:
+    """Run the extractor of every cache table in present, the casefolded table names."""
     out = {}
     for table, label, extractor in _FACEBOOK_EXTRACTORS:
         if table in present:
@@ -144,14 +141,15 @@ class _Gather:
             if kind == "unreadable":
                 raise OSError("cannot read %s" % path)
             if kind == "sqlite":
-                if _sqlite_flavor(path) == "skype":
+                names = _table_names(path)
+                if names & _SKYPE_TABLES:
                     dataset = skype.extract_main_db(path, self.warnings)
                     for group in (dataset.accounts, dataset.contacts, dataset.messages,
                                   dataset.transfers, dataset.calls, dataset.call_members,
                                   dataset.video_messages):
                         self.records += group
                 else:
-                    for group in _extract_facebook_db(path, self.warnings).values():
+                    for group in _extract_facebook_db(path, self.warnings, names).values():
                         self.records += group
             elif kind == "pcap":
                 capture = pcap.read_pcap(path)
@@ -200,23 +198,8 @@ class _Gather:
 def _registry_records(path: Path) -> list:
     label = str(path)
     export = regexport.parse_reg_export(path.read_bytes())
-    records = []
-    for key in export.keys:
-        segments = key.split("\\")
-        if len(segments) < 2:
-            continue
-        try:
-            identity = locator.parse_package_id(segments[-1])
-        except ExtractionError:
-            continue
-        if segments[-2].casefold() != identity.family.casefold():
-            continue
-        try:
-            records.append(regexport.find_install_time(export, segments[-1], evidence_path=label))
-        except ExtractionError:
-            continue
-    records += regexport.find_persisted_items(export, evidence_path=label)
-    return records
+    return (regexport.find_install_records(export, evidence_path=label)
+            + regexport.find_persisted_items(export, evidence_path=label))
 
 
 def _emit_report(report: timeline.Report, format: str, out: str | None) -> None:
@@ -264,7 +247,7 @@ def _cmd_facebook(args) -> int:
         path = Path(name)
         warnings: list[str] = []
         try:
-            groups = _extract_facebook_db(path, warnings)
+            groups = _extract_facebook_db(path, warnings, _table_names(path))
         except Exception as error:
             tally.failed.append(name)
             _err("error: %s: %s" % (name, error))
@@ -355,7 +338,7 @@ def _cmd_carve(args) -> int:
 
 
 def _cmd_pcap(args) -> int:
-    catalog = _load_catalog(args.catalog)
+    catalog = pcap.catalog_index(_load_catalog(args.catalog))
     tally = _Tally()
     for name in args.captures:
         try:
@@ -441,13 +424,16 @@ def _load_catalog(path):
 # ---------------------------------------------------------------------------
 # Parser assembly
 
+_CATALOG_HELP = ("endpoint catalog text replacing the builtin: one 'match label owner [urls]' "
+                 "line per entry, owner spaces as underscores, urls comma-separated")
+
 
 def _add_pipeline_flags(parser) -> None:
     parser.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     parser.add_argument("--out", help="write output here instead of stdout")
     parser.add_argument("--fb-owner", help="cache owner uid for direction calls")
     parser.add_argument("--skype-owner", help="account name owning the message store")
-    parser.add_argument("--catalog", help="endpoint catalog JSON overriding the builtin")
+    parser.add_argument("--catalog", help=_CATALOG_HELP)
     parser.add_argument("--utc-offset", type=int, default=0,
                         help="journal CSV zone offset in minutes")
     parser.add_argument("-v", "--verbose", action="store_true")
@@ -481,7 +467,7 @@ def _build_parser() -> _Parser:
 
     sub = commands.add_parser("pcap", help="label capture flows")
     sub.add_argument("captures", nargs="+")
-    sub.add_argument("--catalog")
+    sub.add_argument("--catalog", help=_CATALOG_HELP)
     sub.set_defaults(func=_cmd_pcap)
 
     sub = commands.add_parser("timeline", help="extract, merge and emit events")

@@ -14,6 +14,7 @@ from a text file, and resolver-dependent rows are flagged.
 
 from __future__ import annotations
 
+import functools
 import io
 import ipaddress
 import os
@@ -24,6 +25,7 @@ from .model import ExtractionError, Timestamp, ts_from_unix
 
 __all__ = [
     "CatalogEntry",
+    "CatalogIndex",
     "Flow",
     "FlowLabel",
     "LABELS",
@@ -34,6 +36,7 @@ __all__ = [
     "SUPERNODE_LOOKUP_PORT",
     "assemble_flows",
     "builtin_catalog",
+    "catalog_index",
     "extract_sni",
     "label_flow",
     "load_catalog",
@@ -388,11 +391,6 @@ class CatalogEntry:
     def is_cidr(self) -> bool:
         return "/" in self.match
 
-    def covers(self, ip: str) -> bool:
-        if self.is_cidr:
-            return ipaddress.IPv4Address(ip) in ipaddress.ip_network(self.match)
-        return ip == self.match
-
 
 def builtin_catalog() -> tuple[CatalogEntry, ...]:
     """Endpoint observations for the two chat apps, as captured.
@@ -515,28 +513,75 @@ class FlowLabel:
             raise ValueError("unlabeled basis must pair with the Other label")
 
 
-def _best(matches):
-    return sorted(matches, key=lambda e: (e.label, e.owner, e.match))[0]
+def _rank(entry: CatalogEntry) -> tuple[str, str, str]:
+    # Among several matching entries the lowest rank wins, so a label
+    # never depends on the order the catalog lists its entries in.
+    return (entry.label, entry.owner, entry.match)
+
+
+class CatalogIndex:
+    """Catalog entries keyed for labeling: one dict hit per lookup.
+
+    by_address maps an exact IPv4 address and by_host a casefolded
+    server name to its best entry; networks holds the IPv4 CIDR entries
+    as (network, mask, entry) integers, best first.  Read-only once built.
+    """
+
+    def __init__(self, entries):
+        self.by_address: dict[str, CatalogEntry] = {}
+        self.by_host: dict[str, CatalogEntry] = {}
+        networks = []
+        for entry in sorted(entries, key=_rank):
+            for url in entry.urls:
+                self.by_host.setdefault(url.casefold(), entry)
+            if not entry.is_cidr:
+                self.by_address.setdefault(entry.match, entry)
+                continue
+            network = ipaddress.ip_network(entry.match)
+            if network.version == 4:  # an IPv6 prefix never covers an IPv4 flow
+                networks.append((int(network.network_address), int(network.netmask), entry))
+        self.networks: tuple[tuple[int, int, CatalogEntry], ...] = tuple(networks)
+
+
+@functools.lru_cache(maxsize=1)
+def _builtin_index() -> CatalogIndex:
+    return CatalogIndex(builtin_catalog())
+
+
+def catalog_index(catalog=None) -> CatalogIndex:
+    """Index catalog entries; None gives the builtin catalog's, built once per process.
+
+    An index passes through unchanged, so callers labeling many flows
+    build it once and hand it to label_flow.
+    """
+    if catalog is None:
+        return _builtin_index()
+    if isinstance(catalog, CatalogIndex):
+        return catalog
+    return CatalogIndex(catalog)
 
 
 def label_flow(flow: Flow, catalog=None) -> FlowLabel:
-    """Label one flow: SNI beats exact IP beats CIDR beats the port rule."""
-    entries = builtin_catalog() if catalog is None else tuple(catalog)
-    ips = [flow.endpoint_a[0], flow.endpoint_b[0]]
+    """Label one flow: SNI beats exact IP beats CIDR beats the port rule.
+
+    catalog is an iterable of entries, a CatalogIndex, or None for the
+    builtin catalog.
+    """
+    index = catalog_index(catalog)
     if flow.sni:
-        wanted = flow.sni.casefold()
-        matches = [e for e in entries if any(u.casefold() == wanted for u in e.urls)]
-        if matches:
-            best = _best(matches)
+        best = index.by_host.get(flow.sni.casefold())
+        if best is not None:
             return FlowLabel(best.label, "sni", "server name %s (%s)" % (flow.sni, best.owner))
-    exact = [e for e in entries if not e.is_cidr and e.match in ips]
+    ips = (flow.endpoint_a[0], flow.endpoint_b[0])
+    exact = [entry for entry in map(index.by_address.get, ips) if entry is not None]
     if exact:
-        best = _best(exact)
+        best = min(exact, key=_rank)
         return FlowLabel(best.label, "ip_catalog", "address %s (%s)" % (best.match, best.owner))
-    cidr = [e for e in entries if e.is_cidr and any(e.covers(ip) for ip in ips)]
-    if cidr:
-        best = _best(cidr)
-        return FlowLabel(best.label, "ip_catalog", "network %s (%s)" % (best.match, best.owner))
+    if index.networks:
+        addresses = [int(ipaddress.IPv4Address(ip)) for ip in ips]
+        for network, mask, best in index.networks:
+            if any(address & mask == network for address in addresses):
+                return FlowLabel(best.label, "ip_catalog", "network %s (%s)" % (best.match, best.owner))
     if flow.proto == "tcp" and SUPERNODE_LOOKUP_PORT in (flow.endpoint_a[1], flow.endpoint_b[1]):
         return FlowLabel(
             "SkypeSupernodeLookup", "port_heuristic", "tcp port %d" % SUPERNODE_LOOKUP_PORT

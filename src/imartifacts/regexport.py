@@ -34,6 +34,7 @@ __all__ = [
     "PersistedItem",
     "RegExport",
     "RegValue",
+    "find_install_records",
     "find_install_time",
     "find_persisted_items",
     "parse_reg_export",
@@ -298,28 +299,76 @@ def _key_segments(path: str) -> list[str]:
     return [segment for segment in path.split("\\") if segment]
 
 
+def _package_tail(path: str) -> tuple[str, str] | None:
+    """A key's casefolded (family, full) last two segments, if it has two."""
+    segments = _key_segments(path)
+    if len(segments) < 2:
+        return None
+    return segments[-2].casefold(), segments[-1].casefold()
+
+
+def _install_record(export: RegExport, key: str, package: PackageIdentity,
+                    evidence_path: str) -> InstallRecord:
+    for value in export.keys[key]:
+        if value.name.casefold() == "installtime":
+            when, interpretation = _select_filetime(_filetime_bytes(value))
+            return InstallRecord(
+                package=package,
+                install_time=when,
+                key_path=key,
+                interpretation=interpretation,
+                provenance=Provenance(evidence_path, "regexport.install_time", Channel.REGISTRY),
+            )
+    raise PackageKeyNotFound("key %s has no InstallTime value" % key)
+
+
 def find_install_time(export: RegExport, package, evidence_path: str = "<reg-export>") -> InstallRecord:
-    """Locate the package's repository key and decode its install time."""
+    """Locate the package's repository key and decode its install time.
+
+    The first key in export order whose last two segments name the
+    package's family and full identity is the one read.
+    """
     if isinstance(package, str):
         package = parse_package_id(package)
-    family = package.family.casefold()
-    full = package.text.casefold()
+    wanted = (package.family.casefold(), package.text.casefold())
     for key in export.keys:
-        segments = [s.casefold() for s in _key_segments(key)]
-        if len(segments) < 2 or segments[-1] != full or segments[-2] != family:
-            continue
-        for value in export.keys[key]:
-            if value.name.casefold() == "installtime":
-                when, interpretation = _select_filetime(_filetime_bytes(value))
-                return InstallRecord(
-                    package=package,
-                    install_time=when,
-                    key_path=key,
-                    interpretation=interpretation,
-                    provenance=Provenance(evidence_path, "regexport.install_time", Channel.REGISTRY),
-                )
-        raise PackageKeyNotFound("key %s has no InstallTime value" % key)
+        if _package_tail(key) == wanted:
+            return _install_record(export, key, package, evidence_path)
     raise PackageKeyNotFound("no repository key for %s" % package.text)
+
+
+def find_install_records(export: RegExport, evidence_path: str = "<reg-export>") -> list[InstallRecord]:
+    """Decode an install time for every package repository key, in export order.
+
+    A key qualifies when its last segment is a package identity and the
+    one before names that package's family.  Each is resolved as
+    find_install_time would resolve its package, through one index of the
+    keys; a package whose time cannot be decoded is skipped.
+    """
+    first_keys: dict[tuple[str, str], str] = {}
+    for key in export.keys:
+        tail = _package_tail(key)
+        if tail is not None:
+            first_keys.setdefault(tail, key)
+    records = []
+    for key in export.keys:
+        segments = key.split("\\")
+        if len(segments) < 2:
+            continue
+        try:
+            package = parse_package_id(segments[-1])
+        except ExtractionError:
+            continue
+        family = package.family.casefold()
+        if segments[-2].casefold() != family:
+            continue
+        # The key's own tail is indexed, so the lookup always finds a key.
+        first = first_keys[family, package.text.casefold()]
+        try:
+            records.append(_install_record(export, first, package, evidence_path))
+        except ExtractionError:
+            continue
+    return records
 
 
 @dataclass(frozen=True)

@@ -494,8 +494,9 @@ def _from_persisted(record: regexport.PersistedItem,
                           provenance=record.provenance)]
 
 
-def _from_flow(record: pcap.Flow, capture_path: str, catalog) -> list[TimelineEvent]:
-    label = pcap.label_flow(record, catalog)
+def _from_flow(record: pcap.Flow, capture_path: str,
+               index: pcap.CatalogIndex) -> list[TimelineEvent]:
+    label = pcap.label_flow(record, index)
     (ip_a, port_a), (ip_b, port_b) = record.endpoint_a, record.endpoint_b
     summary = "%s %s:%d <-> %s:%d %s (%d packets, %d bytes)" % (
         record.proto, ip_a, port_a, ip_b, port_b, label.label,
@@ -523,6 +524,7 @@ def normalize(records, *, fb_owner_uid: str | None = None,
     """
     if warnings is None:
         warnings = []
+    index = pcap.catalog_index(catalog)
     events: list[TimelineEvent] = []
     for record in records:
         if isinstance(record, TimelineEvent):
@@ -548,7 +550,7 @@ def normalize(records, *, fb_owner_uid: str | None = None,
         elif isinstance(record, regexport.PersistedItem):
             events.extend(_from_persisted(record, warnings))
         elif isinstance(record, pcap.Flow):
-            events.extend(_from_flow(record, capture_path, catalog))
+            events.extend(_from_flow(record, capture_path, index))
         elif isinstance(record, _STATE_RECORD_TYPES):
             warnings.append("%s describes state, not a happening, skipped" % type(record).__name__)
         else:

@@ -107,6 +107,27 @@ class TestSummaries:
         assert "FacebookChat" in out and "SkypeSupernodeLookup" in out
 
 
+    def test_catalog_override_relabels_flow(self, forged, tmp_path, capfd):
+        root, manifest = forged
+        (flow,) = [f for f in manifest["capture"]["flows"] if f["label"] == "FacebookUpload"]
+        server = flow["endpoint_b"][0]
+        override = tmp_path / "catalog.txt"
+        override.write_text("%s MicrosoftLive Test_Owner\n" % server)
+        capture = str(root / "capture.pcap")
+        for command in (["pcap", capture], ["timeline", capture, "--format", "csv"]):
+            assert main(command) == 0
+            (before,) = [l for l in capfd.readouterr().out.splitlines() if server in l]
+            assert main([*command, "--catalog", str(override)]) == 0
+            (after,) = [l for l in capfd.readouterr().out.splitlines() if server in l]
+            assert "FacebookUpload" in before and "MicrosoftLive" not in before
+            assert "MicrosoftLive" in after and "FacebookUpload" not in after
+
+    def test_catalog_help_describes_text_format(self, capfd):
+        for command in ("pcap", "timeline", "report"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            assert "'match label owner [urls]' line" in " ".join(capfd.readouterr().out.split())
+
 class TestCarveCommand:
     def test_writes_payloads_and_index(self, forged, tmp_path, capfd):
         root, manifest = forged

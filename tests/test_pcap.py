@@ -1,17 +1,22 @@
 """Capture reading, flow assembly, SNI extraction, endpoint labeling."""
 
+import ipaddress
 import random
 
 import pytest
 
+from imartifacts import pcap, timeline
 from imartifacts import sampledata as sd
 from imartifacts.pcap import (
     CatalogEntry,
+    CatalogIndex,
+    Flow,
     FlowLabel,
     LABELS,
     NotPcap,
     assemble_flows,
     builtin_catalog,
+    catalog_index,
     extract_sni,
     label_flow,
     load_catalog,
@@ -325,3 +330,145 @@ class TestLabeling:
         flow = _flow("65.55.223.24", sd.SUPERNODE_LOOKUP_PORT)
         label = label_flow(flow)
         assert (label.label, label.basis) == ("SkypeSupernodeLookup", "port_heuristic")
+
+
+def reference_label(flow, entries):
+    """Linear-scan labeler over catalog entries: the oracle for label_flow."""
+
+    def best(matches):
+        return sorted(matches, key=lambda e: (e.label, e.owner, e.match))[0]
+
+    def covers(entry, ip):
+        if entry.is_cidr:
+            return ipaddress.IPv4Address(ip) in ipaddress.ip_network(entry.match)
+        return ip == entry.match
+
+    ips = [flow.endpoint_a[0], flow.endpoint_b[0]]
+    if flow.sni:
+        wanted = flow.sni.casefold()
+        matches = [e for e in entries if any(u.casefold() == wanted for u in e.urls)]
+        if matches:
+            chosen = best(matches)
+            return FlowLabel(chosen.label, "sni", "server name %s (%s)" % (flow.sni, chosen.owner))
+    exact = [e for e in entries if not e.is_cidr and e.match in ips]
+    if exact:
+        chosen = best(exact)
+        return FlowLabel(chosen.label, "ip_catalog", "address %s (%s)" % (chosen.match, chosen.owner))
+    cidr = [e for e in entries if e.is_cidr and any(covers(e, ip) for ip in ips)]
+    if cidr:
+        chosen = best(cidr)
+        return FlowLabel(chosen.label, "ip_catalog", "network %s (%s)" % (chosen.match, chosen.owner))
+    if flow.proto == "tcp" and sd.SUPERNODE_LOOKUP_PORT in (flow.endpoint_a[1], flow.endpoint_b[1]):
+        return FlowLabel("SkypeSupernodeLookup", "port_heuristic", "tcp port %d" % sd.SUPERNODE_LOOKUP_PORT)
+    return FlowLabel("Other", "unlabeled", "no catalog match")
+
+
+def _probe_addresses(entries):
+    """Every exact address, and each network's first, last and two outside addresses."""
+    addresses = {CLIENT, "203.0.113.9", "198.51.100.200"}
+    for entry in entries:
+        if not entry.is_cidr:
+            addresses.add(entry.match)
+            continue
+        network = ipaddress.ip_network(entry.match)
+        first, last = int(network.network_address), int(network.broadcast_address)
+        for value in (first, last, first - 1, last + 1):
+            addresses.add(str(ipaddress.IPv4Address(value % 2**32)))
+    return sorted(addresses)
+
+
+def _mixed_case(rng, text):
+    return "".join(c.upper() if rng.random() < 0.5 else c for c in text)
+
+
+def _random_flows(rng, entries, count):
+    addresses = _probe_addresses(entries)
+    hosts = sorted({u for e in entries for u in e.urls} | {"unknown.example.org"})
+    flows = []
+    for _ in range(count):
+        sni = None
+        if rng.random() < 0.4:
+            sni = _mixed_case(rng, rng.choice(hosts)) if rng.random() < 0.9 else ""
+        ports = (rng.choice((443, 80, sd.SUPERNODE_LOOKUP_PORT, rng.randrange(1, 65536))), 49152)
+        a, b = sorted(zip((rng.choice(addresses), rng.choice(addresses)), ports))
+        flows.append(Flow(rng.choice(("tcp", "udp")), a, b, sni=sni))
+    return flows
+
+
+def _tied_catalog(rng):
+    """Custom entries sharing addresses, networks and server names."""
+    matches = ("10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24", "10.1.2.3", "10.1.2.3/32",
+               "192.0.2.1", "192.0.2.0/24", "192.0.2.128/25")
+    urls = ("chat.example.com", "CHAT.Example.com", "cdn.example.net", "star.c10r.facebook.com")
+    entries = []
+    for _ in range(rng.randrange(4, 14)):
+        entries.append(CatalogEntry(
+            rng.choice(matches), rng.choice(LABELS[:-1]), rng.choice(("Owner A", "Owner B")),
+            tuple(rng.sample(urls, rng.randrange(0, 3)))))
+    entries += entries[: rng.randrange(0, 3)]  # exact duplicates
+    rng.shuffle(entries)
+    return entries
+
+
+class TestIndexedLabelingOracle:
+    def test_builtin_catalog_matches_linear_scan(self):
+        rng = random.Random(40)
+        entries = builtin_catalog()
+        flows = _random_flows(rng, entries, 3000)
+        labels = [label_flow(flow) for flow in flows]
+        assert labels == [reference_label(flow, entries) for flow in flows]
+        assert {label.basis for label in labels} == {"sni", "ip_catalog", "port_heuristic", "unlabeled"}
+
+    def test_every_builtin_address_and_network_edge(self):
+        entries = builtin_catalog()
+        index = catalog_index()
+        for address in _probe_addresses(entries):
+            for port in (443, sd.SUPERNODE_LOOKUP_PORT):
+                flow = Flow("tcp", (CLIENT, 49152), (address, port))
+                assert label_flow(flow, index) == reference_label(flow, entries), address
+
+    def test_endpoints_matching_different_entries(self):
+        entries = builtin_catalog()
+        pairs = [("31.13.76.102", "65.54.184.60"), ("91.190.216.1", "115.164.13.255"),
+                 ("23.58.43.27", "91.190.218.0")]
+        for first, second in pairs:
+            flow = Flow("tcp", (first, 443), (second, 443))
+            assert label_flow(flow) == reference_label(flow, entries)
+
+    def test_shared_server_name_any_case(self):
+        flow = Flow("tcp", (CLIENT, 49152), ("203.0.113.9", 443), sni="STAR.c10r.FaceBook.com")
+        label = label_flow(flow)
+        assert label == reference_label(flow, builtin_catalog())
+        assert label.detail == "server name STAR.c10r.FaceBook.com (Facebook Singapore)"
+
+    def test_shuffled_custom_catalogs_with_ties(self):
+        rng = random.Random(41)
+        for _ in range(40):
+            entries = _tied_catalog(rng)
+            index = CatalogIndex(entries)
+            for flow in _random_flows(rng, entries, 30):
+                expected = reference_label(flow, entries)
+                assert label_flow(flow, entries) == expected
+                assert label_flow(flow, index) == expected
+                rng.shuffle(entries)
+                assert label_flow(flow, entries) == expected
+
+    def test_ipv6_prefix_never_covers(self):
+        entries = (CatalogEntry("::/8", "SkypeRst", "v6"),)
+        flow = Flow("tcp", (CLIENT, 49152), ("0.0.0.1", 443))
+        assert label_flow(flow, entries) == reference_label(flow, entries)
+
+    def test_normalize_builds_builtin_catalog_at_most_once(self, monkeypatch):
+        builds = []
+        original = pcap.builtin_catalog
+
+        def counted():
+            builds.append(1)
+            return original()
+
+        monkeypatch.setattr(pcap, "builtin_catalog", counted)
+        pcap._builtin_index.cache_clear()
+        flows = _random_flows(random.Random(42), original(), 100)
+        events = timeline.normalize(flows)
+        assert len(events) == 100
+        assert len(builds) <= 1

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
+from imartifacts import regexport
 from imartifacts import sampledata as sd
 from imartifacts.locator import parse_package_id
-from imartifacts.model import MalformedHex
+from imartifacts.model import ExtractionError, MalformedHex
 from imartifacts.regexport import (
     AmbiguousInterpretation,
     InstallRecord,
@@ -14,6 +15,7 @@ from imartifacts.regexport import (
     PackageKeyNotFound,
     RegExport,
     RegValue,
+    find_install_records,
     find_install_time,
     find_persisted_items,
     parse_reg_export,
@@ -246,6 +248,104 @@ class TestInstallTime:
                 continue
             year = int(record.install_time.isoformat_ms()[:4])
             assert 2000 <= year < 2100
+
+
+def _install_key(branch, family, full, ticks=None):
+    values = [] if ticks is None else [RegValue("InstallTime", "qword", ticks.to_bytes(8, "little"))]
+    return branch + "\\" + family + "\\" + full, values
+
+
+def reference_install_records(export):
+    """One find_install_time call per qualifying key: the oracle for find_install_records."""
+    records = []
+    for key in export.keys:
+        segments = key.split("\\")
+        if len(segments) < 2:
+            continue
+        try:
+            identity = parse_package_id(segments[-1])
+        except ExtractionError:
+            continue
+        if segments[-2].casefold() != identity.family.casefold():
+            continue
+        try:
+            records.append(find_install_time(export, segments[-1]))
+        except ExtractionError:
+            continue
+    return records
+
+
+LATER_TICKS = sd.INSTALL_TIME_TICKS + 86400 * 10**7
+
+
+class TestInstallRecords:
+    def test_fixture_export(self, export):
+        records = find_install_records(export, evidence_path="x.reg")
+        assert [r.package.text for r in records] == [sd.FACEBOOK_PACKAGE_FULL, sd.SKYPE_PACKAGE_FULL]
+        assert records[0].provenance.evidence_path == "x.reg"
+        assert find_install_records(export) == reference_install_records(export)
+
+    def test_same_package_under_two_hives_and_cases(self):
+        other_hive = sd.REPOSITORY_BRANCH.replace("HKEY_USERS\\" + sd.REGISTRY_SID, "HKEY_LOCAL_MACHINE")
+        upper_family = sd.FACEBOOK_PACKAGE_FAMILY.replace("Facebook.Facebook", "FACEBOOK.FACEBOOK")
+        upper_full = sd.FACEBOOK_PACKAGE_FULL.replace("Facebook.Facebook", "FACEBOOK.FACEBOOK")
+        first, first_values = _install_key(
+            sd.REPOSITORY_BRANCH, sd.FACEBOOK_PACKAGE_FAMILY, sd.FACEBOOK_PACKAGE_FULL, sd.INSTALL_TIME_TICKS)
+        second, second_values = _install_key(other_hive.upper(), upper_family, upper_full, LATER_TICKS)
+        export = RegExport(keys={first: first_values, second: second_values})
+        records = find_install_records(export)
+        assert [r.package.text for r in records] == [sd.FACEBOOK_PACKAGE_FULL, upper_full]
+        assert [r.key_path for r in records] == [first, first]
+        assert {r.install_time.isoformat_ms() for r in records} == {"2015-01-19T16:28:08.000Z"}
+        assert records == reference_install_records(export)
+
+    def test_first_key_without_install_time_wins(self):
+        bare, bare_values = _install_key(
+            "HKEY_LOCAL_MACHINE\\Repository", sd.FACEBOOK_PACKAGE_FAMILY, sd.FACEBOOK_PACKAGE_FULL)
+        good, good_values = _install_key(
+            sd.REPOSITORY_BRANCH, sd.FACEBOOK_PACKAGE_FAMILY, sd.FACEBOOK_PACKAGE_FULL, sd.INSTALL_TIME_TICKS)
+        export = RegExport(keys={bare: bare_values, good: good_values})
+        with pytest.raises(PackageKeyNotFound, match="no InstallTime"):
+            find_install_time(export, sd.FACEBOOK_PACKAGE_FULL)
+        assert find_install_records(export) == [] == reference_install_records(export)
+
+    def test_key_paths_with_empty_segments(self):
+        # An empty segment between family and full still names the package
+        # for lookup, though the key itself does not qualify as a package key.
+        gap = sd.REPOSITORY_BRANCH + "\\" + sd.FACEBOOK_PACKAGE_FAMILY + "\\\\" + sd.FACEBOOK_PACKAGE_FULL
+        good, good_values = _install_key(
+            sd.REPOSITORY_BRANCH, sd.FACEBOOK_PACKAGE_FAMILY, sd.FACEBOOK_PACKAGE_FULL, LATER_TICKS)
+        trailing, trailing_values = _install_key(
+            sd.REPOSITORY_BRANCH + "\\", sd.SKYPE_PACKAGE_FAMILY, sd.SKYPE_PACKAGE_FULL + "\\",
+            sd.INSTALL_TIME_TICKS)
+        text = serialize_reg_export(RegExport(keys={
+            gap: [RegValue("InstallTime", "qword", sd.INSTALL_TIME_TICKS.to_bytes(8, "little"))],
+            good: good_values, trailing: trailing_values}))
+        export = parse_reg_export(text)
+        assert list(export.keys) == [gap, good, trailing]
+        records = find_install_records(export)
+        assert [(r.package.text, r.key_path) for r in records] == [(sd.FACEBOOK_PACKAGE_FULL, gap)]
+        assert records[0].install_time.isoformat_ms() == "2015-01-19T16:28:08.000Z"
+        assert records == reference_install_records(export)
+        assert find_install_time(export, sd.SKYPE_PACKAGE_FULL).key_path == trailing
+
+    @pytest.mark.parametrize("packages", [1000, 4000])
+    def test_key_decoding_is_linear(self, monkeypatch, packages):
+        calls = []
+        original = regexport._key_segments
+
+        def counted(path):
+            calls.append(path)
+            return original(path)
+
+        monkeypatch.setattr(regexport, "_key_segments", counted)
+        keys = dict(
+            _install_key(sd.REPOSITORY_BRANCH, "App%d_8xx8rvfyw5nnt" % n,
+                         "App%d_1.0.0.0_x64__8xx8rvfyw5nnt" % n, sd.INSTALL_TIME_TICKS)
+            for n in range(packages))
+        records = find_install_records(RegExport(keys=keys))
+        assert len(records) == packages
+        assert len(calls) <= 2 * packages
 
 
 class TestPersistedItems:
