@@ -16,7 +16,7 @@ from datetime import date, datetime
 
 from . import carver
 from .model import Channel, ExtractionError, Provenance, Timestamp, ts_from_iso_text, ts_from_unix
-from .sqliteio import MissingTable, as_int, as_text, db_provenance, open_immutable, row_value, table_names, warn
+from .sqliteio import MissingTable, as_int, as_text, column_reader, db_provenance, open_immutable, table_names, warn
 
 __all__ = [
     "ChatFragment",
@@ -162,7 +162,9 @@ def _require_table(connection, wanted: str, path: str):
 
 
 def _rows(connection, table: str):
-    return connection.execute('SELECT rowid AS rowid_, * FROM "%s" ORDER BY rowid_' % table)
+    """The rows of table in rowid order, and the column reader for them."""
+    rows = connection.execute('SELECT rowid AS rowid_, * FROM "%s" ORDER BY rowid_' % table)
+    return rows, column_reader(rows)
 
 
 def extract_analytics(path, warnings: list[str] | None = None) -> list[FbAnalyticsEvent]:
@@ -170,8 +172,9 @@ def extract_analytics(path, warnings: list[str] | None = None) -> list[FbAnalyti
     with open_immutable(path, warnings) as connection:
         table = _require_table(connection, "analytics_logs", str(path))
         events = []
-        for row in _rows(connection, table):
-            raw_time = row_value(row, "time", "timestamp")
+        rows, column = _rows(connection, table)
+        for row in rows:
+            raw_time = column(row, "time", "timestamp")
             millis = as_int(raw_time)
             if millis is None:
                 warn(warnings, "analytics row %s has no usable time" % row["rowid_"])
@@ -180,10 +183,10 @@ def extract_analytics(path, warnings: list[str] | None = None) -> list[FbAnalyti
                 FbAnalyticsEvent(
                     row_id=row["rowid_"],
                     when=ts_from_unix(millis, "millis"),
-                    log_type=as_text(row_value(row, "log_type", "type")),
-                    name=as_text(row_value(row, "name", "event_name")),
-                    module=as_text(row_value(row, "module")),
-                    extra=as_text(row_value(row, "extra", "extra_json")),
+                    log_type=as_text(column(row, "log_type", "type")),
+                    name=as_text(column(row, "name", "event_name")),
+                    module=as_text(column(row, "module")),
+                    extra=as_text(column(row, "extra", "extra_json")),
                     provenance=db_provenance(path, EXTRACTOR_PREFIX, "analytics"),
                 )
             )
@@ -206,18 +209,19 @@ def extract_friends(path, warnings: list[str] | None = None) -> list[FbFriend]:
     with open_immutable(path, warnings) as connection:
         table = _require_table(connection, "friends", str(path))
         friends = []
-        for row in _rows(connection, table):
-            uid = as_text(row_value(row, "uid", "user_id", "id"))
+        rows, column = _rows(connection, table)
+        for row in rows:
+            uid = as_text(column(row, "uid", "user_id", "id"))
             if uid is None:
                 warn(warnings, "friend row %s lacks a uid" % row["rowid_"])
                 continue
-            first = as_text(row_value(row, "first_name"))
-            middle = as_text(row_value(row, "middle_name"))
-            last = as_text(row_value(row, "last_name"))
-            name = as_text(row_value(row, "name"))
+            first = as_text(column(row, "first_name"))
+            middle = as_text(column(row, "middle_name"))
+            last = as_text(column(row, "last_name"))
+            name = as_text(column(row, "name"))
             if name is None:
                 name = (" ".join(part for part in (first, middle, last) if part)) or None
-            rank = row_value(row, "communication_rank", "rank")
+            rank = column(row, "communication_rank", "rank")
             friends.append(
                 FbFriend(
                     uid=uid,
@@ -225,12 +229,12 @@ def extract_friends(path, warnings: list[str] | None = None) -> list[FbFriend]:
                     first_name=first,
                     middle_name=middle,
                     last_name=last,
-                    contact_email=as_text(row_value(row, "contact_email", "email")),
-                    phones=as_text(row_value(row, "phones")),
-                    profile_url=as_text(row_value(row, "profile_url", "url")),
+                    contact_email=as_text(column(row, "contact_email", "email")),
+                    phones=as_text(column(row, "phones")),
+                    profile_url=as_text(column(row, "profile_url", "url")),
                     communication_rank=float(rank) if rank is not None else None,
                     birthday=_parse_birthday(
-                        row_value(row, "birthday", "birthday_date"), warnings, "friends row %s" % row["rowid_"]
+                        column(row, "birthday", "birthday_date"), warnings, "friends row %s" % row["rowid_"]
                     ),
                     provenance=db_provenance(path, EXTRACTOR_PREFIX, "friends"),
                 )
@@ -321,15 +325,16 @@ def extract_messages(path, warnings: list[str] | None = None) -> list[FbMessage]
     with open_immutable(path, warnings) as connection:
         table = _require_table(connection, "messages", str(path))
         messages = []
-        for row in _rows(connection, table):
+        rows, column = _rows(connection, table)
+        for row in rows:
             context = "messages row %s" % row["rowid_"]
-            millis = as_int(row_value(row, "timestamp", "timestamp_ms", "time"))
+            millis = as_int(column(row, "timestamp", "timestamp_ms", "time"))
             if millis is None:
                 warn(warnings, "%s has no usable timestamp" % context)
                 continue
-            sender_raw = as_text(row_value(row, "sender"))
+            sender_raw = as_text(column(row, "sender"))
             sender_uid, sender_name, sender_email = _parse_sender(sender_raw, warnings, context)
-            attachments_raw = as_text(row_value(row, "attachments"))
+            attachments_raw = as_text(column(row, "attachments"))
             attachments: tuple[FbAttachment, ...] = ()
             if attachments_raw not in (None, "", "[]"):
                 try:
@@ -339,15 +344,15 @@ def extract_messages(path, warnings: list[str] | None = None) -> list[FbMessage]
             messages.append(
                 FbMessage(
                     row_id=row["rowid_"],
-                    mid=as_text(row_value(row, "mid", "message_id")),
-                    thread_id=as_text(row_value(row, "tid", "thread_id")),
-                    body=as_text(row_value(row, "body", "text")),
+                    mid=as_text(column(row, "mid", "message_id")),
+                    thread_id=as_text(column(row, "tid", "thread_id")),
+                    body=as_text(column(row, "body", "text")),
                     when=ts_from_unix(millis, "millis"),
                     sender_uid=sender_uid,
                     sender_name=sender_name,
                     sender_email=sender_email,
                     sender_raw=sender_raw,
-                    tags=_parse_tags(row_value(row, "tags"), warnings, context),
+                    tags=_parse_tags(column(row, "tags"), warnings, context),
                     attachments=attachments,
                     attachments_raw=attachments_raw,
                     provenance=db_provenance(path, EXTRACTOR_PREFIX, "messages"),
@@ -361,17 +366,18 @@ def extract_users(path, warnings: list[str] | None = None) -> list[FbUser]:
     with open_immutable(path, warnings) as connection:
         table = _require_table(connection, "users", str(path))
         users = []
-        for row in _rows(connection, table):
-            uid = as_text(row_value(row, "uid", "user_id", "id"))
+        rows, column = _rows(connection, table)
+        for row in rows:
+            uid = as_text(column(row, "uid", "user_id", "id"))
             if uid is None:
                 warn(warnings, "users row %s lacks a uid" % row["rowid_"])
                 continue
-            seconds = as_int(row_value(row, "last_active", "last_active_time", "last_active_timestamp"))
+            seconds = as_int(column(row, "last_active", "last_active_time", "last_active_timestamp"))
             users.append(
                 FbUser(
                     id=uid,
-                    name=as_text(row_value(row, "name")),
-                    email=as_text(row_value(row, "email")),
+                    name=as_text(column(row, "name")),
+                    email=as_text(column(row, "email")),
                     last_active=ts_from_unix(seconds, "seconds") if seconds is not None else None,
                     provenance=db_provenance(path, EXTRACTOR_PREFIX, "users"),
                 )
@@ -394,18 +400,19 @@ def extract_notifications(path, warnings: list[str] | None = None) -> list[FbNot
     with open_immutable(path, warnings) as connection:
         table = _require_table(connection, "notifications", str(path))
         notifications = []
-        for row in _rows(connection, table):
+        rows, column = _rows(connection, table)
+        for row in rows:
             context = "notifications row %s" % row["rowid_"]
-            flag = as_int(row_value(row, "unread", "unread_flag"))
+            flag = as_int(column(row, "unread", "unread_flag"))
             notifications.append(
                 FbNotification(
-                    notification_id=as_text(row_value(row, "notification_id", "id")),
-                    sender_id=as_text(row_value(row, "sender_id", "sender")),
-                    title_text=as_text(row_value(row, "title_text", "title")),
-                    href=as_text(row_value(row, "href", "url")),
+                    notification_id=as_text(column(row, "notification_id", "id")),
+                    sender_id=as_text(column(row, "sender_id", "sender")),
+                    title_text=as_text(column(row, "title_text", "title")),
+                    href=as_text(column(row, "href", "url")),
                     unread_flag=flag if flag is not None else 0,
-                    created=_parse_iso_column(row_value(row, "created", "created_time"), warnings, context),
-                    updated=_parse_iso_column(row_value(row, "updated", "updated_time"), warnings, context),
+                    created=_parse_iso_column(column(row, "created", "created_time"), warnings, context),
+                    updated=_parse_iso_column(column(row, "updated", "updated_time"), warnings, context),
                     provenance=db_provenance(path, EXTRACTOR_PREFIX, "notifications"),
                 )
             )

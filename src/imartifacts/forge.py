@@ -596,17 +596,27 @@ def expected_events(manifest: dict) -> list[TimelineEvent]:
 
 
 def relativize_events(events, root) -> list[TimelineEvent]:
-    """Rewrite evidence paths under root as forward-slash relative paths."""
+    """Rewrite evidence paths under root as forward-slash relative paths.
+
+    Each distinct path is resolved once per call; a path that does not
+    resolve under root leaves its events as they are.
+    """
     base = Path(root).resolve()
+    relative: dict[str, str | None] = {}
     out = []
     for event in events:
         provenance = event.provenance
-        try:
-            rel = Path(provenance.evidence_path).resolve().relative_to(base)
-        except (ValueError, OSError):
+        path = provenance.evidence_path
+        if path not in relative:
+            try:
+                relative[path] = Path(path).resolve().relative_to(base).as_posix()
+            except (ValueError, OSError):
+                relative[path] = None
+        rel = relative[path]
+        if rel is None:
             out.append(event)
             continue
         out.append(replace(event, provenance=Provenance(
-            rel.as_posix(), provenance.extractor, provenance.channel,
+            rel, provenance.extractor, provenance.channel,
             provenance.byte_offset)))
     return out

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from datetime import date, datetime
 
 from .model import ExtractionError, MalformedHex, OutOfRange, Provenance, Timestamp, ts_from_unix
-from .sqliteio import as_int, as_text, db_provenance, open_immutable, row_value, table_names, warn
+from .sqliteio import as_int, as_text, column_reader, db_provenance, open_immutable, table_names, warn
 
 __all__ = [
     "AllTablesMissing",
@@ -227,7 +227,7 @@ def parse_body_xml(text, warnings: list[str] | None = None):
         return PlainTextBody(text)
     try:
         root = ET.fromstring(stripped)
-    except ET.ParseError:
+    except (ET.ParseError, UnicodeEncodeError):  # the latter: lone surrogates
         warn(warnings, "body_xml looked like markup but did not parse")
         return PlainTextBody(text)
     tag = root.tag.lower()
@@ -552,24 +552,26 @@ class SkypeDataset:
 
 def _account_rows(connection, table, path, warnings):
     out = []
-    for row in connection.execute('SELECT * FROM "%s"' % table):
-        skypename = as_text(row_value(row, "skypename"))
+    rows = connection.execute('SELECT * FROM "%s"' % table)
+    column = column_reader(rows)
+    for row in rows:
+        skypename = as_text(column(row, "skypename"))
         if not skypename:
             warn(warnings, "account row without skypename skipped")
             continue
         out.append(
             SkypeAccount(
                 skypename=skypename,
-                liveid=as_text(row_value(row, "liveid_membername", "liveid")),
-                fullname=as_text(row_value(row, "fullname")),
-                birthday=_birthday(row_value(row, "birthday"), warnings, "account %s" % skypename),
-                gender=as_int(row_value(row, "gender")),
-                country=as_text(row_value(row, "country")),
-                province=as_text(row_value(row, "province")),
-                city=as_text(row_value(row, "city")),
-                emails=as_text(row_value(row, "emails")),
-                mood_text=as_text(row_value(row, "mood_text")),
-                registration_time=_ts(row_value(row, "registration_timestamp"), warnings, "account"),
+                liveid=as_text(column(row, "liveid_membername", "liveid")),
+                fullname=as_text(column(row, "fullname")),
+                birthday=_birthday(column(row, "birthday"), warnings, "account %s" % skypename),
+                gender=as_int(column(row, "gender")),
+                country=as_text(column(row, "country")),
+                province=as_text(column(row, "province")),
+                city=as_text(column(row, "city")),
+                emails=as_text(column(row, "emails")),
+                mood_text=as_text(column(row, "mood_text")),
+                registration_time=_ts(column(row, "registration_timestamp"), warnings, "account"),
                 provenance=db_provenance(path, EXTRACTOR_PREFIX, "accounts"),
             )
         )
@@ -578,25 +580,27 @@ def _account_rows(connection, table, path, warnings):
 
 def _contact_rows(connection, table, path, warnings):
     out = []
-    for row in connection.execute('SELECT * FROM "%s"' % table):
-        skypename = as_text(row_value(row, "skypename"))
+    rows = connection.execute('SELECT * FROM "%s"' % table)
+    column = column_reader(rows)
+    for row in rows:
+        skypename = as_text(column(row, "skypename"))
         if not skypename:
             warn(warnings, "contact row without skypename skipped")
             continue
         out.append(
             SkypeContact(
                 skypename=skypename,
-                fullname=as_text(row_value(row, "fullname")),
-                displayname=as_text(row_value(row, "displayname")),
-                birthday=_birthday(row_value(row, "birthday"), warnings, "contact %s" % skypename),
-                gender=as_int(row_value(row, "gender")),
-                languages=as_text(row_value(row, "languages")),
-                country=as_text(row_value(row, "country")),
-                city=as_text(row_value(row, "city")),
-                phone_mobile=as_text(row_value(row, "phone_mobile")),
-                emails=as_text(row_value(row, "emails")),
-                last_online=_ts(row_value(row, "lastonline_timestamp"), warnings, "contact"),
-                last_used=_ts(row_value(row, "lastused_timestamp"), warnings, "contact"),
+                fullname=as_text(column(row, "fullname")),
+                displayname=as_text(column(row, "displayname")),
+                birthday=_birthday(column(row, "birthday"), warnings, "contact %s" % skypename),
+                gender=as_int(column(row, "gender")),
+                languages=as_text(column(row, "languages")),
+                country=as_text(column(row, "country")),
+                city=as_text(column(row, "city")),
+                phone_mobile=as_text(column(row, "phone_mobile")),
+                emails=as_text(column(row, "emails")),
+                last_online=_ts(column(row, "lastonline_timestamp"), warnings, "contact"),
+                last_used=_ts(column(row, "lastused_timestamp"), warnings, "contact"),
                 provenance=db_provenance(path, EXTRACTOR_PREFIX, "contacts"),
             )
         )
@@ -605,29 +609,31 @@ def _contact_rows(connection, table, path, warnings):
 
 def _message_rows(connection, table, path, warnings):
     out = []
-    for row in connection.execute('SELECT rowid AS rowid_, * FROM "%s" ORDER BY rowid_' % table):
-        when = _ts(row_value(row, "timestamp"), warnings, "message")
+    rows = connection.execute('SELECT rowid AS rowid_, * FROM "%s" ORDER BY rowid_' % table)
+    column = column_reader(rows)
+    for row in rows:
+        when = _ts(column(row, "timestamp"), warnings, "message")
         if when is None:
             warn(warnings, "message row %s has no usable timestamp" % row["rowid_"])
             continue
-        type_code = as_int(row_value(row, "type"))
+        type_code = as_int(column(row, "type"))
         if type_code is None:
             type_code = -1
-        count = as_int(row_value(row, "participant_count"))
+        count = as_int(column(row, "participant_count"))
         out.append(
             SkypeMessage(
-                id=as_int(row_value(row, "id")) or row["rowid_"],
-                convo_id=as_int(row_value(row, "convo_id")),
-                chatname=as_text(row_value(row, "chatname")),
-                author=as_text(row_value(row, "author")),
-                from_dispname=as_text(row_value(row, "from_dispname")),
+                id=as_int(column(row, "id")) or row["rowid_"],
+                convo_id=as_int(column(row, "convo_id")),
+                chatname=as_text(column(row, "chatname")),
+                author=as_text(column(row, "author")),
+                from_dispname=as_text(column(row, "from_dispname")),
                 when=when,
                 type_code=type_code,
-                chatmsg_type=as_int(row_value(row, "chatmsg_type")),
-                chatmsg_status=as_int(row_value(row, "chatmsg_status")),
-                body_xml=as_text(row_value(row, "body_xml")),
+                chatmsg_type=as_int(column(row, "chatmsg_type")),
+                chatmsg_status=as_int(column(row, "chatmsg_status")),
+                body_xml=as_text(column(row, "body_xml")),
                 participant_count=count,
-                reason=as_text(row_value(row, "reason")),
+                reason=as_text(column(row, "reason")),
                 kind=classify_message(type_code, participant_count=count),
                 provenance=db_provenance(path, EXTRACTOR_PREFIX, "messages"),
             )
@@ -638,26 +644,28 @@ def _message_rows(connection, table, path, warnings):
 def _transfer_rows(connection, table, path, warnings):
     out = []
     directions = {1: "receiving", 2: "transferring"}
-    for row in connection.execute('SELECT rowid AS rowid_, * FROM "%s" ORDER BY rowid_' % table):
-        type_code = as_int(row_value(row, "type"))
+    rows = connection.execute('SELECT rowid AS rowid_, * FROM "%s" ORDER BY rowid_' % table)
+    column = column_reader(rows)
+    for row in rows:
+        type_code = as_int(column(row, "type"))
         direction = directions.get(type_code)
         if direction is None:
             warn(warnings, "transfer row %s has unknown type %r" % (row["rowid_"], type_code))
             direction = "undetermined"
         out.append(
             SkypeTransfer(
-                partner_handle=as_text(row_value(row, "partner_handle")),
-                partner_dispname=as_text(row_value(row, "partner_dispname")),
+                partner_handle=as_text(column(row, "partner_handle")),
+                partner_dispname=as_text(column(row, "partner_dispname")),
                 direction=direction,
                 type_code=type_code,
-                status_code=as_int(row_value(row, "status")),
-                failure_reason=as_text(row_value(row, "failurereason", "failure_reason")),
-                start=_ts(row_value(row, "starttime"), warnings, "transfer"),
-                finish=_ts(row_value(row, "finishtime"), warnings, "transfer"),
-                filepath=as_text(row_value(row, "filepath")),
-                filename=as_text(row_value(row, "filename")),
-                filesize=as_int(row_value(row, "filesize")),
-                bytes_transferred=as_int(row_value(row, "bytestransferred", "bytes_transferred")),
+                status_code=as_int(column(row, "status")),
+                failure_reason=as_text(column(row, "failurereason", "failure_reason")),
+                start=_ts(column(row, "starttime"), warnings, "transfer"),
+                finish=_ts(column(row, "finishtime"), warnings, "transfer"),
+                filepath=as_text(column(row, "filepath")),
+                filename=as_text(column(row, "filename")),
+                filesize=as_int(column(row, "filesize")),
+                bytes_transferred=as_int(column(row, "bytestransferred", "bytes_transferred")),
                 provenance=db_provenance(path, EXTRACTOR_PREFIX, "transfers"),
             )
         )
@@ -666,23 +674,25 @@ def _transfer_rows(connection, table, path, warnings):
 
 def _call_rows(connection, table, path, warnings):
     out = []
-    for row in connection.execute('SELECT rowid AS rowid_, * FROM "%s" ORDER BY rowid_' % table):
-        begin = _ts(row_value(row, "begin_timestamp"), warnings, "call")
+    rows = connection.execute('SELECT rowid AS rowid_, * FROM "%s" ORDER BY rowid_' % table)
+    column = column_reader(rows)
+    for row in rows:
+        begin = _ts(column(row, "begin_timestamp"), warnings, "call")
         if begin is None:
             warn(warnings, "call row %s has no usable begin time" % row["rowid_"])
             continue
-        duration = as_int(row_value(row, "duration"))
+        duration = as_int(column(row, "duration"))
         if duration is not None and duration < 0:
             warn(warnings, "call row %s has negative duration" % row["rowid_"])
             duration = None
-        unseen = as_int(row_value(row, "is_unseen_missed"))
+        unseen = as_int(column(row, "is_unseen_missed"))
         out.append(
             SkypeCall(
                 begin=begin,
-                host_identity=as_text(row_value(row, "host_identity")),
+                host_identity=as_text(column(row, "host_identity")),
                 duration_s=duration,
-                is_incoming=bool(as_int(row_value(row, "is_incoming")) or 0),
-                name=as_text(row_value(row, "name")),
+                is_incoming=bool(as_int(column(row, "is_incoming")) or 0),
+                name=as_text(column(row, "name")),
                 unseen_missed=bool(unseen) if unseen is not None else None,
                 provenance=db_provenance(path, EXTRACTOR_PREFIX, "calls"),
             )
@@ -702,15 +712,17 @@ def _split_guid(guid: str | None):
 
 def _call_member_rows(connection, table, path, warnings):
     out = []
-    for row in connection.execute('SELECT rowid AS rowid_, * FROM "%s" ORDER BY rowid_' % table):
-        guid = as_text(row_value(row, "guid"))
+    rows = connection.execute('SELECT rowid AS rowid_, * FROM "%s" ORDER BY rowid_' % table)
+    column = column_reader(rows)
+    for row in rows:
+        guid = as_text(column(row, "guid"))
         out.append(
             CallMember(
-                identity=as_text(row_value(row, "identity")),
-                dispname=as_text(row_value(row, "dispname")),
+                identity=as_text(column(row, "identity")),
+                dispname=as_text(column(row, "dispname")),
                 guid_raw=guid,
                 guid_parts=_split_guid(guid),
-                duration_s=as_int(row_value(row, "call_duration")),
+                duration_s=as_int(column(row, "call_duration")),
                 provenance=db_provenance(path, EXTRACTOR_PREFIX, "call_members"),
             )
         )
@@ -719,12 +731,14 @@ def _call_member_rows(connection, table, path, warnings):
 
 def _video_message_rows(connection, table, path, warnings):
     out = []
-    for row in connection.execute('SELECT rowid AS rowid_, * FROM "%s" ORDER BY rowid_' % table):
-        sid = as_text(row_value(row, "sharing_id", "sid"))
+    rows = connection.execute('SELECT rowid AS rowid_, * FROM "%s" ORDER BY rowid_' % table)
+    column = column_reader(rows)
+    for row in rows:
+        sid = as_text(column(row, "sharing_id", "sid"))
         if not sid:
             warn(warnings, "video message row %s without sharing id skipped" % row["rowid_"])
             continue
-        progress = as_int(row_value(row, "progress"))
+        progress = as_int(column(row, "progress"))
         if progress is None:
             progress = 0
         if not 0 <= progress <= 100:
@@ -733,15 +747,15 @@ def _video_message_rows(connection, table, path, warnings):
         out.append(
             SkypeVideoMessage(
                 sid=sid,
-                local_path=as_text(row_value(row, "local_path")),
-                vod_path=as_text(row_value(row, "vod_path")),
-                public_link=as_text(row_value(row, "public_link", "publiclink")),
-                author=as_text(row_value(row, "author")),
+                local_path=as_text(column(row, "local_path")),
+                vod_path=as_text(column(row, "vod_path")),
+                public_link=as_text(column(row, "public_link", "publiclink")),
+                author=as_text(column(row, "author")),
                 progress=progress,
-                creation_time=_ts(row_value(row, "creation_timestamp"), warnings, "video message"),
-                reaction_time=_ts(row_value(row, "reaction_timestamp"), warnings, "video message"),
-                status=as_int(row_value(row, "status")),
-                vod_status=as_int(row_value(row, "vod_status")),
+                creation_time=_ts(column(row, "creation_timestamp"), warnings, "video message"),
+                reaction_time=_ts(column(row, "reaction_timestamp"), warnings, "video message"),
+                status=as_int(column(row, "status")),
+                vod_status=as_int(column(row, "vod_status")),
                 provenance=db_provenance(path, EXTRACTOR_PREFIX, "video_messages"),
             )
         )

@@ -20,6 +20,7 @@ __all__ = [
     "SQLITE_MAGIC",
     "as_int",
     "as_text",
+    "column_reader",
     "db_provenance",
     "open_immutable",
     "row_value",
@@ -80,14 +81,46 @@ def table_names(connection: sqlite3.Connection) -> dict[str, str]:
     return {row["name"].casefold(): row["name"] for row in rows}
 
 
-def row_value(row: sqlite3.Row, *names: str, default=None):
-    """Fetch the first present column among names, tolerating absence."""
-    keys = {key.casefold(): key for key in row.keys()}
+def _column_keys(names) -> dict[str, str]:
+    """Map casefolded column names to their stored spelling; the last one wins."""
+    return {name.casefold(): name for name in names}
+
+
+def _resolve(keys: dict[str, str], names) -> str | None:
+    """Stored key of the first of names present among keys, or None."""
     for name in names:
         key = keys.get(name.casefold())
         if key is not None:
-            return row[key]
-    return default
+            return key
+    return None
+
+
+_UNRESOLVED = object()
+
+
+def column_reader(cursor: sqlite3.Cursor):
+    """Reader of the rows of one cursor: ``column(row, *names, default=None)``.
+
+    Gives what row_value gives for the same row and names, but each tuple
+    of names is resolved to a stored column key once per cursor, from
+    ``cursor.description``; a row then costs one ``row[key]``.
+    """
+    keys = _column_keys(column[0] for column in cursor.description)
+    resolved: dict[tuple[str, ...], str | None] = {}
+
+    def column(row: sqlite3.Row, *names: str, default=None):
+        key = resolved.get(names, _UNRESOLVED)
+        if key is _UNRESOLVED:
+            key = resolved[names] = _resolve(keys, names)
+        return default if key is None else row[key]
+
+    return column
+
+
+def row_value(row: sqlite3.Row, *names: str, default=None):
+    """Fetch the first present column among names, tolerating absence."""
+    key = _resolve(_column_keys(row.keys()), names)
+    return default if key is None else row[key]
 
 
 def as_text(value):

@@ -64,6 +64,9 @@ UNDETERMINED_MARK = "(direction undetermined)"
 def _short(text: str | None, width: int = 80) -> str:
     if not text:
         return ""
+    collapsed = " ".join(text.split())  # textwrap.shorten's own first step
+    if len(collapsed) <= width:
+        return collapsed
     return textwrap.shorten(text, width=width, placeholder="...")
 
 
@@ -658,6 +661,21 @@ def emit(report: Report, format: str = "jsonl") -> bytes:
     raise ValueError("unknown report format: %r" % (format,))
 
 
+# The one layout Timestamp.isoformat_ms writes, e.g. 2015-01-22T03:45:14.666Z.
+_WHEN_UTC_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}\.[0-9]{3}Z")
+
+
+def _utc_from_when(text: str) -> datetime:
+    """Instant of an emitted when_utc; other text goes through ts_from_iso_text."""
+    if _WHEN_UTC_RE.fullmatch(text):
+        try:
+            # Without the Z, so that Python 3.10's fromisoformat accepts it.
+            return datetime.fromisoformat(text[:-1]).replace(tzinfo=timezone.utc)
+        except ValueError:
+            pass
+    return ts_from_iso_text(text).utc_instant
+
+
 def parse_jsonl(data: bytes | str) -> list[TimelineEvent]:
     """Rebuild the event list emit() serialized; emit∘parse is identity."""
     text = data.decode("utf-8") if isinstance(data, bytes) else data
@@ -666,7 +684,7 @@ def parse_jsonl(data: bytes | str) -> list[TimelineEvent]:
         if not line.strip():
             continue
         fields = json.loads(line)
-        instant = ts_from_iso_text(fields["when_utc"]).utc_instant
+        instant = _utc_from_when(fields["when_utc"])
         when = Timestamp(instant, fields["encoding"], fields["when_raw"])
         events.append(TimelineEvent(
             when=when,

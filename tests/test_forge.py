@@ -1,5 +1,7 @@
 import hashlib
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -284,3 +286,63 @@ class TestRelativize:
             app=App.OTHER, summary="x",
             provenance=Provenance("/somewhere/else.db", "t", Channel.DATABASE))
         assert relativize_events([event], tmp_path)[0] == event
+
+    def test_matches_per_event_resolve(self, tmp_path, monkeypatch):
+        root = tmp_path / "root"
+        (root / "a").mkdir(parents=True)
+        (root / "a" / "x").write_bytes(b"x")
+        (tmp_path / "elsewhere").mkdir()
+        (tmp_path / "into_root").symlink_to(root / "a")
+        (root / "out_link").symlink_to(tmp_path / "elsewhere")
+        monkeypatch.chdir(tmp_path)
+        paths = [
+            str(root / "a" / "x"),
+            str(root / "a" / ".." / "a" / "x"),  # same file as a/x, different text
+            str(root / "missing.db"),
+            "root/a/x",  # relative to the working directory
+            "root/a/../missing",
+            "a/x",  # relative, but not under root from here
+            str(tmp_path / "into_root" / "x"),  # a symlink into the root
+            str(root / "out_link" / "y"),  # a link inside root that leaves it
+            "/somewhere/else.db",
+            str(tmp_path),
+            str(root),
+        ]
+
+        def reference(events, base_dir):
+            base = Path(base_dir).resolve()
+            out = []
+            for event in events:
+                try:
+                    rel = Path(event.provenance.evidence_path).resolve().relative_to(base)
+                except (ValueError, OSError):
+                    out.append(event)
+                    continue
+                out.append(replace(event, provenance=replace(event.provenance, evidence_path=rel.as_posix())))
+            return out
+
+        events = [
+            TimelineEvent(
+                when=ts_from_unix(1421685822 + i, "seconds"), kind=EventKind.APP_LAUNCH,
+                app=App.OTHER, summary="e%d" % i,
+                provenance=Provenance(paths[i % len(paths)], "t%d" % (i % 3),
+                                      Channel.CARVED if i % 2 else Channel.DATABASE,
+                                      byte_offset=i if i % 2 else None))
+            for i in range(5 * len(paths))
+        ]
+        expected = reference(events, root)
+        assert expected[0].provenance.evidence_path == "a/x"
+        assert expected[6].provenance.evidence_path == "a/x"
+
+        calls = []
+        real_resolve = Path.resolve
+
+        def counting_resolve(self, *args, **kwargs):
+            calls.append(str(self))
+            return real_resolve(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "resolve", counting_resolve)
+        for base in (root, str(root), "root"):
+            calls.clear()
+            assert relativize_events(events, base) == expected
+            assert len(calls) <= len(set(paths)) + 1

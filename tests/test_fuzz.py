@@ -8,9 +8,24 @@ import struct
 
 from hypothesis import given, settings, strategies as st
 
+from imartifacts.locator import ZoneMarker, read_zone_identifier
 from imartifacts.model import ExtractionError
 from imartifacts.pcap import LINKTYPE_ETHERNET, MAGIC_NS, MAGIC_US, extract_sni, read_pcap
 from imartifacts.regexport import HEADER_4, HEADER_50, parse_reg_export
+from imartifacts.skype import (
+    HOSTCACHE_PREFIX,
+    FilesBody,
+    PartListBody,
+    PlainTextBody,
+    SkypeConfig,
+    SkypeNetworkState,
+    SupernodeEntry,
+    VideoMessageBody,
+    decode_hostcache,
+    parse_body_xml,
+    parse_config_xml,
+    parse_shared_xml,
+)
 
 FUZZ = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -76,3 +91,88 @@ def test_parse_reg_export_any_bytes(data):
 def test_parse_reg_export_after_each_header(header, body):
     export = parse_reg_export(header + body)
     assert export.dialect in (HEADER_50, HEADER_4)
+
+
+# Any code point, lone surrogates included: body_xml also reaches the parser
+# from callers other than the SQLite reader.
+ANY_TEXT = st.text(alphabet=st.characters(exclude_categories=()), max_size=300)
+BODY_PREFIXES = [
+    "<files>", '<files><file size="', "<videomessage ", "<partlist ", "<", " <a>",
+    "<?xml version='1.0' encoding='utf-16'?><files>",
+]
+BODIES = (FilesBody, PartListBody, PlainTextBody, VideoMessageBody)
+
+
+@FUZZ
+@given(ANY_TEXT)
+def test_parse_body_xml_any_text(text):
+    assert isinstance(parse_body_xml(text, []), BODIES)
+
+
+@FUZZ
+@given(st.sampled_from(BODY_PREFIXES), ANY_TEXT)
+def test_parse_body_xml_after_markup_prefix(prefix, text):
+    assert isinstance(parse_body_xml(prefix + text, []), BODIES)
+
+
+SHARED_TAGS = [b"<LastIP>", b"<ListeningPort>", b"<Supernode>", b"<Default>", b"<NodeID>", b"<HostCache>"]
+CONFIG_PREFIXES = [b'<config serial="', b"<config>", b"<LastUsed>", b"<u>", b"<u/>"]
+
+
+@FUZZ
+@given(st.binary(max_size=512))
+def test_parse_shared_xml_any_bytes(data):
+    state = returns_or_extraction_error(parse_shared_xml, data)
+    assert state is None or isinstance(state, SkypeNetworkState)
+
+
+@FUZZ
+@given(st.sampled_from(SHARED_TAGS), st.binary(max_size=256))
+def test_parse_shared_xml_inside_each_tag(tag, body):
+    state = returns_or_extraction_error(parse_shared_xml, tag + body + tag.replace(b"<", b"</"))
+    assert state is None or isinstance(state, SkypeNetworkState)
+
+
+@FUZZ
+@given(st.binary(max_size=512))
+def test_parse_config_xml_any_bytes(data):
+    config = returns_or_extraction_error(parse_config_xml, data)
+    assert config is None or isinstance(config, SkypeConfig)
+
+
+@FUZZ
+@given(st.sampled_from(CONFIG_PREFIXES), st.binary(max_size=256))
+def test_parse_config_xml_after_each_tag(prefix, body):
+    closing = b"</u>" if prefix == b"<u>" else b"</LastUsed>"
+    config = returns_or_extraction_error(parse_config_xml, prefix + body + closing)
+    assert config is None or isinstance(config, SkypeConfig)
+
+
+@FUZZ
+@given(ANY_TEXT)
+def test_decode_hostcache_any_text(text):
+    entries = returns_or_extraction_error(decode_hostcache, text)
+    assert entries is None or all(isinstance(entry, SupernodeEntry) for entry in entries)
+
+
+@FUZZ
+@given(st.lists(st.one_of(st.just(HOSTCACHE_PREFIX), st.text(alphabet="0123456789abcdefABCDEF \n", max_size=20)),
+                max_size=12).map("".join))
+def test_decode_hostcache_hex_text(text):
+    entries = decode_hostcache(text, [])
+    assert len(entries) <= "".join(text.split()).upper().count(HOSTCACHE_PREFIX)
+
+
+@FUZZ
+@given(st.binary(max_size=512))
+def test_read_zone_identifier_any_bytes(data):
+    marker = returns_or_extraction_error(read_zone_identifier, data)
+    assert marker is None or isinstance(marker, ZoneMarker)
+
+
+@FUZZ
+@given(st.sampled_from([b"", b"\xef\xbb\xbf"]), st.binary(max_size=128), st.binary(max_size=128))
+def test_read_zone_identifier_inside_section(bom, value, rest):
+    data = bom + b"[ZoneTransfer]\r\nZoneId=" + value + b"\r\n" + rest
+    marker = returns_or_extraction_error(lambda raw: read_zone_identifier(raw, "x.exe:Zone.Identifier"), data)
+    assert marker is None or 0 <= marker.zone_id <= 4

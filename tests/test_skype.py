@@ -153,6 +153,13 @@ class TestBodyXml:
         assert isinstance(body, PlainTextBody)
         assert warnings
 
+    def test_lone_surrogate_in_markup_is_plain_text(self):
+        # Found by the fuzz contract: the XML parser raised UnicodeEncodeError.
+        warnings = []
+        body = parse_body_xml("<files>\ud800</files>", warnings)
+        assert body == PlainTextBody("<files>\ud800</files>")
+        assert warnings
+
     def test_unrecognized_root_kept_verbatim(self):
         body = parse_body_xml("<quote author='x'>said things</quote>".replace("'", '"'))
         assert isinstance(body, PlainTextBody)

@@ -4,8 +4,11 @@ import csv
 import io
 import json
 import random
+import textwrap
+from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from imartifacts import facebook, pcap, regexport, skype, timeline
 from imartifacts import sampledata as sd
@@ -15,7 +18,10 @@ from imartifacts.model import (
     Channel,
     EventKind,
     Provenance,
+    OutOfRange,
+    Timestamp,
     TimelineEvent,
+    ts_from_iso_text,
     ts_from_unix,
 )
 
@@ -608,3 +614,105 @@ class TestReport:
         report = timeline.build_report([event_at(100)])
         data = timeline.emit(report, "jsonl") + b"\n\n"
         assert timeline.parse_jsonl(data) == report.events
+
+
+# Derived from each test's source and without an example database, so every
+# run checks the same inputs.
+PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+# Whitespace to str.split, including separators textwrap does not treat as
+# whitespace, mixed with words and hyphens that textwrap breaks on.
+SHORT_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(list(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u3000") + ["-", "a", "word", "é"]),
+        st.characters(),
+    ),
+    max_size=60,
+).map("".join)
+
+
+class TestShort:
+    @PROPERTY
+    @given(SHORT_TEXT, st.integers(min_value=3, max_value=100), st.integers(min_value=-2, max_value=2))
+    def test_matches_textwrap_shorten(self, text, width, delta):
+        boundary = max(3, len(" ".join(text.split())) + delta)
+        for w in (width, boundary, 80):
+            want = textwrap.shorten(text, width=w, placeholder="...") if text else ""
+            assert timeline._short(text, w) == want
+
+    def test_none_and_empty(self):
+        assert timeline._short(None) == ""
+        assert timeline._short("") == ""
+
+
+MS_DATETIMES = st.datetimes(
+    min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59, 999000),
+).map(lambda dt: dt.replace(microsecond=dt.microsecond - dt.microsecond % 1000))
+
+
+class TestWhenUtc:
+    @PROPERTY
+    @given(MS_DATETIMES)
+    def test_fast_path_matches_ts_from_iso_text(self, dt):
+        text = dt.isoformat(timespec="milliseconds") + "Z"
+        assert timeline._WHEN_UTC_RE.fullmatch(text)
+        fast = timeline._utc_from_when(text)
+        try:
+            want = ts_from_iso_text(text).utc_instant
+        except OutOfRange:  # before 1601; parse_jsonl's Timestamp rejects it as well
+            with pytest.raises(OutOfRange):
+                Timestamp(fast, "iso_text", text)
+        else:
+            assert fast == want
+
+    @pytest.mark.parametrize("text", [
+        "2015-01-22T03:45:14.666Z",
+        "2015-01-22 03:45:14.666Z",
+        "2015-01-22T03:45:14Z",
+        "2015-01-22T03:45:14.666",
+        "2015-01-22T03:45:14.666+01:00",
+        " 2015-01-22T03:45:14.666Z ",
+    ])
+    def test_other_text_falls_back(self, text):
+        assert timeline._utc_from_when(text) == ts_from_iso_text(text).utc_instant
+
+    @pytest.mark.parametrize("text", [
+        "2015-13-22T03:45:14.666Z",
+        "2015-02-30T03:45:14.666Z",
+        "2015-01-22T24:00:00.000Z",
+        "2015-01-22T03:45:60.000Z",
+        "0000-01-01T00:00:00.000Z",
+        "２０１５-01-22T03:45:14.666Z",
+    ])
+    def test_shaped_but_invalid_text_raises_as_before(self, text):
+        try:
+            want = ts_from_iso_text(text).utc_instant
+        except OutOfRange:
+            with pytest.raises(OutOfRange):
+                timeline._utc_from_when(text)
+        else:
+            assert timeline._utc_from_when(text) == want
+
+    @PROPERTY
+    @given(st.lists(st.datetimes(min_value=datetime(1601, 1, 1),
+                                 max_value=datetime(9999, 12, 31, 23, 59, 59, 999000),
+                                 timezones=st.just(timezone.utc)),
+                    min_size=1, max_size=5))
+    def test_emit_parse_identity(self, instants):
+        events = [
+            TimelineEvent(
+                when=Timestamp(dt.replace(microsecond=dt.microsecond - dt.microsecond % 1000), "unix_millis", i),
+                kind=EventKind.LOGIN, app=App.FACEBOOK, summary="s%d" % i, provenance=DB_PROV)
+            for i, dt in enumerate(instants)
+        ]
+        data = timeline.emit(timeline.build_report(events), "jsonl")
+        back = timeline.parse_jsonl(data)
+        assert back == timeline.build_report(events).events
+        assert timeline.emit(timeline.build_report(back), "jsonl") == data
+
+    def test_parse_jsonl_takes_the_fast_path(self, monkeypatch):
+        report = mixed_report()
+        calls = []
+        monkeypatch.setattr(timeline, "ts_from_iso_text", lambda text: calls.append(text))
+        assert timeline.parse_jsonl(timeline.emit(report, "jsonl")) == report.events
+        assert calls == []
