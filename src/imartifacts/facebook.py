@@ -35,7 +35,6 @@ __all__ = [
     "extract_notifications",
     "extract_users",
     "infer_owner_uid",
-    "message_direction",
     "parse_fb_attachments",
 ]
 
@@ -173,6 +172,7 @@ def extract_analytics(path, warnings: list[str] | None = None) -> list[FbAnalyti
         table = _require_table(connection, "analytics_logs", str(path))
         events = []
         rows, column = _rows(connection, table)
+        provenance = db_provenance(path, EXTRACTOR_PREFIX, "analytics")
         for row in rows:
             raw_time = column(row, "time", "timestamp")
             millis = as_int(raw_time)
@@ -187,7 +187,7 @@ def extract_analytics(path, warnings: list[str] | None = None) -> list[FbAnalyti
                     name=as_text(column(row, "name", "event_name")),
                     module=as_text(column(row, "module")),
                     extra=as_text(column(row, "extra", "extra_json")),
-                    provenance=db_provenance(path, EXTRACTOR_PREFIX, "analytics"),
+                    provenance=provenance,
                 )
             )
     return events
@@ -210,6 +210,7 @@ def extract_friends(path, warnings: list[str] | None = None) -> list[FbFriend]:
         table = _require_table(connection, "friends", str(path))
         friends = []
         rows, column = _rows(connection, table)
+        provenance = db_provenance(path, EXTRACTOR_PREFIX, "friends")
         for row in rows:
             uid = as_text(column(row, "uid", "user_id", "id"))
             if uid is None:
@@ -236,7 +237,7 @@ def extract_friends(path, warnings: list[str] | None = None) -> list[FbFriend]:
                     birthday=_parse_birthday(
                         column(row, "birthday", "birthday_date"), warnings, "friends row %s" % row["rowid_"]
                     ),
-                    provenance=db_provenance(path, EXTRACTOR_PREFIX, "friends"),
+                    provenance=provenance,
                 )
             )
     return friends
@@ -326,6 +327,7 @@ def extract_messages(path, warnings: list[str] | None = None) -> list[FbMessage]
         table = _require_table(connection, "messages", str(path))
         messages = []
         rows, column = _rows(connection, table)
+        provenance = db_provenance(path, EXTRACTOR_PREFIX, "messages")
         for row in rows:
             context = "messages row %s" % row["rowid_"]
             millis = as_int(column(row, "timestamp", "timestamp_ms", "time"))
@@ -355,7 +357,7 @@ def extract_messages(path, warnings: list[str] | None = None) -> list[FbMessage]
                     tags=_parse_tags(column(row, "tags"), warnings, context),
                     attachments=attachments,
                     attachments_raw=attachments_raw,
-                    provenance=db_provenance(path, EXTRACTOR_PREFIX, "messages"),
+                    provenance=provenance,
                 )
             )
     return messages
@@ -367,6 +369,7 @@ def extract_users(path, warnings: list[str] | None = None) -> list[FbUser]:
         table = _require_table(connection, "users", str(path))
         users = []
         rows, column = _rows(connection, table)
+        provenance = db_provenance(path, EXTRACTOR_PREFIX, "users")
         for row in rows:
             uid = as_text(column(row, "uid", "user_id", "id"))
             if uid is None:
@@ -379,7 +382,7 @@ def extract_users(path, warnings: list[str] | None = None) -> list[FbUser]:
                     name=as_text(column(row, "name")),
                     email=as_text(column(row, "email")),
                     last_active=ts_from_unix(seconds, "seconds") if seconds is not None else None,
-                    provenance=db_provenance(path, EXTRACTOR_PREFIX, "users"),
+                    provenance=provenance,
                 )
             )
     return users
@@ -401,6 +404,7 @@ def extract_notifications(path, warnings: list[str] | None = None) -> list[FbNot
         table = _require_table(connection, "notifications", str(path))
         notifications = []
         rows, column = _rows(connection, table)
+        provenance = db_provenance(path, EXTRACTOR_PREFIX, "notifications")
         for row in rows:
             context = "notifications row %s" % row["rowid_"]
             flag = as_int(column(row, "unread", "unread_flag"))
@@ -413,23 +417,10 @@ def extract_notifications(path, warnings: list[str] | None = None) -> list[FbNot
                     unread_flag=flag if flag is not None else 0,
                     created=_parse_iso_column(column(row, "created", "created_time"), warnings, context),
                     updated=_parse_iso_column(column(row, "updated", "updated_time"), warnings, context),
-                    provenance=db_provenance(path, EXTRACTOR_PREFIX, "notifications"),
+                    provenance=provenance,
                 )
             )
     return notifications
-
-
-def message_direction(message: FbMessage, owner_uid: str | None = None) -> str:
-    """Classify a cached message as "sent" or "received" from the owner's view.
-
-    The "sent" tag is authoritative; without it the sender uid is compared
-    to the owner when known, and anything else reads as received.
-    """
-    if "sent" in message.tags:
-        return "sent"
-    if owner_uid is not None and message.sender_uid == owner_uid:
-        return "sent"
-    return "received"
 
 
 def infer_owner_uid(messages: list[FbMessage]) -> str | None:

@@ -15,7 +15,6 @@ import io
 import json
 import random
 import sqlite3
-from dataclasses import replace
 from pathlib import Path
 
 from . import carver, facebook, locator, pcap, regexport, sampledata as sd, skype, timeline
@@ -598,25 +597,31 @@ def expected_events(manifest: dict) -> list[TimelineEvent]:
 def relativize_events(events, root) -> list[TimelineEvent]:
     """Rewrite evidence paths under root as forward-slash relative paths.
 
-    Each distinct path is resolved once per call; a path that does not
-    resolve under root leaves its events as they are.
+    Each distinct path is resolved, and each distinct provenance
+    rewritten, once per call; a path that does not resolve under root
+    leaves its events as they are.
     """
     base = Path(root).resolve()
     relative: dict[str, str | None] = {}
+    rewritten: dict[Provenance, Provenance | None] = {}
     out = []
     for event in events:
         provenance = event.provenance
-        path = provenance.evidence_path
-        if path not in relative:
-            try:
-                relative[path] = Path(path).resolve().relative_to(base).as_posix()
-            except (ValueError, OSError):
-                relative[path] = None
-        rel = relative[path]
-        if rel is None:
+        try:
+            new = rewritten[provenance]
+        except KeyError:
+            path = provenance.evidence_path
+            if path not in relative:
+                try:
+                    relative[path] = Path(path).resolve().relative_to(base).as_posix()
+                except (ValueError, OSError):
+                    relative[path] = None
+            rel = relative[path]
+            new = rewritten[provenance] = None if rel is None else Provenance(
+                rel, provenance.extractor, provenance.channel, provenance.byte_offset)
+        if new is None:
             out.append(event)
             continue
-        out.append(replace(event, provenance=Provenance(
-            rel, provenance.extractor, provenance.channel,
-            provenance.byte_offset)))
+        out.append(TimelineEvent(event.when, event.kind, event.app, event.summary, new,
+                                 event.actor, event.counterpart, event.duplicates))
     return out

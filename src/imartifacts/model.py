@@ -10,6 +10,7 @@ a report never loses the original artifact value.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 
@@ -90,7 +91,10 @@ class Timestamp:
     def isoformat_ms(self) -> str:
         """Render as UTC text with explicit milliseconds, e.g. 2015-01-22T03:45:14.666Z."""
         dt = self.utc_instant
-        return "%s.%03dZ" % (dt.strftime("%Y-%m-%dT%H:%M:%S"), dt.microsecond // 1000)
+        # The year is four digits, as strftime's %Y gives it, because
+        # __post_init__ keeps instants within 1601-9999.
+        return "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ" % (
+            dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second, dt.microsecond // 1000)
 
     def reencode(self) -> int | str:
         """Recompute the stored raw value from the decoded instant.
@@ -195,10 +199,26 @@ _ISO_LAYOUTS = (
 )
 
 
+# The first four layouts with two-digit ASCII fields, read without strptime.
+_ISO_FAST_RE = re.compile(
+    r"([0-9]{4})-([0-9]{2})-([0-9]{2})[ T]([0-9]{2}):([0-9]{2}):([0-9]{2})(?:\.([0-9]{1,6}))?")
+
+
 def ts_from_iso_text(text: str) -> Timestamp:
     """Decode a stored date-time string, assuming UTC when no offset is given."""
     cleaned = text.strip()
     candidate = cleaned[:-1] if cleaned.endswith("Z") else cleaned
+    match = _ISO_FAST_RE.fullmatch(candidate)
+    if match:
+        year, month, day, hour, minute, second, fraction = match.groups()
+        millis = int(fraction[:3].ljust(3, "0")) if fraction else 0
+        try:
+            parsed = datetime(int(year), int(month), int(day), int(hour), int(minute),
+                              int(second), millis * 1000, tzinfo=timezone.utc)
+        except ValueError:
+            pass  # a field out of range: strptime decides, as before
+        else:
+            return Timestamp(parsed, "iso_text", text)
     parsed = None
     for layout in _ISO_LAYOUTS:
         try:

@@ -561,6 +561,20 @@ def catalog_index(catalog=None) -> CatalogIndex:
     return CatalogIndex(catalog)
 
 
+# Each octet value in the one spelling ipaddress accepts for it: decimal,
+# with no sign, space or leading zero.
+_OCTETS = {str(n): n for n in range(256)}
+
+
+def _ipv4_int(ip) -> int:
+    """int(ipaddress.IPv4Address(ip)), read from a table for a dotted quad."""
+    try:
+        a, b, c, d = map(_OCTETS.__getitem__, ip.split("."))
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return int(ipaddress.IPv4Address(ip))  # other forms are accepted or rejected as before
+    return a << 24 | b << 16 | c << 8 | d
+
+
 def label_flow(flow: Flow, catalog=None) -> FlowLabel:
     """Label one flow: SNI beats exact IP beats CIDR beats the port rule.
 
@@ -578,7 +592,7 @@ def label_flow(flow: Flow, catalog=None) -> FlowLabel:
         best = min(exact, key=_rank)
         return FlowLabel(best.label, "ip_catalog", "address %s (%s)" % (best.match, best.owner))
     if index.networks:
-        addresses = [int(ipaddress.IPv4Address(ip)) for ip in ips]
+        addresses = [_ipv4_int(ip) for ip in ips]
         for network, mask, best in index.networks:
             if any(address & mask == network for address in addresses):
                 return FlowLabel(best.label, "ip_catalog", "network %s (%s)" % (best.match, best.owner))

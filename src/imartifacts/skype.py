@@ -554,6 +554,7 @@ def _account_rows(connection, table, path, warnings):
     out = []
     rows = connection.execute('SELECT * FROM "%s"' % table)
     column = column_reader(rows)
+    provenance = db_provenance(path, EXTRACTOR_PREFIX, "accounts")
     for row in rows:
         skypename = as_text(column(row, "skypename"))
         if not skypename:
@@ -572,7 +573,7 @@ def _account_rows(connection, table, path, warnings):
                 emails=as_text(column(row, "emails")),
                 mood_text=as_text(column(row, "mood_text")),
                 registration_time=_ts(column(row, "registration_timestamp"), warnings, "account"),
-                provenance=db_provenance(path, EXTRACTOR_PREFIX, "accounts"),
+                provenance=provenance,
             )
         )
     return out
@@ -582,6 +583,7 @@ def _contact_rows(connection, table, path, warnings):
     out = []
     rows = connection.execute('SELECT * FROM "%s"' % table)
     column = column_reader(rows)
+    provenance = db_provenance(path, EXTRACTOR_PREFIX, "contacts")
     for row in rows:
         skypename = as_text(column(row, "skypename"))
         if not skypename:
@@ -601,7 +603,7 @@ def _contact_rows(connection, table, path, warnings):
                 emails=as_text(column(row, "emails")),
                 last_online=_ts(column(row, "lastonline_timestamp"), warnings, "contact"),
                 last_used=_ts(column(row, "lastused_timestamp"), warnings, "contact"),
-                provenance=db_provenance(path, EXTRACTOR_PREFIX, "contacts"),
+                provenance=provenance,
             )
         )
     return out
@@ -611,6 +613,7 @@ def _message_rows(connection, table, path, warnings):
     out = []
     rows = connection.execute('SELECT rowid AS rowid_, * FROM "%s" ORDER BY rowid_' % table)
     column = column_reader(rows)
+    provenance = db_provenance(path, EXTRACTOR_PREFIX, "messages")
     for row in rows:
         when = _ts(column(row, "timestamp"), warnings, "message")
         if when is None:
@@ -635,7 +638,7 @@ def _message_rows(connection, table, path, warnings):
                 participant_count=count,
                 reason=as_text(column(row, "reason")),
                 kind=classify_message(type_code, participant_count=count),
-                provenance=db_provenance(path, EXTRACTOR_PREFIX, "messages"),
+                provenance=provenance,
             )
         )
     return out
@@ -646,6 +649,7 @@ def _transfer_rows(connection, table, path, warnings):
     directions = {1: "receiving", 2: "transferring"}
     rows = connection.execute('SELECT rowid AS rowid_, * FROM "%s" ORDER BY rowid_' % table)
     column = column_reader(rows)
+    provenance = db_provenance(path, EXTRACTOR_PREFIX, "transfers")
     for row in rows:
         type_code = as_int(column(row, "type"))
         direction = directions.get(type_code)
@@ -666,7 +670,7 @@ def _transfer_rows(connection, table, path, warnings):
                 filename=as_text(column(row, "filename")),
                 filesize=as_int(column(row, "filesize")),
                 bytes_transferred=as_int(column(row, "bytestransferred", "bytes_transferred")),
-                provenance=db_provenance(path, EXTRACTOR_PREFIX, "transfers"),
+                provenance=provenance,
             )
         )
     return out
@@ -676,6 +680,7 @@ def _call_rows(connection, table, path, warnings):
     out = []
     rows = connection.execute('SELECT rowid AS rowid_, * FROM "%s" ORDER BY rowid_' % table)
     column = column_reader(rows)
+    provenance = db_provenance(path, EXTRACTOR_PREFIX, "calls")
     for row in rows:
         begin = _ts(column(row, "begin_timestamp"), warnings, "call")
         if begin is None:
@@ -694,7 +699,7 @@ def _call_rows(connection, table, path, warnings):
                 is_incoming=bool(as_int(column(row, "is_incoming")) or 0),
                 name=as_text(column(row, "name")),
                 unseen_missed=bool(unseen) if unseen is not None else None,
-                provenance=db_provenance(path, EXTRACTOR_PREFIX, "calls"),
+                provenance=provenance,
             )
         )
     return out
@@ -714,6 +719,7 @@ def _call_member_rows(connection, table, path, warnings):
     out = []
     rows = connection.execute('SELECT rowid AS rowid_, * FROM "%s" ORDER BY rowid_' % table)
     column = column_reader(rows)
+    provenance = db_provenance(path, EXTRACTOR_PREFIX, "call_members")
     for row in rows:
         guid = as_text(column(row, "guid"))
         out.append(
@@ -723,7 +729,7 @@ def _call_member_rows(connection, table, path, warnings):
                 guid_raw=guid,
                 guid_parts=_split_guid(guid),
                 duration_s=as_int(column(row, "call_duration")),
-                provenance=db_provenance(path, EXTRACTOR_PREFIX, "call_members"),
+                provenance=provenance,
             )
         )
     return out
@@ -733,6 +739,7 @@ def _video_message_rows(connection, table, path, warnings):
     out = []
     rows = connection.execute('SELECT rowid AS rowid_, * FROM "%s" ORDER BY rowid_' % table)
     column = column_reader(rows)
+    provenance = db_provenance(path, EXTRACTOR_PREFIX, "video_messages")
     for row in rows:
         sid = as_text(column(row, "sharing_id", "sid"))
         if not sid:
@@ -756,7 +763,7 @@ def _video_message_rows(connection, table, path, warnings):
                 reaction_time=_ts(column(row, "reaction_timestamp"), warnings, "video message"),
                 status=as_int(column(row, "status")),
                 vod_status=as_int(column(row, "vod_status")),
-                provenance=db_provenance(path, EXTRACTOR_PREFIX, "video_messages"),
+                provenance=provenance,
             )
         )
     return out

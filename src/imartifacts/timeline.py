@@ -62,11 +62,21 @@ UNDETERMINED_MARK = "(direction undetermined)"
 
 
 def _short(text: str | None, width: int = 80) -> str:
+    """Equal to textwrap.shorten(text, width, placeholder="...") for width >= 3; None gives "".
+
+    Collapsed text that fits is returned as it is. Text with no hyphen
+    where the cut falls can break only at its single spaces, so it is cut
+    at the last space that leaves room for the placeholder; other text
+    goes through textwrap.
+    """
     if not text:
         return ""
     collapsed = " ".join(text.split())  # textwrap.shorten's own first step
     if len(collapsed) <= width:
         return collapsed
+    if width > 3 and "-" not in collapsed[:width + 1]:
+        cut = collapsed.rfind(" ", 0, width - 2)
+        return collapsed[:cut] + "..." if cut > 0 else "..."
     return textwrap.shorten(text, width=width, placeholder="...")
 
 

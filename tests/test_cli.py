@@ -1,11 +1,13 @@
 import gc
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
-from imartifacts import forge, timeline
+from imartifacts import forge, sqliteio, timeline
 from imartifacts.cli import ENV_OUT, main
+from imartifacts.model import Provenance
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +198,30 @@ class TestPipelineCommands:
             assert main(["report", str(root), "--out", str(tmp_path / "r.jsonl")]) == 0
             gc.collect()
         assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_report_builds_one_provenance_per_source(self, tmp_path, monkeypatch, capfd):
+        root = tmp_path / "evidence"
+        forge.forge_fixture(7, root)
+        built = {"sqliteio": [], "forge": []}
+
+        def counting(keys):
+            def build(*args, **kwargs):
+                provenance = Provenance(*args, **kwargs)
+                keys.append((provenance.evidence_path, provenance.extractor,
+                             provenance.channel, provenance.byte_offset))
+                return provenance
+            return build
+
+        # The SQLite extractors build theirs through db_provenance, relativize_events its own.
+        monkeypatch.setattr(sqliteio, "Provenance", counting(built["sqliteio"]))
+        monkeypatch.setattr(forge, "Provenance", counting(built["forge"]))
+        out = tmp_path / "report.jsonl"
+        assert main(["report", str(root), "--format", "jsonl", "--out", str(out)]) == 0
+        golden = Path(__file__).parent / "golden" / "report_seed7.jsonl"
+        assert out.read_bytes() == golden.read_bytes()
+        for module, keys in built.items():
+            assert keys, module
+            assert len(keys) == len(set(keys)), module
 
     def test_verbose_prints_warnings(self, forged, capfd):
         root, _ = forged

@@ -9,7 +9,7 @@ from datetime import date
 
 import pytest
 
-from imartifacts import facebook, sampledata as sd
+from imartifacts import facebook, sampledata as sd, timeline
 from imartifacts.facebook import (
     ChatFragment,
     MalformedJson,
@@ -20,7 +20,6 @@ from imartifacts.facebook import (
     extract_notifications,
     extract_users,
     infer_owner_uid,
-    message_direction,
     parse_fb_attachments,
 )
 from imartifacts.model import Channel
@@ -256,8 +255,8 @@ class TestMessages:
 
     def test_direction_from_sent_tag(self, messages_db):
         messages = extract_messages(messages_db)
-        directions = [message_direction(m) for m in messages]
-        assert directions == ["sent", "received", "received", "sent", "received"]
+        directions = [timeline._fb_direction(m, None) for m in messages]
+        assert directions == ["sent", "undetermined", "undetermined", "sent", "undetermined"]
 
     def test_direction_owner_fallback(self, messages_db):
         messages = extract_messages(messages_db)
@@ -267,9 +266,9 @@ class TestMessages:
             )
             for m in messages
         ]
-        assert message_direction(stripped[0], sd.OWNER_UID) == "sent"
-        assert message_direction(stripped[0]) == "received"
-        assert message_direction(stripped[1], sd.OWNER_UID) == "received"
+        assert timeline._fb_direction(stripped[0], sd.OWNER_UID) == "sent"
+        assert timeline._fb_direction(stripped[0], None) == "undetermined"
+        assert timeline._fb_direction(stripped[1], sd.OWNER_UID) == "received"
 
     def test_infer_owner(self, messages_db):
         assert infer_owner_uid(extract_messages(messages_db)) == sd.OWNER_UID

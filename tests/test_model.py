@@ -1,7 +1,8 @@
 import random
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from imartifacts import model
 from imartifacts.model import (
@@ -130,6 +131,102 @@ class TestIsoText:
             ts_from_iso_text("not a date")
 
 
+# The strptime loop ts_from_iso_text ran before its fast path, kept here as
+# the oracle: it shares no code with the function under test.
+_REFERENCE_LAYOUTS = (
+    "%Y-%m-%d %H:%M:%S.%f",
+    "%Y-%m-%d %H:%M:%S",
+    "%Y-%m-%dT%H:%M:%S.%f",
+    "%Y-%m-%dT%H:%M:%S",
+    "%Y-%m-%d %H:%M",
+    "%Y-%m-%d",
+)
+
+
+def reference_ts_from_iso_text(text: str) -> Timestamp:
+    cleaned = text.strip()
+    candidate = cleaned[:-1] if cleaned.endswith("Z") else cleaned
+    parsed = None
+    for layout in _REFERENCE_LAYOUTS:
+        try:
+            parsed = datetime.strptime(candidate, layout)
+            break
+        except ValueError:
+            continue
+    if parsed is None:
+        try:
+            parsed = datetime.fromisoformat(candidate)
+        except ValueError as exc:
+            raise OutOfRange("unrecognized date-time text: %r" % (text,)) from exc
+    if parsed.tzinfo is None:
+        parsed = parsed.replace(tzinfo=timezone.utc)
+    parsed = parsed.astimezone(timezone.utc)
+    parsed = parsed.replace(microsecond=parsed.microsecond - parsed.microsecond % 1000)
+    return Timestamp(parsed, "iso_text", text)
+
+
+def _outcome(decode, text):
+    """What decode makes of text: the timestamp's parts, or the exception type."""
+    try:
+        ts = decode(text)
+    except Exception as error:
+        return type(error)
+    return ts.utc_instant, ts.utc_instant.tzinfo, ts.encoding, ts.raw
+
+
+# Derived from each test's source and without an example database, so every
+# run checks the same inputs.
+PROPERTY = settings(derandomize=True, database=None, max_examples=500, deadline=None)
+
+_DIGITS = "0123456789\u0662\uff12"  # with ARABIC-INDIC and FULLWIDTH TWO
+
+
+# Values strptime's field patterns accept but a date rejects, and digit runs
+# of any length and script.
+_ODD_FIELD = st.one_of(
+    st.sampled_from(["13", "60", "00", "24", "0000", "1600", "2"]),
+    st.text(alphabet=_DIGITS, min_size=1, max_size=5),
+)
+
+
+@st.composite
+def iso_shaped_text(draw):
+    """Date-time text near the stored layouts: one field at most is odd."""
+    dt = draw(st.datetimes(min_value=datetime(1601, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)))
+    fields = ["%04d" % dt.year] + ["%02d" % n for n in (dt.month, dt.day, dt.hour, dt.minute, dt.second)]
+    odd = draw(st.integers(min_value=0, max_value=11))
+    if odd < len(fields):
+        fields[odd] = draw(_ODD_FIELD)
+    text = "-".join(fields[:3])
+    shape = draw(st.sampled_from(["seconds", "seconds", "minutes", "date"]))
+    if shape != "date":
+        text += draw(st.sampled_from([" ", "T", " ", "T", "t"])) + ":".join(fields[3:5])
+    if shape == "seconds":
+        ascii_fraction = st.text(alphabet="0123456789", min_size=1, max_size=8).map(lambda f: "." + f)
+        text += ":" + fields[5] + draw(st.one_of(
+            st.just(""), ascii_fraction, ascii_fraction, st.just("."),
+            st.text(alphabet=_DIGITS, min_size=1, max_size=8).map(lambda f: "." + f),
+        ))
+    text += draw(st.sampled_from(["", "", "Z", "Z", "z", "+01:00"]))
+    return draw(st.sampled_from(["", " "])) + text + draw(st.sampled_from(["", " ", "  "]))
+
+
+class TestIsoTextOracle:
+    @settings(PROPERTY, max_examples=1000)
+    @given(iso_shaped_text())
+    def test_matches_reference(self, text):
+        assert _outcome(ts_from_iso_text, text) == _outcome(reference_ts_from_iso_text, text)
+
+    @pytest.mark.parametrize("text", [
+        "2015-01-22 11:46:02", "2015-01-22T11:46:02.1234567", "2015-01-22T11:46:02.",
+        "2015-01-22 11:46:60", "2015-13-22 11:46:02", "2015-02-29 00:00:00",
+        "1600-12-31 23:59:59.999", "2015-01-22t11:46:02", "\u0662015-01-22 11:46:02",
+        "2015-01-22 11:46:02.5z", "2015-01-22 11:46:02+01:00", " 2015-01-22 11:46:02 Z ",
+    ])
+    def test_edge_cases_match_reference(self, text):
+        assert _outcome(ts_from_iso_text, text) == _outcome(reference_ts_from_iso_text, text)
+
+
 class TestInferUnit:
     def test_threshold(self):
         assert infer_epoch_unit(999999999999) == "seconds"
@@ -183,6 +280,19 @@ class TestTimestampType:
     def test_isoformat_ms(self):
         assert ts_from_unix(1421898314666, "millis").isoformat_ms() == "2015-01-22T03:45:14.666Z"
         assert ts_from_unix(1421685822, "seconds").isoformat_ms() == "2015-01-19T16:43:42.000Z"
+
+    @PROPERTY
+    @given(st.datetimes(min_value=datetime(1601, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59, 999000),
+                        timezones=st.sampled_from([timezone.utc, timezone(timedelta(hours=5, minutes=30)),
+                                                   timezone(timedelta(hours=-8))])))
+    def test_isoformat_ms_matches_strftime(self, dt):
+        dt = dt.replace(microsecond=dt.microsecond - dt.microsecond % 1000)
+        try:
+            ts = Timestamp(dt, "unix_millis", 0)
+        except OutOfRange:  # the local time is in range, the instant is not
+            return
+        want = "%s.%03dZ" % (dt.strftime("%Y-%m-%dT%H:%M:%S"), dt.microsecond // 1000)
+        assert ts.isoformat_ms() == want
 
 
 class TestProvenance:

@@ -453,6 +453,25 @@ class TestIndexedLabelingOracle:
                 rng.shuffle(entries)
                 assert label_flow(flow, entries) == expected
 
+    @pytest.mark.parametrize("endpoint", [
+        "01.2.3.4", "1.2.3", " 1.2.3.4", "1.2.3.4 ", "1.2.3.4\x00", "0x5b.190.216.1", "256.1.1.1",
+        "91.190.216.1", "255.255.255.255", "0.0.0.0",
+        int(ipaddress.IPv4Address("91.190.216.1")), 0, 2**32 - 1, 2**32, -1,
+    ])
+    def test_odd_endpoints_match_reference(self, endpoint):
+        # Endpoints that miss the address and name dicts reach the network
+        # entries, whose address parse must accept and reject as ipaddress does.
+        entries = builtin_catalog()
+        flow = Flow("tcp", (CLIENT, 49152), (endpoint, 443))
+
+        def outcome(label, *args):
+            try:
+                return label(flow, *args)
+            except Exception as error:
+                return type(error)
+
+        assert outcome(label_flow) == outcome(reference_label, entries)
+
     def test_ipv6_prefix_never_covers(self):
         entries = (CatalogEntry("::/8", "SkypeRst", "v6"),)
         flow = Flow("tcp", (CLIENT, 49152), ("0.0.0.1", 443))

@@ -21,9 +21,9 @@ from imartifacts.model import (
     OutOfRange,
     Timestamp,
     TimelineEvent,
-    ts_from_iso_text,
     ts_from_unix,
 )
+from test_model import reference_ts_from_iso_text
 
 DB_PROV = Provenance("main.db", "test", Channel.DATABASE)
 
@@ -631,14 +631,65 @@ SHORT_TEXT = st.lists(
 ).map("".join)
 
 
+# Hyphens, dash runs and words longer than any width in test: the text
+# textwrap splits at hyphens, so the summary must still go through it.
+HYPHEN_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(["-", "--", "---", "-" * 12, " ", "  ", "a", "ab", "word", "é", "1",
+                         "a-b", "-a", "a-", "x" * 40, "y" * 120, ",", "\t"]),
+        st.text(alphabet="ab- ", max_size=20),
+    ),
+    max_size=40,
+).map("".join)
+
+
+def check_short(text, width, delta):
+    """_short equals textwrap.shorten at width, around the collapsed length and at 80."""
+    boundary = max(3, len(" ".join(text.split())) + delta)
+    for w in (width, boundary, 80):
+        want = textwrap.shorten(text, width=w, placeholder="...") if text else ""
+        assert timeline._short(text, w) == want
+
+
 class TestShort:
     @PROPERTY
     @given(SHORT_TEXT, st.integers(min_value=3, max_value=100), st.integers(min_value=-2, max_value=2))
     def test_matches_textwrap_shorten(self, text, width, delta):
-        boundary = max(3, len(" ".join(text.split())) + delta)
-        for w in (width, boundary, 80):
-            want = textwrap.shorten(text, width=w, placeholder="...") if text else ""
-            assert timeline._short(text, w) == want
+        check_short(text, width, delta)
+
+    @PROPERTY
+    @given(HYPHEN_TEXT, st.integers(min_value=3, max_value=100), st.integers(min_value=-2, max_value=2))
+    def test_hyphen_heavy_text_matches_textwrap_shorten(self, text, width, delta):
+        check_short(text, width, delta)
+
+    def test_hyphen_at_each_position_near_the_cut(self):
+        # The fast path must hand every text whose hyphens can move the cut to textwrap.
+        for width in range(4, 24):
+            for base in ("ab cd efg hi " * 6, "abcdefghij" * 8, "a b " * 20):
+                for at in range(width + 4):
+                    for piece in ("-", "--", "a-b", "ab--cd", "---"):
+                        text = base[:at] + piece + base[at:]
+                        want = textwrap.shorten(text, width=width, placeholder="...")
+                        assert timeline._short(text, width) == want, (text, width)
+
+    def test_text_without_hyphen_skips_textwrap(self, monkeypatch):
+        original = textwrap.shorten
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(textwrap, "shorten", counted)
+        rng = random.Random(5)
+        words = ["a", "message", "x" * 90, "é", "ok,", "fine."]
+        for _ in range(200):
+            text = "  ".join(rng.choice(words) for _ in range(rng.randrange(1, 40)))
+            for width in (4, 5, 10, 40, 80):
+                assert timeline._short(text, width) == original(text, width=width, placeholder="...")
+        assert calls == []
+        assert timeline._short("well-known " * 10, 80) == original("well-known " * 10, width=80, placeholder="...")
+        assert len(calls) == 1
 
     def test_none_and_empty(self):
         assert timeline._short(None) == ""
@@ -658,7 +709,7 @@ class TestWhenUtc:
         assert timeline._WHEN_UTC_RE.fullmatch(text)
         fast = timeline._utc_from_when(text)
         try:
-            want = ts_from_iso_text(text).utc_instant
+            want = reference_ts_from_iso_text(text).utc_instant
         except OutOfRange:  # before 1601; parse_jsonl's Timestamp rejects it as well
             with pytest.raises(OutOfRange):
                 Timestamp(fast, "iso_text", text)
@@ -674,7 +725,7 @@ class TestWhenUtc:
         " 2015-01-22T03:45:14.666Z ",
     ])
     def test_other_text_falls_back(self, text):
-        assert timeline._utc_from_when(text) == ts_from_iso_text(text).utc_instant
+        assert timeline._utc_from_when(text) == reference_ts_from_iso_text(text).utc_instant
 
     @pytest.mark.parametrize("text", [
         "2015-13-22T03:45:14.666Z",
@@ -686,7 +737,7 @@ class TestWhenUtc:
     ])
     def test_shaped_but_invalid_text_raises_as_before(self, text):
         try:
-            want = ts_from_iso_text(text).utc_instant
+            want = reference_ts_from_iso_text(text).utc_instant
         except OutOfRange:
             with pytest.raises(OutOfRange):
                 timeline._utc_from_when(text)
