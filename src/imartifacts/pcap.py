@@ -107,6 +107,17 @@ def _open_source(source):
     return open(source, "rb")
 
 
+_PORTS = struct.Struct(">HH")
+
+
+class _DottedQuads(dict):
+    """Four raw address bytes to their dotted-quad text, made on first sight."""
+
+    def __missing__(self, raw: bytes) -> str:
+        text = self[raw] = "%d.%d.%d.%d" % tuple(raw)
+        return text
+
+
 def read_pcap(source) -> PcapCapture:
     """Read a classic pcap capture into accepted packets plus skip counts.
 
@@ -144,15 +155,19 @@ def read_pcap(source) -> PcapCapture:
 
         packets: list[Packet] = []
         counters = SkipCounters()
+        addresses = _DottedQuads()  # one str per distinct address in this capture
+        read = stream.read
+        unpack_record = struct.Struct(order + "IIII").unpack
+        append = packets.append
         while True:
-            record = stream.read(16)
+            record = read(16)
             if not record:
                 break
             if len(record) < 16:
                 counters.truncated += 1
                 break
-            ts_sec, ts_frac, incl_len, orig_len = struct.unpack(order + "IIII", record)
-            data = stream.read(incl_len)
+            ts_sec, ts_frac, incl_len, orig_len = unpack_record(record)
+            data = read(incl_len)
             if len(data) < incl_len:
                 counters.truncated += 1
                 break
@@ -160,9 +175,9 @@ def read_pcap(source) -> PcapCapture:
                 counters.truncated += 1
                 continue
             ts_us = ts_sec * 1_000_000 + (ts_frac // 1000 if nanosecond else ts_frac)
-            packet = _parse_frame(ts_us, data, counters)
+            packet = _parse_frame(ts_us, data, counters, addresses)
             if packet is not None:
-                packets.append(packet)
+                append(packet)
         return PcapCapture(
             packets=packets,
             skipped=counters,
@@ -174,47 +189,51 @@ def read_pcap(source) -> PcapCapture:
             stream.close()
 
 
-def _parse_frame(ts_us: int, data: bytes, counters: SkipCounters):
-    if len(data) < 14:
+def _parse_frame(ts_us: int, data: bytes, counters: SkipCounters, addresses: _DottedQuads):
+    # Fields are read at fixed offsets into the Ethernet frame: the IPv4
+    # header starts at 14 and the transport header at 14 + ihl.  Only the
+    # payload and the two address keys are sliced out.
+    size = len(data)
+    if size < 14:
         counters.truncated += 1
         return None
-    ethertype = struct.unpack(">H", data[12:14])[0]
-    if ethertype != 0x0800:
+    if data[12] != 0x08 or data[13] != 0x00:  # ethertype IPv4
         counters.non_ipv4 += 1
         return None
-    ip = data[14:]
-    if len(ip) < 20:
+    if size < 34:
         counters.truncated += 1
         return None
-    version_ihl = ip[0]
+    version_ihl = data[14]
     if version_ihl >> 4 != 4:
         counters.non_ipv4 += 1
         return None
     ihl = (version_ihl & 0x0F) * 4
-    total_length = struct.unpack(">H", ip[2:4])[0]
-    protocol = ip[9]
-    if len(ip) < total_length or total_length < ihl:
+    total_length = data[16] << 8 | data[17]
+    end = 14 + total_length
+    if size < end or total_length < ihl:
         counters.truncated += 1
         return None
-    src_ip = ".".join(str(b) for b in ip[12:16])
-    dst_ip = ".".join(str(b) for b in ip[16:20])
-    transport = ip[ihl:total_length]
+    protocol = data[23]
+    start = 14 + ihl  # the transport header
+    transport_len = total_length - ihl
     if protocol == 6:
-        if len(transport) < 20:
+        if transport_len < 20:
             counters.truncated += 1
             return None
-        src_port, dst_port = struct.unpack(">HH", transport[:4])
-        offset = (transport[12] >> 4) * 4
-        if offset < 20 or offset > len(transport):
+        offset = (data[start + 12] >> 4) * 4
+        if offset < 20 or offset > transport_len:
             counters.truncated += 1
             return None
-        return Packet(ts_us, "tcp", src_ip, dst_ip, src_port, dst_port, transport[offset:], len(transport))
+        src_port, dst_port = _PORTS.unpack_from(data, start)
+        return Packet(ts_us, "tcp", addresses[data[26:30]], addresses[data[30:34]],
+                      src_port, dst_port, data[start + offset:end], transport_len)
     if protocol == 17:
-        if len(transport) < 8:
+        if transport_len < 8:
             counters.truncated += 1
             return None
-        src_port, dst_port = struct.unpack(">HH", transport[:4])
-        return Packet(ts_us, "udp", src_ip, dst_ip, src_port, dst_port, transport[8:], len(transport))
+        src_port, dst_port = _PORTS.unpack_from(data, start)
+        return Packet(ts_us, "udp", addresses[data[26:30]], addresses[data[30:34]],
+                      src_port, dst_port, data[start + 8:end], transport_len)
     counters.non_tcp_udp += 1
     return None
 
@@ -271,18 +290,20 @@ def assemble_flows(packets) -> list[Flow]:
         dst = (packet.dst_ip, packet.dst_port)
         a, b = (src, dst) if src <= dst else (dst, src)
         key = (packet.proto, a, b)
+        ts_us = packet.ts_us
         flow = flows.get(key)
         if flow is None:
-            flow = Flow(
+            flow = flows[key] = Flow(
                 proto=packet.proto,
                 endpoint_a=a,
                 endpoint_b=b,
-                first_ts_us=packet.ts_us,
-                last_ts_us=packet.ts_us,
+                first_ts_us=ts_us,
+                last_ts_us=ts_us,
             )
-            flows[key] = flow
-        flow.first_ts_us = min(flow.first_ts_us, packet.ts_us)
-        flow.last_ts_us = max(flow.last_ts_us, packet.ts_us)
+        elif ts_us < flow.first_ts_us:
+            flow.first_ts_us = ts_us
+        elif ts_us > flow.last_ts_us:
+            flow.last_ts_us = ts_us
         if src == flow.endpoint_a:
             flow.packets_ab += 1
             flow.bytes_ab += packet.ip_payload_len

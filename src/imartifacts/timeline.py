@@ -507,20 +507,24 @@ def _from_persisted(record: regexport.PersistedItem,
                           provenance=record.provenance)]
 
 
-def _from_flow(record: pcap.Flow, capture_path: str,
-               index: pcap.CatalogIndex) -> list[TimelineEvent]:
-    label = pcap.label_flow(record, index)
+# Each flow label's App, for attribution; an unknown label is App.OTHER.
+_LABEL_APPS = {label: App(pcap.LABEL_APPS.get(label, "other")) for label in pcap.LABELS}
+
+
+def _from_flow(record: pcap.Flow, provenance: Provenance,
+               index: pcap.CatalogIndex) -> TimelineEvent:
+    label = pcap.label_flow(record, index).label
     (ip_a, port_a), (ip_b, port_b) = record.endpoint_a, record.endpoint_b
     summary = "%s %s:%d <-> %s:%d %s (%d packets, %d bytes)" % (
-        record.proto, ip_a, port_a, ip_b, port_b, label.label,
+        record.proto, ip_a, port_a, ip_b, port_b, label,
         record.total_packets, record.total_bytes)
-    return [TimelineEvent(
+    return TimelineEvent(
         when=record.first_seen,
         kind=EventKind.NETWORK_SESSION,
-        app=App(pcap.LABEL_APPS.get(label.label, "other")),
+        app=_LABEL_APPS.get(label, App.OTHER),
         summary=summary,
-        provenance=Provenance(capture_path, "pcap.flows", Channel.NETWORK),
-    )]
+        provenance=provenance,
+    )
 
 
 def normalize(records, *, fb_owner_uid: str | None = None,
@@ -538,6 +542,7 @@ def normalize(records, *, fb_owner_uid: str | None = None,
     if warnings is None:
         warnings = []
     index = pcap.catalog_index(catalog)
+    flow_provenance = None  # one per call, made when the first flow is seen
     events: list[TimelineEvent] = []
     for record in records:
         if isinstance(record, TimelineEvent):
@@ -563,7 +568,9 @@ def normalize(records, *, fb_owner_uid: str | None = None,
         elif isinstance(record, regexport.PersistedItem):
             events.extend(_from_persisted(record, warnings))
         elif isinstance(record, pcap.Flow):
-            events.extend(_from_flow(record, capture_path, index))
+            if flow_provenance is None:
+                flow_provenance = Provenance(capture_path, "pcap.flows", Channel.NETWORK)
+            events.append(_from_flow(record, flow_provenance, index))
         elif isinstance(record, _STATE_RECORD_TYPES):
             warnings.append("%s describes state, not a happening, skipped" % type(record).__name__)
         else:
@@ -592,11 +599,19 @@ def _total_key(event: TimelineEvent) -> tuple:
 
 def merge_sort(events) -> list[TimelineEvent]:
     """Sort ascending and collapse exact duplicates onto a counter."""
-    merged: dict[TimelineEvent, int] = {}
+    # Each event is hashed once: the first of a set of equal events is kept,
+    # and the summed counts of the kept events that had duplicates sit in a
+    # side dict keyed by the kept object's id (it stays alive in merged).
+    merged: dict[TimelineEvent, TimelineEvent] = {}
+    counts: dict[int, int] = {}
     for event in events:
-        merged[event] = merged.get(event, 0) + event.duplicates
-    out = [event if event.duplicates == count else replace(event, duplicates=count)
-           for event, count in merged.items()]
+        size = len(merged)
+        kept = merged.setdefault(event, event)
+        if len(merged) == size:
+            key = id(kept)
+            counts[key] = counts.get(key, kept.duplicates) + event.duplicates
+    out = [event if (count := counts.get(id(event))) is None else replace(event, duplicates=count)
+           for event in merged]
     out.sort(key=_total_key)
     return out
 

@@ -1,10 +1,14 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
+import imartifacts
 from imartifacts import forge, sqliteio, timeline
 from imartifacts.cli import ENV_OUT, main
 from imartifacts.model import Provenance
@@ -236,3 +240,20 @@ class TestUsage:
     def test_unknown_command(self, capfd):
         assert main(["frobnicate"]) == 1
         assert "frobnicate" in capfd.readouterr().err
+
+
+class TestImportCost:
+    def test_cli_import_leaves_socket_unloaded(self):
+        """Importing the command line must not pull in socket.
+
+        Importing socket costs about 6 ms and 0.5 MiB in every process; when
+        the frame parser once used socket.inet_ntoa, that showed in the
+        benchmark's reload_s and peak_rss_mib on every workload (CHANGES.md).
+        Dotted quads are built from the address bytes instead.
+        """
+        src = str(Path(imartifacts.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = "import sys, imartifacts.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in ('socket', '_socket')))"
+        result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

@@ -4,14 +4,18 @@ The examples are derived from each test's source (derandomize) and no
 example database is kept, so every run checks the same inputs.
 """
 
+import io
 import struct
 
 from hypothesis import given, settings, strategies as st
 
+from imartifacts import sampledata as sd
+from imartifacts.facebook import CHAT_MARKER, ChatFragment, extract_chat_json
 from imartifacts.locator import ZoneMarker, read_zone_identifier
 from imartifacts.model import ExtractionError
 from imartifacts.pcap import LINKTYPE_ETHERNET, MAGIC_NS, MAGIC_US, extract_sni, read_pcap
 from imartifacts.regexport import HEADER_4, HEADER_50, parse_reg_export
+from imartifacts.timeline import NtfsJournalRow, parse_ntfs_csv
 from imartifacts.skype import (
     HOSTCACHE_PREFIX,
     FilesBody,
@@ -176,3 +180,68 @@ def test_read_zone_identifier_inside_section(bom, value, rest):
     data = bom + b"[ZoneTransfer]\r\nZoneId=" + value + b"\r\n" + rest
     marker = returns_or_extraction_error(lambda raw: read_zone_identifier(raw, "x.exe:Zone.Identifier"), data)
     assert marker is None or 0 <= marker.zone_id <= 4
+
+
+CSV_HEADER = ",".join(sd.NTFS_CSV_HEADER).encode("ascii") + b"\r\n"
+CSV_TIMES = ["2015-01-22 11:46:02", "", "2015-13-45 99:99:99", "1601-01-01 00:00:00", "0",
+             "9999-12-31 23:59:59.999999", "2015-01-22T11:46:02Z", "22/01/2015 11:46"]
+CSV_JOURNAL_ROW = st.tuples(
+    st.sampled_from(["274599978", "-1", "", "lsn", "1" * 30]),
+    st.sampled_from(CSV_TIMES) | st.text(max_size=12),
+    st.sampled_from(["File Creation", "Moving After", "File Deletion", ""]),
+    st.sampled_from(["", "Renaming", '"a,b"']),
+    st.sampled_from(["VictimToSuspect.txt", "", "x.txt:Zone.Identifier"]),
+    st.sampled_from(["Users\\anonymous\\Downloads\\x.txt", "", '"']) | st.text(max_size=12),
+)
+CSV_ROWS = st.lists(
+    CSV_JOURNAL_ROW | st.lists(st.text(max_size=12), max_size=8), max_size=10,
+).map(lambda rows: "\r\n".join(",".join(row) for row in rows))
+
+
+@FUZZ
+@given(st.binary(max_size=512))
+def test_parse_ntfs_csv_any_bytes(data):
+    rows = returns_or_extraction_error(parse_ntfs_csv, data)
+    assert rows is None or all(isinstance(row, NtfsJournalRow) for row in rows)
+
+
+@FUZZ
+@given(st.sampled_from([b"", b"\xef\xbb\xbf"]), CSV_ROWS)
+def test_parse_ntfs_csv_rows_after_header(bom, rows):
+    data = bom + CSV_HEADER + rows.encode("utf-8", "surrogatepass")
+    parsed = returns_or_extraction_error(parse_ntfs_csv, data)
+    assert parsed is None or all(isinstance(row, NtfsJournalRow) for row in parsed)
+
+
+CHAT_PIECES = [CHAT_MARKER, b"{", b"}", b'"', b"\\", b":", b",", b'{"a":', b"[", b"]",
+               b'{"type":"orca_message","body":"hi","timestamp":1421685000000}',
+               b'"message":"hi"', b'{"' + CHAT_MARKER + b'":{']
+
+
+@FUZZ
+@given(st.binary(max_size=512))
+def test_extract_chat_json_any_bytes(data):
+    fragments = returns_or_extraction_error(extract_chat_json, data)
+    assert fragments is None or all(isinstance(fragment, ChatFragment) for fragment in fragments)
+
+
+@FUZZ
+@given(st.lists(st.one_of(st.sampled_from(CHAT_PIECES), st.binary(max_size=16)), max_size=24).map(b"".join))
+def test_extract_chat_json_markers_and_braces(data):
+    fragments = returns_or_extraction_error(extract_chat_json, data)
+    assert fragments is None or len(fragments) == data.count(CHAT_MARKER)
+
+
+@FUZZ
+@given(st.integers(64, 4096), st.binary(min_size=1, max_size=1),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(-40, 40), st.sampled_from(CHAT_PIECES)), max_size=12),
+       st.integers(0, 64))
+def test_extract_chat_json_chunked_equals_whole(chunk_size, filler, planted, tail):
+    # Pieces sit within 40 bytes of a chunk boundary, so markers and their
+    # braces are split between reads.
+    data = bytearray(filler * (3 * chunk_size + tail))
+    for boundary, shift, piece in planted:
+        at = max(boundary * chunk_size + shift, 0)
+        data[at:at + len(piece)] = piece
+    data = bytes(data)
+    assert extract_chat_json(io.BytesIO(data), chunk_size=chunk_size) == extract_chat_json(data)

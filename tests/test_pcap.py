@@ -1,9 +1,14 @@
 """Capture reading, flow assembly, SNI extraction, endpoint labeling."""
 
+import io
 import ipaddress
 import random
+import struct
+from collections import namedtuple
+from dataclasses import astuple
 
 import pytest
+from hypothesis import given, strategies as st
 
 from imartifacts import pcap, timeline
 from imartifacts import sampledata as sd
@@ -26,6 +31,7 @@ from imartifacts.pcap import (
     read_pcap,
     write_pcap,
 )
+from test_fuzz import FUZZ
 
 CLIENT = "192.168.220.176"
 T0 = 1421685000 * 1_000_000
@@ -491,3 +497,282 @@ class TestIndexedLabelingOracle:
         events = timeline.normalize(flows)
         assert len(events) == 100
         assert len(builds) <= 1
+
+
+# ---------------------------------------------------------------------------
+# Frame-parsing oracle: the per-packet slicing reader that read_pcap
+# replaced, kept here with its own constants, counters and packet type so
+# that it shares no code with the module under test.
+
+ReferencePacket = namedtuple(
+    "ReferencePacket",
+    "ts_us proto src_ip dst_ip src_port dst_port payload ip_payload_len",
+)
+
+
+class ReferenceCounters:
+    def __init__(self):
+        self.non_ipv4 = 0
+        self.non_tcp_udp = 0
+        self.truncated = 0
+
+
+def reference_read_pcap(data: bytes):
+    """(packets, (non_ipv4, non_tcp_udp, truncated), nanosecond, byte_swapped)."""
+    stream = io.BytesIO(data)
+    header = stream.read(24)
+    if len(header) < 24:
+        raise NotPcap("file too short for a capture header")
+    magic = struct.unpack("<I", header[:4])[0]
+    if magic == 0x0A0D0D0A or struct.unpack(">I", header[:4])[0] == 0x0A0D0D0A:
+        raise NotPcap("pcapng")
+    nanosecond = False
+    if magic == 0xA1B2C3D4:
+        order = "<"
+    elif magic == 0xA1B23C4D:
+        order = "<"
+        nanosecond = True
+    else:
+        big = struct.unpack(">I", header[:4])[0]
+        if big == 0xA1B2C3D4:
+            order = ">"
+        elif big == 0xA1B23C4D:
+            order = ">"
+            nanosecond = True
+        else:
+            raise NotPcap("unrecognized magic")
+    if struct.unpack(order + "I", header[20:24])[0] != 1:
+        raise NotPcap("unsupported link type")
+    packets = []
+    counters = ReferenceCounters()
+    while True:
+        record = stream.read(16)
+        if not record:
+            break
+        if len(record) < 16:
+            counters.truncated += 1
+            break
+        ts_sec, ts_frac, incl_len, orig_len = struct.unpack(order + "IIII", record)
+        frame = stream.read(incl_len)
+        if len(frame) < incl_len:
+            counters.truncated += 1
+            break
+        if incl_len < orig_len:
+            counters.truncated += 1
+            continue
+        ts_us = ts_sec * 1_000_000 + (ts_frac // 1000 if nanosecond else ts_frac)
+        packet = _reference_parse_frame(ts_us, frame, counters)
+        if packet is not None:
+            packets.append(packet)
+    skipped = (counters.non_ipv4, counters.non_tcp_udp, counters.truncated)
+    return packets, skipped, nanosecond, order == ">"
+
+
+def _reference_parse_frame(ts_us, data, counters):
+    if len(data) < 14:
+        counters.truncated += 1
+        return None
+    if struct.unpack(">H", data[12:14])[0] != 0x0800:
+        counters.non_ipv4 += 1
+        return None
+    ip = data[14:]
+    if len(ip) < 20:
+        counters.truncated += 1
+        return None
+    if ip[0] >> 4 != 4:
+        counters.non_ipv4 += 1
+        return None
+    ihl = (ip[0] & 0x0F) * 4
+    total_length = struct.unpack(">H", ip[2:4])[0]
+    protocol = ip[9]
+    if len(ip) < total_length or total_length < ihl:
+        counters.truncated += 1
+        return None
+    src_ip = ".".join(str(b) for b in ip[12:16])
+    dst_ip = ".".join(str(b) for b in ip[16:20])
+    transport = ip[ihl:total_length]
+    if protocol == 6:
+        if len(transport) < 20:
+            counters.truncated += 1
+            return None
+        src_port, dst_port = struct.unpack(">HH", transport[:4])
+        offset = (transport[12] >> 4) * 4
+        if offset < 20 or offset > len(transport):
+            counters.truncated += 1
+            return None
+        return ReferencePacket(ts_us, "tcp", src_ip, dst_ip, src_port, dst_port, transport[offset:], len(transport))
+    if protocol == 17:
+        if len(transport) < 8:
+            counters.truncated += 1
+            return None
+        src_port, dst_port = struct.unpack(">HH", transport[:4])
+        return ReferencePacket(ts_us, "udp", src_ip, dst_ip, src_port, dst_port, transport[8:], len(transport))
+    counters.non_tcp_udp += 1
+    return None
+
+
+ORACLE_ADDRESSES = [bytes([10, 0, 0, 1]), bytes([10, 0, 0, 2]), bytes([31, 13, 76, 102]), bytes([0, 0, 0, 0]),
+                    bytes([255, 255, 255, 255])]
+
+
+FRAME_FLAWS = ["ethertype", "version", "ihl", "total_length", "data_offset", "cut", "raw"]
+
+
+@st.composite
+def oracle_frames(draw):
+    """An Ethernet frame holding IPv4 TCP, UDP or ICMP, with up to two flaws.
+
+    Each flaw sits at one of the parser's edges: another ethertype or IP
+    version, an IHL of 0-4, a total length short of a transport header or
+    past the frame, a TCP data offset below 20 or past the transport, or a
+    frame cut to 0-40 bytes.  Unflawed frames may carry Ethernet padding
+    past the IPv4 total length.  Some frames are 0-40 arbitrary bytes.
+    """
+    flaws = set(draw(st.lists(st.sampled_from(FRAME_FLAWS), max_size=2)))
+    if "raw" in flaws:
+        return draw(st.binary(max_size=40))
+    ethertype = draw(st.sampled_from([0x86DD, 0x0806, 0x8100])) if "ethertype" in flaws else 0x0800
+    version = draw(st.sampled_from([0, 6, 15])) if "version" in flaws else 4
+    ihl = draw(st.integers(0, 4) if "ihl" in flaws else st.integers(5, 15))
+    protocol = draw(st.sampled_from([6, 17, 1]))
+    ip_header = bytearray(draw(st.binary(min_size=max(20, 4 * ihl), max_size=max(20, 4 * ihl))))
+    ip_header[0] = version << 4 | ihl
+    ip_header[9] = protocol
+    ip_header[12:16] = draw(st.sampled_from(ORACLE_ADDRESSES))
+    ip_header[16:20] = draw(st.sampled_from(ORACLE_ADDRESSES))
+    ports = struct.pack(">HH", draw(st.sampled_from([443, 33033, 0])), draw(st.sampled_from([49152, 53, 65535])))
+    payload = draw(st.binary(max_size=24))
+    if protocol == 6:
+        data_offset = draw(st.integers(0, 4) if "data_offset" in flaws else st.integers(5, 15))
+        tcp_header = bytearray(ports + draw(st.binary(min_size=max(20, 4 * data_offset) - 4,
+                                                      max_size=max(20, 4 * data_offset) - 4)))
+        tcp_header[12] = data_offset << 4 | tcp_header[12] & 0x0F
+        if "data_offset" in flaws and draw(st.booleans()):  # an offset past the transport
+            tcp_header[12] = draw(st.integers(6, 15)) << 4
+            tcp_header = tcp_header[:20]
+            payload = payload[:draw(st.integers(0, 4 * (tcp_header[12] >> 4) - 21))]
+        transport = bytes(tcp_header) + payload
+    elif protocol == 17:
+        transport = ports + struct.pack(">HH", 8 + len(payload), 0) + payload
+    else:
+        transport = payload
+    body = bytearray(ip_header + transport)
+    total_length = len(body)
+    if "total_length" in flaws:
+        ip_end = 4 * ihl
+        total_length = draw(st.sampled_from([max(ip_end - 1, 0), ip_end, ip_end + 7, ip_end + 8, ip_end + 19,
+                                             len(body) + 1, None]))
+        if total_length is None:
+            total_length = draw(st.integers(0, 0xFFFF))
+    body[2:4] = struct.pack(">H", total_length)
+    frame = bytes(12) + struct.pack(">H", ethertype) + bytes(body)
+    if not flaws:
+        frame += draw(st.binary(max_size=6))
+    elif "cut" in flaws:
+        frame = frame[:draw(st.one_of(st.sampled_from([13, 14, 33, 34]), st.integers(0, 40)))]
+    return frame
+
+
+@st.composite
+def oracle_captures(draw):
+    """Classic pcap bytes in either byte order and resolution, sometimes damaged."""
+    order = draw(st.sampled_from("<>"))
+    nanosecond = draw(st.booleans())
+    magic = 0xA1B23C4D if nanosecond else 0xA1B2C3D4
+    header_kind = draw(st.sampled_from(["ok"] * 12 + ["pcapng", "magic", "linktype", "short"]))
+    linktype = 101 if header_kind == "linktype" else 1
+    header = struct.pack(order + "IHHiIII", magic, 2, 4, 0, 0, 0x40000, linktype)
+    if header_kind == "pcapng":
+        header = struct.pack(order + "I", 0x0A0D0D0A) + header[4:]
+    elif header_kind == "magic":
+        header = b"\xd4\xc3\xb2\xa2" + header[4:]
+    elif header_kind == "short":
+        header = header[:draw(st.integers(0, 23))]
+    records = bytearray(header)
+    frames = draw(st.lists(oracle_frames(), max_size=8))
+    for frame in frames:
+        orig_len = len(frame) + draw(st.sampled_from([0] * 8 + [1, 1500]))  # incl_len < orig_len
+        ts_frac = draw(st.integers(0, 999_999_999 if nanosecond else 999_999))
+        ts_sec = draw(st.integers(0, 0xFFFFFFFF))
+        records += struct.pack(order + "IIII", ts_sec, ts_frac, len(frame), orig_len) + frame
+    cut = draw(st.sampled_from([0, 0, 0, 1, 15, 16, 17, 30]))  # a cut-off last record
+    return bytes(records[:len(records) - cut])
+
+
+def edge_frames():
+    """Every IHL, protocol and TCP data offset against total lengths at each edge, whole and cut."""
+    ethernet = bytes(12) + b"\x08\x00"
+    for ihl in range(16):
+        for protocol in (6, 17, 1):
+            for data_offset in range(16) if protocol == 6 else (5,):
+                header = bytearray(range(1, 1 + max(20, 4 * ihl)))
+                header[0] = 0x40 | ihl
+                header[9] = protocol
+                transport = bytearray(range(100, 164))
+                transport[12] = data_offset << 4
+                body = header + transport
+                ip_end = 4 * ihl
+                totals = {ip_end - 1, ip_end, ip_end + 7, ip_end + 8, ip_end + 19, ip_end + 20,
+                          ip_end + 4 * data_offset - 1, ip_end + 4 * data_offset, len(body), len(body) + 1}
+                for total in sorted(totals - {-1}):
+                    body[2:4] = struct.pack(">H", total)
+                    frame = ethernet + body
+                    for end in sorted({len(frame), 14 + total, 13 + total, 33, 34, 14, 13}):
+                        yield frame[:end]
+    for ethertype in (0x86DD, 0x0806, 0x8100):
+        yield bytes(12) + struct.pack(">H", ethertype) + bytes([0x45]) + bytes(40)
+    for version in (0, 6, 15):
+        yield ethernet + bytes([version << 4 | 5]) + bytes(40)
+
+
+def _reader_outcome(reader, data):
+    try:
+        return reader(data)
+    except Exception as error:
+        return type(error)
+
+
+class TestFrameParsingOracle:
+    @FUZZ
+    @given(oracle_captures())
+    def test_read_pcap_matches_reference(self, data):
+        expected = _reader_outcome(reference_read_pcap, data)
+        capture = _reader_outcome(read_pcap, data)
+        if isinstance(expected, type) or isinstance(capture, type):
+            assert capture == expected
+            return
+        packets, skipped, nanosecond, byte_swapped = expected
+        assert [astuple(packet) for packet in capture.packets] == [tuple(packet) for packet in packets]
+        assert astuple(capture.skipped) == skipped
+        assert (capture.nanosecond, capture.byte_swapped) == (nanosecond, byte_swapped)
+        assert assemble_flows(capture.packets) == assemble_flows(packets)
+
+    def test_every_edge_matches_reference(self):
+        frames = list(edge_frames())
+        data = capture_bytes([(T0 + i, frame) for i, frame in enumerate(frames)])
+        packets, skipped, _, _ = reference_read_pcap(data)
+        capture = read_pcap(data)
+        assert [astuple(packet) for packet in capture.packets] == [tuple(p) for p in packets]
+        assert astuple(capture.skipped) == skipped
+        assert len(capture) + sum(skipped) == len(frames)
+        assert len(capture) and all(skipped)
+
+    def test_benchmark_capture_shapes_match_reference(self):
+        frames = [(T0 + i, make_tcp_packet(CLIENT, 49152 + i % 3, "31.13.76.102", 443, make_client_hello("x.com")))
+                  for i in range(20)]
+        frames += [(T0 + 50 + i, make_udp_packet("31.13.76.102", 53, CLIENT, 5000 + i % 2, b"q" * i))
+                   for i in range(10)]
+        for byte_swapped in (False, True):
+            for nanosecond in (False, True):
+                data = capture_bytes(frames, byte_swapped=byte_swapped, nanosecond=nanosecond)
+                packets, skipped, _, _ = reference_read_pcap(data)
+                capture = read_pcap(data)
+                assert [astuple(packet) for packet in capture.packets] == [tuple(p) for p in packets]
+                assert astuple(capture.skipped) == skipped == (0, 0, 0)
+                assert assemble_flows(capture.packets) == assemble_flows(packets)
+
+    def test_one_string_per_address(self):
+        frames = [(T0 + i, make_udp_packet(CLIENT, 1000 + i, "10.0.0.1", 53)) for i in range(5)]
+        packets = read_pcap(capture_bytes(frames)).packets
+        assert len({id(packet.src_ip) for packet in packets}) == 1
+        assert len({id(packet.dst_ip) for packet in packets}) == 1

@@ -5,7 +5,9 @@ import io
 import json
 import random
 import textwrap
+from dataclasses import replace
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +28,7 @@ from imartifacts.model import (
 from test_model import reference_ts_from_iso_text
 
 DB_PROV = Provenance("main.db", "test", Channel.DATABASE)
+GOLDEN_SEED7 = Path(__file__).parent / "golden" / "report_seed7.jsonl"
 
 
 def journal_text(header=sd.NTFS_CSV_HEADER, rows=sd.NTFS_CSV_ROWS):
@@ -530,6 +533,50 @@ class TestMergeSort:
             shuffled = base[:]
             random.Random(seed).shuffle(shuffled)
             assert timeline.merge_sort(shuffled) == expected
+
+    def test_each_event_hashed_once(self, monkeypatch):
+        events = timeline.parse_jsonl(GOLDEN_SEED7.read_bytes())  # forged seed 7, merged once
+        copies = timeline.parse_jsonl(GOLDEN_SEED7.read_bytes())[::3]  # equal, distinct objects
+        inputs = events + copies + [events[0], events[0]]  # and one object passed three times
+        duplicates = len(copies) + 2
+        expected = reference_merge_sort(inputs)
+        merged, hashes = merge_counting_hashes(monkeypatch, inputs)
+        assert hashes <= len(inputs) + 2 * duplicates
+        assert merged == expected
+        assert [e.duplicates for e in merged] == [e.duplicates for e in expected]
+        assert sum(e.duplicates for e in merged) == sum(e.duplicates for e in inputs)
+
+    def test_without_duplicates_each_event_hashed_once(self, monkeypatch):
+        events = timeline.parse_jsonl(GOLDEN_SEED7.read_bytes())
+        merged, hashes = merge_counting_hashes(monkeypatch, events)
+        assert hashes == len(events)
+        assert all(a is b for a, b in zip(merged, events))  # already merged and sorted: kept as is
+
+
+def merge_counting_hashes(monkeypatch, events):
+    """merge_sort(events) and the number of TimelineEvent.__hash__ calls it made."""
+    hashes = []
+    original = TimelineEvent.__hash__
+
+    def counted(event):
+        hashes.append(1)
+        return original(event)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(TimelineEvent, "__hash__", counted)
+        merged = timeline.merge_sort(events)
+    return merged, len(hashes)
+
+
+def reference_merge_sort(events):
+    """The dict-of-counts merge that merge_sort replaced: the oracle for its counts."""
+    merged = {}
+    for event in events:
+        merged[event] = merged.get(event, 0) + event.duplicates
+    out = [event if event.duplicates == count else replace(event, duplicates=count)
+           for event, count in merged.items()]
+    out.sort(key=timeline._total_key)
+    return out
 
 
 def mixed_report():
