@@ -127,17 +127,18 @@ def _extract_facebook_db(path: Path, warnings, present: set[str]) -> dict[str, l
 
 
 class _Gather:
-    def __init__(self):
+    def __init__(self, catalog):
+        self.catalog = pcap.catalog_index(catalog)
         self.records: list = []
-        self.flow_groups: list[tuple[str, list]] = []
         self.events: list = []
         self.warnings: list[str] = []
         self.tally = _Tally()
 
-    def ingest(self, path: Path, utc_offset: int = 0) -> None:
+    def ingest(self, path: Path, utc_offset: int = 0, kind: str | None = None) -> None:
+        """Extract one input, sniffing its kind unless kind names it."""
         label = str(path)
         try:
-            kind = _sniff(path)
+            kind = kind or _sniff(path)
             if kind == "unreadable":
                 raise OSError("cannot read %s" % path)
             if kind == "sqlite":
@@ -152,8 +153,8 @@ class _Gather:
                     for group in _extract_facebook_db(path, self.warnings, names).values():
                         self.records += group
             elif kind == "pcap":
-                capture = pcap.read_pcap(path)
-                self.flow_groups.append((label, pcap.assemble_flows(capture.packets)))
+                flows = pcap.assemble_flows(pcap.read_pcap(path).packets)
+                self.events += timeline.normalize(flows, capture_path=label, catalog=self.catalog)
             elif kind == "registry":
                 self.records += _registry_records(path)
             elif kind == "journal-csv":
@@ -177,22 +178,17 @@ class _Gather:
             return
         self.tally.ok.append(label)
 
-    def merged(self, *, fb_owner=None, skype_owner=None, catalog=None,
-               generated_at=None) -> timeline.Report:
+    def merged(self, *, fb_owner=None, skype_owner=None) -> timeline.Report:
         if fb_owner is None:
             fb_owner = facebook.infer_owner_uid(
                 [r for r in self.records if isinstance(r, facebook.FbMessage)])
         if skype_owner is None:
             accounts = [r for r in self.records if isinstance(r, skype.SkypeAccount)]
             skype_owner = accounts[0].skypename if accounts else None
-        events = list(self.events)
-        events += timeline.normalize(
+        events = self.events + timeline.normalize(
             self.records, fb_owner_uid=fb_owner, skype_owner=skype_owner,
-            catalog=catalog, warnings=self.warnings)
-        for capture_path, flows in self.flow_groups:
-            events += timeline.normalize(
-                flows, capture_path=capture_path, catalog=catalog, warnings=self.warnings)
-        return timeline.build_report(events, self.warnings, generated_at=generated_at)
+            catalog=self.catalog, warnings=self.warnings)
+        return timeline.build_report(events, self.warnings)
 
 
 def _registry_records(path: Path) -> list:
@@ -202,20 +198,31 @@ def _registry_records(path: Path) -> list:
             + regexport.find_persisted_items(export, evidence_path=label))
 
 
-def _emit_report(report: timeline.Report, format: str, out: str | None) -> None:
-    payload = timeline.emit(report, format)
+def _run_pipeline(args, paths, journal=None, root=None) -> int:
+    """Gather paths, then the journal CSV if given, merge and emit the timeline.
+
+    With root, evidence paths are rewritten relative to it.
+    """
+    gather = _Gather(_load_catalog(args.catalog))
+    for path in paths:
+        gather.ingest(path, utc_offset=args.utc_offset)
+    if journal is not None:
+        gather.ingest(journal, utc_offset=args.utc_offset, kind="journal-csv")
+    report = gather.merged(fb_owner=args.fb_owner, skype_owner=args.skype_owner)
+    if root is not None:
+        report.events = forge.relativize_events(report.events, root)
+    payload = timeline.emit(report, args.format)
+    out = _default_out(args.out)
     if out:
         Path(out).write_bytes(payload)
     else:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
-
-
-def _print_pipeline_diagnostics(report: timeline.Report, verbose: bool) -> None:
     _err("%d events, %d warnings" % (len(report.events), len(report.warnings)))
-    if verbose:
+    if args.verbose:
         for warning in report.warnings:
             _err("warning: %s" % warning)
+    return gather.tally.exit_code()
 
 
 # ---------------------------------------------------------------------------
@@ -359,29 +366,10 @@ def _cmd_pcap(args) -> int:
 
 
 def _cmd_timeline(args) -> int:
-    gather = _Gather()
-    for name in args.inputs:
-        path = Path(name)
-        if path.is_dir():
-            continue
-        if args.ntfs_csv and path == Path(args.ntfs_csv):
-            continue  # handled below even if it also appeared as an input
-        gather.ingest(path, utc_offset=args.utc_offset)
-    if args.ntfs_csv:
-        csv_path = Path(args.ntfs_csv)
-        try:
-            gather.events += timeline.ingest_ntfs_csv(
-                csv_path, gather.warnings, utc_offset_minutes=args.utc_offset,
-                evidence_path=str(csv_path))
-            gather.tally.ok.append(str(csv_path))
-        except Exception as error:
-            gather.tally.failed.append(str(csv_path))
-            _err("error: %s: %s" % (csv_path, error))
-    report = gather.merged(fb_owner=args.fb_owner, skype_owner=args.skype_owner,
-                           catalog=_load_catalog(args.catalog))
-    _emit_report(report, args.format, _default_out(args.out))
-    _print_pipeline_diagnostics(report, args.verbose)
-    return gather.tally.exit_code()
+    # The journal CSV is ingested last, even if it also appears as an input.
+    journal = Path(args.ntfs_csv) if args.ntfs_csv else None
+    paths = [p for p in map(Path, args.inputs) if not p.is_dir() and p != journal]
+    return _run_pipeline(args, paths, journal=journal)
 
 
 def _cmd_report(args) -> int:
@@ -389,18 +377,8 @@ def _cmd_report(args) -> int:
     if not root.is_dir():
         _err("error: not a readable directory: %s" % root)
         return 2
-    gather = _Gather()
-    for path in sorted(p for p in root.rglob("*") if p.is_file()):
-        gather.ingest(path, utc_offset=args.utc_offset)
-    report = gather.merged(fb_owner=args.fb_owner, skype_owner=args.skype_owner,
-                           catalog=_load_catalog(args.catalog))
-    report = timeline.Report(
-        events=forge.relativize_events(report.events, root),
-        counts=report.counts, warnings=report.warnings,
-        tool_version=report.tool_version, generated_at=report.generated_at)
-    _emit_report(report, args.format, _default_out(args.out))
-    _print_pipeline_diagnostics(report, args.verbose)
-    return gather.tally.exit_code()
+    paths = sorted(p for p in root.rglob("*") if p.is_file())
+    return _run_pipeline(args, paths, root=root)
 
 
 def _cmd_forge(args) -> int:
@@ -418,7 +396,13 @@ def _cmd_forge(args) -> int:
 
 
 def _load_catalog(path):
-    return pcap.load_catalog(path) if path else None
+    """Entries of the catalog file at path, or None for the builtin catalog."""
+    if not path:
+        return None
+    try:
+        return pcap.load_catalog(Path(path))
+    except (OSError, ValueError) as error:
+        raise _Usage("--catalog %s: %s" % (path, error)) from error
 
 
 # ---------------------------------------------------------------------------

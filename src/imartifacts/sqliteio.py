@@ -15,6 +15,7 @@ from pathlib import Path
 from .model import Channel, ExtractionError, Provenance
 
 __all__ = [
+    "DamagedDatabase",
     "MissingTable",
     "NotSqlite",
     "SQLITE_MAGIC",
@@ -39,16 +40,23 @@ class MissingTable(ExtractionError):
     """A required table is absent from the database."""
 
 
+class DamagedDatabase(ExtractionError):
+    """The driver could not read the database: damaged pages, bad text or layout."""
+
+
 class _ClosingConnection(sqlite3.Connection):
     """Connection whose with-block closes it on exit.
 
     The stock context manager only commits or rolls back, which would
     leave every evidence database open until garbage collection.  The
-    connection is read-only, so there is nothing to commit.
+    connection is read-only, so there is nothing to commit.  A driver or
+    text-decoding error raised in the block leaves it as DamagedDatabase.
     """
 
-    def __exit__(self, *exc_info):
+    def __exit__(self, exc_type, exc, traceback):
         self.close()
+        if isinstance(exc, (sqlite3.DatabaseError, UnicodeDecodeError)):
+            raise DamagedDatabase("%s: %s" % (type(exc).__name__, exc)) from exc
         return False
 
 
@@ -56,8 +64,9 @@ def open_immutable(path: str | Path, warnings: list[str] | None = None) -> sqlit
     """Open a database file read-only and immutable.
 
     Verifies the file magic first so a bad path fails with NotSqlite
-    instead of a confusing driver error.  Appends a warning when a WAL
-    sidecar is present, since immutable mode does not apply it.
+    instead of a confusing driver error.  Appends a warning, once per
+    warnings list, when a WAL sidecar is present, since immutable mode
+    does not apply it.
     """
     path = os.fspath(path)
     try:
@@ -68,7 +77,9 @@ def open_immutable(path: str | Path, warnings: list[str] | None = None) -> sqlit
     if magic != SQLITE_MAGIC:
         raise NotSqlite("not a SQLite database: %s" % path)
     if warnings is not None and os.path.exists(path + "-wal"):
-        warnings.append("wal-present-not-applied: %s" % path)
+        message = "wal-present-not-applied: %s" % path
+        if message not in warnings:  # once per database, however many extractors open it
+            warnings.append(message)
     uri = "file:%s?mode=ro&immutable=1" % Path(path).as_posix()
     connection = sqlite3.connect(uri, uri=True, factory=_ClosingConnection)
     connection.row_factory = sqlite3.Row

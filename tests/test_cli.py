@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 import imartifacts
-from imartifacts import forge, sqliteio, timeline
+from imartifacts import cli, forge, pcap, sqliteio, timeline
 from imartifacts.cli import ENV_OUT, main
-from imartifacts.model import Provenance
+from imartifacts.model import EventKind, Provenance
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +134,49 @@ class TestSummaries:
                 main([command, "--help"])
             assert "'match label owner [urls]' line" in " ".join(capfd.readouterr().out.split())
 
+
+def _child_env():
+    """The environment with this package's source first on PYTHONPATH."""
+    src = str(Path(imartifacts.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _run_cli(*args):
+    return subprocess.run([sys.executable, "-m", "imartifacts.cli", *args],
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
+
+
+class TestBadCatalog:
+    """A catalog that cannot be read or parsed is a usage error, found before any input is read."""
+
+    @pytest.fixture(params=["missing", "malformed"])
+    def bad_catalog(self, request, tmp_path):
+        path = tmp_path / "catalog.txt"
+        if request.param == "malformed":
+            path.write_text("203.0.113.9 FacebookChat\n")
+        return path
+
+    @pytest.fixture(params=["pcap", "timeline", "report"])
+    def command(self, request, forged):
+        root, _ = forged
+        return [request.param, str(root if request.param == "report" else root / "capture.pcap")]
+
+    def test_exits_1_without_traceback_or_output(self, command, bad_catalog):
+        result = _run_cli(*command, "--catalog", str(bad_catalog))
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert str(bad_catalog) in result.stderr
+
+    def test_no_input_is_read(self, command, bad_catalog, monkeypatch, capfd):
+        opened = []
+        monkeypatch.setattr(cli, "_sniff", opened.append)
+        monkeypatch.setattr(pcap, "read_pcap", opened.append)
+        assert main([*command, "--catalog", str(bad_catalog)]) == 1
+        assert opened == []
+        assert capfd.readouterr().out == ""
+
+
 class TestCarveCommand:
     def test_writes_payloads_and_index(self, forged, tmp_path, capfd):
         root, manifest = forged
@@ -185,6 +228,27 @@ class TestPipelineCommands:
         out = capfd.readouterr().out
         assert "FsJournal" in out
 
+    def test_journal_as_input_and_flag_is_ingested_once(self, forged, monkeypatch, capfd):
+        root, _ = forged
+        journal = str(root / "ntfs_journal.csv")
+        tallies = []
+
+        class RecordingTally(cli._Tally):
+            def __init__(self):
+                super().__init__()
+                tallies.append(self)
+
+        monkeypatch.setattr(cli, "_Tally", RecordingTally)
+        assert main(["timeline", journal]) == 0
+        alone = timeline.parse_jsonl(capfd.readouterr().out)
+        assert main(["timeline", journal, str(root / "capture.pcap"), "--ntfs-csv", journal]) == 0
+        events = timeline.parse_jsonl(capfd.readouterr().out)
+        journal_events = [e for e in events if e.kind is EventKind.FS_JOURNAL]
+        assert journal_events == alone
+        assert all(e.duplicates == 1 for e in journal_events)
+        tally = tallies[-1]
+        assert tally.ok.count(journal) == 1 and tally.failed == []
+
     def test_partial_failure_keeps_good_events(self, forged, tmp_path, capfd):
         root, _ = forged
         broken = tmp_path / "broken.db"
@@ -233,6 +297,23 @@ class TestPipelineCommands:
         assert "warning:" in capfd.readouterr().err
 
 
+class TestWal:
+    WAL_HEADER = bytes.fromhex("377f0682") + bytes(28)
+
+    def test_one_warning_per_database(self, forged, tmp_path, capfd):
+        root, _ = forged
+        messages = tmp_path / "evidence" / "Messages.sqlite"
+        messages.parent.mkdir()
+        messages.write_bytes(Path(fb_db(root, "Messages.sqlite")).read_bytes())
+        Path(str(messages) + "-wal").write_bytes(self.WAL_HEADER)
+        for command in (["facebook", str(messages)], ["report", str(messages.parent), "-v"],
+                        ["timeline", str(messages), "-v"]):
+            assert main(command) == 0
+            lines = capfd.readouterr().err.splitlines()
+            assert [l for l in lines if "wal-present-not-applied" in l] == [
+                "warning: wal-present-not-applied: %s" % messages], command
+
+
 class TestUsage:
     def test_no_command(self, capfd):
         assert main([]) == 1
@@ -251,9 +332,7 @@ class TestImportCost:
         benchmark's reload_s and peak_rss_mib on every workload (CHANGES.md).
         Dotted quads are built from the address bytes instead.
         """
-        src = str(Path(imartifacts.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         probe = "import sys, imartifacts.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in ('socket', '_socket')))"
-        result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+        result = subprocess.run([sys.executable, "-c", probe], env=_child_env(), capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"

@@ -23,7 +23,7 @@ from imartifacts.facebook import (
     parse_fb_attachments,
 )
 from imartifacts.model import Channel
-from imartifacts.sqliteio import MissingTable, NotSqlite, open_immutable
+from imartifacts.sqliteio import DamagedDatabase, MissingTable, NotSqlite, open_immutable
 
 
 def _make_db(path, schema, table, rows):
@@ -319,6 +319,14 @@ class TestMessages:
         path.write_bytes(b"just text, no database here")
         with pytest.raises(NotSqlite):
             extract_messages(path)
+
+    def test_without_rowid_table_is_damaged_database(self, tmp_path):
+        path = _make_db(tmp_path / "Messages.sqlite",
+                        "CREATE TABLE messages (msg_id TEXT PRIMARY KEY, text TEXT) WITHOUT ROWID",
+                        "messages", [{"msg_id": "m1", "text": "hi"}])
+        with pytest.raises(DamagedDatabase, match="rowid") as caught:
+            extract_messages(path)
+        assert isinstance(caught.value.__cause__, sqlite3.OperationalError)
 
 
 class TestUsers:

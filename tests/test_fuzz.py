@@ -7,9 +7,10 @@ example database is kept, so every run checks the same inputs.
 import io
 import struct
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from imartifacts import sampledata as sd
+from imartifacts import facebook, forge, sampledata as sd, skype
 from imartifacts.facebook import CHAT_MARKER, ChatFragment, extract_chat_json
 from imartifacts.locator import ZoneMarker, read_zone_identifier
 from imartifacts.model import ExtractionError
@@ -245,3 +246,34 @@ def test_extract_chat_json_chunked_equals_whole(chunk_size, filler, planted, tai
         data[at:at + len(piece)] = piece
     data = bytes(data)
     assert extract_chat_json(io.BytesIO(data), chunk_size=chunk_size) == extract_chat_json(data)
+
+
+SQLITE_HEADER_SIZE = 100
+DATABASE_EXTRACTORS = [
+    ("Analytics.sqlite", facebook.extract_analytics),
+    ("Friends.sqlite", facebook.extract_friends),
+    ("Messages.sqlite", facebook.extract_messages),
+    ("Messages.sqlite", facebook.extract_users),
+    ("Notifications.sqlite", facebook.extract_notifications),
+    ("main.db", skype.extract_main_db),
+]
+
+
+@pytest.fixture(scope="module")
+def forged_databases(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz") / "evidence"
+    forge.forge_fixture(3, root)
+    return {p.name: p.read_bytes() for p in root.rglob("*") if p.suffix in (".sqlite", ".db")}
+
+
+@FUZZ
+@given(target=st.sampled_from(DATABASE_EXTRACTORS),
+       edits=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)), min_size=1, max_size=16))
+def test_sqlite_extractors_on_damaged_pages(forged_databases, tmp_path_factory, target, edits):
+    name, extract = target
+    data = bytearray(forged_databases[name])
+    for offset, value in edits:
+        data[SQLITE_HEADER_SIZE + offset % (len(data) - SQLITE_HEADER_SIZE)] = value
+    path = tmp_path_factory.getbasetemp() / ("damaged-" + name)
+    path.write_bytes(bytes(data))
+    returns_or_extraction_error(lambda p: extract(p, []), path)

@@ -1,4 +1,4 @@
-"""sqliteio.column_reader against the per-row column lookup it replaces."""
+"""sqliteio: column_reader against the per-row lookup it replaces, and driver errors."""
 
 import sqlite3
 
@@ -147,3 +147,50 @@ def test_missing_names_give_the_default():
     assert column(row, "nope") is None
     assert column(row, "nope", default=0) == 0
     assert column(row, "nope", "A") == 5
+
+
+@pytest.mark.parametrize("module, extract", [(facebook, facebook.extract_messages),
+                                             (skype, skype.extract_main_db)])
+def test_garbage_pages_raise_damaged_database(tmp_path, module, extract, monkeypatch):
+    path = tmp_path / "garbage.db"
+    path.write_bytes(sqliteio.SQLITE_MAGIC + bytes(range(256)) * 32)
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(sqliteio.open_immutable(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(module, "open_immutable", recording_open)
+    with pytest.raises(sqliteio.DamagedDatabase) as caught:
+        extract(path, [])
+    assert isinstance(caught.value.__cause__, sqlite3.DatabaseError)
+    (connection,) = opened
+    with pytest.raises(sqlite3.ProgrammingError):  # closed
+        connection.execute("SELECT 1")
+
+
+def test_wal_warning_once_per_warnings_list(tmp_path):
+    path = tmp_path / "store.db"
+    connection = sqlite3.connect(path)
+    connection.execute("CREATE TABLE t (a)")
+    connection.close()
+    path.with_name("store.db-wal").write_bytes(b"")
+    warnings = []
+    for _ in range(3):
+        sqliteio.open_immutable(path, warnings).close()
+    assert warnings == ["wal-present-not-applied: %s" % path]
+
+
+def test_undecodable_column_name_raises_damaged_database(tmp_path):
+    path = tmp_path / "Messages.sqlite"
+    connection = sqlite3.connect(path)
+    connection.execute("CREATE TABLE messages (msg_id TEXT, zzzz TEXT)")
+    connection.execute("INSERT INTO messages VALUES ('m1', 'hi')")
+    connection.commit()
+    connection.close()
+    data = path.read_bytes()
+    assert data.count(b"zzzz") == 1  # the column name, in the stored CREATE statement
+    path.write_bytes(data.replace(b"zzzz", b"zz\xff\xfe"))
+    with pytest.raises(sqliteio.DamagedDatabase) as caught:
+        facebook.extract_messages(path, [])
+    assert isinstance(caught.value.__cause__, UnicodeDecodeError)
