@@ -452,29 +452,42 @@ class ChatFragment:
     extra: dict = field(default_factory=dict, compare=False)
 
 
-def _balanced_end(data: bytes, start: int) -> int | None:
-    """Index just past the brace closing data[start], honoring JSON strings."""
+# One token per match: an opening brace, a closing brace, a whole JSON string
+# (a backslash inside it escapes the next byte), or a quote whose string
+# does not close.
+_JSON_TOKEN = re.compile(rb'(\{)|(\})|"[^"\\]*(?:\\.[^"\\]*)*"|(")', re.DOTALL)
+
+
+def _balanced_end(data: bytes, start: int, end: int,
+                  known: dict[int, int | None] | None = None) -> int | None:
+    """Index just past the brace closing data[start], honoring JSON strings.
+
+    Only data[start:end] is read; None when it ends before the brace
+    closes.  Inside a string a backslash skips the byte after it.  known
+    maps opening braces to their results over the same end; an inner
+    brace found there is stepped over instead of scanned again.
+    """
+    search = _JSON_TOKEN.search
     depth = 0
-    in_string = False
-    i = start
-    n = len(data)
-    while i < n:
-        b = data[i]
-        if in_string:
-            if b == 0x5C:  # backslash escape
-                i += 2
-                continue
-            if b == 0x22:
-                in_string = False
-        elif b == 0x22:
-            in_string = True
-        elif b == 0x7B:
-            depth += 1
-        elif b == 0x7D:
+    position = start
+    while (match := search(data, position, end)) is not None:
+        position = match.end()
+        kind = match.lastindex
+        if kind == 1:
+            if depth > 0 and known and (inner := match.start()) in known:
+                # Depth stays above zero until the inner object closes, so
+                # its end (or None) holds for this scan as well.
+                position = known[inner]
+                if position is None:
+                    return None
+            else:
+                depth += 1
+        elif kind == 2:
             depth -= 1
             if depth == 0:
-                return i + 1
-        i += 1
+                return position
+        elif kind == 3:
+            return None
     return None
 
 
@@ -493,7 +506,12 @@ def _fragment_fields(obj: dict) -> dict:
     )
 
 
-def _fragment_from_region(region: bytes, marker_rel: int, abs_base: int, marker: bytes, evidence_path: str):
+def _fragment_from_region(buf: bytes, lo: int, hi: int, marker_rel: int, base: int,
+                          marker: bytes, evidence_path: str):
+    """The fragment around the marker at buf[marker_rel], read within buf[lo:hi].
+
+    base is the stream offset of buf[0].
+    """
     marker_end = marker_rel + len(marker)
 
     def provenance_at(off):
@@ -501,15 +519,16 @@ def _fragment_from_region(region: bytes, marker_rel: int, abs_base: int, marker:
 
     position = marker_rel
     outermost = None
+    known: dict[int, int | None] = {}  # each inner candidate's end, so the walk stays linear
     while True:
-        candidate = region.rfind(b"{", 0, position)
+        candidate = buf.rfind(b"{", lo, position)
         if candidate == -1:
             break
         outermost = candidate
-        end = _balanced_end(region, candidate)
+        end = known[candidate] = _balanced_end(buf, candidate, hi, known)
         if end is not None and end >= marker_end:
-            blob = bytes(region[candidate:end])
-            offset = abs_base + candidate
+            blob = bytes(buf[candidate:end])
+            offset = base + candidate
             try:
                 obj = json.loads(blob.decode("utf-8", errors="replace"))
             except ValueError:
@@ -526,9 +545,9 @@ def _fragment_from_region(region: bytes, marker_rel: int, abs_base: int, marker:
             )
         position = candidate
     start = outermost if outermost is not None else marker_rel
-    offset = abs_base + start
+    offset = base + start
     return ChatFragment(
-        offset=offset, parsed=False, raw=bytes(region[start:]), provenance=provenance_at(offset)
+        offset=offset, parsed=False, raw=bytes(buf[start:hi]), provenance=provenance_at(offset)
     )
 
 
@@ -550,9 +569,7 @@ def extract_chat_json(
     def emit(buf, base, rel, index, eof):
         lo = max(rel - window, 0)
         hi = min(rel + window, len(buf))
-        fragments.append(
-            _fragment_from_region(buf[lo:hi], rel - lo, base + lo, marker, evidence_path)
-        )
+        fragments.append(_fragment_from_region(buf, lo, hi, rel, base, marker, evidence_path))
 
     carver.scan_stream(stream, [marker], window, window, emit, chunk_size)
     return fragments

@@ -2,6 +2,7 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from imartifacts.carver import (
     DEFAULT_TERMS,
@@ -209,3 +210,50 @@ class TestValueObjects:
     def test_carved_object_hash(self):
         obj = CarvedObject("config-xml", 0, b"abc")
         assert obj.sha256() == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+
+
+# ---------------------------------------------------------------------------
+# Chunked scans equal whole-buffer scans on any bytes.  Examples are derived
+# from the test's source and no example database is kept, so every run
+# checks the same inputs.
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+PROPERTY_SIGS = TestChunkedEquivalence.SIGS + (Signature("gamma", b"GH", b"GF", 40),)
+PROPERTY_TERMS = [b"needleX", b"nee", b"dleX", b"X"]
+# Whole and partial headers, footers and terms, so any of them can fall
+# across a chunk boundary, between filler.
+TOKENS = [b"<<HDR", b"<<H", b"DR", b"END-A>>", b"END-B>>", b"END-", b"GH", b"GF", b"G",
+          b"needleX", b"need", b"leX", b"\x00", b" ", b"x" * 37]
+
+
+@st.composite
+def chunked_stream(draw):
+    """Bytes of tokens and noise, a chunk size, and a token planted across a chunk boundary."""
+    pieces = draw(st.lists(st.one_of(st.sampled_from(TOKENS), st.binary(max_size=24)), max_size=120))
+    data = bytearray(b"".join(pieces))
+    chunk_size = draw(st.one_of(st.integers(1, 64), st.integers(1, 4096)))
+    token = draw(st.sampled_from(TOKENS[:10]))
+    boundary = chunk_size * draw(st.integers(1, 4))
+    at = boundary - draw(st.integers(1, len(token)))
+    if at <= len(data):
+        data[at:at + len(token)] = token
+    return bytes(data), chunk_size
+
+
+class TestChunkedProperty:
+    @PROPERTY
+    @given(case=chunked_stream())
+    def test_carve_equals_carve_bytes(self, case):
+        data, chunk_size = case
+        truncated_chunked, truncated_whole = [], []
+        chunked = carve(io.BytesIO(data), PROPERTY_SIGS, chunk_size, truncated_chunked)
+        assert chunked == carve_bytes(data, PROPERTY_SIGS, truncated=truncated_whole)
+        assert truncated_chunked == truncated_whole
+
+    @PROPERTY
+    @given(case=chunked_stream(), radius=st.one_of(st.integers(0, 8), st.integers(0, 300)))
+    def test_scan_keywords_equals_one_chunk_scan(self, case, radius):
+        data, chunk_size = case
+        chunked = scan_keywords(io.BytesIO(data), PROPERTY_TERMS, radius, chunk_size)
+        assert chunked == scan_keywords(data, PROPERTY_TERMS, radius, max(len(data), 1))

@@ -291,6 +291,25 @@ class TestPipelineCommands:
             assert keys, module
             assert len(keys) == len(set(keys)), module
 
+    def test_report_maps_records_through_timeline_normalize(self, tmp_path, monkeypatch):
+        """Record mapping lives in mapping, but the pipeline still calls it
+        as timeline.normalize, the layer the benchmark's trace wraps."""
+        root = tmp_path / "evidence"
+        forge.forge_fixture(7, root)
+        calls = []
+        original = timeline.normalize
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(timeline, "normalize", counted)
+        out = tmp_path / "report.jsonl"
+        assert main(["report", str(root), "--format", "jsonl", "--out", str(out)]) == 0
+        assert len(calls) > 0
+        golden = Path(__file__).parent / "golden" / "report_seed7.jsonl"
+        assert out.read_bytes() == golden.read_bytes()
+
     def test_verbose_prints_warnings(self, forged, capfd):
         root, _ = forged
         assert main(["timeline", str(root / "ntfs_journal.csv"), "-v"]) == 0
@@ -333,6 +352,34 @@ class TestImportCost:
         Dotted quads are built from the address bytes instead.
         """
         probe = "import sys, imartifacts.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in ('socket', '_socket')))"
+        result = subprocess.run([sys.executable, "-c", probe], env=_child_env(), capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    # Modules a report reader must not load; all are this package's own or
+    # are loaded only by it, since the interpreter's site hooks may preload others.
+    EXTRACTOR_MODULES = (
+        *("imartifacts." + name for name in ("mapping", "skype", "facebook", "pcap", "regexport", "carver",
+                                              "sqliteio", "locator", "forge", "sampledata")),
+        "sqlite3",
+        "xml.etree",
+    )
+
+    def test_timeline_import_loads_no_extractor(self):
+        """Loading a report needs only timeline and model.
+
+        Record mapping, and with it every extractor, sqlite3 and
+        xml.etree, is loaded on the first timeline.normalize call, so a
+        reader of an emitted report does not pay for them.
+        """
+        probe = (
+            "import sys, imartifacts.timeline as t\n"
+            "from imartifacts.model import App, Channel, EventKind, Provenance, TimelineEvent, ts_from_unix\n"
+            "event = TimelineEvent(ts_from_unix(1421898314666, 'millis'), EventKind.LOGIN, App.FACEBOOK,\n"
+            "                      'login', Provenance('a.db', 'x', Channel.DATABASE))\n"
+            "assert t.parse_jsonl(t.emit(t.build_report([event]))) == [event]\n"
+            "print(sorted(m for m in sys.modules if m in %r))" % (self.EXTRACTOR_MODULES,)
+        )
         result = subprocess.run([sys.executable, "-c", probe], env=_child_env(), capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"

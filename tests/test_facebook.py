@@ -8,8 +8,9 @@ import sqlite3
 from datetime import date
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from imartifacts import facebook, sampledata as sd, timeline
+from imartifacts import facebook, mapping, sampledata as sd
 from imartifacts.facebook import (
     ChatFragment,
     MalformedJson,
@@ -255,7 +256,7 @@ class TestMessages:
 
     def test_direction_from_sent_tag(self, messages_db):
         messages = extract_messages(messages_db)
-        directions = [timeline._fb_direction(m, None) for m in messages]
+        directions = [mapping._fb_direction(m, None) for m in messages]
         assert directions == ["sent", "undetermined", "undetermined", "sent", "undetermined"]
 
     def test_direction_owner_fallback(self, messages_db):
@@ -266,9 +267,9 @@ class TestMessages:
             )
             for m in messages
         ]
-        assert timeline._fb_direction(stripped[0], sd.OWNER_UID) == "sent"
-        assert timeline._fb_direction(stripped[0], None) == "undetermined"
-        assert timeline._fb_direction(stripped[1], sd.OWNER_UID) == "received"
+        assert mapping._fb_direction(stripped[0], sd.OWNER_UID) == "sent"
+        assert mapping._fb_direction(stripped[0], None) == "undetermined"
+        assert mapping._fb_direction(stripped[1], sd.OWNER_UID) == "received"
 
     def test_infer_owner(self, messages_db):
         assert infer_owner_uid(extract_messages(messages_db)) == sd.OWNER_UID
@@ -455,3 +456,86 @@ class TestChatJson:
         (fragment,) = extract_chat_json(data)
         assert not fragment.parsed
         assert b"orca_message" in fragment.raw
+
+
+def reference_balanced_end(data: bytes, start: int) -> int | None:
+    """The per-byte brace matcher _balanced_end replaced, kept as its oracle."""
+    depth = 0
+    in_string = False
+    i = start
+    n = len(data)
+    while i < n:
+        b = data[i]
+        if in_string:
+            if b == 0x5C:  # backslash escape
+                i += 2
+                continue
+            if b == 0x22:
+                in_string = False
+        elif b == 0x22:
+            in_string = True
+        elif b == 0x7B:
+            depth += 1
+        elif b == 0x7D:
+            depth -= 1
+            if depth == 0:
+                return i + 1
+        i += 1
+    return None
+
+
+# Derived from the test's source and without an example database, so every
+# run checks the same inputs.
+PROPERTY = settings(derandomize=True, database=None, max_examples=500, deadline=None)
+
+# Bytes dense in the four that move the brace matcher, plus filler.
+JSONISH = st.lists(st.sampled_from([b"{", b"}", b'"', b"\\", b"a", b" ", b"\x00", b"{}", b'\\"']),
+                   max_size=80).map(b"".join)
+
+
+class TestBalancedEnd:
+    @PROPERTY
+    @given(data=JSONISH, start=st.integers(0, 90), end=st.integers(0, 90))
+    def test_matches_reference(self, data, start, end):
+        assert facebook._balanced_end(data, start, end) == reference_balanced_end(data[:end], start)
+
+    @PROPERTY
+    @given(data=JSONISH, start=st.integers(0, 90), end=st.integers(0, 90),
+           picks=st.one_of(st.none(), st.lists(st.integers(0, 90))))
+    def test_known_inner_ends_change_nothing(self, data, start, end, picks):
+        """Any opening braces' ends may be known (None: all of them), whatever data[start] is."""
+        if picks is None:
+            picks = range(len(data))
+        known = {at: reference_balanced_end(data[:end], at) for at in picks if data[at:at + 1] == b"{"}
+        assert facebook._balanced_end(data, start, end, known) == reference_balanced_end(data[:end], start)
+
+    @PROPERTY
+    @given(head=JSONISH, tail=JSONISH, before=st.integers(0, 30), after=st.integers(0, 30))
+    def test_window_bounds_equal_a_copied_window(self, head, tail, before, after):
+        marker = facebook.CHAT_MARKER
+        buf = head + marker + tail
+        rel = len(head)
+        lo, hi = max(rel - before, 0), min(rel + len(marker) + after, len(buf))
+        bounded = facebook._fragment_from_region(buf, lo, hi, rel, 1000, marker, "m.bin")
+        copied = facebook._fragment_from_region(buf[lo:hi], 0, hi - lo, rel - lo, 1000 + lo, marker, "m.bin")
+        assert (bounded, bounded.extra) == (copied, copied.extra)
+
+    @pytest.mark.parametrize("body", [b'{"a":', b"{"])
+    def test_nested_unclosed_braces_take_linear_work(self, monkeypatch, body):
+        """Walking out from a marker over n open braces examines O(n) tokens, not O(n^2)."""
+        tokens = []
+
+        class Counting:
+            def search(self, *args):
+                tokens.append(1)
+                return pattern.search(*args)
+
+        pattern = facebook._JSON_TOKEN
+        monkeypatch.setattr(facebook, "_JSON_TOKEN", Counting())
+        work = []
+        for n in (500, 4000):
+            tokens.clear()
+            (fragment,) = extract_chat_json(body * n + b" orca_message ")
+            assert not fragment.parsed and fragment.offset == 0
+            work.append(len(tokens))
+        assert work[1] <= 9 * work[0]
