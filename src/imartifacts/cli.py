@@ -145,9 +145,7 @@ class _Gather:
                 names = _table_names(path)
                 if names & _SKYPE_TABLES:
                     dataset = skype.extract_main_db(path, self.warnings)
-                    for group in (dataset.accounts, dataset.contacts, dataset.messages,
-                                  dataset.transfers, dataset.calls, dataset.call_members,
-                                  dataset.video_messages):
+                    for group in vars(dataset).values():
                         self.records += group
                 else:
                     for group in _extract_facebook_db(path, self.warnings, names).values():
@@ -286,11 +284,8 @@ def _cmd_skype(args) -> int:
             _err("error: %s: %s" % (database, error))
             continue
         tally.ok.append(str(database))
-        print("%s: accounts=%d contacts=%d messages=%d transfers=%d calls=%d "
-              "call_members=%d video_messages=%d"
-              % (database, len(dataset.accounts), len(dataset.contacts), len(dataset.messages),
-                 len(dataset.transfers), len(dataset.calls), len(dataset.call_members),
-                 len(dataset.video_messages)))
+        counts = " ".join("%s=%d" % (name, len(group)) for name, group in vars(dataset).items())
+        print("%s: %s" % (database, counts))
         for warning in warnings:
             _err("warning: %s" % warning)
     return tally.exit_code()

@@ -16,7 +16,7 @@ from datetime import date, datetime
 
 from . import carver
 from .model import Channel, ExtractionError, Provenance, Timestamp, ts_from_iso_text, ts_from_unix
-from .sqliteio import MissingTable, as_int, as_text, column_reader, db_provenance, open_immutable, table_names, warn
+from .sqliteio import MissingTable, as_int, as_text, open_immutable, read_table, table_names, warn
 
 __all__ = [
     "ChatFragment",
@@ -152,45 +152,34 @@ class FbNotification:
         }
 
 
-def _require_table(connection, wanted: str, path: str):
-    names = table_names(connection)
-    actual = names.get(wanted.casefold())
-    if actual is None:
-        raise MissingTable("table %s absent from %s" % (wanted, path))
-    return actual
+def _read(path, warnings, wanted: str, what: str, record) -> list:
+    """The records of the cache table named wanted, read by record in rowid order."""
+    with open_immutable(path, warnings) as connection:
+        table = table_names(connection).get(wanted.casefold())
+        if table is None:
+            raise MissingTable("table %s absent from %s" % (wanted, path))
+        return read_table(connection, table, path, EXTRACTOR_PREFIX, what, record, warnings)
 
 
-def _rows(connection, table: str):
-    """The rows of table in rowid order, and the column reader for them."""
-    rows = connection.execute('SELECT rowid AS rowid_, * FROM "%s" ORDER BY rowid_' % table)
-    return rows, column_reader(rows)
+def _analytics_event(row, column, provenance, warnings):
+    millis = as_int(column(row, "time", "timestamp"))
+    if millis is None:
+        warn(warnings, "analytics row %s has no usable time" % row["rowid_"])
+        return None
+    return FbAnalyticsEvent(
+        row_id=row["rowid_"],
+        when=ts_from_unix(millis, "millis"),
+        log_type=as_text(column(row, "log_type", "type")),
+        name=as_text(column(row, "name", "event_name")),
+        module=as_text(column(row, "module")),
+        extra=as_text(column(row, "extra", "extra_json")),
+        provenance=provenance,
+    )
 
 
 def extract_analytics(path, warnings: list[str] | None = None) -> list[FbAnalyticsEvent]:
     """Read the analytics log: one event per row in row order."""
-    with open_immutable(path, warnings) as connection:
-        table = _require_table(connection, "analytics_logs", str(path))
-        events = []
-        rows, column = _rows(connection, table)
-        provenance = db_provenance(path, EXTRACTOR_PREFIX, "analytics")
-        for row in rows:
-            raw_time = column(row, "time", "timestamp")
-            millis = as_int(raw_time)
-            if millis is None:
-                warn(warnings, "analytics row %s has no usable time" % row["rowid_"])
-                continue
-            events.append(
-                FbAnalyticsEvent(
-                    row_id=row["rowid_"],
-                    when=ts_from_unix(millis, "millis"),
-                    log_type=as_text(column(row, "log_type", "type")),
-                    name=as_text(column(row, "name", "event_name")),
-                    module=as_text(column(row, "module")),
-                    extra=as_text(column(row, "extra", "extra_json")),
-                    provenance=provenance,
-                )
-            )
-    return events
+    return _read(path, warnings, "analytics_logs", "analytics", _analytics_event)
 
 
 def _parse_birthday(value, warnings, context):
@@ -204,43 +193,38 @@ def _parse_birthday(value, warnings, context):
         return None
 
 
+def _friend(row, column, provenance, warnings):
+    uid = as_text(column(row, "uid", "user_id", "id"))
+    if uid is None:
+        warn(warnings, "friend row %s lacks a uid" % row["rowid_"])
+        return None
+    first = as_text(column(row, "first_name"))
+    middle = as_text(column(row, "middle_name"))
+    last = as_text(column(row, "last_name"))
+    name = as_text(column(row, "name"))
+    if name is None:
+        name = (" ".join(part for part in (first, middle, last) if part)) or None
+    rank = column(row, "communication_rank", "rank")
+    return FbFriend(
+        uid=uid,
+        name=name,
+        first_name=first,
+        middle_name=middle,
+        last_name=last,
+        contact_email=as_text(column(row, "contact_email", "email")),
+        phones=as_text(column(row, "phones")),
+        profile_url=as_text(column(row, "profile_url", "url")),
+        communication_rank=float(rank) if rank is not None else None,
+        birthday=_parse_birthday(
+            column(row, "birthday", "birthday_date"), warnings, "friends row %s" % row["rowid_"]
+        ),
+        provenance=provenance,
+    )
+
+
 def extract_friends(path, warnings: list[str] | None = None) -> list[FbFriend]:
     """Read the friends cache: profile fields for every friend row."""
-    with open_immutable(path, warnings) as connection:
-        table = _require_table(connection, "friends", str(path))
-        friends = []
-        rows, column = _rows(connection, table)
-        provenance = db_provenance(path, EXTRACTOR_PREFIX, "friends")
-        for row in rows:
-            uid = as_text(column(row, "uid", "user_id", "id"))
-            if uid is None:
-                warn(warnings, "friend row %s lacks a uid" % row["rowid_"])
-                continue
-            first = as_text(column(row, "first_name"))
-            middle = as_text(column(row, "middle_name"))
-            last = as_text(column(row, "last_name"))
-            name = as_text(column(row, "name"))
-            if name is None:
-                name = (" ".join(part for part in (first, middle, last) if part)) or None
-            rank = column(row, "communication_rank", "rank")
-            friends.append(
-                FbFriend(
-                    uid=uid,
-                    name=name,
-                    first_name=first,
-                    middle_name=middle,
-                    last_name=last,
-                    contact_email=as_text(column(row, "contact_email", "email")),
-                    phones=as_text(column(row, "phones")),
-                    profile_url=as_text(column(row, "profile_url", "url")),
-                    communication_rank=float(rank) if rank is not None else None,
-                    birthday=_parse_birthday(
-                        column(row, "birthday", "birthday_date"), warnings, "friends row %s" % row["rowid_"]
-                    ),
-                    provenance=provenance,
-                )
-            )
-    return friends
+    return _read(path, warnings, "friends", "friends", _friend)
 
 
 def parse_fb_attachments(text: str) -> list[FbAttachment]:
@@ -321,71 +305,61 @@ def _parse_sender(raw, warnings, context):
     )
 
 
+def _message(row, column, provenance, warnings):
+    context = "messages row %s" % row["rowid_"]
+    millis = as_int(column(row, "timestamp", "timestamp_ms", "time"))
+    if millis is None:
+        warn(warnings, "%s has no usable timestamp" % context)
+        return None
+    sender_raw = as_text(column(row, "sender"))
+    sender_uid, sender_name, sender_email = _parse_sender(sender_raw, warnings, context)
+    attachments_raw = as_text(column(row, "attachments"))
+    attachments: tuple[FbAttachment, ...] = ()
+    if attachments_raw not in (None, "", "[]"):
+        try:
+            attachments = tuple(parse_fb_attachments(attachments_raw))
+        except MalformedJson:
+            warn(warnings, "attachments unparsed in %s" % context)
+    return FbMessage(
+        row_id=row["rowid_"],
+        mid=as_text(column(row, "mid", "message_id")),
+        thread_id=as_text(column(row, "tid", "thread_id")),
+        body=as_text(column(row, "body", "text")),
+        when=ts_from_unix(millis, "millis"),
+        sender_uid=sender_uid,
+        sender_name=sender_name,
+        sender_email=sender_email,
+        sender_raw=sender_raw,
+        tags=_parse_tags(column(row, "tags"), warnings, context),
+        attachments=attachments,
+        attachments_raw=attachments_raw,
+        provenance=provenance,
+    )
+
+
 def extract_messages(path, warnings: list[str] | None = None) -> list[FbMessage]:
     """Read cached chat messages in row order."""
-    with open_immutable(path, warnings) as connection:
-        table = _require_table(connection, "messages", str(path))
-        messages = []
-        rows, column = _rows(connection, table)
-        provenance = db_provenance(path, EXTRACTOR_PREFIX, "messages")
-        for row in rows:
-            context = "messages row %s" % row["rowid_"]
-            millis = as_int(column(row, "timestamp", "timestamp_ms", "time"))
-            if millis is None:
-                warn(warnings, "%s has no usable timestamp" % context)
-                continue
-            sender_raw = as_text(column(row, "sender"))
-            sender_uid, sender_name, sender_email = _parse_sender(sender_raw, warnings, context)
-            attachments_raw = as_text(column(row, "attachments"))
-            attachments: tuple[FbAttachment, ...] = ()
-            if attachments_raw not in (None, "", "[]"):
-                try:
-                    attachments = tuple(parse_fb_attachments(attachments_raw))
-                except MalformedJson:
-                    warn(warnings, "attachments unparsed in %s" % context)
-            messages.append(
-                FbMessage(
-                    row_id=row["rowid_"],
-                    mid=as_text(column(row, "mid", "message_id")),
-                    thread_id=as_text(column(row, "tid", "thread_id")),
-                    body=as_text(column(row, "body", "text")),
-                    when=ts_from_unix(millis, "millis"),
-                    sender_uid=sender_uid,
-                    sender_name=sender_name,
-                    sender_email=sender_email,
-                    sender_raw=sender_raw,
-                    tags=_parse_tags(column(row, "tags"), warnings, context),
-                    attachments=attachments,
-                    attachments_raw=attachments_raw,
-                    provenance=provenance,
-                )
-            )
-    return messages
+    return _read(path, warnings, "messages", "messages", _message)
+
+
+def _user(row, column, provenance, warnings):
+    uid = as_text(column(row, "uid", "user_id", "id"))
+    if uid is None:
+        warn(warnings, "users row %s lacks a uid" % row["rowid_"])
+        return None
+    seconds = as_int(column(row, "last_active", "last_active_time", "last_active_timestamp"))
+    return FbUser(
+        id=uid,
+        name=as_text(column(row, "name")),
+        email=as_text(column(row, "email")),
+        last_active=ts_from_unix(seconds, "seconds") if seconds is not None else None,
+        provenance=provenance,
+    )
 
 
 def extract_users(path, warnings: list[str] | None = None) -> list[FbUser]:
     """Read the users table kept alongside cached messages."""
-    with open_immutable(path, warnings) as connection:
-        table = _require_table(connection, "users", str(path))
-        users = []
-        rows, column = _rows(connection, table)
-        provenance = db_provenance(path, EXTRACTOR_PREFIX, "users")
-        for row in rows:
-            uid = as_text(column(row, "uid", "user_id", "id"))
-            if uid is None:
-                warn(warnings, "users row %s lacks a uid" % row["rowid_"])
-                continue
-            seconds = as_int(column(row, "last_active", "last_active_time", "last_active_timestamp"))
-            users.append(
-                FbUser(
-                    id=uid,
-                    name=as_text(column(row, "name")),
-                    email=as_text(column(row, "email")),
-                    last_active=ts_from_unix(seconds, "seconds") if seconds is not None else None,
-                    provenance=provenance,
-                )
-            )
-    return users
+    return _read(path, warnings, "users", "users", _user)
 
 
 def _parse_iso_column(value, warnings, context):
@@ -398,29 +372,24 @@ def _parse_iso_column(value, warnings, context):
         return None
 
 
+def _notification(row, column, provenance, warnings):
+    context = "notifications row %s" % row["rowid_"]
+    flag = as_int(column(row, "unread", "unread_flag"))
+    return FbNotification(
+        notification_id=as_text(column(row, "notification_id", "id")),
+        sender_id=as_text(column(row, "sender_id", "sender")),
+        title_text=as_text(column(row, "title_text", "title")),
+        href=as_text(column(row, "href", "url")),
+        unread_flag=flag if flag is not None else 0,
+        created=_parse_iso_column(column(row, "created", "created_time"), warnings, context),
+        updated=_parse_iso_column(column(row, "updated", "updated_time"), warnings, context),
+        provenance=provenance,
+    )
+
+
 def extract_notifications(path, warnings: list[str] | None = None) -> list[FbNotification]:
     """Read cached notifications; times are stored as date-time text."""
-    with open_immutable(path, warnings) as connection:
-        table = _require_table(connection, "notifications", str(path))
-        notifications = []
-        rows, column = _rows(connection, table)
-        provenance = db_provenance(path, EXTRACTOR_PREFIX, "notifications")
-        for row in rows:
-            context = "notifications row %s" % row["rowid_"]
-            flag = as_int(column(row, "unread", "unread_flag"))
-            notifications.append(
-                FbNotification(
-                    notification_id=as_text(column(row, "notification_id", "id")),
-                    sender_id=as_text(column(row, "sender_id", "sender")),
-                    title_text=as_text(column(row, "title_text", "title")),
-                    href=as_text(column(row, "href", "url")),
-                    unread_flag=flag if flag is not None else 0,
-                    created=_parse_iso_column(column(row, "created", "created_time"), warnings, context),
-                    updated=_parse_iso_column(column(row, "updated", "updated_time"), warnings, context),
-                    provenance=provenance,
-                )
-            )
-    return notifications
+    return _read(path, warnings, "notifications", "notifications", _notification)
 
 
 def infer_owner_uid(messages: list[FbMessage]) -> str | None:

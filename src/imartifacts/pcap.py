@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import io
 import ipaddress
-import os
 import struct
 from dataclasses import dataclass, field
 
@@ -493,17 +492,16 @@ def builtin_catalog() -> tuple[CatalogEntry, ...]:
 def load_catalog(source) -> tuple[CatalogEntry, ...]:
     """Read catalog entries from override text: ip-or-cidr, label, owner, urls.
 
-    Owner spaces are written as underscores; the fourth column is an
-    optional comma-separated URL list.  Blank lines and '#' comments are
-    skipped; anything else malformed raises with its line number.
+    A str is the catalog text itself, never a file name; a Path or an
+    open text stream is read.  Owner spaces are written as underscores;
+    the fourth column is an optional comma-separated URL list.  Blank
+    lines and '#' comments are skipped; anything else malformed raises
+    with its line number.
     """
     if hasattr(source, "read"):
         text = source.read()
     elif hasattr(source, "read_text"):
         text = source.read_text(encoding="utf-8")
-    elif isinstance(source, str) and "\n" not in source and os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as handle:
-            text = handle.read()
     else:
         text = source
     entries = []

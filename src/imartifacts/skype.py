@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from datetime import date, datetime
 
 from .model import ExtractionError, MalformedHex, OutOfRange, Provenance, Timestamp, ts_from_unix
-from .sqliteio import as_int, as_text, column_reader, db_provenance, open_immutable, table_names, warn
+from .sqliteio import as_int, as_text, open_immutable, read_table, table_names, warn
 
 __all__ = [
     "AllTablesMissing",
@@ -550,159 +550,121 @@ class SkypeDataset:
     video_messages: list[SkypeVideoMessage]
 
 
-def _account_rows(connection, table, path, warnings):
-    out = []
-    rows = connection.execute('SELECT * FROM "%s"' % table)
-    column = column_reader(rows)
-    provenance = db_provenance(path, EXTRACTOR_PREFIX, "accounts")
-    for row in rows:
-        skypename = as_text(column(row, "skypename"))
-        if not skypename:
-            warn(warnings, "account row without skypename skipped")
-            continue
-        out.append(
-            SkypeAccount(
-                skypename=skypename,
-                liveid=as_text(column(row, "liveid_membername", "liveid")),
-                fullname=as_text(column(row, "fullname")),
-                birthday=_birthday(column(row, "birthday"), warnings, "account %s" % skypename),
-                gender=as_int(column(row, "gender")),
-                country=as_text(column(row, "country")),
-                province=as_text(column(row, "province")),
-                city=as_text(column(row, "city")),
-                emails=as_text(column(row, "emails")),
-                mood_text=as_text(column(row, "mood_text")),
-                registration_time=_ts(column(row, "registration_timestamp"), warnings, "account"),
-                provenance=provenance,
-            )
-        )
-    return out
+def _account(row, column, provenance, warnings):
+    skypename = as_text(column(row, "skypename"))
+    if not skypename:
+        warn(warnings, "account row without skypename skipped")
+        return None
+    return SkypeAccount(
+        skypename=skypename,
+        liveid=as_text(column(row, "liveid_membername", "liveid")),
+        fullname=as_text(column(row, "fullname")),
+        birthday=_birthday(column(row, "birthday"), warnings, "account %s" % skypename),
+        gender=as_int(column(row, "gender")),
+        country=as_text(column(row, "country")),
+        province=as_text(column(row, "province")),
+        city=as_text(column(row, "city")),
+        emails=as_text(column(row, "emails")),
+        mood_text=as_text(column(row, "mood_text")),
+        registration_time=_ts(column(row, "registration_timestamp"), warnings, "account"),
+        provenance=provenance,
+    )
 
 
-def _contact_rows(connection, table, path, warnings):
-    out = []
-    rows = connection.execute('SELECT * FROM "%s"' % table)
-    column = column_reader(rows)
-    provenance = db_provenance(path, EXTRACTOR_PREFIX, "contacts")
-    for row in rows:
-        skypename = as_text(column(row, "skypename"))
-        if not skypename:
-            warn(warnings, "contact row without skypename skipped")
-            continue
-        out.append(
-            SkypeContact(
-                skypename=skypename,
-                fullname=as_text(column(row, "fullname")),
-                displayname=as_text(column(row, "displayname")),
-                birthday=_birthday(column(row, "birthday"), warnings, "contact %s" % skypename),
-                gender=as_int(column(row, "gender")),
-                languages=as_text(column(row, "languages")),
-                country=as_text(column(row, "country")),
-                city=as_text(column(row, "city")),
-                phone_mobile=as_text(column(row, "phone_mobile")),
-                emails=as_text(column(row, "emails")),
-                last_online=_ts(column(row, "lastonline_timestamp"), warnings, "contact"),
-                last_used=_ts(column(row, "lastused_timestamp"), warnings, "contact"),
-                provenance=provenance,
-            )
-        )
-    return out
+def _contact(row, column, provenance, warnings):
+    skypename = as_text(column(row, "skypename"))
+    if not skypename:
+        warn(warnings, "contact row without skypename skipped")
+        return None
+    return SkypeContact(
+        skypename=skypename,
+        fullname=as_text(column(row, "fullname")),
+        displayname=as_text(column(row, "displayname")),
+        birthday=_birthday(column(row, "birthday"), warnings, "contact %s" % skypename),
+        gender=as_int(column(row, "gender")),
+        languages=as_text(column(row, "languages")),
+        country=as_text(column(row, "country")),
+        city=as_text(column(row, "city")),
+        phone_mobile=as_text(column(row, "phone_mobile")),
+        emails=as_text(column(row, "emails")),
+        last_online=_ts(column(row, "lastonline_timestamp"), warnings, "contact"),
+        last_used=_ts(column(row, "lastused_timestamp"), warnings, "contact"),
+        provenance=provenance,
+    )
 
 
-def _message_rows(connection, table, path, warnings):
-    out = []
-    rows = connection.execute('SELECT rowid AS rowid_, * FROM "%s" ORDER BY rowid_' % table)
-    column = column_reader(rows)
-    provenance = db_provenance(path, EXTRACTOR_PREFIX, "messages")
-    for row in rows:
-        when = _ts(column(row, "timestamp"), warnings, "message")
-        if when is None:
-            warn(warnings, "message row %s has no usable timestamp" % row["rowid_"])
-            continue
-        type_code = as_int(column(row, "type"))
-        if type_code is None:
-            type_code = -1
-        count = as_int(column(row, "participant_count"))
-        out.append(
-            SkypeMessage(
-                id=as_int(column(row, "id")) or row["rowid_"],
-                convo_id=as_int(column(row, "convo_id")),
-                chatname=as_text(column(row, "chatname")),
-                author=as_text(column(row, "author")),
-                from_dispname=as_text(column(row, "from_dispname")),
-                when=when,
-                type_code=type_code,
-                chatmsg_type=as_int(column(row, "chatmsg_type")),
-                chatmsg_status=as_int(column(row, "chatmsg_status")),
-                body_xml=as_text(column(row, "body_xml")),
-                participant_count=count,
-                reason=as_text(column(row, "reason")),
-                kind=classify_message(type_code, participant_count=count),
-                provenance=provenance,
-            )
-        )
-    return out
+def _message(row, column, provenance, warnings):
+    when = _ts(column(row, "timestamp"), warnings, "message")
+    if when is None:
+        warn(warnings, "message row %s has no usable timestamp" % row["rowid_"])
+        return None
+    type_code = as_int(column(row, "type"))
+    if type_code is None:
+        type_code = -1
+    count = as_int(column(row, "participant_count"))
+    return SkypeMessage(
+        id=as_int(column(row, "id")) or row["rowid_"],
+        convo_id=as_int(column(row, "convo_id")),
+        chatname=as_text(column(row, "chatname")),
+        author=as_text(column(row, "author")),
+        from_dispname=as_text(column(row, "from_dispname")),
+        when=when,
+        type_code=type_code,
+        chatmsg_type=as_int(column(row, "chatmsg_type")),
+        chatmsg_status=as_int(column(row, "chatmsg_status")),
+        body_xml=as_text(column(row, "body_xml")),
+        participant_count=count,
+        reason=as_text(column(row, "reason")),
+        kind=classify_message(type_code, participant_count=count),
+        provenance=provenance,
+    )
 
 
-def _transfer_rows(connection, table, path, warnings):
-    out = []
-    directions = {1: "receiving", 2: "transferring"}
-    rows = connection.execute('SELECT rowid AS rowid_, * FROM "%s" ORDER BY rowid_' % table)
-    column = column_reader(rows)
-    provenance = db_provenance(path, EXTRACTOR_PREFIX, "transfers")
-    for row in rows:
-        type_code = as_int(column(row, "type"))
-        direction = directions.get(type_code)
-        if direction is None:
-            warn(warnings, "transfer row %s has unknown type %r" % (row["rowid_"], type_code))
-            direction = "undetermined"
-        out.append(
-            SkypeTransfer(
-                partner_handle=as_text(column(row, "partner_handle")),
-                partner_dispname=as_text(column(row, "partner_dispname")),
-                direction=direction,
-                type_code=type_code,
-                status_code=as_int(column(row, "status")),
-                failure_reason=as_text(column(row, "failurereason", "failure_reason")),
-                start=_ts(column(row, "starttime"), warnings, "transfer"),
-                finish=_ts(column(row, "finishtime"), warnings, "transfer"),
-                filepath=as_text(column(row, "filepath")),
-                filename=as_text(column(row, "filename")),
-                filesize=as_int(column(row, "filesize")),
-                bytes_transferred=as_int(column(row, "bytestransferred", "bytes_transferred")),
-                provenance=provenance,
-            )
-        )
-    return out
+_TRANSFER_DIRECTIONS = {1: "receiving", 2: "transferring"}
 
 
-def _call_rows(connection, table, path, warnings):
-    out = []
-    rows = connection.execute('SELECT rowid AS rowid_, * FROM "%s" ORDER BY rowid_' % table)
-    column = column_reader(rows)
-    provenance = db_provenance(path, EXTRACTOR_PREFIX, "calls")
-    for row in rows:
-        begin = _ts(column(row, "begin_timestamp"), warnings, "call")
-        if begin is None:
-            warn(warnings, "call row %s has no usable begin time" % row["rowid_"])
-            continue
-        duration = as_int(column(row, "duration"))
-        if duration is not None and duration < 0:
-            warn(warnings, "call row %s has negative duration" % row["rowid_"])
-            duration = None
-        unseen = as_int(column(row, "is_unseen_missed"))
-        out.append(
-            SkypeCall(
-                begin=begin,
-                host_identity=as_text(column(row, "host_identity")),
-                duration_s=duration,
-                is_incoming=bool(as_int(column(row, "is_incoming")) or 0),
-                name=as_text(column(row, "name")),
-                unseen_missed=bool(unseen) if unseen is not None else None,
-                provenance=provenance,
-            )
-        )
-    return out
+def _transfer(row, column, provenance, warnings):
+    type_code = as_int(column(row, "type"))
+    direction = _TRANSFER_DIRECTIONS.get(type_code)
+    if direction is None:
+        warn(warnings, "transfer row %s has unknown type %r" % (row["rowid_"], type_code))
+        direction = "undetermined"
+    return SkypeTransfer(
+        partner_handle=as_text(column(row, "partner_handle")),
+        partner_dispname=as_text(column(row, "partner_dispname")),
+        direction=direction,
+        type_code=type_code,
+        status_code=as_int(column(row, "status")),
+        failure_reason=as_text(column(row, "failurereason", "failure_reason")),
+        start=_ts(column(row, "starttime"), warnings, "transfer"),
+        finish=_ts(column(row, "finishtime"), warnings, "transfer"),
+        filepath=as_text(column(row, "filepath")),
+        filename=as_text(column(row, "filename")),
+        filesize=as_int(column(row, "filesize")),
+        bytes_transferred=as_int(column(row, "bytestransferred", "bytes_transferred")),
+        provenance=provenance,
+    )
+
+
+def _call(row, column, provenance, warnings):
+    begin = _ts(column(row, "begin_timestamp"), warnings, "call")
+    if begin is None:
+        warn(warnings, "call row %s has no usable begin time" % row["rowid_"])
+        return None
+    duration = as_int(column(row, "duration"))
+    if duration is not None and duration < 0:
+        warn(warnings, "call row %s has negative duration" % row["rowid_"])
+        duration = None
+    unseen = as_int(column(row, "is_unseen_missed"))
+    return SkypeCall(
+        begin=begin,
+        host_identity=as_text(column(row, "host_identity")),
+        duration_s=duration,
+        is_incoming=bool(as_int(column(row, "is_incoming")) or 0),
+        name=as_text(column(row, "name")),
+        unseen_missed=bool(unseen) if unseen is not None else None,
+        provenance=provenance,
+    )
 
 
 def _split_guid(guid: str | None):
@@ -715,68 +677,55 @@ def _split_guid(guid: str | None):
     return None
 
 
-def _call_member_rows(connection, table, path, warnings):
-    out = []
-    rows = connection.execute('SELECT rowid AS rowid_, * FROM "%s" ORDER BY rowid_' % table)
-    column = column_reader(rows)
-    provenance = db_provenance(path, EXTRACTOR_PREFIX, "call_members")
-    for row in rows:
-        guid = as_text(column(row, "guid"))
-        out.append(
-            CallMember(
-                identity=as_text(column(row, "identity")),
-                dispname=as_text(column(row, "dispname")),
-                guid_raw=guid,
-                guid_parts=_split_guid(guid),
-                duration_s=as_int(column(row, "call_duration")),
-                provenance=provenance,
-            )
-        )
-    return out
+def _call_member(row, column, provenance, warnings):
+    guid = as_text(column(row, "guid"))
+    return CallMember(
+        identity=as_text(column(row, "identity")),
+        dispname=as_text(column(row, "dispname")),
+        guid_raw=guid,
+        guid_parts=_split_guid(guid),
+        duration_s=as_int(column(row, "call_duration")),
+        provenance=provenance,
+    )
 
 
-def _video_message_rows(connection, table, path, warnings):
-    out = []
-    rows = connection.execute('SELECT rowid AS rowid_, * FROM "%s" ORDER BY rowid_' % table)
-    column = column_reader(rows)
-    provenance = db_provenance(path, EXTRACTOR_PREFIX, "video_messages")
-    for row in rows:
-        sid = as_text(column(row, "sharing_id", "sid"))
-        if not sid:
-            warn(warnings, "video message row %s without sharing id skipped" % row["rowid_"])
-            continue
-        progress = as_int(column(row, "progress"))
-        if progress is None:
-            progress = 0
-        if not 0 <= progress <= 100:
-            warn(warnings, "video message %s progress %d clamped" % (sid, progress))
-            progress = min(max(progress, 0), 100)
-        out.append(
-            SkypeVideoMessage(
-                sid=sid,
-                local_path=as_text(column(row, "local_path")),
-                vod_path=as_text(column(row, "vod_path")),
-                public_link=as_text(column(row, "public_link", "publiclink")),
-                author=as_text(column(row, "author")),
-                progress=progress,
-                creation_time=_ts(column(row, "creation_timestamp"), warnings, "video message"),
-                reaction_time=_ts(column(row, "reaction_timestamp"), warnings, "video message"),
-                status=as_int(column(row, "status")),
-                vod_status=as_int(column(row, "vod_status")),
-                provenance=provenance,
-            )
-        )
-    return out
+def _video_message(row, column, provenance, warnings):
+    sid = as_text(column(row, "sharing_id", "sid"))
+    if not sid:
+        warn(warnings, "video message row %s without sharing id skipped" % row["rowid_"])
+        return None
+    progress = as_int(column(row, "progress"))
+    if progress is None:
+        progress = 0
+    if not 0 <= progress <= 100:
+        warn(warnings, "video message %s progress %d clamped" % (sid, progress))
+        progress = min(max(progress, 0), 100)
+    return SkypeVideoMessage(
+        sid=sid,
+        local_path=as_text(column(row, "local_path")),
+        vod_path=as_text(column(row, "vod_path")),
+        public_link=as_text(column(row, "public_link", "publiclink")),
+        author=as_text(column(row, "author")),
+        progress=progress,
+        creation_time=_ts(column(row, "creation_timestamp"), warnings, "video message"),
+        reaction_time=_ts(column(row, "reaction_timestamp"), warnings, "video message"),
+        status=as_int(column(row, "status")),
+        vod_status=as_int(column(row, "vod_status")),
+        provenance=provenance,
+    )
 
 
+# (SkypeDataset field, also the provenance name; table; row reader; read with rowid).
+# Accounts and Contacts need no row id, so they are read in scan order and
+# still load when declared WITHOUT ROWID.
 _TABLE_READERS = (
-    ("accounts", "Accounts", _account_rows),
-    ("contacts", "Contacts", _contact_rows),
-    ("messages", "Messages", _message_rows),
-    ("transfers", "Transfers", _transfer_rows),
-    ("calls", "Calls", _call_rows),
-    ("call_members", "CallMembers", _call_member_rows),
-    ("video_messages", "VideoMessages", _video_message_rows),
+    ("accounts", "Accounts", _account, False),
+    ("contacts", "Contacts", _contact, False),
+    ("messages", "Messages", _message, True),
+    ("transfers", "Transfers", _transfer, True),
+    ("calls", "Calls", _call, True),
+    ("call_members", "CallMembers", _call_member, True),
+    ("video_messages", "VideoMessages", _video_message, True),
 )
 
 
@@ -790,14 +739,14 @@ def extract_main_db(path, warnings: list[str] | None = None) -> SkypeDataset:
         present = table_names(connection)
         collected = {}
         found_any = False
-        for attr, wanted, reader in _TABLE_READERS:
+        for attr, wanted, record, rowid in _TABLE_READERS:
             actual = present.get(wanted.casefold())
             if actual is None:
                 warn(warnings, "table %s absent from %s" % (wanted, path))
                 collected[attr] = []
                 continue
             found_any = True
-            collected[attr] = reader(connection, actual, path, warnings)
+            collected[attr] = read_table(connection, actual, path, EXTRACTOR_PREFIX, attr, record, warnings, rowid)
         if not found_any:
             raise AllTablesMissing("none of the expected tables exist in %s" % path)
     return SkypeDataset(**collected)

@@ -4,6 +4,10 @@ Databases are opened immutable so the original file bytes are never
 touched: no journal recovery, no WAL checkpoint, no lock files.  A WAL
 sidecar next to the database therefore stays unapplied; callers get a
 warning so the report records that state.
+
+``read_table`` is the one place where a table's query, its row order and
+the provenance of its records are decided; every extractor supplies only
+a per-row function.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ __all__ = [
     "as_int",
     "as_text",
     "column_reader",
-    "db_provenance",
     "open_immutable",
+    "read_table",
     "row_value",
     "table_names",
     "warn",
@@ -157,6 +161,23 @@ def warn(warnings: list[str] | None, message: str) -> None:
         warnings.append(message)
 
 
-def db_provenance(path, prefix: str, what: str) -> Provenance:
-    """Provenance of a record read from one table of a database file."""
-    return Provenance(str(path), "%s.%s" % (prefix, what), Channel.DATABASE)
+def read_table(connection, table: str, path, prefix: str, what: str, record, warnings, rowid: bool = True) -> list:
+    """The records of one table: ``record(row, column, provenance, warnings)`` per row.
+
+    Rows come in rowid order, read as ``rowid_`` beside the table's own
+    columns, or in scan order with the table's columns alone when rowid is
+    false.  Every record shares one ``Provenance(str(path), "<prefix>.<what>",
+    DATABASE)``; rows for which record returns None are skipped.
+    """
+    if rowid:
+        rows = connection.execute('SELECT rowid AS rowid_, * FROM "%s" ORDER BY rowid_' % table)
+    else:
+        rows = connection.execute('SELECT * FROM "%s"' % table)
+    column = column_reader(rows)
+    provenance = Provenance(str(path), "%s.%s" % (prefix, what), Channel.DATABASE)
+    out = []
+    for row in rows:
+        item = record(row, column, provenance, warnings)
+        if item is not None:
+            out.append(item)
+    return out

@@ -280,7 +280,7 @@ class TestPipelineCommands:
                 return provenance
             return build
 
-        # The SQLite extractors build theirs through db_provenance, relativize_events its own.
+        # The SQLite extractors build theirs in sqliteio.read_table, relativize_events its own.
         monkeypatch.setattr(sqliteio, "Provenance", counting(built["sqliteio"]))
         monkeypatch.setattr(forge, "Provenance", counting(built["forge"]))
         out = tmp_path / "report.jsonl"

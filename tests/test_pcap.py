@@ -262,6 +262,12 @@ class TestCatalog:
         path.write_text("203.0.113.7 Other Unknown\n")
         assert len(load_catalog(path)) == 1
 
+    def test_load_catalog_str_is_text_even_when_a_file_has_that_name(self, tmp_path):
+        path = tmp_path / "catalog.txt"
+        path.write_text("203.0.113.7 Other Unknown\n")
+        with pytest.raises(ValueError, match="line 1"):
+            load_catalog(str(path))
+
     def test_load_catalog_bad_line(self):
         with pytest.raises(ValueError, match="line 2"):
             load_catalog("# ok\n203.0.113.7 BadLabel Owner\n")

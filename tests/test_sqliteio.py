@@ -1,10 +1,12 @@
-"""sqliteio: column_reader against the per-row lookup it replaces, and driver errors."""
+"""sqliteio: column_reader against the per-row lookup it replaces, table reads, and driver errors."""
 
+import dataclasses
 import sqlite3
 
 import pytest
 
 from imartifacts import facebook, forge, skype, sqliteio
+from imartifacts.model import Channel
 from imartifacts.sqliteio import column_reader, row_value
 
 
@@ -18,12 +20,12 @@ def reference_row_value(row, *names, default=None):
     return default
 
 
-FB_EXTRACTORS = (
-    facebook.extract_analytics,
-    facebook.extract_friends,
-    facebook.extract_messages,
-    facebook.extract_users,
-    facebook.extract_notifications,
+FB_TABLES = (
+    ("analytics", facebook.extract_analytics),
+    ("friends", facebook.extract_friends),
+    ("messages", facebook.extract_messages),
+    ("users", facebook.extract_users),
+    ("notifications", facebook.extract_notifications),
 )
 
 
@@ -58,15 +60,14 @@ def test_extractor_lookups_match_reference(forged_root, monkeypatch):
 
         return checked
 
-    monkeypatch.setattr(skype, "column_reader", checking_reader)
-    monkeypatch.setattr(facebook, "column_reader", checking_reader)
+    monkeypatch.setattr(sqliteio, "column_reader", checking_reader)
     databases = forged_databases(forged_root)
     assert databases
     for path in databases:
         if path.name == "main.db":
             skype.extract_main_db(path, [])
             continue
-        for extract in FB_EXTRACTORS:
+        for _, extract in FB_TABLES:
             try:
                 extract(path, [])
             except sqliteio.MissingTable:
@@ -194,3 +195,64 @@ def test_undecodable_column_name_raises_damaged_database(tmp_path):
     with pytest.raises(sqliteio.DamagedDatabase) as caught:
         facebook.extract_messages(path, [])
     assert isinstance(caught.value.__cause__, UnicodeDecodeError)
+
+
+def test_each_table_shares_one_database_provenance(tmp_path):
+    root = tmp_path / "evidence"
+    forge.forge_fixture(7, root)
+    tables = set()
+
+    def check(records, path, extractor):
+        assert records, extractor
+        provenance = records[0].provenance
+        assert provenance.extractor == extractor
+        assert provenance.channel is Channel.DATABASE
+        assert provenance.evidence_path == str(path)
+        assert all(record.provenance is provenance for record in records)
+        tables.add(extractor)
+
+    for path in forged_databases(root):
+        if path.name == "main.db":
+            dataset = skype.extract_main_db(path, [])
+            for field in dataclasses.fields(dataset):
+                check(getattr(dataset, field.name), path, "skype.%s" % field.name)
+            continue
+        for what, extract in FB_TABLES:
+            try:
+                records = extract(path, [])
+            except sqliteio.MissingTable:
+                continue
+            check(records, path, "facebook.%s" % what)
+    assert len(tables) == 12
+
+
+def make_main_db(path, script):
+    connection = sqlite3.connect(path)
+    try:
+        connection.executescript(script)
+    finally:
+        connection.close()
+    return path
+
+
+def test_without_rowid_accounts_and_contacts_are_read_in_scan_order(tmp_path):
+    path = make_main_db(tmp_path / "main.db", """
+        CREATE TABLE Accounts (skypename TEXT PRIMARY KEY, fullname TEXT) WITHOUT ROWID;
+        INSERT INTO Accounts VALUES ('zed', 'Zed'), ('amy', 'Amy');
+        CREATE TABLE Contacts (skypename TEXT PRIMARY KEY, displayname TEXT) WITHOUT ROWID;
+        INSERT INTO Contacts VALUES ('yan', 'Yan'), ('bob', 'Bob'), ('max', 'Max');
+    """)
+    dataset = skype.extract_main_db(path, [])
+    assert [account.skypename for account in dataset.accounts] == ["amy", "zed"]
+    assert [contact.skypename for contact in dataset.contacts] == ["bob", "max", "yan"]
+    assert [contact.displayname for contact in dataset.contacts] == ["Bob", "Max", "Yan"]
+
+
+def test_without_rowid_messages_raise_damaged_database(tmp_path):
+    path = make_main_db(tmp_path / "main.db", """
+        CREATE TABLE Messages (id INTEGER PRIMARY KEY, timestamp INTEGER, type INTEGER) WITHOUT ROWID;
+        INSERT INTO Messages VALUES (1, 1420000000, 61);
+    """)
+    with pytest.raises(sqliteio.DamagedDatabase, match="rowid") as caught:
+        skype.extract_main_db(path, [])
+    assert isinstance(caught.value.__cause__, sqlite3.OperationalError)
