@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import io
-import logging
 from dataclasses import dataclass
 
 from ._scan import find_multi
@@ -28,8 +27,6 @@ __all__ = [
     "scan_keywords",
     "scan_stream",
 ]
-
-log = logging.getLogger(__name__)
 
 DEFAULT_CHUNK_SIZE = 4 * 1024 * 1024
 MAX_XML_DOCUMENT = 1024 * 1024  # carved app XML never approaches this
@@ -196,7 +193,6 @@ def _resolve_header(buf, rel, base, group, results, truncated):
     if best_sig is None:
         if truncated is not None:
             truncated.append(base + rel)
-        log.debug("header at %d has no footer within bounds", base + rel)
         return
     end = best_start + len(best_sig.footer)
     results.append(CarvedObject(best_sig.name, base + rel, bytes(buf[rel:end])))

@@ -209,12 +209,12 @@ def _run_pipeline(args, paths, journal=None, root=None) -> int:
     report = gather.merged(fb_owner=args.fb_owner, skype_owner=args.skype_owner)
     if root is not None:
         report.events = forge.relativize_events(report.events, root)
-    payload = timeline.emit(report, args.format)
     out = _default_out(args.out)
     if out:
-        Path(out).write_bytes(payload)
+        with open(out, "wb") as handle:
+            timeline.emit(report, args.format, handle)
     else:
-        sys.stdout.buffer.write(payload)
+        timeline.emit(report, args.format, sys.stdout.buffer)
         sys.stdout.buffer.flush()
     _err("%d events, %d warnings" % (len(report.events), len(report.warnings)))
     if args.verbose:

@@ -15,7 +15,7 @@ import io
 import json
 import os
 import re
-import textwrap
+from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -78,6 +78,8 @@ def _short(text: str | None, width: int = 80) -> str:
     if width > 3 and "-" not in collapsed[:width + 1]:
         cut = collapsed.rfind(" ", 0, width - 2)
         return collapsed[:cut] + "..." if cut > 0 else "..."
+    import textwrap  # only hyphenated text that must be cut gets here
+
     return textwrap.shorten(text, width=width, placeholder="...")
 
 
@@ -281,20 +283,28 @@ def _total_key(event: TimelineEvent) -> tuple:
 
 def merge_sort(events) -> list[TimelineEvent]:
     """Sort ascending and collapse exact duplicates onto a counter."""
-    # Each event is hashed once: the first of a set of equal events is kept,
-    # and the summed counts of the kept events that had duplicates sit in a
-    # side dict keyed by the kept object's id (it stays alive in merged).
-    merged: dict[TimelineEvent, TimelineEvent] = {}
-    counts: dict[int, int] = {}
-    for event in events:
-        size = len(merged)
-        kept = merged.setdefault(event, event)
-        if len(merged) == size:
-            key = id(kept)
-            counts[key] = counts.get(key, kept.duplicates) + event.duplicates
-    out = [event if (count := counts.get(id(event))) is None else replace(event, duplicates=count)
-           for event in merged]
-    out.sort(key=_total_key)
+    # No event is hashed. Equal events have equal keys (for the int and str
+    # raw values Timestamp holds), so duplicates sit in one run of the stably
+    # sorted order; the key also makes None and "" or 5 and "5" alike, so
+    # within a run an event is compared with == against the events kept so
+    # far, and the first occurrence keeps the summed count.
+    events = list(events)
+    keys = [_total_key(event) for event in events]
+    out: list[TimelineEvent] = []
+    counts: dict[int, int] = {}  # position in out -> summed duplicates
+    run_key, run_start = None, 0
+    for index in sorted(range(len(events)), key=keys.__getitem__):
+        event = events[index]
+        if keys[index] != run_key:
+            run_key, run_start = keys[index], len(out)
+        for position in range(run_start, len(out)):
+            if out[position] == event:
+                counts[position] = counts.get(position, out[position].duplicates) + event.duplicates
+                break
+        else:
+            out.append(event)
+    for position, count in counts.items():
+        out[position] = replace(out[position], duplicates=count)
     return out
 
 
@@ -310,10 +320,10 @@ class Report:
 def build_report(events, warnings=(), generated_at: str | None = None) -> Report:
     """Merge events into a report; counts tally emitted events per app."""
     merged = merge_sort(events)
+    pairs = Counter((event.app, event.kind) for event in merged)
     counts: dict[str, dict[str, int]] = {}
-    for event in merged:
-        per_app = counts.setdefault(event.app.value, {})
-        per_app[event.kind.value] = per_app.get(event.kind.value, 0) + 1
+    for (app, kind), count in pairs.items():
+        counts.setdefault(app.value, {})[kind.value] = count
     if generated_at is None:
         now = datetime.now(timezone.utc).replace(microsecond=0)
         generated_at = now.strftime("%Y-%m-%dT%H:%M:%SZ")
@@ -348,24 +358,84 @@ def _event_fields(event: TimelineEvent) -> dict:
     }
 
 
-def emit(report: Report, format: str = "jsonl") -> bytes:
-    """Render the report as JSONL or RFC-4180 CSV bytes."""
-    if format == "jsonl":
-        out = io.StringIO()
-        for event in report.events:
-            out.write(json.dumps(_event_fields(event), ensure_ascii=False))
-            out.write("\n")
-        return out.getvalue().encode("utf-8")
-    if format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
+# json.dumps(..., ensure_ascii=False) renders a str with the first and
+# anything else that is not an int or None with the second.
+_json_str = json.encoder.encode_basestring
+_json_other = json.JSONEncoder(ensure_ascii=False).encode
+
+# One JSONL line: the EMIT_FIELDS in order, spaced as json.dumps spaces a dict.
+_JSONL_LINE = "{" + ", ".join('"%s": %%s' % name for name in EMIT_FIELDS) + "}\n"
+
+
+def _json_value(value) -> str:
+    """value as json.dumps(value, ensure_ascii=False) renders it."""
+    kind = type(value)
+    if kind is str:
+        return _json_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    return _json_other(value)
+
+
+_KIND_JSON = {kind: _json_value(kind.value) for kind in EventKind}
+_APP_JSON = {app: _json_value(app.value) for app in App}
+
+
+def _emit_jsonl(report: Report, out) -> None:
+    # The four provenance fields, rendered once per Provenance object;
+    # report.events keeps every one alive, so no id is reused meanwhile.
+    provenances: dict[int, tuple[str, str, str, str]] = {}
+    for event in report.events:
+        provenance = event.provenance
+        rendered = provenances.get(id(provenance))
+        if rendered is None:
+            rendered = provenances[id(provenance)] = (
+                _json_value(provenance.evidence_path), _json_value(provenance.byte_offset),
+                _json_value(provenance.channel.value), _json_value(provenance.extractor))
+        when = event.when
+        line = _JSONL_LINE % (
+            _json_str(when.isoformat_ms()), _json_value(when.raw), _json_value(when.encoding),
+            _KIND_JSON[event.kind], _APP_JSON[event.app], _json_value(event.actor),
+            _json_value(event.counterpart), _json_value(event.summary), *rendered,
+            _json_value(event.duplicates))
+        out.write(line.encode("utf-8", "backslashreplace"))
+
+
+def _emit_csv(report: Report, out) -> None:
+    text = io.TextIOWrapper(out, encoding="utf-8", errors="backslashreplace", newline="")
+    try:
+        writer = csv.writer(text)
         writer.writerow(EMIT_FIELDS)
         for event in report.events:
             fields = _event_fields(event)
             writer.writerow(["" if fields[name] is None else fields[name]
                              for name in EMIT_FIELDS])
-        return out.getvalue().encode("utf-8")
-    raise ValueError("unknown report format: %r" % (format,))
+    finally:
+        text.detach()  # flushes; the caller's stream stays open
+
+
+_RENDERERS = {"jsonl": _emit_jsonl, "csv": _emit_csv}
+
+
+def emit(report: Report, format: str = "jsonl", stream=None) -> bytes | None:
+    """Render the report as JSONL or RFC-4180 CSV in UTF-8.
+
+    With stream, a binary file object, each line is written to it as it is
+    rendered, the stream is left open and None is returned; without one,
+    the rendered bytes are returned.  JSONL lines are laid out as
+    json.dumps(..., ensure_ascii=False) lays out the EMIT_FIELDS.  A lone
+    surrogate, which UTF-8 cannot hold, is written as its backslash escape:
+    in JSONL that is the JSON escape parse_jsonl reads back as the same
+    string, and in CSV it is the text \\udXXX.
+    """
+    render = _RENDERERS.get(format)
+    if render is None:
+        raise ValueError("unknown report format: %r" % (format,))
+    out = io.BytesIO() if stream is None else stream
+    render(report, out)
+    return out.getvalue() if stream is None else None
 
 
 # The one layout Timestamp.isoformat_ms writes, e.g. 2015-01-22T03:45:14.666Z.

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import imartifacts
-from imartifacts import cli, forge, pcap, sqliteio, timeline
+from imartifacts import cli, forge, pcap, sampledata, sqliteio, timeline
 from imartifacts.cli import ENV_OUT, main
 from imartifacts.model import EventKind, Provenance
 
@@ -316,6 +316,50 @@ class TestPipelineCommands:
         assert "warning:" in capfd.readouterr().err
 
 
+class TestLoneSurrogate:
+    """A chat fragment in memory whose JSON escapes a lone surrogate."""
+
+    @pytest.fixture
+    def tree(self, tmp_path):
+        root = tmp_path / "evidence"
+        root.mkdir()
+        fragment = sampledata.CHAT_PUSH_JSON.replace("SUSPECT", "\\ud800").encode("ascii")
+        (root / "memdump.bin").write_bytes(bytes(40) + fragment + bytes(40))
+        return root
+
+    def test_report_writes_the_json_escape(self, tree, tmp_path, capfd):
+        out = tmp_path / "report.jsonl"
+        assert main(["report", str(tree), "--out", str(out)]) == 0
+        data = out.read_bytes()
+        assert b"SUSPECT" not in data and b"\\ud800" in data
+        events = timeline.parse_jsonl(data)
+        assert [event.summary.count("\ud800") for event in events] == [1]
+        again = timeline.Report(events=events, counts={}, warnings=[], tool_version="", generated_at="")
+        assert timeline.emit(again) == data
+
+    def test_timeline_csv_exits_0(self, tree, capfd):
+        assert main(["timeline", str(tree / "memdump.bin"), "--format", "csv"]) == 0
+        assert "\\ud800" in capfd.readouterr().out
+
+
+class TestStreamedOutput:
+    @pytest.mark.parametrize("format", ["csv", "jsonl"])
+    def test_out_and_stdout_get_the_same_bytes_without_resource_warnings(self, forged, tmp_path, format):
+        root, _ = forged
+        out = tmp_path / ("report." + format)
+        runs = []
+        for extra in (["--out", str(out)], []):
+            runs.append(subprocess.run(
+                [sys.executable, "-X", "dev", "-m", "imartifacts.cli", "report", str(root), "--format", format, *extra],
+                env=_child_env(), capture_output=True, timeout=120))
+        for run in runs:
+            assert run.returncode == 0, run.stderr
+            assert b"ResourceWarning" not in run.stderr
+        assert runs[0].stdout == b""
+        assert out.read_bytes() == runs[1].stdout
+        assert runs[1].stdout.count(b"\n") > 10
+
+
 class TestWal:
     WAL_HEADER = bytes.fromhex("377f0682") + bytes(28)
 
@@ -355,6 +399,22 @@ class TestImportCost:
         result = subprocess.run([sys.executable, "-c", probe], env=_child_env(), capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_cli_import_leaves_logging_and_textwrap_unloaded(self):
+        """Importing the command line loads neither logging nor textwrap.
+
+        logging also pulls in traceback and textwrap, 5-8 ms in every
+        process; textwrap is needed only when a hyphenated summary is cut.
+        A module the bare interpreter already loads is not counted.
+        """
+        probe = "import sys%s; print(sorted(m for m in ('logging', 'textwrap') if m in sys.modules))"
+        loaded = []
+        for extra in ("", ", imartifacts.cli"):
+            result = subprocess.run([sys.executable, "-c", probe % extra], env=_child_env(),
+                                    capture_output=True, text=True, timeout=60)
+            assert result.returncode == 0, result.stderr
+            loaded.append(result.stdout.strip())
+        assert loaded[1] == loaded[0]
 
     # Modules a report reader must not load; all are this package's own or
     # are loaded only by it, since the interpreter's site hooks may preload others.
