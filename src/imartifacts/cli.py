@@ -19,10 +19,8 @@ from .sqliteio import SQLITE_MAGIC, open_immutable, table_names
 
 ENV_OUT = "IMARTIFACTS_OUT"
 
-_PCAP_MAGICS = (
-    bytes.fromhex("a1b2c3d4"), bytes.fromhex("d4c3b2a1"),
-    bytes.fromhex("a1b23c4d"), bytes.fromhex("4d3cb2a1"),
-)
+_PCAP_MAGICS = tuple(magic.to_bytes(4, order)
+                     for magic in (pcap.MAGIC_US, pcap.MAGIC_NS) for order in ("big", "little"))
 _SKYPE_TABLES = {"accounts", "contacts", "transfers", "calls", "callmembers", "videomessages"}
 
 
@@ -48,6 +46,22 @@ class _Tally:
         self.ok: list[str] = []
         self.failed: list[str] = []
 
+    def read(self, name: str, work):
+        """work()'s result; name counts as read unless that is None (skipped).
+
+        If work() raises, the error is printed, name counts as failed and
+        None is returned.
+        """
+        try:
+            result = work()
+        except Exception as error:
+            self.failed.append(name)
+            _err("error: %s: %s" % (name, error))
+            return None
+        if result is not None:
+            self.ok.append(name)
+        return result
+
     def exit_code(self) -> int:
         if self.failed:
             return 3 if self.ok else 2
@@ -70,7 +84,7 @@ def _sniff(path: Path) -> str:
         with path.open("rb") as handle:
             head = handle.read(4096)
     except OSError:
-        return "unreadable"
+        raise OSError("cannot read %s" % path) from None
     if head.startswith(SQLITE_MAGIC):
         return "sqlite"
     if head[:4] in _PCAP_MAGICS:
@@ -81,11 +95,6 @@ def _sniff(path: Path) -> str:
         if text.startswith(("Windows Registry", "REGEDIT4")):
             return "registry"
     if head.lstrip().startswith(b"<?xml"):
-        body = path.read_bytes()
-        if b"</Lib>" in body:
-            return "shared-xml"
-        if b"</UI>" in body:
-            return "config-xml"
         return "xml"
     if name.lower().endswith(".json"):
         return "json"
@@ -129,52 +138,49 @@ def _extract_facebook_db(path: Path, warnings, present: set[str]) -> dict[str, l
 class _Gather:
     def __init__(self, catalog):
         self.catalog = pcap.catalog_index(catalog)
-        self.records: list = []
-        self.events: list = []
+        self.records: list = []  # extracted records and the events of captures and journals
         self.warnings: list[str] = []
         self.tally = _Tally()
 
     def ingest(self, path: Path, utc_offset: int = 0, kind: str | None = None) -> None:
         """Extract one input, sniffing its kind unless kind names it."""
+        self.records += self.tally.read(str(path), lambda: self._extract(path, utc_offset, kind)) or []
+
+    def _extract(self, path: Path, utc_offset: int, kind: str | None) -> list | None:
+        """The records or events of one input, or None if no extractor reads it."""
         label = str(path)
-        try:
-            kind = kind or _sniff(path)
-            if kind == "unreadable":
-                raise OSError("cannot read %s" % path)
-            if kind == "sqlite":
-                names = _table_names(path)
-                if names & _SKYPE_TABLES:
-                    dataset = skype.extract_main_db(path, self.warnings)
-                    for group in vars(dataset).values():
-                        self.records += group
-                else:
-                    for group in _extract_facebook_db(path, self.warnings, names).values():
-                        self.records += group
-            elif kind == "pcap":
-                flows = pcap.assemble_flows(pcap.read_pcap(path).packets)
-                self.events += timeline.normalize(flows, capture_path=label, catalog=self.catalog)
-            elif kind == "registry":
-                self.records += _registry_records(path)
-            elif kind == "journal-csv":
-                self.events += timeline.ingest_ntfs_csv(
-                    path, self.warnings, utc_offset_minutes=utc_offset, evidence_path=label)
-            elif kind == "shared-xml":
-                skype.parse_shared_xml(path.read_bytes())
-            elif kind == "config-xml":
-                skype.parse_config_xml(path.read_bytes())
-            elif kind == "sidecar":
-                locator.read_zone_identifier(path.read_bytes(), sidecar_path=label)
-            elif kind in ("json", "xml"):
-                self.warnings.append("no extractor for %s, skipped" % label)
-                return
+        kind = kind or _sniff(path)
+        if kind == "sqlite":
+            names = _table_names(path)
+            if names & _SKYPE_TABLES:
+                groups = vars(skype.extract_main_db(path, self.warnings)).values()
             else:
-                with path.open("rb") as handle:
-                    self.records += facebook.extract_chat_json(handle, evidence_path=label)
-        except Exception as error:
-            self.tally.failed.append(label)
-            _err("error: %s: %s" % (label, error))
-            return
-        self.tally.ok.append(label)
+                groups = _extract_facebook_db(path, self.warnings, names).values()
+            return [record for group in groups for record in group]
+        if kind == "pcap":
+            flows = pcap.assemble_flows(pcap.read_pcap(path).packets)
+            return timeline.normalize(flows, capture_path=label, catalog=self.catalog)
+        if kind == "registry":
+            return _registry_records(path, self.warnings)
+        if kind == "journal-csv":
+            return timeline.ingest_ntfs_csv(
+                path, self.warnings, utc_offset_minutes=utc_offset, evidence_path=label)
+        if kind == "xml":
+            body = path.read_bytes()
+            if b"</Lib>" in body:
+                skype.parse_shared_xml(body, self.warnings)
+                return []
+            if b"</UI>" in body:
+                skype.parse_config_xml(body, self.warnings)
+                return []
+        if kind in ("json", "xml"):
+            self.warnings.append("no extractor for %s, skipped" % label)
+            return None
+        if kind == "sidecar":
+            locator.read_zone_identifier(path.read_bytes(), sidecar_path=label)
+            return []
+        with path.open("rb") as handle:
+            return facebook.extract_chat_json(handle, evidence_path=label)
 
     def merged(self, *, fb_owner=None, skype_owner=None) -> timeline.Report:
         if fb_owner is None:
@@ -183,17 +189,17 @@ class _Gather:
         if skype_owner is None:
             accounts = [r for r in self.records if isinstance(r, skype.SkypeAccount)]
             skype_owner = accounts[0].skypename if accounts else None
-        events = self.events + timeline.normalize(
+        events = timeline.normalize(
             self.records, fb_owner_uid=fb_owner, skype_owner=skype_owner,
             catalog=self.catalog, warnings=self.warnings)
         return timeline.build_report(events, self.warnings)
 
 
-def _registry_records(path: Path) -> list:
+def _registry_records(path: Path, warnings) -> list:
     label = str(path)
     export = regexport.parse_reg_export(path.read_bytes())
     return (regexport.find_install_records(export, evidence_path=label)
-            + regexport.find_persisted_items(export, evidence_path=label))
+            + regexport.find_persisted_items(export, warnings, evidence_path=label))
 
 
 def _run_pipeline(args, paths, journal=None, root=None) -> int:
@@ -251,13 +257,9 @@ def _cmd_facebook(args) -> int:
     for name in args.databases:
         path = Path(name)
         warnings: list[str] = []
-        try:
-            groups = _extract_facebook_db(path, warnings, _table_names(path))
-        except Exception as error:
-            tally.failed.append(name)
-            _err("error: %s: %s" % (name, error))
+        groups = tally.read(name, lambda: _extract_facebook_db(path, warnings, _table_names(path)))
+        if groups is None:
             continue
-        tally.ok.append(name)
         counts = " ".join("%s=%d" % (label, len(rows)) for label, rows in groups.items())
         print("%s: %s" % (name, counts or "no recognized tables"))
         for warning in warnings:
@@ -277,13 +279,9 @@ def _cmd_skype(args) -> int:
     tally = _Tally()
     for database in databases:
         warnings: list[str] = []
-        try:
-            dataset = skype.extract_main_db(database, warnings)
-        except Exception as error:
-            tally.failed.append(str(database))
-            _err("error: %s: %s" % (database, error))
+        dataset = tally.read(str(database), lambda: skype.extract_main_db(database, warnings))
+        if dataset is None:
             continue
-        tally.ok.append(str(database))
         counts = " ".join("%s=%d" % (name, len(group)) for name, group in vars(dataset).items())
         print("%s: %s" % (database, counts))
         for warning in warnings:
@@ -293,10 +291,9 @@ def _cmd_skype(args) -> int:
 
 def _cmd_registry(args) -> int:
     path = Path(args.export)
-    try:
-        records = _registry_records(path)
-    except Exception as error:
-        _err("error: %s: %s" % (path, error))
+    warnings: list[str] = []
+    records = _Tally().read(str(path), lambda: _registry_records(path, warnings))
+    if records is None:
         return 2
     for record in records:
         if isinstance(record, regexport.InstallRecord):
@@ -304,6 +301,8 @@ def _cmd_registry(args) -> int:
         else:
             print("persisted\t%s\t%s\t%s"
                   % (record.guid, record.file_path, record.last_updated.isoformat_ms()))
+    for warning in warnings:
+        _err("warning: %s" % warning)
     return 0
 
 
@@ -316,15 +315,15 @@ def _cmd_carve(args) -> int:
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     tally = _Tally()
     index = []
+
+    def carve_file(name):
+        with open(name, "rb") as handle:
+            return carver.carve(handle, signatures, chunk_size=args.chunk_size)
+
     for name in args.raw_files:
-        try:
-            with open(name, "rb") as handle:
-                objects = carver.carve(handle, signatures, chunk_size=args.chunk_size)
-        except Exception as error:
-            tally.failed.append(name)
-            _err("error: %s: %s" % (name, error))
+        objects = tally.read(name, lambda: carve_file(name))
+        if objects is None:
             continue
-        tally.ok.append(name)
         for item in objects:
             filename = "%s_%d.bin" % (item.signature_name, item.offset)
             (Path(out_dir) / filename).write_bytes(item.payload)
@@ -343,14 +342,9 @@ def _cmd_pcap(args) -> int:
     catalog = pcap.catalog_index(_load_catalog(args.catalog))
     tally = _Tally()
     for name in args.captures:
-        try:
-            capture = pcap.read_pcap(name)
-            flows = pcap.assemble_flows(capture.packets)
-        except Exception as error:
-            tally.failed.append(name)
-            _err("error: %s: %s" % (name, error))
+        flows = tally.read(name, lambda: pcap.assemble_flows(pcap.read_pcap(name).packets))
+        if flows is None:
             continue
-        tally.ok.append(name)
         for flow in flows:
             label = pcap.label_flow(flow, catalog)
             print("%s\t%s:%d\t%s:%d\t%s\t%d packets\t%d bytes"

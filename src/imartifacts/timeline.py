@@ -340,24 +340,6 @@ EMIT_FIELDS = (
 )
 
 
-def _event_fields(event: TimelineEvent) -> dict:
-    return {
-        "when_utc": event.when.isoformat_ms(),
-        "when_raw": event.when.raw,
-        "encoding": event.when.encoding,
-        "kind": event.kind.value,
-        "app": event.app.value,
-        "actor": event.actor,
-        "counterpart": event.counterpart,
-        "summary": event.summary,
-        "evidence_path": event.provenance.evidence_path,
-        "byte_offset": event.provenance.byte_offset,
-        "channel": event.provenance.channel.value,
-        "extractor": event.provenance.extractor,
-        "duplicates": event.duplicates,
-    }
-
-
 # json.dumps(..., ensure_ascii=False) renders a str with the first and
 # anything else that is not an int or None with the second.
 _json_str = json.encoder.encode_basestring
@@ -408,10 +390,13 @@ def _emit_csv(report: Report, out) -> None:
     try:
         writer = csv.writer(text)
         writer.writerow(EMIT_FIELDS)
-        for event in report.events:
-            fields = _event_fields(event)
-            writer.writerow(["" if fields[name] is None else fields[name]
-                             for name in EMIT_FIELDS])
+        for event in report.events:  # the EMIT_FIELDS in order; csv writes None as ""
+            when, provenance = event.when, event.provenance
+            writer.writerow((
+                when.isoformat_ms(), when.raw, when.encoding, event.kind.value, event.app.value,
+                event.actor, event.counterpart, event.summary, provenance.evidence_path,
+                provenance.byte_offset, provenance.channel.value, provenance.extractor,
+                event.duplicates))
     finally:
         text.detach()  # flushes; the caller's stream stays open
 

@@ -377,6 +377,126 @@ class TestWal:
                 "warning: wal-present-not-applied: %s" % messages], command
 
 
+DAMAGED_DB = b"SQLite format 3\x00" + b"\x00" * 64
+ORPHAN_GUID = "{B2E34A15-6C11-4E5A-9D07-9A33C3E10009}"
+# A persisted-storage key without the FilePath value find_persisted_items needs.
+ORPHAN_EXPORT = (
+    "Windows Registry Editor Version 5.00\r\n\r\n"
+    "[HKEY_USERS\\S-1\\Software\\Classes\\Local Settings\\Software\\Microsoft\\Windows\\"
+    "CurrentVersion\\AppModel\\SystemAppData\\%s\\PersistedStorageItemTable\\ManagedByApp\\%s]\r\n"
+    '"LastUpdatedTime"=hex(b):00,c7,38,cd,2c,34,d0,01\r\n\r\n'
+    % (sampledata.SKYPE_PACKAGE_FAMILY, ORPHAN_GUID)
+).encode("latin-1")
+
+
+class TestPerInputOutcome:
+    """Each input is read once and counts as read, skipped or failed."""
+
+    def test_each_xml_body_is_read_once(self, tmp_path, monkeypatch, capfd):
+        other = tmp_path / "other.xml"
+        other.write_bytes(b'<?xml version="1.0"?>\r\n<config/>\r\n')
+        (tmp_path / "shared.xml").write_bytes(sampledata.SHARED_XML_DOC)
+        (tmp_path / "config.xml").write_bytes(sampledata.CONFIG_XML_DOC)
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def counted(path):
+            reads.append(path.name)
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counted)
+        assert main(["timeline", *(str(tmp_path / n) for n in ("shared.xml", "config.xml", "other.xml")),
+                     "-v"]) == 0
+        assert sorted(reads) == ["config.xml", "other.xml", "shared.xml"]
+        assert "warning: no extractor for %s, skipped" % other in capfd.readouterr().err.splitlines()
+
+    def test_skipped_input_is_neither_read_nor_failed(self, tmp_path, capfd):
+        skipped = tmp_path / "x.json"
+        skipped.write_text("{}")
+        broken = tmp_path / "broken.db"
+        broken.write_bytes(DAMAGED_DB)
+        assert main(["timeline", str(skipped), str(broken)]) == 2
+        capfd.readouterr()
+        assert main(["timeline", str(skipped), "-v"]) == 0
+        assert "warning: no extractor for %s, skipped" % skipped in capfd.readouterr().err.splitlines()
+
+    def test_dangling_symlink_cannot_be_read(self, tmp_path, capfd):
+        link = tmp_path / "gone.db"
+        link.symlink_to(tmp_path / "missing")
+        assert main(["timeline", str(link)]) == 2
+        assert "error: %s: cannot read %s" % (link, link) in capfd.readouterr().err.splitlines()
+
+    @staticmethod
+    def _alone_and_with_bad(capfd, alone, with_bad):
+        assert main(alone) == 0
+        want = capfd.readouterr().out
+        assert main(with_bad) == 3
+        captured = capfd.readouterr()
+        assert len([l for l in captured.err.splitlines() if l.startswith("error:")]) == 1
+        assert captured.out == want
+
+    def test_skype_good_and_damaged_store(self, forged, tmp_path, capfd):
+        root, _ = forged
+        good = tmp_path / "good" / "main.db"
+        good.parent.mkdir()
+        good.write_bytes((root / forge.SKYPE_ACCOUNT_DIR / "main.db").read_bytes())
+        (tmp_path / "damaged").mkdir()
+        (tmp_path / "damaged" / "main.db").write_bytes(DAMAGED_DB)
+        self._alone_and_with_bad(capfd, ["skype", str(good)], ["skype", str(tmp_path)])
+
+    def test_pcap_good_and_bad_capture(self, forged, capfd):
+        root, _ = forged
+        capture = str(root / "capture.pcap")
+        self._alone_and_with_bad(capfd, ["pcap", capture],
+                                 ["pcap", capture, str(root / "ntfs_journal.csv")])
+
+    def test_carve_good_and_missing_file(self, forged, tmp_path, capfd):
+        root, _ = forged
+        memory = str(root / "memory.bin")
+        self._alone_and_with_bad(capfd, ["carve", memory, "--out", str(tmp_path / "a")],
+                                 ["carve", memory, str(tmp_path / "missing.bin"), "--out", str(tmp_path / "b")])
+        assert (tmp_path / "a" / "index.json").read_bytes() == (tmp_path / "b" / "index.json").read_bytes()
+
+    def test_bad_registry_export_exits_2(self, forged, capfd):
+        root, _ = forged
+        assert main(["registry", str(root / "ntfs_journal.csv")]) == 2
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert len([l for l in captured.err.splitlines() if l.startswith("error:")]) == 1
+
+
+class TestParsedDiagnosticsReachTheOutput:
+    """Warnings the registry and Skype XML parsers give are printed, not dropped."""
+
+    WANT = [
+        "warning: persisted item %s lacks FilePath, skipped" % ORPHAN_GUID,
+        "warning: LastIP is not a 32-bit decimal: 'notanumber'",
+        "warning: time out of range '99999999999999' in config LastUsed",
+    ]
+
+    @pytest.fixture
+    def tree(self, tmp_path):
+        root = tmp_path / "evidence"
+        root.mkdir()
+        (root / "export.reg").write_bytes(ORPHAN_EXPORT)
+        (root / "shared.xml").write_bytes(
+            sampledata.SHARED_XML_DOC.replace(b"1940151468", b"notanumber"))
+        (root / "config.xml").write_bytes(
+            sampledata.CONFIG_XML_DOC.replace(b"1421679670", b"99999999999999"))
+        return root
+
+    def test_timeline_and_report_print_them(self, tree, capfd):
+        inputs = [str(tree / n) for n in ("export.reg", "shared.xml", "config.xml")]
+        for command in (["timeline", *inputs, "-v"], ["report", str(tree), "-v"]):
+            assert main(command) == 0
+            lines = capfd.readouterr().err.splitlines()
+            assert sorted(l for l in lines if l in self.WANT) == sorted(self.WANT), command
+
+    def test_registry_prints_them(self, tree, capfd):
+        assert main(["registry", str(tree / "export.reg")]) == 0
+        assert capfd.readouterr().err.splitlines() == [self.WANT[0]]
+
+
 class TestUsage:
     def test_no_command(self, capfd):
         assert main([]) == 1

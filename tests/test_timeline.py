@@ -815,13 +815,32 @@ class TestWhenUtc:
         assert calls == []
 
 
+# The EMIT_FIELDS of one event by name: the reference both renderers are checked against.
+def _event_fields(event: TimelineEvent) -> dict:
+    return {
+        "when_utc": event.when.isoformat_ms(),
+        "when_raw": event.when.raw,
+        "encoding": event.when.encoding,
+        "kind": event.kind.value,
+        "app": event.app.value,
+        "actor": event.actor,
+        "counterpart": event.counterpart,
+        "summary": event.summary,
+        "evidence_path": event.provenance.evidence_path,
+        "byte_offset": event.provenance.byte_offset,
+        "channel": event.provenance.channel.value,
+        "extractor": event.provenance.extractor,
+        "duplicates": event.duplicates,
+    }
+
+
 def reference_emit_csv(report):
     """The StringIO rendering that the streaming CSV writer replaced: the oracle for its bytes."""
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(timeline.EMIT_FIELDS)
     for event in report.events:
-        fields = timeline._event_fields(event)
+        fields = _event_fields(event)
         writer.writerow(["" if fields[name] is None else fields[name] for name in timeline.EMIT_FIELDS])
     return out.getvalue().encode("utf-8")
 
@@ -884,7 +903,7 @@ class TestEmitOracle:
     @given(st.lists(EVENTS, max_size=6))
     def test_jsonl_lines_equal_json_dumps(self, events):
         data = timeline.emit(bare_report(events), "jsonl")
-        want = [json.dumps(timeline._event_fields(event), ensure_ascii=False) for event in events]
+        want = [json.dumps(_event_fields(event), ensure_ascii=False) for event in events]
         assert data.decode("utf-8").split("\n") == want + [""]
         assert_streamed(bare_report(events), "jsonl", data)
 
