@@ -8,7 +8,6 @@ result equals a whole-buffer scan.
 
 from __future__ import annotations
 
-import hashlib
 import io
 from dataclasses import dataclass
 
@@ -85,6 +84,8 @@ class CarvedObject:
         return len(self.payload)
 
     def sha256(self) -> str:
+        import hashlib  # only the carve command's index needs it
+
         return hashlib.sha256(self.payload).hexdigest()
 
 

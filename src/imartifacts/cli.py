@@ -45,9 +45,10 @@ class _Tally:
     def __init__(self):
         self.ok: list[str] = []
         self.failed: list[str] = []
+        self.skipped: list[str] = []
 
     def read(self, name: str, work):
-        """work()'s result; name counts as read unless that is None (skipped).
+        """work()'s result; name counts as read, or as skipped if that is None.
 
         If work() raises, the error is printed, name counts as failed and
         None is returned.
@@ -58,13 +59,20 @@ class _Tally:
             self.failed.append(name)
             _err("error: %s: %s" % (name, error))
             return None
-        if result is not None:
-            self.ok.append(name)
+        (self.skipped if result is None else self.ok).append(name)
         return result
 
     def exit_code(self) -> int:
+        """3 if some inputs failed and others were read, 2 if none was read
+        but some failed or were skipped, else 0.
+
+        When every input was skipped, no error line has been printed yet, so one is.
+        """
         if self.failed:
             return 3 if self.ok else 2
+        if self.skipped and not self.ok:
+            _err("error: nothing usable: no extractor reads any of %d input(s)" % len(self.skipped))
+            return 2
         return 0
 
 

@@ -431,36 +431,61 @@ def _utc_from_when(text: str) -> datetime:
     """Instant of an emitted when_utc; other text goes through ts_from_iso_text."""
     if _WHEN_UTC_RE.fullmatch(text):
         try:
-            # Without the Z, so that Python 3.10's fromisoformat accepts it.
-            return datetime.fromisoformat(text[:-1]).replace(tzinfo=timezone.utc)
+            # +00:00 rather than Z, which Python 3.10's fromisoformat rejects;
+            # both give timezone.utc.
+            return datetime.fromisoformat(text[:-1] + "+00:00")
         except ValueError:
             pass
     return ts_from_iso_text(text).utc_instant
 
 
+# What json.loads calls for a str, without its per-call argument checks.
+_decode_json = json.JSONDecoder().decode
+
+_KINDS = {kind.value: kind for kind in EventKind}
+_APPS = {app.value: app for app in App}
+_CHANNELS = {channel.value: channel for channel in Channel}
+
+
+def _member(members: dict, enum_type, value):
+    """enum_type(value), looked up in members first; a miss raises as enum_type does."""
+    try:
+        return members[value]
+    except (KeyError, TypeError):  # unknown or unhashable
+        return enum_type(value)
+
+
 def parse_jsonl(data: bytes | str) -> list[TimelineEvent]:
-    """Rebuild the event list emit() serialized; emit∘parse is identity."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    """Rebuild the event list emit() serialized; emit∘parse is identity.
+
+    Events from one source share one Provenance, as normalize builds them.
+    """
+    text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
     events: list[TimelineEvent] = []
+    provenances: dict[tuple, Provenance] = {}
+    # Fields are read and checked in the order of the constructor calls, so a
+    # line with several faults raises what the first one raises.
     for line in text.splitlines():
         if not line.strip():
             continue
-        fields = json.loads(line)
+        fields = _decode_json(line)
         instant = _utc_from_when(fields["when_utc"])
         when = Timestamp(instant, fields["encoding"], fields["when_raw"])
-        events.append(TimelineEvent(
-            when=when,
-            kind=EventKind(fields["kind"]),
-            app=App(fields["app"]),
-            summary=fields["summary"],
-            provenance=Provenance(
-                evidence_path=fields["evidence_path"],
-                extractor=fields["extractor"],
-                channel=Channel(fields["channel"]),
-                byte_offset=fields["byte_offset"],
-            ),
-            actor=fields["actor"],
-            counterpart=fields["counterpart"],
-            duplicates=fields.get("duplicates", 1),
-        ))
+        kind = _member(_KINDS, EventKind, fields["kind"])
+        app = _member(_APPS, App, fields["app"])
+        summary = fields["summary"]
+        path, extractor = fields["evidence_path"], fields["extractor"]
+        channel = _member(_CHANNELS, Channel, fields["channel"])
+        offset = fields["byte_offset"]
+        # Only exact str and int values are shared: JSON's 1, 1.0 and true
+        # (or 0.0 and -0.0) are equal in Python, and a list is unhashable.
+        if type(path) is str and type(extractor) is str and (offset is None or type(offset) is int):
+            key = (path, extractor, channel, offset)
+            provenance = provenances.get(key)
+            if provenance is None:
+                provenance = provenances[key] = Provenance(path, extractor, channel, offset)
+        else:
+            provenance = Provenance(path, extractor, channel, offset)
+        events.append(TimelineEvent(when, kind, app, summary, provenance, fields["actor"],
+                                    fields["counterpart"], fields.get("duplicates", 1)))
     return events

@@ -417,8 +417,20 @@ class TestPerInputOutcome:
         broken.write_bytes(DAMAGED_DB)
         assert main(["timeline", str(skipped), str(broken)]) == 2
         capfd.readouterr()
-        assert main(["timeline", str(skipped), "-v"]) == 0
+        assert main(["timeline", str(skipped), "-v"]) == 2
         assert "warning: no extractor for %s, skipped" % skipped in capfd.readouterr().err.splitlines()
+
+    @pytest.mark.parametrize("command", ["timeline", "report"])
+    def test_run_of_only_skipped_inputs_says_nothing_was_read(self, tmp_path, capfd, command):
+        for name in ("x.json", "y.json"):
+            (tmp_path / name).write_text("{}")
+        (tmp_path / "other.xml").write_bytes(b'<?xml version="1.0"?>\r\n<config/>\r\n')
+        target = [str(tmp_path)] if command == "report" else sorted(map(str, tmp_path.iterdir()))
+        assert main([command, *target]) == 2
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "0 events, 3 warnings", "error: nothing usable: no extractor reads any of 3 input(s)"]
 
     def test_dangling_symlink_cannot_be_read(self, tmp_path, capfd):
         link = tmp_path / "gone.db"
@@ -528,6 +540,23 @@ class TestImportCost:
         A module the bare interpreter already loads is not counted.
         """
         probe = "import sys%s; print(sorted(m for m in ('logging', 'textwrap') if m in sys.modules))"
+        loaded = []
+        for extra in ("", ", imartifacts.cli"):
+            result = subprocess.run([sys.executable, "-c", probe % extra], env=_child_env(),
+                                    capture_output=True, text=True, timeout=60)
+            assert result.returncode == 0, result.stderr
+            loaded.append(result.stdout.strip())
+        assert loaded[1] == loaded[0]
+
+    def test_cli_import_leaves_hashlib_unloaded(self):
+        """Importing the command line does not load hashlib.
+
+        Only CarvedObject.sha256, for the carve command's index, needs it;
+        importing hashlib and _hashlib costs about 2 ms and, as _hashlib maps
+        OpenSSL's libcrypto, about 3.5 MiB of RSS in every process.
+        A module the bare interpreter already loads is not counted.
+        """
+        probe = "import sys%s; print(sorted(m for m in ('hashlib', '_hashlib') if m in sys.modules))"
         loaded = []
         for extra in ("", ", imartifacts.cli"):
             result = subprocess.run([sys.executable, "-c", probe % extra], env=_child_env(),

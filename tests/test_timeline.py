@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import random
+import re
 import textwrap
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -23,6 +24,7 @@ from imartifacts.model import (
     OutOfRange,
     Timestamp,
     TimelineEvent,
+    ts_from_iso_text,
     ts_from_unix,
 )
 from test_model import reference_ts_from_iso_text
@@ -986,3 +988,160 @@ class TestMergeOracle:
         assert [repr(event) for event in merged] == [repr(event) for event in expected]
         assert [event.duplicates for event in merged] == [event.duplicates for event in expected]
         assert sum(event.duplicates for event in merged) == sum(event.duplicates for event in inputs)
+
+
+# parse_jsonl and _utc_from_when as they were before parse_jsonl shared
+# Provenances and looked enum members up in dicts: the oracle for the load path.
+_REFERENCE_WHEN_UTC_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}\.[0-9]{3}Z")
+
+
+def _reference_utc_from_when(text: str) -> datetime:
+    """Instant of an emitted when_utc; other text goes through ts_from_iso_text."""
+    if _REFERENCE_WHEN_UTC_RE.fullmatch(text):
+        try:
+            # Without the Z, so that Python 3.10's fromisoformat accepts it.
+            return datetime.fromisoformat(text[:-1]).replace(tzinfo=timezone.utc)
+        except ValueError:
+            pass
+    return ts_from_iso_text(text).utc_instant
+
+
+def reference_parse_jsonl(data: bytes | str) -> list[TimelineEvent]:
+    """Rebuild the event list emit() serialized; emit∘parse is identity."""
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    events: list[TimelineEvent] = []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        fields = json.loads(line)
+        instant = _reference_utc_from_when(fields["when_utc"])
+        when = Timestamp(instant, fields["encoding"], fields["when_raw"])
+        events.append(TimelineEvent(
+            when=when,
+            kind=EventKind(fields["kind"]),
+            app=App(fields["app"]),
+            summary=fields["summary"],
+            provenance=Provenance(
+                evidence_path=fields["evidence_path"],
+                extractor=fields["extractor"],
+                channel=Channel(fields["channel"]),
+                byte_offset=fields["byte_offset"],
+            ),
+            actor=fields["actor"],
+            counterpart=fields["counterpart"],
+            duplicates=fields.get("duplicates", 1),
+        ))
+    return events
+
+
+def load_outcome(parse, data):
+    """What parse makes of data: the exception type it raises, or the re-emitted bytes and reprs.
+
+    The bytes tell 1, 1.0 and true apart, which == does not.
+    """
+    try:
+        events = parse(data)
+    except Exception as error:
+        return type(error)
+    return timeline.emit(bare_report(events), "jsonl"), [repr(event) for event in events]
+
+
+GOLDEN_LINES = GOLDEN_SEED7.read_text(encoding="utf-8").splitlines()
+MISSING = object()  # a field the line lacks
+# Values of the wrong type, or equal in Python but told apart by JSON.
+WRONG_VALUES = [1, 1.0, True, False, 0, 0.0, -0.0, 2**70, float("nan"), None, "", [], [1], {}, {"a": 1}]
+ODD_WHEN_UTC = [
+    "2015-01-22 03:45:14.666Z", "2015-01-22T03:45:14Z", "2015-01-22T03:45:14.666",
+    "2015-01-22T03:45:14.666+01:00", " 2015-01-22T03:45:14.666Z ", "2015-13-22T03:45:14.666Z",
+    "2015-02-30T03:45:14.666Z", "2015-01-22T24:00:00.000Z", "0000-01-01T00:00:00.000Z",
+    "1600-12-31T23:59:59.999Z", "２０１５-01-22T03:45:14.666Z", "0001-01-01T00:00:00+01:00", "yesterday",
+]
+FIELD_VALUES = {
+    "when_utc": ODD_WHEN_UTC,
+    "encoding": ["unix_seconds", "iso_text", "epoch"],
+    "kind": [kind.value for kind in EventKind] + ["appinstall", "Nope"],
+    "app": [app.value for app in App] + ["Skype"],
+    "channel": [channel.value for channel in Channel] + ["CARVED", "memory"],
+    "byte_offset": [0, 1, 1.0, True, -0.0],
+}
+FIELD_EDIT = st.sampled_from(timeline.EMIT_FIELDS).flatmap(lambda name: st.tuples(
+    st.just(name), st.sampled_from([MISSING, *WRONG_VALUES, *FIELD_VALUES.get(name, ())])))
+ODD_LINES = ["", "   ", "\t", "\x0c", "[]", "1", "null", '"x"', "{", "{}", "﻿{}", '{"when_utc": 1}']
+
+
+@st.composite
+def hostile_jsonl(draw):
+    """Emitted lines, some with edited fields or copied onto a carved offset, among odd lines."""
+    lines = timeline.emit(bare_report(draw(st.lists(EVENTS, max_size=3))), "jsonl").decode("utf-8").split("\n")[:-1]
+    lines += draw(st.lists(st.sampled_from(GOLDEN_LINES), max_size=4))
+    out = []
+    for line in lines:
+        fields = json.loads(line)
+        for name, value in draw(st.lists(FIELD_EDIT, max_size=2)):
+            if value is MISSING:
+                fields.pop(name, None)
+            else:
+                fields[name] = value
+        out.append(json.dumps(fields, ensure_ascii=draw(st.booleans())))
+        # The same source at offsets that are equal in Python but not in JSON.
+        for offset in draw(st.lists(st.sampled_from([0, 0.0, -0.0, 1, 1.0, True]), max_size=3)):
+            out.append(json.dumps(dict(fields, channel="carved", byte_offset=offset)))
+    for odd in draw(st.lists(st.sampled_from(ODD_LINES), max_size=3)):
+        out.insert(draw(st.integers(0, len(out))), odd)
+    out = [("\x0c%s\x0c" % line) if draw(st.booleans()) else line for line in out]
+    separator = draw(st.sampled_from(["\n", "\r\n"]))
+    text = separator.join(out) + draw(st.sampled_from(["", separator]))
+    return text.encode("utf-8") if draw(st.booleans()) else text
+
+
+class TestParseJsonlOracle:
+    @EMIT_PROPERTY
+    @given(hostile_jsonl())
+    def test_equals_reference_parse(self, data):
+        assert load_outcome(timeline.parse_jsonl, data) == load_outcome(reference_parse_jsonl, data)
+
+    @pytest.mark.parametrize("missing", timeline.EMIT_FIELDS)
+    def test_first_fault_decides_the_exception(self, missing):
+        # One field missing and another wrong: the first one read must raise.
+        line = json.loads(GOLDEN_LINES[0])
+        for base in (line, dict(line, channel="carved", byte_offset=7)):
+            for name in timeline.EMIT_FIELDS:
+                for value in ("Nope", "", None, 1.0, []):
+                    fields = dict(base, **{name: value})
+                    fields.pop(missing)
+                    data = json.dumps(fields)
+                    assert load_outcome(timeline.parse_jsonl, data) == load_outcome(reference_parse_jsonl, data)
+
+    def test_golden_report_equals_reference_parse(self):
+        data = GOLDEN_SEED7.read_bytes()
+        events = timeline.parse_jsonl(data)
+        assert events == reference_parse_jsonl(data)
+        assert timeline.emit(bare_report(events), "jsonl") == data
+        assert timeline.parse_jsonl(bytearray(data)) == events  # json.loads took a bytearray line too
+
+    def test_offsets_json_tells_apart_share_no_provenance(self):
+        line = json.loads(GOLDEN_LINES[0])
+        offsets = [0, 0.0, -0.0, 1, 1.0, True, 1]
+        data = "\n".join(json.dumps(dict(line, channel="carved", byte_offset=offset)) for offset in offsets)
+        events = timeline.parse_jsonl(data)
+        assert load_outcome(timeline.parse_jsonl, data) == load_outcome(reference_parse_jsonl, data)
+        assert [type(event.provenance.byte_offset) for event in events] == [type(o) for o in offsets]
+        assert len({id(event.provenance) for event in events}) == 6  # only the two int 1s share one
+
+    def test_events_from_one_source_share_one_provenance(self):
+        events = timeline.parse_jsonl(GOLDEN_SEED7.read_bytes())
+        by_source = {}
+        for event in events:
+            p = event.provenance
+            by_source.setdefault((p.evidence_path, p.extractor, p.channel, p.byte_offset), set()).add(id(p))
+        assert len(by_source) < len(events)
+        assert all(len(ids) == 1 for ids in by_source.values())
+
+    @pytest.mark.parametrize("value", [["AppInstall"], {"a": 1}, 1, None, "appinstall"])
+    def test_odd_enum_value_raises_as_enum_does(self, value):
+        line = dict(json.loads(GOLDEN_LINES[0]), kind=value)
+        with pytest.raises(ValueError) as error:
+            timeline.parse_jsonl(json.dumps(line))
+        with pytest.raises(ValueError) as want:
+            EventKind(value)
+        assert str(error.value) == str(want.value)
