@@ -12,12 +12,15 @@ import argparse
 import json
 import os
 import sys
+import threading
 from pathlib import Path
 
 from . import carver, facebook, forge, locator, pcap, regexport, skype, timeline
+from .model import ExtractionError
 from .sqliteio import SQLITE_MAGIC, open_immutable, table_names
 
 ENV_OUT = "IMARTIFACTS_OUT"
+SCAN_WORKER_MIN_BYTES = 64 << 20  # raw inputs this large may be scanned in a forked worker
 
 _PCAP_MAGICS = tuple(magic.to_bytes(4, order)
                      for magic in (pcap.MAGIC_US, pcap.MAGIC_NS) for order in ("big", "little"))
@@ -150,12 +153,17 @@ class _Gather:
         self.warnings: list[str] = []
         self.tally = _Tally()
 
-    def ingest(self, path: Path, utc_offset: int = 0, kind: str | None = None) -> None:
-        """Extract one input, sniffing its kind unless kind names it."""
-        self.records += self.tally.read(str(path), lambda: self._extract(path, utc_offset, kind)) or []
+    def ingest(self, path: Path, utc_offset: int = 0, kind: str | None = None, worker=None) -> None:
+        """Extract one input, sniffing its kind unless kind names it.
 
-    def _extract(self, path: Path, utc_offset: int, kind: str | None) -> list | None:
+        With a worker from _start_scans, the input's fragments are that worker's result.
+        """
+        self.records += self.tally.read(str(path), lambda: self._extract(path, utc_offset, kind, worker)) or []
+
+    def _extract(self, path: Path, utc_offset: int, kind: str | None, worker) -> list | None:
         """The records or events of one input, or None if no extractor reads it."""
+        if worker is not None:
+            return _scan_result(worker, path)
         label = str(path)
         kind = kind or _sniff(path)
         if kind == "sqlite":
@@ -187,8 +195,7 @@ class _Gather:
         if kind == "sidecar":
             locator.read_zone_identifier(path.read_bytes(), sidecar_path=label)
             return []
-        with path.open("rb") as handle:
-            return facebook.extract_chat_json(handle, evidence_path=label)
+        return _scan_raw(path)
 
     def merged(self, *, fb_owner=None, skype_owner=None) -> timeline.Report:
         if fb_owner is None:
@@ -210,16 +217,131 @@ def _registry_records(path: Path, warnings) -> list:
             + regexport.find_persisted_items(export, warnings, evidence_path=label))
 
 
+def _scan_raw(path: Path) -> list:
+    with path.open("rb") as handle:
+        return facebook.extract_chat_json(handle, evidence_path=str(path))
+
+
+# ---------------------------------------------------------------------------
+# Scans of large raw inputs in forked workers
+
+
+def _start_scans(paths: list[Path]) -> dict[int, tuple[int, int]]:
+    """Fork a scan of each of the last large raw inputs: {position in paths: (pid, pipe read end)}.
+
+    Large means that _sniff calls it raw and it holds at least
+    SCAN_WORKER_MIN_BYTES.  There is one worker fewer than usable CPUs at
+    most, and they take the last such inputs, which this process reaches
+    last.  Without os.fork or os.sched_getaffinity, or with one CPU, there
+    are none; nor while another thread runs, since a lock it holds would
+    stay held in a forked child.
+    """
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return {}
+    spare = len(os.sched_getaffinity(0)) - 1
+    if spare < 1:
+        return {}
+    large = []
+    for index, path in enumerate(paths):
+        try:
+            if path.stat().st_size >= SCAN_WORKER_MIN_BYTES and _sniff(path) == "raw":
+                large.append(index)
+        except OSError:
+            pass  # read in-line, which reports the error at its turn
+    workers: dict[int, tuple[int, int]] = {}
+    for index in large[-spare:]:
+        try:
+            workers[index] = _fork_scan(paths[index], workers.values())
+        except OSError:
+            break  # no process to be had: the rest are scanned in-line
+    return workers
+
+
+def _fork_scan(path: Path, others) -> tuple[int, int]:
+    """Start a child that sends _scan_raw(path) through a pipe: (its pid, the read end).
+
+    The child writes the pickle of (True, fragments) or (False, error text)
+    and ends with os._exit, so it never returns into the caller's code.
+    others are the workers already started, whose read ends it closes.
+    """
+    import pickle
+
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            for _, other in others:
+                os.close(other)
+            try:
+                result = (True, _scan_raw(path))
+            except Exception as error:
+                result = (False, str(error))
+            data = memoryview(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+            while data:
+                data = data[os.write(write_end, data):]
+            os.close(write_end)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _scan_result(worker: tuple[int, int], path: Path) -> list:
+    """The fragments the worker scanning path sent; ExtractionError if it sent an error or nothing."""
+    import pickle
+
+    chunks = []
+    try:
+        while chunk := os.read(worker[1], 1 << 20):
+            chunks.append(chunk)
+    except BaseException:
+        _reap(worker, kill=True)
+        raise
+    status = _reap(worker)
+    if not chunks or status != 0:
+        raise ExtractionError("scan worker for %s ended without a result (status %d)" % (path, status))
+    ok, value = pickle.loads(b"".join(chunks))
+    if not ok:
+        raise ExtractionError(value)
+    return value
+
+
+def _reap(worker: tuple[int, int], kill: bool = False) -> int:
+    """Close the worker's read end and wait for it to end, killing it first if kill; its exit code."""
+    pid, read_end = worker
+    os.close(read_end)
+    if kill:
+        import signal
+
+        os.kill(pid, signal.SIGKILL)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
 def _run_pipeline(args, paths, journal=None, root=None) -> int:
     """Gather paths, then the journal CSV if given, merge and emit the timeline.
 
-    With root, evidence paths are rewritten relative to it.
+    With root, evidence paths are rewritten relative to it.  The largest raw
+    inputs are scanned in forked workers (_start_scans) while this process
+    reads the others; each worker's result is taken at its input's turn.
     """
     gather = _Gather(_load_catalog(args.catalog))
-    for path in paths:
-        gather.ingest(path, utc_offset=args.utc_offset)
-    if journal is not None:
-        gather.ingest(journal, utc_offset=args.utc_offset, kind="journal-csv")
+    workers = _start_scans(paths)
+    try:
+        for index, path in enumerate(paths):
+            gather.ingest(path, utc_offset=args.utc_offset, worker=workers.pop(index, None))
+        if journal is not None:
+            gather.ingest(journal, utc_offset=args.utc_offset, kind="journal-csv")
+    finally:
+        for worker in workers.values():  # left only if this process raised
+            _reap(worker, kill=True)
     report = gather.merged(fb_owner=args.fb_owner, skype_owner=args.skype_owner)
     if root is not None:
         report.events = forge.relativize_events(report.events, root)

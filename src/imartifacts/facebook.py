@@ -500,7 +500,7 @@ def _fragment_from_region(buf: bytes, lo: int, hi: int, marker_rel: int, base: i
             offset = base + candidate
             try:
                 obj = json.loads(blob.decode("utf-8", errors="replace"))
-            except ValueError:
+            except (ValueError, RecursionError):  # nesting deeper than the decoder's stack
                 return ChatFragment(offset=offset, parsed=False, raw=blob, provenance=provenance_at(offset))
             if not isinstance(obj, dict):
                 return ChatFragment(offset=offset, parsed=False, raw=blob, provenance=provenance_at(offset))

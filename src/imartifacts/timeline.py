@@ -465,8 +465,11 @@ def parse_jsonl(data: bytes | str) -> list[TimelineEvent]:
     provenances: dict[tuple, Provenance] = {}
     # Fields are read and checked in the order of the constructor calls, so a
     # line with several faults raises what the first one raises.
-    for line in text.splitlines():
-        if not line.strip():
+    # Lines end at "\n" only: str.splitlines would also break at U+0085,
+    # U+2028 and U+2029, which emit writes raw inside JSON strings.
+    for line in text.split("\n"):
+        line = line.strip()
+        if not line:
             continue
         fields = _decode_json(line)
         instant = _utc_from_when(fields["when_utc"])

@@ -1,17 +1,22 @@
+import errno
 import gc
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
 import pytest
 
 import imartifacts
-from imartifacts import cli, forge, pcap, sampledata, sqliteio, timeline
+from imartifacts import cli, facebook, forge, pcap, sampledata, skype, sqliteio, timeline
 from imartifacts.cli import ENV_OUT, main
-from imartifacts.model import EventKind, Provenance
+from imartifacts.model import EventKind, ExtractionError, Provenance
+from test_facebook import DEEP_CHAT_REGION
 
 
 @pytest.fixture(scope="module")
@@ -477,6 +482,255 @@ class TestPerInputOutcome:
         assert len([l for l in captured.err.splitlines() if l.startswith("error:")]) == 1
 
 
+def _outcome(capfdbinary, argv):
+    """Exit code, stdout and stderr bytes of one in-process run."""
+    code = main(argv)
+    out, err = capfdbinary.readouterr()
+    return code, out, err
+
+
+def _send_raw_to_workers(monkeypatch, cpus=16):
+    """Scan every raw input in a forked worker, with cpus usable CPUs; the list of paths forked for."""
+    forked = []
+    fork_scan = cli._fork_scan
+
+    def recording(path, others):
+        forked.append(path)
+        return fork_scan(path, others)
+
+    monkeypatch.setattr(cli, "SCAN_WORKER_MIN_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(cli, "_fork_scan", recording)
+    return forked
+
+
+def _open_fds():
+    return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
+
+
+def _pipe_read_ends():
+    """This process's open descriptors above 2 that are read ends of pipes."""
+    import fcntl
+
+    ends = []
+    for name in os.listdir("/proc/self/fd"):
+        fd = int(name)
+        try:
+            mode, flags = os.fstat(fd).st_mode, fcntl.fcntl(fd, fcntl.F_GETFL)
+        except OSError:  # the descriptor listdir itself used
+            continue
+        if fd > 2 and stat.S_ISFIFO(mode) and flags & os.O_ACCMODE == os.O_RDONLY:
+            ends.append(fd)
+    return ends
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestScanWorkers:
+    """Raw inputs scanned in forked workers give the in-line output, errors and exit code."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_forged_seed_gives_the_in_line_output(self, seed, tmp_path, monkeypatch, capfdbinary):
+        root = tmp_path / "evidence"
+        forge.forge_fixture(seed, root)
+        files = [str(p) for p in sorted(root.rglob("*")) if p.is_file()]
+        commands = [["report", str(root), "--format", "jsonl", "-v"],
+                    ["timeline", *files, "--format", "csv", "-v"]]
+        in_line = [_outcome(capfdbinary, argv) for argv in commands]
+        forked = _send_raw_to_workers(monkeypatch)
+        fds = _open_fds()
+        assert [_outcome(capfdbinary, argv) for argv in commands] == in_line
+        assert forked.count(root / forge.MEMORY_NAME) == 2
+        assert _open_fds() == fds
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [ExtractionError("read failed at offset 7"), ValueError("odd bytes")])
+    def test_extractor_error_gives_the_in_line_error_line(self, forged, tmp_path, monkeypatch, capfdbinary, error):
+        root, _ = forged
+        memory = root / forge.MEMORY_NAME
+
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(facebook, "extract_chat_json", failing)
+        argv = ["timeline", fb_db(root, "Messages.sqlite"), str(memory), str(tmp_path / "missing.bin")]
+        in_line = _outcome(capfdbinary, argv)
+        forked = _send_raw_to_workers(monkeypatch)
+        assert _outcome(capfdbinary, argv) == in_line
+        assert forked == [memory]
+        assert in_line[0] == 3
+        assert ("error: %s: %s" % (memory, error)).encode() in in_line[2].splitlines()
+        _assert_no_child_left()
+
+    def test_worker_that_dies_gives_one_error_line_and_exit_3(self, forged, monkeypatch, capfdbinary):
+        root, _ = forged
+        memory = root / forge.MEMORY_NAME
+        monkeypatch.setattr(facebook, "extract_chat_json", lambda *args, **kwargs: os._exit(9))
+        forked = _send_raw_to_workers(monkeypatch)
+        code, out, err = _outcome(capfdbinary, ["timeline", fb_db(root, "Messages.sqlite"), str(memory)])
+        assert (code, forked) == (3, [memory])
+        assert [line for line in err.splitlines() if line.startswith(b"error:")] == [
+            b"error: %s: scan worker for %s ended without a result (status 9)" % (bytes(memory), bytes(memory))]
+        assert timeline.parse_jsonl(out)
+        _assert_no_child_left()
+
+    def test_worker_that_dies_while_sending_gives_one_error_line(self, forged, monkeypatch, capfdbinary):
+        root, _ = forged
+        memory = root / forge.MEMORY_NAME
+        write = os.write
+
+        def half_then_die(fd, data):  # only the worker calls os.write during main
+            write(fd, bytes(data[:len(data) // 2]))
+            os._exit(7)
+
+        forked = _send_raw_to_workers(monkeypatch)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "write", half_then_die)
+            code, _, err = _outcome(capfdbinary, ["timeline", fb_db(root, "Messages.sqlite"), str(memory)])
+        assert (code, forked) == (3, [memory])
+        assert [line for line in err.splitlines() if line.startswith(b"error:")] == [
+            b"error: %s: scan worker for %s ended without a result (status 7)" % (bytes(memory), bytes(memory))]
+        _assert_no_child_left()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors through /proc")
+    def test_each_worker_holds_no_pipe_read_end(self, tmp_path, monkeypatch):
+        paths = [tmp_path / name for name in ("a.bin", "b.bin", "c.bin")]
+        for path in paths:
+            path.write_bytes(b"raw")
+        _send_raw_to_workers(monkeypatch)
+        inherited = _pipe_read_ends()
+        monkeypatch.setattr(cli, "_scan_raw", lambda path: sorted(set(_pipe_read_ends()) - set(inherited)))
+        workers = cli._start_scans(paths)
+        assert sorted(workers) == [0, 1, 2]
+        assert [cli._scan_result(workers[index], path) for index, path in enumerate(paths)] == [[], [], []]
+        _assert_no_child_left()
+
+    def test_path_given_twice_is_read_twice(self, forged, monkeypatch, capfdbinary):
+        root, _ = forged
+        memory = root / forge.MEMORY_NAME
+        argv = ["timeline", str(memory), str(memory)]
+        in_line = _outcome(capfdbinary, argv)
+        forked = _send_raw_to_workers(monkeypatch)
+        assert _outcome(capfdbinary, argv) == in_line
+        assert forked == [memory, memory]
+        assert [event.duplicates for event in timeline.parse_jsonl(in_line[1])] == [2]
+        _assert_no_child_left()
+
+    def test_only_the_last_large_raw_inputs_are_forked_and_only_they_sniffed_first(
+            self, tmp_path, monkeypatch, capfdbinary):
+        small, first, second = tmp_path / "small.bin", tmp_path / "first.bin", tmp_path / "second.bin"
+        small.write_bytes(b"x" * 10)
+        for path in (first, second):
+            path.write_bytes(b"x" * 100 + sampledata.CHAT_PUSH_JSON.encode("utf-8"))
+        argv = ["timeline", str(first), str(small), str(second), str(first)]
+        in_line = _outcome(capfdbinary, argv)
+        forked = _send_raw_to_workers(monkeypatch, cpus=2)
+        monkeypatch.setattr(cli, "SCAN_WORKER_MIN_BYTES", 50)
+        sniffed = []
+        sniff = cli._sniff
+        monkeypatch.setattr(cli, "_sniff", lambda path: sniffed.append(path.name) or sniff(path))
+        assert _outcome(capfdbinary, argv) == in_line
+        assert forked == [first]  # one CPU to spare: the last large input, at position 3
+        assert sniffed == ["first.bin", "second.bin", "first.bin",  # large ones, before any is read
+                           "first.bin", "small.bin", "second.bin"]  # in-line, at their turn
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity", "one CPU"])
+    def test_without_fork_affinity_or_a_spare_cpu_everything_runs_in_line(
+            self, forged, monkeypatch, capfdbinary, missing):
+        root, _ = forged
+        argv = ["report", str(root), "-v"]
+        in_line = _outcome(capfdbinary, argv)
+        forked = _send_raw_to_workers(monkeypatch, cpus=1 if missing == "one CPU" else 16)
+        if missing != "one CPU":
+            monkeypatch.delattr(os, missing)
+        assert _outcome(capfdbinary, argv) == in_line
+        assert forked == []
+
+    def test_no_fork_while_another_thread_runs(self, forged, monkeypatch, capfdbinary):
+        root, _ = forged
+        argv = ["report", str(root), "-v"]
+        in_line = _outcome(capfdbinary, argv)
+        forked = _send_raw_to_workers(monkeypatch)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait, args=(60,))
+        thread.start()
+        try:
+            assert _outcome(capfdbinary, argv) == in_line
+        finally:
+            stop.set()
+            thread.join(60)
+        assert not thread.is_alive()
+        assert forked == []
+
+    def test_failed_fork_leaves_the_rest_in_line(self, forged, monkeypatch, capfdbinary):
+        root, _ = forged
+        argv = ["report", str(root), "-v"]
+        in_line = _outcome(capfdbinary, argv)
+        forked = _send_raw_to_workers(monkeypatch)
+
+        def no_process():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_process)
+        fds = _open_fds()
+        assert _outcome(capfdbinary, argv) == in_line
+        assert len(forked) == 1  # the first attempt failed, so no other was made
+        assert _open_fds() == fds
+
+    def test_parent_error_kills_and_reaps_the_workers(self, forged, monkeypatch):
+        root, _ = forged
+        monkeypatch.setattr(facebook, "extract_chat_json", lambda *args, **kwargs: time.sleep(60))
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(skype, "extract_main_db", interrupted)
+        forked = _send_raw_to_workers(monkeypatch)
+        fds = _open_fds()
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            main(["timeline", str(root / forge.SKYPE_ACCOUNT_DIR / "main.db"), str(root / forge.MEMORY_NAME)])
+        assert time.monotonic() - start < 30
+        assert len(forked) == 1
+        assert _open_fds() == fds
+        _assert_no_child_left()
+
+    def test_dev_mode_shows_no_resource_warning(self, forged):
+        root, _ = forged
+        probe = ("import os, sys\n"
+                 "import imartifacts.cli as cli\n"
+                 "cli.SCAN_WORKER_MIN_BYTES = 0\n"
+                 "os.sched_getaffinity = lambda pid: set(range(16))\n"
+                 "sys.exit(cli.main(sys.argv[1:]))\n")
+        runs = [subprocess.run([sys.executable, "-X", "dev", *start, "report", str(root), "-v"],
+                               env=_child_env(), capture_output=True, timeout=120)
+                for start in (["-m", "imartifacts.cli"], ["-c", probe])]
+        for run in runs:
+            assert run.returncode == 0, run.stderr
+            assert b"ResourceWarning" not in run.stderr
+        assert (runs[1].stdout, runs[1].stderr) == (runs[0].stdout, runs[0].stderr)
+
+
+class TestTooDeepChatJson:
+    """One chat region nested too deep to decode costs only itself, not its whole blob."""
+
+    @pytest.mark.parametrize("through_worker", [False, True])
+    def test_timeline_reads_the_rest_of_the_blob(self, tmp_path, monkeypatch, capfdbinary, through_worker):
+        blob = tmp_path / "memdump.bin"
+        blob.write_bytes(b"junk " + DEEP_CHAT_REGION + b" " + sampledata.CHAT_PUSH_JSON.encode("utf-8"))
+        forked = _send_raw_to_workers(monkeypatch) if through_worker else []
+        code, out, err = _outcome(capfdbinary, ["timeline", str(blob), "-v"])
+        assert code == 0, err
+        assert forked == ([blob] if through_worker else [])
+        (event,) = timeline.parse_jsonl(out)
+        assert event.provenance.byte_offset == 6 + len(DEEP_CHAT_REGION)
+        assert b"warning: chat fragment at offset 5: unparsed or undated, skipped" in err.splitlines()
+
+
 class TestParsedDiagnosticsReachTheOutput:
     """Warnings the registry and Skype XML parsers give are printed, not dropped."""
 
@@ -557,6 +811,23 @@ class TestImportCost:
         A module the bare interpreter already loads is not counted.
         """
         probe = "import sys%s; print(sorted(m for m in ('hashlib', '_hashlib') if m in sys.modules))"
+        loaded = []
+        for extra in ("", ", imartifacts.cli"):
+            result = subprocess.run([sys.executable, "-c", probe % extra], env=_child_env(),
+                                    capture_output=True, text=True, timeout=60)
+            assert result.returncode == 0, result.stderr
+            loaded.append(result.stdout.strip())
+        assert loaded[1] == loaded[0]
+
+    def test_cli_import_leaves_pickle_and_process_pools_unloaded(self):
+        """Importing the command line loads neither pickle, multiprocessing nor concurrent.futures.
+
+        Only a run that forks scan workers for large raw inputs imports
+        pickle, to move their results; the workers are plain os.fork children.
+        A module the bare interpreter already loads is not counted.
+        """
+        probe = ("import sys%s; print(sorted(m for m in ('pickle', '_pickle', 'multiprocessing', "
+                 "'concurrent.futures') if m in sys.modules))")
         loaded = []
         for extra in ("", ", imartifacts.cli"):
             result = subprocess.run([sys.executable, "-c", probe % extra], env=_child_env(),

@@ -457,6 +457,23 @@ class TestChatJson:
         assert not fragment.parsed
         assert b"orca_message" in fragment.raw
 
+    def test_too_deep_region_is_kept_unparsed_and_the_rest_is_read(self):
+        payload = sd.CHAT_PUSH_JSON.encode("utf-8")
+        data = b"junk " + DEEP_CHAT_REGION + b" " + payload
+        with pytest.raises(RecursionError):
+            json.loads(DEEP_CHAT_REGION)
+        deep, good = extract_chat_json(io.BytesIO(data), "pagefile.sys")
+        assert (deep.offset, deep.parsed, deep.raw) == (5, False, DEEP_CHAT_REGION)
+        assert deep.provenance.byte_offset == 5
+        assert good.parsed and good.raw == payload and good.message == sd.CHAT_PUSH_MESSAGE
+
+
+# A chat push whose marker sits beside an array nested deeper than json's
+# decoder allows on any supported Python (the C recursion limit is 8,000 on
+# 3.12), so json.loads raises RecursionError on it.
+DEEP_CHAT_REGION = (b'{"x":' + b"[" * 25_000 + b"1" + b"]" * 25_000
+                    + b', "time": 1421600000, "type": "orca_message"}')
+
 
 def reference_balanced_end(data: bytes, start: int) -> int | None:
     """The per-byte brace matcher _balanced_end replaced, kept as its oracle."""

@@ -664,6 +664,37 @@ class TestReport:
         assert timeline.parse_jsonl(data) == report.events
 
 
+# Line breaks to str.splitlines that emit writes raw inside JSON strings; the
+# reference parser splits lines at them, which is the fault parse_jsonl mends.
+RAW_LINE_BREAKS = ("\x85", "\u2028", "\u2029")
+
+
+def _event_holding(field, text):
+    """An event whose field (an emitted field name) holds text."""
+    event = event_at(100, actor="a", counterpart="b")
+    if field == "evidence_path":
+        return replace(event, provenance=replace(event.provenance, evidence_path=text))
+    if field == "when_raw":
+        return replace(event, when=replace(event.when, raw=text))
+    return replace(event, **{field: text})
+
+
+class TestRawLineBreaksInFields:
+    """U+0085, U+2028 and U+2029 are written raw inside JSON strings and end no line."""
+
+    @pytest.mark.parametrize("char", RAW_LINE_BREAKS)
+    @pytest.mark.parametrize("field", ["evidence_path", "actor", "counterpart", "summary", "when_raw"])
+    def test_round_trip(self, field, char):
+        events = [_event_holding(field, "a%sb" % char), event_at(200), _event_holding(field, char)]
+        data = timeline.emit(bare_report(events), "jsonl")
+        assert data.count(char.encode("utf-8")) == 2  # raw, not escaped
+        for loaded in (data, data.decode("utf-8")):
+            back = timeline.parse_jsonl(loaded)
+            assert back == events
+            assert [repr(event) for event in back] == [repr(event) for event in events]
+            assert timeline.emit(bare_report(back), "jsonl") == data
+
+
 # Derived from each test's source and without an example database, so every
 # run checks the same inputs.
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -1094,11 +1125,25 @@ def hostile_jsonl(draw):
     return text.encode("utf-8") if draw(st.booleans()) else text
 
 
+def escape_raw_line_breaks(data):
+    """data with each RAW_LINE_BREAKS character written as its JSON escape.
+
+    hostile_jsonl puts them only inside JSON strings, where the escape means
+    the same, so the reference parser reads the result as parse_jsonl reads data.
+    """
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    for char in RAW_LINE_BREAKS:
+        text = text.replace(char, "\\u%04x" % ord(char))
+    return text.encode("utf-8") if isinstance(data, bytes) else text
+
+
 class TestParseJsonlOracle:
     @EMIT_PROPERTY
     @given(hostile_jsonl())
     def test_equals_reference_parse(self, data):
-        assert load_outcome(timeline.parse_jsonl, data) == load_outcome(reference_parse_jsonl, data)
+        # The reference is not given the raw line breaks it mishandles.
+        want = load_outcome(reference_parse_jsonl, escape_raw_line_breaks(data))
+        assert load_outcome(timeline.parse_jsonl, data) == want
 
     @pytest.mark.parametrize("missing", timeline.EMIT_FIELDS)
     def test_first_fault_decides_the_exception(self, missing):
