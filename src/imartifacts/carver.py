@@ -22,7 +22,6 @@ __all__ = [
     "StreamReadError",
     "builtin_signatures",
     "carve",
-    "carve_bytes",
     "scan_keywords",
     "scan_stream",
 ]
@@ -78,10 +77,6 @@ class CarvedObject:
     signature_name: str
     offset: int
     payload: bytes
-
-    @property
-    def length(self) -> int:
-        return len(self.payload)
 
     def sha256(self) -> str:
         import hashlib  # only the carve command's index needs it
@@ -225,17 +220,6 @@ def carve(stream, signatures=None, chunk_size=DEFAULT_CHUNK_SIZE, truncated=None
     else:
         source = stream
     scan_stream(_GuardedStream(source, results), headers, horizon, 0, emit, chunk_size)
-    return results
-
-
-def carve_bytes(data, signatures=None, base_offset=0, truncated=None):
-    """Whole-buffer reference carve; equivalent to carve() on the same bytes."""
-    sigs = list(signatures) if signatures is not None else list(builtin_signatures())
-    groups = _grouped(sigs)
-    results: list[CarvedObject] = []
-    headers = list(groups)
-    for rel, index in find_multi(data, headers):
-        _resolve_header(data, rel, base_offset, groups[headers[index]], results, truncated)
     return results
 
 

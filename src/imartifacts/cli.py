@@ -15,7 +15,7 @@ import sys
 import threading
 from pathlib import Path
 
-from . import carver, facebook, forge, locator, pcap, regexport, skype, timeline
+from . import carver, facebook, locator, pcap, regexport, skype, timeline
 from .model import ExtractionError
 from .sqliteio import SQLITE_MAGIC, open_immutable, table_names
 
@@ -344,7 +344,9 @@ def _run_pipeline(args, paths, journal=None, root=None) -> int:
             _reap(worker, kill=True)
     report = gather.merged(fb_owner=args.fb_owner, skype_owner=args.skype_owner)
     if root is not None:
-        report.events = forge.relativize_events(report.events, root)
+        from .forge import relativize_events  # the forge and its sample data load only here
+
+        report.events = relativize_events(report.events, root)
     out = _default_out(args.out)
     if out:
         with open(out, "wb") as handle:
@@ -501,6 +503,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_forge(args) -> int:
+    from . import forge
+
     out = _default_out(args.out)
     if not out:
         raise _Usage("forge: --out is required (or set %s)" % ENV_OUT)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from datetime import date, datetime
 
 from . import carver
-from .model import Channel, ExtractionError, Provenance, Timestamp, ts_from_iso_text, ts_from_unix
+from .model import Channel, ExtractionError, OutOfRange, Provenance, Timestamp, ts_from_iso_text, ts_from_unix
 from .sqliteio import MissingTable, as_int, as_text, open_immutable, read_table, table_names, warn
 
 __all__ = [
@@ -135,21 +135,10 @@ class FbNotification:
     sender_id: str | None
     title_text: str | None
     href: str | None
-    unread_flag: int
+    unread_flag: int  # as stored: app behaviour has been seen to contradict the column name
     created: Timestamp | None
     updated: Timestamp | None
     provenance: Provenance
-
-    def flag_readings(self) -> dict[str, str]:
-        """Both defensible readings of the flag, for the examiner to weigh.
-
-        The column name suggests 1 means unread, but app behavior has been
-        observed matching the opposite; report both, never guess.
-        """
-        return {
-            "column_name_reading": "unread" if self.unread_flag else "read",
-            "observed_behavior_reading": "read" if self.unread_flag else "unread",
-        }
 
 
 def _read(path, warnings, wanted: str, what: str, record) -> list:
@@ -161,14 +150,24 @@ def _read(path, warnings, wanted: str, what: str, record) -> list:
         return read_table(connection, table, path, EXTRACTOR_PREFIX, what, record, warnings)
 
 
+def _epoch(value, unit: str) -> Timestamp | None:
+    """ts_from_unix(value, unit), or None when value is None or out of range."""
+    if value is None:
+        return None
+    try:
+        return ts_from_unix(value, unit)
+    except OutOfRange:
+        return None
+
+
 def _analytics_event(row, column, provenance, warnings):
-    millis = as_int(column(row, "time", "timestamp"))
-    if millis is None:
+    when = _epoch(as_int(column(row, "time", "timestamp")), "millis")
+    if when is None:
         warn(warnings, "analytics row %s has no usable time" % row["rowid_"])
         return None
     return FbAnalyticsEvent(
         row_id=row["rowid_"],
-        when=ts_from_unix(millis, "millis"),
+        when=when,
         log_type=as_text(column(row, "log_type", "type")),
         name=as_text(column(row, "name", "event_name")),
         module=as_text(column(row, "module")),
@@ -307,8 +306,8 @@ def _parse_sender(raw, warnings, context):
 
 def _message(row, column, provenance, warnings):
     context = "messages row %s" % row["rowid_"]
-    millis = as_int(column(row, "timestamp", "timestamp_ms", "time"))
-    if millis is None:
+    when = _epoch(as_int(column(row, "timestamp", "timestamp_ms", "time")), "millis")
+    if when is None:
         warn(warnings, "%s has no usable timestamp" % context)
         return None
     sender_raw = as_text(column(row, "sender"))
@@ -325,7 +324,7 @@ def _message(row, column, provenance, warnings):
         mid=as_text(column(row, "mid", "message_id")),
         thread_id=as_text(column(row, "tid", "thread_id")),
         body=as_text(column(row, "body", "text")),
-        when=ts_from_unix(millis, "millis"),
+        when=when,
         sender_uid=sender_uid,
         sender_name=sender_name,
         sender_email=sender_email,
@@ -348,11 +347,14 @@ def _user(row, column, provenance, warnings):
         warn(warnings, "users row %s lacks a uid" % row["rowid_"])
         return None
     seconds = as_int(column(row, "last_active", "last_active_time", "last_active_timestamp"))
+    last_active = _epoch(seconds, "seconds")
+    if last_active is None and seconds is not None:
+        warn(warnings, "time out of range %r in users row %s" % (seconds, row["rowid_"]))
     return FbUser(
         id=uid,
         name=as_text(column(row, "name")),
         email=as_text(column(row, "email")),
-        last_active=ts_from_unix(seconds, "seconds") if seconds is not None else None,
+        last_active=last_active,
         provenance=provenance,
     )
 
@@ -467,7 +469,7 @@ def _fragment_fields(obj: dict) -> dict:
     return dict(
         message=as_text(obj.get("message")),
         time_raw=time_raw,
-        time=ts_from_unix(time_raw, "auto") if time_raw is not None and time_raw >= 0 else None,
+        time=_epoch(time_raw, "auto"),
         target_uid=as_text(obj.get("target_uid")),
         sender_uid=as_text(params.get("a")),
         recipient_uid=as_text(params.get("u")),

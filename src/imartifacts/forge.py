@@ -5,16 +5,19 @@ Skype account state, a raw memory blob with planted documents, a packet
 capture, a registry export, zone sidecars and a journal CSV) together with
 a manifest recording exactly what was planted and the timeline the
 extractors are expected to reconstruct.  The same seed always produces
-byte-identical output.
+byte-identical output.  The capture and registry-export writers live
+here too: only fixtures need them, and the extractor modules only read.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import ipaddress
 import json
 import random
 import sqlite3
+import struct
 from pathlib import Path
 
 from . import carver, facebook, locator, pcap, regexport, sampledata as sd, skype, timeline
@@ -34,10 +37,13 @@ __all__ = [
     "NTFS_CSV_NAME",
     "OutputNotEmpty",
     "REGISTRY_NAME",
-    "expected_events",
     "forge_fixture",
-    "load_manifest",
+    "make_client_hello",
+    "make_tcp_packet",
+    "make_udp_packet",
     "relativize_events",
+    "serialize_reg_export",
+    "write_pcap",
 ]
 
 
@@ -333,6 +339,66 @@ def _forge_memory(root: Path, rng: random.Random):
 # Packet capture
 
 
+def _ipv4_header(src_ip: str, dst_ip: str, protocol: int, payload_len: int) -> bytes:
+    return struct.pack(
+        ">BBHHHBBH4s4s",
+        0x45, 0, 20 + payload_len, 0, 0, 64, protocol, 0,
+        ipaddress.IPv4Address(src_ip).packed,
+        ipaddress.IPv4Address(dst_ip).packed,
+    )
+
+
+def _frame(src_ip, dst_ip, protocol, transport: bytes) -> bytes:
+    ethernet = b"\x02" * 6 + b"\x04" * 6 + b"\x08\x00"
+    return ethernet + _ipv4_header(src_ip, dst_ip, protocol, len(transport)) + transport
+
+
+def make_tcp_packet(src_ip, src_port, dst_ip, dst_port, payload: bytes = b"") -> bytes:
+    transport = struct.pack(">HHIIBBHHH", src_port, dst_port, 0, 0, 5 << 4, 0x18, 8192, 0, 0) + payload
+    return _frame(src_ip, dst_ip, 6, transport)
+
+
+def make_udp_packet(src_ip, src_port, dst_ip, dst_port, payload: bytes = b"") -> bytes:
+    transport = struct.pack(">HHHH", src_port, dst_port, 8 + len(payload), 0) + payload
+    return _frame(src_ip, dst_ip, 17, transport)
+
+
+def make_client_hello(server_name: str | None) -> bytes:
+    """A minimal TLS ClientHello, optionally carrying a server name."""
+    extensions = b""
+    if server_name is not None:
+        name = server_name.encode("ascii")
+        entry = struct.pack(">BH", 0, len(name)) + name
+        sni_list = struct.pack(">H", len(entry)) + entry
+        extensions = struct.pack(">HH", 0, len(sni_list)) + sni_list
+    body = struct.pack(">H", 0x0303) + bytes(32)  # version + random
+    body += b"\x00"  # empty session id
+    body += struct.pack(">H", 2) + b"\x13\x01"  # one cipher suite
+    body += b"\x01\x00"  # null compression
+    body += struct.pack(">H", len(extensions)) + extensions
+    handshake = b"\x01" + len(body).to_bytes(3, "big") + body
+    return b"\x16\x03\x01" + struct.pack(">H", len(handshake)) + handshake
+
+
+def write_pcap(destination, frames, byte_swapped: bool = False, nanosecond: bool = False) -> bytes:
+    """Write (ts_us, frame_bytes) pairs as a classic pcap capture.
+
+    destination is a path, or None to just get the bytes back.
+    """
+    order = ">" if byte_swapped else "<"
+    magic = pcap.MAGIC_NS if nanosecond else pcap.MAGIC_US
+    out = bytearray()
+    out += struct.pack(order + "IHHiIII", magic, 2, 4, 0, 0, 0x40000, pcap.LINKTYPE_ETHERNET)
+    for ts_us, frame in frames:
+        frac = (ts_us % 1_000_000) * (1000 if nanosecond else 1)
+        out += struct.pack(order + "IIII", ts_us // 1_000_000, frac, len(frame), len(frame))
+        out += frame
+    data = bytes(out)
+    if destination is not None:
+        Path(destination).write_bytes(data)
+    return data
+
+
 class _FlowTally:
     """Ground-truth flow bookkeeping while frames are generated."""
 
@@ -391,7 +457,7 @@ def _forge_capture(root: Path, rng: random.Random):
         tally = _FlowTally(spec["proto"], client, spec["server"])
         payloads = []
         if spec.get("sni"):
-            payloads.append(pcap.make_client_hello(spec["sni"]))
+            payloads.append(make_client_hello(spec["sni"]))
             tally.sni = spec["sni"]
         for _ in range(rng.randrange(2, 6)):
             payload = bytearray(rng.randbytes(rng.randrange(16, 400)))
@@ -402,7 +468,7 @@ def _forge_capture(root: Path, rng: random.Random):
         for index, payload in enumerate(payloads):
             src, dst = (client, spec["server"]) if index % 2 == 0 else (spec["server"], client)
             t_us += rng.randrange(1000, 250000)
-            maker = pcap.make_tcp_packet if spec["proto"] == "tcp" else pcap.make_udp_packet
+            maker = make_tcp_packet if spec["proto"] == "tcp" else make_udp_packet
             frames.append((t_us, maker(src[0], src[1], dst[0], dst[1], payload)))
             tally.add(src, t_us, len(payload))
         flow = tally.flow()
@@ -412,7 +478,7 @@ def _forge_capture(root: Path, rng: random.Random):
                                % (spec["label"], label.label))
         flows.append((flow, label))
         expected.append(flow)
-    pcap.write_pcap(root / CAPTURE_NAME, frames)
+    write_pcap(root / CAPTURE_NAME, frames)
 
     manifest = {
         "path": CAPTURE_NAME,
@@ -435,6 +501,46 @@ def _forge_capture(root: Path, rng: random.Random):
 
 # ---------------------------------------------------------------------------
 # Registry export, sidecars, journal CSV
+
+
+def _escape(text: str) -> str:
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def _wrap_hex(prefix: str, data: bytes, width: int = 76) -> list[str]:
+    tokens = ["%02x" % b for b in data]
+    lines = []
+    current = prefix
+    for index, token in enumerate(tokens):
+        piece = token + ("," if index < len(tokens) - 1 else "")
+        if len(current) + len(piece) > width and current not in (prefix, "  "):
+            lines.append(current + "\\")
+            current = "  "
+        current += piece
+    lines.append(current)
+    return lines
+
+
+def serialize_reg_export(export: regexport.RegExport) -> str:
+    """Write an export back out in the 5.00 dialect.
+
+    Round-trips with regexport.parse_reg_export: structure is preserved
+    exactly, whitespace normalized.
+    """
+    out = [regexport.HEADER_50, ""]
+    for key, values in export.keys.items():
+        out.append("[%s]" % key)
+        for value in values:
+            name = "@" if value.name == "@" else '"%s"' % _escape(value.name)
+            if value.kind == "string":
+                out.append('%s="%s"' % (name, _escape(value.data)))
+            elif value.kind == "dword":
+                out.append("%s=dword:%08x" % (name, value.data))
+            else:
+                tag = "hex(b):" if value.kind == "qword" else "hex:"
+                out.extend(_wrap_hex("%s=%s" % (name, tag), value.data))
+        out.append("")
+    return "\n".join(out) + "\n"
 
 
 def _ticks_value(name: str, ticks: int) -> regexport.RegValue:
@@ -463,7 +569,7 @@ def _forge_registry(root: Path):
             regexport.RegValue("FilePath", "string", item["file_path"]),
             _ticks_value("LastUpdatedTime", item["last_updated_ticks"]),
         ]
-    text = regexport.serialize_reg_export(export)
+    text = serialize_reg_export(export)
     # Real 5.00 exports are UTF-16LE with a BOM; the parser sniffs it.
     (root / REGISTRY_NAME).write_bytes(("﻿" + text).encode("utf-16-le"))
 
@@ -581,17 +687,6 @@ def forge_fixture(seed: int, out) -> dict:
     (root / MANIFEST_NAME).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return manifest
-
-
-def load_manifest(root) -> dict:
-    with open(Path(root) / MANIFEST_NAME, encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def expected_events(manifest: dict) -> list[TimelineEvent]:
-    """The merged timeline the manifest promises, as event objects."""
-    lines = "\n".join(json.dumps(fields) for fields in manifest["expected_timeline"])
-    return timeline.parse_jsonl(lines)
 
 
 def relativize_events(events, root) -> list[TimelineEvent]:

@@ -68,10 +68,6 @@ class PackageIdentity:
     arch: str | None = None
 
     @property
-    def form(self) -> str:
-        return "full" if self.version is not None else "family"
-
-    @property
     def family(self) -> str:
         return "%s_%s" % (self.name, self.publisher_id)
 

@@ -26,7 +26,6 @@ __all__ = [
     "Timestamp",
     "TimelineEvent",
     "infer_epoch_unit",
-    "ts_from_filetime_hex",
     "ts_from_filetime_ticks",
     "ts_from_iso_text",
     "ts_from_unix",
@@ -51,7 +50,6 @@ class AmbiguousInterpretation(ExtractionError):
 
 # 100ns ticks between 1601-01-01 and 1970-01-01 (the NT-to-Unix epoch gap).
 FILETIME_UNIX_OFFSET_TICKS = 116444736000000000
-TICKS_PER_SECOND = 10**7
 TICKS_PER_MILLISECOND = 10**4
 
 EPOCH_1601 = datetime(1601, 1, 1, tzinfo=timezone.utc)
@@ -95,23 +93,6 @@ class Timestamp:
         # __post_init__ keeps instants within 1601-9999.
         return "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ" % (
             dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second, dt.microsecond // 1000)
-
-    def reencode(self) -> int | str:
-        """Recompute the stored raw value from the decoded instant.
-
-        For epoch encodings this reproduces raw exactly; for filetime the
-        result is truncated to the millisecond the instant carries; for
-        iso_text the original text is returned unchanged.
-        """
-        if self.encoding == "unix_seconds":
-            return int((self.utc_instant - EPOCH_1970) // timedelta(seconds=1))
-        if self.encoding == "unix_millis":
-            return int((self.utc_instant - EPOCH_1970) // timedelta(milliseconds=1))
-        if self.encoding == "filetime_100ns":
-            delta = self.utc_instant - EPOCH_1601
-            millis = delta // timedelta(milliseconds=1)
-            return millis * TICKS_PER_MILLISECOND
-        return self.raw
 
 
 def infer_epoch_unit(value: int) -> str:
@@ -165,28 +146,6 @@ def ts_from_filetime_ticks(ticks: int) -> Timestamp:
     if instant > MAX_INSTANT:
         raise OutOfRange("instant outside representable range: %d" % ticks)
     return Timestamp(instant, "filetime_100ns", ticks)
-
-
-def ts_from_filetime_hex(text: str, byte_order: str = "big") -> Timestamp:
-    """Decode a 16-hex-digit FILETIME string.
-
-    byte_order "big" reads the digits as one number; "little" treats them
-    as 8 little-endian bytes (the layout of a raw REG_BINARY dump).
-    """
-    cleaned = text.strip()
-    if len(cleaned) != 16:
-        raise MalformedHex("expected 16 hex digits, got %r" % (text,))
-    try:
-        raw_bytes = bytes.fromhex(cleaned)
-    except ValueError as exc:
-        raise MalformedHex("not hex: %r" % (text,)) from exc
-    if byte_order == "big":
-        ticks = int.from_bytes(raw_bytes, "big")
-    elif byte_order == "little":
-        ticks = int.from_bytes(raw_bytes, "little")
-    else:
-        raise ValueError("byte_order must be big or little: %r" % (byte_order,))
-    return ts_from_filetime_ticks(ticks)
 
 
 _ISO_LAYOUTS = (

@@ -4,8 +4,7 @@ Reads saved captures (Ethernet link type, both byte orders, micro- or
 nanosecond resolution), folds packets into bidirectional flows, pulls
 TLS server names out of ClientHello payloads, and labels each flow
 against a catalog of known chat-service endpoints plus one port
-heuristic.  Includes synthesis helpers so fixtures can be forged and
-replayed through the same structures.
+heuristic.
 
 The shipped catalog reflects endpoint observations at one point in time
 from one geography; CDN assignments rot, so entries can be replaced
@@ -18,7 +17,7 @@ import functools
 import io
 import ipaddress
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import ExtractionError, Timestamp, ts_from_unix
 
@@ -39,11 +38,7 @@ __all__ = [
     "extract_sni",
     "label_flow",
     "load_catalog",
-    "make_client_hello",
-    "make_tcp_packet",
-    "make_udp_packet",
     "read_pcap",
-    "write_pcap",
 ]
 
 
@@ -72,10 +67,6 @@ class Packet:
     payload: bytes  # transport payload
     ip_payload_len: int  # transport header + payload, for byte accounting
 
-    @property
-    def when(self) -> Timestamp:
-        return ts_from_unix(self.ts_us // 1000, "millis")
-
 
 @dataclass
 class SkipCounters:
@@ -90,12 +81,6 @@ class PcapCapture:
     skipped: SkipCounters
     nanosecond: bool
     byte_swapped: bool
-
-    def __iter__(self):
-        return iter(self.packets)
-
-    def __len__(self):
-        return len(self.packets)
 
 
 def _open_source(source):
@@ -261,19 +246,12 @@ class Flow:
         return ts_from_unix(self.first_ts_us // 1000, "millis")
 
     @property
-    def last_seen(self) -> Timestamp:
-        return ts_from_unix(self.last_ts_us // 1000, "millis")
-
-    @property
     def total_packets(self) -> int:
         return self.packets_ab + self.packets_ba
 
     @property
     def total_bytes(self) -> int:
         return self.bytes_ab + self.bytes_ba
-
-    def endpoints(self):
-        return (self.endpoint_a, self.endpoint_b)
 
 
 def assemble_flows(packets) -> list[Flow]:
@@ -620,74 +598,3 @@ def label_flow(flow: Flow, catalog=None) -> FlowLabel:
             "SkypeSupernodeLookup", "port_heuristic", "tcp port %d" % SUPERNODE_LOOKUP_PORT
         )
     return FlowLabel("Other", "unlabeled", "no catalog match")
-
-
-# ---------------------------------------------------------------------------
-# Synthesis helpers for fixtures and replay tests
-
-
-def _ipv4_header(src_ip: str, dst_ip: str, protocol: int, payload_len: int) -> bytes:
-    header = struct.pack(
-        ">BBHHHBBH4s4s",
-        0x45, 0, 20 + payload_len, 0, 0, 64, protocol, 0,
-        ipaddress.IPv4Address(src_ip).packed,
-        ipaddress.IPv4Address(dst_ip).packed,
-    )
-    return header
-
-
-def _frame(src_ip, dst_ip, protocol, transport: bytes) -> bytes:
-    ethernet = b"\x02" * 6 + b"\x04" * 6 + b"\x08\x00"
-    return ethernet + _ipv4_header(src_ip, dst_ip, protocol, len(transport)) + transport
-
-
-def make_tcp_packet(src_ip, src_port, dst_ip, dst_port, payload: bytes = b"") -> bytes:
-    transport = struct.pack(">HHIIBBHHH", src_port, dst_port, 0, 0, 5 << 4, 0x18, 8192, 0, 0) + payload
-    return _frame(src_ip, dst_ip, 6, transport)
-
-
-def make_udp_packet(src_ip, src_port, dst_ip, dst_port, payload: bytes = b"") -> bytes:
-    transport = struct.pack(">HHHH", src_port, dst_port, 8 + len(payload), 0) + payload
-    return _frame(src_ip, dst_ip, 17, transport)
-
-
-def make_client_hello(server_name: str | None) -> bytes:
-    """A minimal TLS ClientHello, optionally carrying a server name."""
-    extensions = b""
-    if server_name is not None:
-        name = server_name.encode("ascii")
-        entry = struct.pack(">BH", 0, len(name)) + name
-        sni_list = struct.pack(">H", len(entry)) + entry
-        extensions = struct.pack(">HH", 0, len(sni_list)) + sni_list
-    body = struct.pack(">H", 0x0303) + bytes(32)  # version + random
-    body += b"\x00"  # empty session id
-    body += struct.pack(">H", 2) + b"\x13\x01"  # one cipher suite
-    body += b"\x01\x00"  # null compression
-    body += struct.pack(">H", len(extensions)) + extensions
-    handshake = b"\x01" + len(body).to_bytes(3, "big") + body
-    return b"\x16\x03\x01" + struct.pack(">H", len(handshake)) + handshake
-
-
-def write_pcap(destination, frames, byte_swapped: bool = False, nanosecond: bool = False) -> bytes:
-    """Write (ts_us, frame_bytes) pairs as a classic pcap capture.
-
-    destination may be a path, a writable stream, or None to just get
-    the bytes back.
-    """
-    order = ">" if byte_swapped else "<"
-    magic = MAGIC_NS if nanosecond else MAGIC_US
-    out = bytearray()
-    out += struct.pack(order + "IHHiIII", magic, 2, 4, 0, 0, 0x40000, LINKTYPE_ETHERNET)
-    for ts_us, frame in frames:
-        frac = (ts_us % 1_000_000) * (1000 if nanosecond else 1)
-        out += struct.pack(order + "IIII", ts_us // 1_000_000, frac, len(frame), len(frame))
-        out += frame
-    data = bytes(out)
-    if destination is None:
-        return data
-    if hasattr(destination, "write"):
-        destination.write(data)
-    else:
-        with open(destination, "wb") as handle:
-            handle.write(data)
-    return data

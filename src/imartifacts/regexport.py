@@ -38,7 +38,6 @@ __all__ = [
     "find_install_time",
     "find_persisted_items",
     "parse_reg_export",
-    "serialize_reg_export",
 ]
 
 
@@ -89,30 +88,9 @@ class RegExport:
     errors: list[tuple[int, str]] = field(default_factory=list)
     dialect: str = HEADER_50
 
-    def lookup(self, path: str) -> list[RegValue] | None:
-        wanted = path.casefold()
-        for key, values in self.keys.items():
-            if key.casefold() == wanted:
-                return values
-        return None
-
-    def value(self, path: str, name: str) -> RegValue | None:
-        values = self.lookup(path)
-        if values is None:
-            return None
-        wanted = name.casefold()
-        for value in values:
-            if value.name.casefold() == wanted:
-                return value
-        return None
-
 
 def _unescape(text: str) -> str:
     return re.sub(r"\\(.)", lambda m: m.group(1), text)
-
-
-def _escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def _parse_payload(payload: str, line_no: int, errors):
@@ -201,42 +179,6 @@ def parse_reg_export(text) -> RegExport:
         if value is not None:
             export.keys[current_key].append(RegValue(name, value.kind, value.data))
     return export
-
-
-def _wrap_hex(prefix: str, data: bytes, width: int = 76) -> list[str]:
-    tokens = ["%02x" % b for b in data]
-    lines = []
-    current = prefix
-    for index, token in enumerate(tokens):
-        piece = token + ("," if index < len(tokens) - 1 else "")
-        if len(current) + len(piece) > width and current not in (prefix, "  "):
-            lines.append(current + "\\")
-            current = "  "
-        current += piece
-    lines.append(current)
-    return lines
-
-
-def serialize_reg_export(export: RegExport) -> str:
-    """Write an export back out in the 5.00 dialect.
-
-    Round-trips with parse_reg_export: structure is preserved exactly,
-    whitespace normalized.
-    """
-    out = [HEADER_50, ""]
-    for key, values in export.keys.items():
-        out.append("[%s]" % key)
-        for value in values:
-            name = "@" if value.name == "@" else '"%s"' % _escape(value.name)
-            if value.kind == "string":
-                out.append('%s="%s"' % (name, _escape(value.data)))
-            elif value.kind == "dword":
-                out.append("%s=dword:%08x" % (name, value.data))
-            else:
-                tag = "hex(b):" if value.kind == "qword" else "hex:"
-                out.extend(_wrap_hex("%s=%s" % (name, tag), value.data))
-        out.append("")
-    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -120,10 +120,6 @@ class MessageKind:
     code: int
     group_chat: bool
 
-    @property
-    def known(self) -> bool:
-        return self.label != "Unknown"
-
 
 def classify_message(type_code, chatmsg_type=None, chatmsg_status=None, participant_count=None) -> MessageKind:
     """Map a message type code to its meaning; total over all integers.
@@ -264,9 +260,6 @@ class SupernodeEntry:
         ipaddress.IPv4Address(self.ip)
         if not 0 <= self.port <= 65535:
             raise OutOfRange("port %d outside 0..65535" % self.port)
-
-    def __str__(self):
-        return "%s:%d" % (self.ip, self.port)
 
 
 def decode_decimal_ip(value: int, little_endian: bool = False) -> str:

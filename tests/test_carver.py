@@ -12,7 +12,6 @@ from imartifacts.carver import (
     StreamReadError,
     builtin_signatures,
     carve,
-    carve_bytes,
     scan_keywords,
 )
 
@@ -25,6 +24,39 @@ SHARED_DOC = (
     b"  <Lib>\r\n    <Connection>\r\n      <ListeningPort>37439</ListeningPort>\r\n"
     b"    </Connection>\r\n  </Lib>\r\n</config>\r\n"
 )
+
+
+def carve_bytes(data, signatures=None, truncated=None):
+    """Whole-buffer reference carve, written apart from carver: what carve must find in data.
+
+    Each header occurrence, overlapping ones too, in offset order (at one
+    offset, in the order headers first appear among the signatures), yields
+    the document ending at the nearest footer start of a signature with that
+    header, within its max_length; the first listed signature wins a tie.  A
+    header with no such footer is appended to truncated.
+    """
+    signatures = list(builtin_signatures() if signatures is None else signatures)
+    headers = list(dict.fromkeys(sig.header for sig in signatures))
+    hits = []
+    for rank, header in enumerate(headers):
+        at = data.find(header)
+        while at != -1:
+            hits.append((at, rank))
+            at = data.find(header, at + 1)
+    objects = []
+    for at, rank in sorted(hits):
+        header = headers[rank]
+        footers = [(data.find(sig.footer, at + len(header), at + sig.max_length), index)
+                   for index, sig in enumerate(signatures) if sig.header == header]
+        found = [footer for footer in footers if footer[0] != -1]
+        if not found:
+            if truncated is not None:
+                truncated.append(at)
+            continue
+        start, index = min(found)
+        sig = signatures[index]
+        objects.append(CarvedObject(sig.name, at, data[at:start + len(sig.footer)]))
+    return objects
 
 
 class TestSignatures:
@@ -46,7 +78,7 @@ class TestSignatures:
 class TestCarveBytes:
     def test_single_document(self):
         data = b"\x00" * 100 + CONFIG_DOC + b"\x00" * 50
-        objects = carve_bytes(data)
+        objects = carve(data)
         assert len(objects) == 1
         assert objects[0].signature_name == "config-xml"
         assert objects[0].offset == 100
@@ -54,7 +86,7 @@ class TestCarveBytes:
 
     def test_both_documents_disambiguated_by_footer(self):
         data = b"\xaa" * 10 + CONFIG_DOC + b"\xbb" * 33 + SHARED_DOC + b"\xcc" * 5
-        objects = carve_bytes(data)
+        objects = carve(data)
         assert [(o.signature_name, o.offset) for o in objects] == [
             ("config-xml", 10),
             ("shared-xml", 10 + len(CONFIG_DOC) + 33),
@@ -65,35 +97,31 @@ class TestCarveBytes:
     def test_header_without_footer_is_truncated_candidate(self):
         truncated = []
         data = b"\x00" * 8 + b'<?xml version="1.0"?><config>' + b"\x00" * 64
-        assert carve_bytes(data, truncated=truncated) == []
+        assert carve(data, truncated=truncated) == []
         assert truncated == [8]
 
     def test_footer_without_header_yields_nothing(self):
-        assert carve_bytes(b"junk</UI>\r\n</config>\r\njunk") == []
+        assert carve(b"junk</UI>\r\n</config>\r\njunk") == []
 
     def test_max_length_respected(self):
         sig = Signature("tiny", b"HDR", b"FTR", 16)
         near = b"..HDR123456FTR.."
         far = b"..HDR" + b"x" * 12 + b"FTR"
-        assert len(carve_bytes(near, [sig])) == 1
-        assert carve_bytes(far, [sig]) == []
+        assert len(carve(near, [sig])) == 1
+        assert carve(far, [sig]) == []
 
     def test_nearest_footer_wins(self):
         sig = Signature("t", b"HDR", b"FTR", 64)
         data = b"HDR..FTR..FTR"
-        (obj,) = carve_bytes(data, [sig])
+        (obj,) = carve(data, [sig])
         assert obj.payload == b"HDR..FTR"
 
     def test_payload_invariants(self):
         data = CONFIG_DOC + SHARED_DOC
-        for obj in carve_bytes(data):
+        for obj in carve(data):
             assert obj.payload.startswith(b'<?xml version="')
             assert obj.payload.endswith((b"</UI>\r\n</config>\r\n", b"</Lib>\r\n</config>\r\n"))
-            assert obj.length <= 1024 * 1024
-
-    def test_base_offset_shifts_results(self):
-        objects = carve_bytes(CONFIG_DOC, base_offset=5000)
-        assert objects[0].offset == 5000
+            assert len(obj.payload) <= 1024 * 1024
 
 
 def random_plant(rng, sigs, size):

@@ -1,7 +1,9 @@
+import csv
 import errno
 import gc
 import json
 import os
+import sqlite3
 import stat
 import subprocess
 import sys
@@ -17,6 +19,7 @@ from imartifacts import cli, facebook, forge, pcap, sampledata, skype, sqliteio,
 from imartifacts.cli import ENV_OUT, main
 from imartifacts.model import EventKind, ExtractionError, Provenance
 from test_facebook import DEEP_CHAT_REGION
+from test_forge import expected_events
 
 
 @pytest.fixture(scope="module")
@@ -217,7 +220,7 @@ class TestPipelineCommands:
         out = tmp_path / "tl.jsonl"
         assert main(["timeline", *inputs, "--out", str(out)]) == 0
         events = forge.relativize_events(timeline.parse_jsonl(out.read_text()), root)
-        assert events == forge.expected_events(manifest)
+        assert events == expected_events(manifest)
 
     def test_timeline_csv_header(self, forged, capfd):
         root, _ = forged
@@ -731,6 +734,26 @@ class TestTooDeepChatJson:
         assert b"warning: chat fragment at offset 5: unparsed or undated, skipped" in err.splitlines()
 
 
+class TestOutOfRangeFacebookTime:
+    """One cached message whose time is out of range costs only its own row."""
+
+    def test_report_skips_the_row_with_a_warning(self, tmp_path, capfdbinary):
+        root = tmp_path / "evidence"
+        forge.forge_fixture(7, root)
+        database = root / forge.FACEBOOK_DB_DIR / "Messages.sqlite"
+        connection = sqlite3.connect(database)
+        with connection:
+            rowid = connection.execute("SELECT min(rowid) FROM messages").fetchone()[0]
+            connection.execute("UPDATE messages SET timestamp = -5 WHERE rowid = ?", (rowid,))
+        connection.close()
+        code, out, err = _outcome(capfdbinary, ["report", str(root), "--format", "jsonl", "-v"])
+        assert code == 0, err
+        assert b"error" not in err
+        assert ("warning: messages row %d has no usable timestamp" % rowid).encode() in err.splitlines()
+        sources = [e.provenance.extractor for e in timeline.parse_jsonl(out)]
+        assert sources.count("facebook.messages") == len(sampledata.MESSAGE_ROWS) - 1
+
+
 class TestParsedDiagnosticsReachTheOutput:
     """Warnings the registry and Skype XML parsers give are printed, not dropped."""
 
@@ -835,6 +858,25 @@ class TestImportCost:
             assert result.returncode == 0, result.stderr
             loaded.append(result.stdout.strip())
         assert loaded[1] == loaded[0]
+
+    def test_cli_import_and_timeline_leave_the_forge_unloaded(self, tmp_path):
+        """Importing the command line, or running timeline, loads neither forge nor sampledata.
+
+        Only the forge command and report's rewriting of evidence paths
+        import them; under -X importtime forge itself costs about 10 ms and
+        sampledata about 4 ms.
+        """
+        journal = tmp_path / "journal.csv"
+        with open(journal, "w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle).writerows([sampledata.NTFS_CSV_HEADER, *sampledata.NTFS_CSV_ROWS])
+        probe = ("import sys, imartifacts.cli as cli\n"
+                 "loaded = lambda: sorted(m for m in ('imartifacts.forge', 'imartifacts.sampledata') if m in sys.modules)\n"
+                 "print(loaded())\n"
+                 "assert cli.main(['timeline', %r, '--out', %r]) == 0\n"
+                 "print(loaded())" % (str(journal), str(tmp_path / "out.jsonl")))
+        result = subprocess.run([sys.executable, "-c", probe], env=_child_env(), capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split("\n") == ["[]", "[]", ""]
 
     # Modules a report reader must not load; all are this package's own or
     # are loaded only by it, since the interpreter's site hooks may preload others.

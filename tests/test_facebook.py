@@ -348,6 +348,48 @@ class TestUsers:
         assert user.last_active is None
 
 
+# Epoch values no Timestamp can hold: before 1970, and past 9999 in any unit.
+# The second is text because SQLite integers stop at 2**63 - 1.
+OUT_OF_RANGE_EPOCHS = [-1, str(10**20)]
+
+
+class TestOutOfRangeEpochs:
+    """An epoch time out of range makes its row undated; the rest of the database is read."""
+
+    @pytest.mark.parametrize("value", OUT_OF_RANGE_EPOCHS)
+    def test_analytics_row_skipped_with_warning(self, tmp_path, value):
+        path = _make_db(
+            tmp_path / "Analytics.sqlite",
+            "CREATE TABLE analytics_logs (id INTEGER PRIMARY KEY, time INTEGER, log_type TEXT, name TEXT, module TEXT, extra TEXT)",
+            "analytics_logs",
+            (dict(sd.ANALYTICS_LOGIN_ROW, time=value),) + sd.ANALYTICS_EXTRA_ROWS,
+        )
+        warnings = []
+        events = extract_analytics(path, warnings)
+        assert [e.row_id for e in events] == [row["id"] for row in sd.ANALYTICS_EXTRA_ROWS]
+        assert warnings == ["analytics row 1 has no usable time"]
+
+    @pytest.mark.parametrize("value", OUT_OF_RANGE_EPOCHS)
+    def test_message_row_skipped_with_warning(self, tmp_path, value):
+        first, *rest = sd.MESSAGE_ROWS
+        path = _messages_db(tmp_path, message_rows=[dict(first, timestamp=value)] + rest)
+        warnings = []
+        messages = extract_messages(path, warnings)
+        assert [m.row_id for m in messages] == [row["rowid"] for row in rest]
+        assert "messages row %d has no usable timestamp" % first["rowid"] in warnings
+        assert len(extract_users(path)) == len(sd.USERS_ROWS)
+
+    @pytest.mark.parametrize("value", OUT_OF_RANGE_EPOCHS)
+    def test_user_kept_without_last_active_and_warned(self, tmp_path, value):
+        first, second = sd.USERS_ROWS
+        path = _messages_db(tmp_path, users_rows=[dict(first, last_active=value), second])
+        warnings = []
+        users = extract_users(path, warnings)
+        assert [(u.id, u.last_active) for u in users][0] == (first["id"], None)
+        assert users[1].last_active.isoformat_ms() == "2015-02-12T18:34:03.000Z"
+        assert warnings == ["time out of range %r in users row 1" % int(value)]
+
+
 class TestNotifications:
     def test_rows_and_flag_readings(self, notifications_db):
         notes = extract_notifications(notifications_db)
@@ -355,15 +397,7 @@ class TestNotifications:
         first, second = notes
         assert first.sender_id == "100004935817781"
         assert first.unread_flag == 1
-        assert first.flag_readings() == {
-            "column_name_reading": "unread",
-            "observed_behavior_reading": "read",
-        }
         assert second.unread_flag == 0
-        assert second.flag_readings() == {
-            "column_name_reading": "read",
-            "observed_behavior_reading": "unread",
-        }
         assert first.created.isoformat_ms() == "2015-02-12T17:50:03.000Z"
         assert second.updated.isoformat_ms() == "2015-02-12T17:53:01.000Z"
         assert first.href.endswith("id=100004935817781")
@@ -456,6 +490,18 @@ class TestChatJson:
         (fragment,) = extract_chat_json(data)
         assert not fragment.parsed
         assert b"orca_message" in fragment.raw
+
+    def test_out_of_range_time_leaves_one_fragment_undated(self):
+        pushes = [sd.CHAT_PUSH_JSON.replace('"time": %d' % sd.CHAT_PUSH_TIME, '"time": %d' % time)
+                  for time in (sd.CHAT_PUSH_TIME, 10**20, sd.CHAT_PUSH_TIME + 1)]
+        assert len(set(pushes)) == 3
+        data = b" junk ".join(push.encode("utf-8") for push in pushes)
+        fragments = extract_chat_json(data, "pagefile.sys")
+        assert [(f.parsed, f.time_raw) for f in fragments] == [
+            (True, sd.CHAT_PUSH_TIME), (True, 10**20), (True, sd.CHAT_PUSH_TIME + 1)]
+        assert [f.time and f.time.isoformat_ms() for f in fragments] == [
+            "2015-01-19T16:36:23.000Z", None, "2015-01-19T16:36:24.000Z"]
+        assert all(f.message == sd.CHAT_PUSH_MESSAGE for f in fragments)
 
     def test_too_deep_region_is_kept_unparsed_and_the_rest_is_read(self):
         payload = sd.CHAT_PUSH_JSON.encode("utf-8")

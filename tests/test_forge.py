@@ -12,12 +12,15 @@ from imartifacts.forge import (
     NTFS_CSV_NAME,
     REGISTRY_NAME,
     OutputNotEmpty,
-    expected_events,
     forge_fixture,
-    load_manifest,
     relativize_events,
 )
 from imartifacts.model import Channel, Provenance, TimelineEvent, EventKind, App, ts_from_unix
+
+
+def expected_events(manifest: dict) -> list[TimelineEvent]:
+    """The merged timeline the manifest promises, as event objects."""
+    return timeline.parse_jsonl("\n".join(json.dumps(fields) for fields in manifest["expected_timeline"]))
 
 
 def tree_digest(root):
@@ -89,7 +92,7 @@ class TestDeterminism:
 
     def test_manifest_written_matches_returned(self, forged):
         root, manifest = forged
-        assert load_manifest(root) == manifest
+        assert json.loads((root / "manifest.json").read_text(encoding="utf-8")) == manifest
 
 
 class TestTreeLayout:

@@ -65,7 +65,7 @@ def test_read_pcap_any_bytes(data):
 def test_read_pcap_records_after_valid_header(header, body):
     capture = read_pcap(header + body)
     skipped = capture.skipped
-    counted = len(capture) + skipped.non_ipv4 + skipped.non_tcp_udp + skipped.truncated
+    counted = len(capture.packets) + skipped.non_ipv4 + skipped.non_tcp_udp + skipped.truncated
     assert counted <= 1 + len(body) // 16  # each record is accepted or skipped at most once
 
 

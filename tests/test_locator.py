@@ -24,7 +24,6 @@ class TestPackageId:
         assert pkg.version == "1.4.0.9"
         assert pkg.arch == "x64"
         assert pkg.publisher_id == "8xx8rvfyw5nnt"
-        assert pkg.form == "full"
         assert pkg.family == "Facebook.Facebook_8xx8rvfyw5nnt"
 
     def test_full_form_single_underscore(self):
@@ -36,9 +35,9 @@ class TestPackageId:
 
     def test_family_form(self):
         pkg = parse_package_id("Microsoft.SkypeApp_kzf8qxf38zg5c")
-        assert pkg.form == "family"
         assert pkg.name == "Microsoft.SkypeApp"
         assert pkg.version is None
+        assert pkg.arch is None
 
     def test_family_with_underscore_in_name(self):
         pkg = parse_package_id("winstore_cw5n1h2txyewy")

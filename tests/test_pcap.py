@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from imartifacts import pcap, timeline
 from imartifacts import sampledata as sd
+from imartifacts.forge import make_client_hello, make_tcp_packet, make_udp_packet, write_pcap
 from imartifacts.pcap import (
     CatalogEntry,
     CatalogIndex,
@@ -25,11 +26,7 @@ from imartifacts.pcap import (
     extract_sni,
     label_flow,
     load_catalog,
-    make_client_hello,
-    make_tcp_packet,
-    make_udp_packet,
     read_pcap,
-    write_pcap,
 )
 from test_fuzz import FUZZ
 
@@ -48,8 +45,8 @@ class TestReadPcap:
             for i in range(10)
         ]
         capture = read_pcap(capture_bytes(frames))
-        assert len(capture) == 10
-        assert all(p.proto == "udp" for p in capture)
+        assert len(capture.packets) == 10
+        assert all(p.proto == "udp" for p in capture.packets)
         assert capture.packets[0].ip_payload_len == 8 + 10
 
     def test_byte_swapped_magic_identical_yield(self):
@@ -85,7 +82,7 @@ class TestReadPcap:
         arp = b"\x02" * 6 + b"\x04" * 6 + b"\x08\x06" + bytes(28)
         frames = [(T0, arp), (T0 + 1, make_udp_packet(CLIENT, 1, "10.0.0.1", 2))]
         capture = read_pcap(capture_bytes(frames))
-        assert len(capture) == 1
+        assert len(capture.packets) == 1
         assert capture.skipped.non_ipv4 == 1
 
     def test_non_tcp_udp_counted(self):
@@ -93,23 +90,24 @@ class TestReadPcap:
         # Rewrite the protocol byte inside the IPv4 header to ICMP.
         icmp = icmp[: 14 + 9] + b"\x01" + icmp[14 + 10 :]
         capture = read_pcap(capture_bytes([(T0, icmp)]))
-        assert len(capture) == 0
+        assert len(capture.packets) == 0
         assert capture.skipped.non_tcp_udp == 1
 
     def test_truncated_record_counted(self):
         good = capture_bytes([(T0, make_udp_packet(CLIENT, 1, "10.0.0.1", 2, b"xy"))])
         capture = read_pcap(good[:-3])
         assert capture.skipped.truncated == 1
-        assert len(capture) == 0
+        assert len(capture.packets) == 0
 
     def test_reads_from_path(self, tmp_path):
         path = tmp_path / "c.pcap"
         write_pcap(path, [(T0, make_udp_packet(CLIENT, 1, "10.0.0.1", 2))])
-        assert len(read_pcap(path)) == 1
+        assert len(read_pcap(path).packets) == 1
 
     def test_packet_instant(self):
         capture = read_pcap(capture_bytes([(1421685000_123000, make_udp_packet(CLIENT, 1, "10.0.0.1", 2))]))
-        assert capture.packets[0].when.isoformat_ms() == "2015-01-19T16:30:00.123Z"
+        (flow,) = assemble_flows(capture.packets)
+        assert flow.first_seen.isoformat_ms() == "2015-01-19T16:30:00.123Z"
 
 
 class TestFlows:
@@ -119,11 +117,11 @@ class TestFlows:
         for i in range(3):
             frames.append((T0 + i * 10_000, make_tcp_packet(CLIENT, 49431, *server, b"c" * 5)))
             frames.append((T0 + i * 10_000 + 500, make_tcp_packet(server[0], server[1], CLIENT, 49431, b"s" * 9)))
-        (flow,) = assemble_flows(read_pcap(capture_bytes(frames)))
+        (flow,) = assemble_flows(read_pcap(capture_bytes(frames)).packets)
         assert flow.total_packets == 6
         assert {flow.packets_ab, flow.packets_ba} == {3}
         assert flow.proto == "tcp"
-        assert set(flow.endpoints()) == {(CLIENT, 49431), server}
+        assert {flow.endpoint_a, flow.endpoint_b} == {(CLIENT, 49431), server}
         assert flow.first_ts_us == T0
         assert flow.last_ts_us == T0 + 20_500
 
@@ -134,7 +132,7 @@ class TestFlows:
             (T0 + 2, make_udp_packet("10.0.0.1", 9000, CLIENT, 1111, b"c")),
             (T0 + 3, make_udp_packet("10.0.0.2", 9000, CLIENT, 2222, b"d")),
         ]
-        flows = assemble_flows(read_pcap(capture_bytes(frames)))
+        flows = assemble_flows(read_pcap(capture_bytes(frames)).packets)
         assert len(flows) == 2
 
     def test_zero_packets(self):
@@ -152,8 +150,8 @@ class TestFlows:
             capture = read_pcap(capture_bytes([(ts, frame)]))
             p = capture.packets[0]
             mirrored.append((ts, make_tcp_packet(p.dst_ip, p.dst_port, p.src_ip, p.src_port, p.payload)))
-        forward = assemble_flows(read_pcap(capture_bytes(frames)))
-        backward = assemble_flows(read_pcap(capture_bytes(mirrored)))
+        forward = assemble_flows(read_pcap(capture_bytes(frames)).packets)
+        backward = assemble_flows(read_pcap(capture_bytes(mirrored)).packets)
 
         def shape(flows):
             return sorted(
@@ -181,14 +179,14 @@ class TestFlows:
                 frames.append((T0 + i, make_udp_packet(CLIENT, rng.randrange(1024, 65000), "10.9.8.7", 53, b"z" * size)))
                 expected += 8 + size
         capture = read_pcap(capture_bytes(frames))
-        flows = assemble_flows(capture)
-        assert sum(p.ip_payload_len for p in capture) == expected
+        flows = assemble_flows(capture.packets)
+        assert sum(p.ip_payload_len for p in capture.packets) == expected
         assert sum(f.total_bytes for f in flows) == expected
 
     def test_flow_sni_picked_up(self):
         hello = make_client_hello("5-edge-chat.facebook.com")
         frames = [(T0, make_tcp_packet(CLIENT, 49431, "31.13.76.102", 443, hello))]
-        (flow,) = assemble_flows(read_pcap(capture_bytes(frames)))
+        (flow,) = assemble_flows(read_pcap(capture_bytes(frames)).packets)
         assert flow.sni == "5-edge-chat.facebook.com"
 
 
@@ -282,7 +280,7 @@ def _flow(dst_ip, dst_port, proto="tcp", sni=None):
             else make_udp_packet(CLIENT, 49999, dst_ip, dst_port, b""),
         )
     ]
-    (flow,) = assemble_flows(read_pcap(capture_bytes(frames)))
+    (flow,) = assemble_flows(read_pcap(capture_bytes(frames)).packets)
     flow.sni = sni
     return flow
 
@@ -760,8 +758,8 @@ class TestFrameParsingOracle:
         capture = read_pcap(data)
         assert [astuple(packet) for packet in capture.packets] == [tuple(p) for p in packets]
         assert astuple(capture.skipped) == skipped
-        assert len(capture) + sum(skipped) == len(frames)
-        assert len(capture) and all(skipped)
+        assert len(capture.packets) + sum(skipped) == len(frames)
+        assert capture.packets and all(skipped)
 
     def test_benchmark_capture_shapes_match_reference(self):
         frames = [(T0 + i, make_tcp_packet(CLIENT, 49152 + i % 3, "31.13.76.102", 443, make_client_hello("x.com")))

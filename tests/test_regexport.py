@@ -6,6 +6,7 @@ import pytest
 
 from imartifacts import regexport
 from imartifacts import sampledata as sd
+from imartifacts.forge import serialize_reg_export
 from imartifacts.locator import parse_package_id
 from imartifacts.model import ExtractionError, MalformedHex
 from imartifacts.regexport import (
@@ -19,7 +20,6 @@ from imartifacts.regexport import (
     find_install_time,
     find_persisted_items,
     parse_reg_export,
-    serialize_reg_export,
 )
 
 
@@ -66,6 +66,14 @@ def export():
     return parse_reg_export(export_text())
 
 
+def find_value(export, path, name):
+    """The value called name of the key at path, both matched case-insensitively, or None."""
+    for key, values in export.keys.items():
+        if key.casefold() == path.casefold():
+            return next((v for v in values if v.name.casefold() == name.casefold()), None)
+    return None
+
+
 class TestParse:
     def test_minimal_qword_value(self):
         text = 'Windows Registry Editor Version 5.00\n\n[HKEY_LOCAL_MACHINE\\K]\n"V"=hex(b):01,02,03,04,05,06,07,08\n'
@@ -80,26 +88,29 @@ class TestParse:
         assert FB_KEY in export.keys
         assert FB_KEY.endswith("\\Facebook.Facebook_1.4.0.9_x64__8xx8rvfyw5nnt")
 
-    def test_case_insensitive_lookup(self, export):
-        assert export.lookup(FB_KEY.upper()) is not None
-        assert export.value(FB_KEY.lower(), "installtime") is not None
+    def test_case_insensitive_lookup(self):
+        text = export_text().replace(FB_KEY, FB_KEY.replace("HKEY_USERS", "hkey_users")).replace(
+            '"InstallTime"', '"installtime"')
+        records = find_install_records(parse_reg_export(text))
+        assert [r.package.text for r in records] == [sd.FACEBOOK_PACKAGE_FULL, sd.SKYPE_PACKAGE_FULL]
+        assert records[0].key_path.startswith("hkey_users")
 
     def test_continuation_lines_reassembled(self, export):
-        value = export.value(SKYPE_KEY, "InstallTime")
+        value = find_value(export, SKYPE_KEY, "InstallTime")
         assert value.data == sd.INSTALL_TIME_TICKS.to_bytes(8, "little")
 
     def test_string_escapes(self, export):
-        value = export.value(sd.PERSISTED_BRANCH + "\\" + sd.PERSISTED_ITEMS[0]["guid"], "FilePath")
+        value = find_value(export, sd.PERSISTED_BRANCH + "\\" + sd.PERSISTED_ITEMS[0]["guid"], "FilePath")
         assert value.kind == "string"
         assert value.data == "C:\\Users\\anonymous\\Documents\\SuspectToVictim.docx"
 
     def test_dword(self, export):
-        assert export.value(SKYPE_KEY, "Flags").data == 2
+        assert find_value(export, SKYPE_KEY, "Flags").data == 2
 
     def test_regedit4_header_accepted(self):
         export = parse_reg_export('REGEDIT4\n\n[HKLM\\X]\n"a"="b"\n')
         assert export.dialect == "REGEDIT4"
-        assert export.value("HKLM\\X", "a").data == "b"
+        assert find_value(export, "HKLM\\X", "a").data == "b"
 
     def test_not_an_export(self):
         with pytest.raises(NotRegExport):
@@ -111,7 +122,7 @@ class TestParse:
         text = 'Windows Registry Editor Version 5.00\r\n\r\n[HKLM\\U]\r\n"n"="v"\r\n'
         data = "\ufeff".encode("utf-16-le") + text.encode("utf-16-le")
         export = parse_reg_export(data)
-        assert export.value("HKLM\\U", "n").data == "v"
+        assert find_value(export, "HKLM\\U", "n").data == "v"
 
     def test_utf16_cut_mid_character_is_not_an_export(self):
         with pytest.raises(NotRegExport):
@@ -130,7 +141,7 @@ class TestParse:
             ]
         )
         export = parse_reg_export(text)
-        assert export.value("HKLM\\K", "good").data == "x"
+        assert find_value(export, "HKLM\\K", "good").data == "x"
         lines = sorted(line for line, _ in export.errors)
         assert lines == [3, 5, 7]
 
@@ -154,7 +165,7 @@ class TestSerialize:
         export = RegExport(keys={"HKLM\\Big": [RegValue("Blob", "binary", payload)]})
         text = serialize_reg_export(export)
         assert any(line.endswith("\\") for line in text.splitlines())
-        assert parse_reg_export(text).value("HKLM\\Big", "Blob").data == payload
+        assert find_value(parse_reg_export(text), "HKLM\\Big", "Blob").data == payload
 
     def test_random_structures_round_trip(self):
         rng = random.Random(9)

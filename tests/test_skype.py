@@ -85,7 +85,6 @@ class TestClassify:
         kind = classify_message(code)
         assert kind.label == label
         assert kind.code == code
-        assert kind.known
 
     def test_text_message_not_group(self):
         kind = classify_message(61, 3, 2, 2)
@@ -101,7 +100,7 @@ class TestClassify:
 
     def test_unknown_code(self):
         kind = classify_message(99)
-        assert (kind.label, kind.code, kind.known) == ("Unknown", 99, False)
+        assert (kind.label, kind.code) == ("Unknown", 99)
 
     def test_total_over_sampled_integers(self):
         rng = random.Random(5)

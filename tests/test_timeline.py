@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from imartifacts import facebook, pcap, regexport, skype, timeline
+from imartifacts import facebook, forge, pcap, regexport, skype, timeline
 from imartifacts import sampledata as sd
 from imartifacts.locator import parse_package_id
 from imartifacts.model import (
@@ -457,13 +457,13 @@ class TestNormalizeOther:
 
     def test_flow_event(self):
         frames = [
-            (1421685000_000000, pcap.make_tcp_packet(
+            (1421685000_000000, forge.make_tcp_packet(
                 "192.168.220.176", 49200, sd.FACEBOOK_CHAT_IP, 443, b"hi")),
-            (1421685001_000000, pcap.make_tcp_packet(
+            (1421685001_000000, forge.make_tcp_packet(
                 sd.FACEBOOK_CHAT_IP, 443, "192.168.220.176", 49200, b"yo")),
         ]
-        capture = pcap.read_pcap(pcap.write_pcap(None, frames))
-        (flow,) = pcap.assemble_flows(capture)
+        capture = pcap.read_pcap(forge.write_pcap(None, frames))
+        (flow,) = pcap.assemble_flows(capture.packets)
         (event,) = timeline.normalize([flow], capture_path="capture.pcap")
         assert event.kind is EventKind.NETWORK_SESSION
         assert event.app is App.FACEBOOK
@@ -473,8 +473,8 @@ class TestNormalizeOther:
         assert event.when.isoformat_ms() == "2015-01-19T16:30:00.000Z"
 
     def test_flow_unlabeled_is_other(self):
-        frames = [(0, pcap.make_udp_packet("10.0.0.1", 1111, "10.0.0.2", 2222, b"x"))]
-        (flow,) = pcap.assemble_flows(pcap.read_pcap(pcap.write_pcap(None, frames)))
+        frames = [(0, forge.make_udp_packet("10.0.0.1", 1111, "10.0.0.2", 2222, b"x"))]
+        (flow,) = pcap.assemble_flows(pcap.read_pcap(forge.write_pcap(None, frames)).packets)
         (event,) = timeline.normalize([flow])
         assert event.app is App.OTHER
         assert "Other" in event.summary
