@@ -33,11 +33,7 @@ XML_DECLARATION = b'<?xml version="'
 
 
 class StreamReadError(ExtractionError):
-    """Reading the input stream failed; partial results are attached."""
-
-    def __init__(self, message: str, partial: list):
-        super().__init__(message)
-        self.partial = partial
+    """Reading the input stream failed."""
 
 
 @dataclass(frozen=True)
@@ -109,13 +105,13 @@ DEFAULT_TERMS: tuple[bytes, ...] = (
 
 
 def scan_stream(stream, patterns, horizon, lookback, emit, chunk_size=DEFAULT_CHUNK_SIZE):
-    """Drive a chunked scan, calling emit once per pattern occurrence.
+    """Drive a chunked scan of a stream or bytes, calling emit once per pattern occurrence.
 
-    emit(buf, base, rel, pattern_index, eof) runs with buf guaranteed to
-    hold at least horizon bytes beyond the hit (unless the stream ends
-    first) and lookback bytes before it (unless the stream starts later).
+    emit(buf, base, rel, pattern_index) runs with buf guaranteed to hold
+    at least horizon bytes beyond the hit (unless the stream ends first)
+    and lookback bytes before it (unless the stream starts later).
     Occurrences are visited in offset order exactly once, so chunked and
-    whole-buffer scans agree.
+    whole-buffer scans agree.  A read that fails raises StreamReadError.
     """
     if isinstance(stream, (bytes, bytearray, memoryview)):
         stream = io.BytesIO(bytes(stream))
@@ -129,7 +125,10 @@ def scan_stream(stream, patterns, horizon, lookback, emit, chunk_size=DEFAULT_CH
     base = 0
     watermark = 0
     while True:
-        chunk = stream.read(chunk_size)
+        try:
+            chunk = stream.read(chunk_size)
+        except OSError as exc:
+            raise StreamReadError("stream read failed: %s" % exc) from exc
         eof = not chunk
         if chunk:
             buf += chunk
@@ -140,7 +139,7 @@ def scan_stream(stream, patterns, horizon, lookback, emit, chunk_size=DEFAULT_CH
                 absolute = base + rel
                 if absolute >= limit:
                     break
-                emit(buf, base, rel, index, eof)
+                emit(buf, base, rel, index)
             watermark = limit
         if eof:
             return
@@ -149,24 +148,6 @@ def scan_stream(stream, patterns, horizon, lookback, emit, chunk_size=DEFAULT_CH
         if cut > 0:
             buf = buf[cut:]
             base = keep_from
-
-
-def _read_guarded(stream, chunk_size, partial):
-    try:
-        return stream.read(chunk_size)
-    except OSError as exc:
-        raise StreamReadError("stream read failed: %s" % exc, partial) from exc
-
-
-class _GuardedStream:
-    """Wrap a stream so read errors surface as StreamReadError with partials."""
-
-    def __init__(self, stream, partial):
-        self._stream = stream
-        self._partial = partial
-
-    def read(self, size):
-        return _read_guarded(self._stream, size, self._partial)
 
 
 def _grouped(signatures):
@@ -212,14 +193,10 @@ def carve(stream, signatures=None, chunk_size=DEFAULT_CHUNK_SIZE, truncated=None
     horizon = max(sig.max_length for sig in sigs)
     results: list[CarvedObject] = []
 
-    def emit(buf, base, rel, index, eof):
+    def emit(buf, base, rel, index):
         _resolve_header(buf, rel, base, header_groups[index], results, truncated)
 
-    if isinstance(stream, (bytes, bytearray, memoryview)):
-        source = io.BytesIO(bytes(stream))
-    else:
-        source = stream
-    scan_stream(_GuardedStream(source, results), headers, horizon, 0, emit, chunk_size)
+    scan_stream(stream, headers, horizon, 0, emit, chunk_size)
     return results
 
 
@@ -234,7 +211,7 @@ def scan_keywords(stream, terms=None, context_radius=256, chunk_size=DEFAULT_CHU
         raise ValueError("context_radius must be non-negative")
     hits: list[KeywordHit] = []
 
-    def emit(buf, base, rel, index, eof):
+    def emit(buf, base, rel, index):
         term = term_list[index]
         lo = max(rel - context_radius, 0)
         hi = min(rel + len(term) + context_radius, len(buf))
@@ -247,16 +224,6 @@ def scan_keywords(stream, terms=None, context_radius=256, chunk_size=DEFAULT_CHU
             )
         )
 
-    if isinstance(stream, (bytes, bytearray, memoryview)):
-        source = io.BytesIO(bytes(stream))
-    else:
-        source = stream
-    scan_stream(
-        _GuardedStream(source, hits),
-        term_list,
-        max(len(t) for t in term_list) + context_radius,
-        context_radius,
-        emit,
-        chunk_size,
-    )
+    horizon = max(len(t) for t in term_list) + context_radius
+    scan_stream(stream, term_list, horizon, context_radius, emit, chunk_size)
     return hits

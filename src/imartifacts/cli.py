@@ -439,10 +439,6 @@ def _cmd_registry(args) -> int:
 
 
 def _cmd_carve(args) -> int:
-    signatures = carver.builtin_signatures()
-    floor = 2 * max(s.max_length for s in signatures)
-    if args.chunk_size < floor:
-        raise _Usage("carve: --chunk-size must be at least %d" % floor)
     out_dir = _default_out(args.out) or "."
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     tally = _Tally()
@@ -450,7 +446,7 @@ def _cmd_carve(args) -> int:
 
     def carve_file(name):
         with open(name, "rb") as handle:
-            return carver.carve(handle, signatures, chunk_size=args.chunk_size)
+            return carver.carve(handle)
 
     for name in args.raw_files:
         objects = tally.read(name, lambda: carve_file(name))
@@ -569,7 +565,6 @@ def _build_parser() -> _Parser:
     sub = commands.add_parser("carve", help="recover signed documents from raw bytes")
     sub.add_argument("raw_files", nargs="+")
     sub.add_argument("--out", help="directory for carved payloads and index.json")
-    sub.add_argument("--chunk-size", type=int, default=carver.DEFAULT_CHUNK_SIZE)
     sub.set_defaults(func=_cmd_carve)
 
     sub = commands.add_parser("pcap", help="label capture flows")

@@ -26,7 +26,6 @@ __all__ = [
     "FbMessage",
     "FbNotification",
     "FbUser",
-    "KNOWN_ANALYTICS_NAMES",
     "MalformedJson",
     "extract_analytics",
     "extract_chat_json",
@@ -47,17 +46,6 @@ CHAT_MARKER = b"orca_message"
 CHAT_WINDOW = 64 * 1024
 
 EXTRACTOR_PREFIX = "facebook"
-
-
-# Event names the analytics log is known to use; anything else is kept
-# verbatim and treated as generic app activity downstream.
-KNOWN_ANALYTICS_NAMES = (
-    "login",
-    "chat_turned_on",
-    "message_sent_attempt",
-    "message_send_state",
-    "file_downloaded",
-)
 
 
 @dataclass(frozen=True)
@@ -465,7 +453,7 @@ def _balanced_end(data: bytes, start: int, end: int,
 def _fragment_fields(obj: dict) -> dict:
     params = obj.get("params") if isinstance(obj.get("params"), dict) else {}
     time_raw = obj.get("time")
-    time_raw = time_raw if isinstance(time_raw, int) else None
+    time_raw = time_raw if type(time_raw) is int else None  # a JSON true is a bool, not a time
     return dict(
         message=as_text(obj.get("message")),
         time_raw=time_raw,
@@ -477,13 +465,12 @@ def _fragment_fields(obj: dict) -> dict:
     )
 
 
-def _fragment_from_region(buf: bytes, lo: int, hi: int, marker_rel: int, base: int,
-                          marker: bytes, evidence_path: str):
-    """The fragment around the marker at buf[marker_rel], read within buf[lo:hi].
+def _fragment_from_region(buf: bytes, lo: int, hi: int, marker_rel: int, base: int, evidence_path: str):
+    """The fragment around the CHAT_MARKER at buf[marker_rel], read within buf[lo:hi].
 
     base is the stream offset of buf[0].
     """
-    marker_end = marker_rel + len(marker)
+    marker_end = marker_rel + len(CHAT_MARKER)
 
     def provenance_at(off):
         return Provenance(evidence_path, "%s.chat_json" % EXTRACTOR_PREFIX, Channel.CARVED, byte_offset=off)
@@ -525,22 +512,21 @@ def _fragment_from_region(buf: bytes, lo: int, hi: int, marker_rel: int, base: i
 def extract_chat_json(
     stream,
     evidence_path: str = "<stream>",
-    marker: bytes = CHAT_MARKER,
-    window: int = CHAT_WINDOW,
     chunk_size: int = carver.DEFAULT_CHUNK_SIZE,
 ) -> list[ChatFragment]:
     """Recover chat push JSON fragments around each marker occurrence.
 
     For every marker hit the smallest brace-balanced region containing it
-    (within a bounded window) is parsed; fragments that do not parse are
-    still reported with their raw bytes so nothing silently disappears.
+    (within CHAT_WINDOW bytes either side) is parsed; fragments that do
+    not parse are still reported with their raw bytes so nothing silently
+    disappears.  A failed read raises carver.StreamReadError.
     """
     fragments: list[ChatFragment] = []
 
-    def emit(buf, base, rel, index, eof):
-        lo = max(rel - window, 0)
-        hi = min(rel + window, len(buf))
-        fragments.append(_fragment_from_region(buf, lo, hi, rel, base, marker, evidence_path))
+    def emit(buf, base, rel, index):
+        lo = max(rel - CHAT_WINDOW, 0)
+        hi = min(rel + CHAT_WINDOW, len(buf))
+        fragments.append(_fragment_from_region(buf, lo, hi, rel, base, evidence_path))
 
-    carver.scan_stream(stream, [marker], window, window, emit, chunk_size)
+    carver.scan_stream(stream, [CHAT_MARKER], CHAT_WINDOW, CHAT_WINDOW, emit, chunk_size)
     return fragments

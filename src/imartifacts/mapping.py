@@ -155,8 +155,8 @@ def _from_chat_fragment(record: facebook.ChatFragment,
                           actor=record.sender_uid, counterpart=record.sender_uid)]
 
 
-def _file_offer_summary(body_xml: str | None) -> str:
-    parsed = skype.parse_body_xml(body_xml or "")
+def _file_offer_summary(body_xml: str | None, warnings: list[str]) -> str:
+    parsed = skype.parse_body_xml(body_xml or "", warnings)
     if isinstance(parsed, skype.FilesBody) and parsed.files:
         names = [item.name for item in parsed.files]
         shown = ", ".join(names[:2])
@@ -184,7 +184,7 @@ def _from_skype_message(record: skype.SkypeMessage, owner: str | None,
     else:
         kind = _SKYPE_KIND_BY_LABEL[label]
         if label == "FileSent":
-            summary = _file_offer_summary(record.body_xml)
+            summary = _file_offer_summary(record.body_xml, warnings)
         elif label == "Conference":
             summary = "conference call"
         elif label == "VideoSessionStarted":

@@ -48,8 +48,6 @@ class AmbiguousInterpretation(ExtractionError):
     """A raw value admits zero or several plausible decodings."""
 
 
-# 100ns ticks between 1601-01-01 and 1970-01-01 (the NT-to-Unix epoch gap).
-FILETIME_UNIX_OFFSET_TICKS = 116444736000000000
 TICKS_PER_MILLISECOND = 10**4
 
 EPOCH_1601 = datetime(1601, 1, 1, tzinfo=timezone.utc)

@@ -122,7 +122,6 @@ class NtfsJournalRow:
 
 
 _REQUIRED_COLUMNS = ("lsn", "event", "file name", "full path")
-_OPTIONAL_COLUMNS = ("event time", "detail", "create time", "modified time")
 
 
 def _journal_timestamp(text: str, utc_offset_minutes: int) -> Timestamp:

@@ -14,6 +14,8 @@ from imartifacts.carver import (
     carve,
     scan_keywords,
 )
+from imartifacts.facebook import extract_chat_json
+from imartifacts.sampledata import CHAT_PUSH_JSON
 
 CONFIG_DOC = (
     b'<?xml version="1.0"?>\r\n<config version="1.0" serial="78" timestamp="1421686251.63">\r\n'
@@ -221,13 +223,22 @@ class FailingStream:
         return self._stream.read(size)
 
 
+# The three raw scanners, each of which finds something in SCANNED.
+SCANNERS = {"carve": carve, "scan_keywords": scan_keywords, "extract_chat_json": extract_chat_json}
+SCANNED = b"\x00" * 100 + CONFIG_DOC + b" junk " + CHAT_PUSH_JSON.encode("utf-8") + b"\x00" * 100
+
+
 class TestStreamErrors:
-    def test_partial_results_attached(self):
-        data = CONFIG_DOC + b"\x00" * 9000
-        stream = FailingStream(data, fail_after=2)
-        with pytest.raises(StreamReadError) as info:
-            carve(stream, builtin_signatures(), chunk_size=1024)
-        assert isinstance(info.value.partial, list)
+    @pytest.mark.parametrize("name", list(SCANNERS))
+    def test_one_input_rule(self, name):
+        """Bytes, bytearray, memoryview and a stream scan alike; a failed read is a StreamReadError."""
+        scan = SCANNERS[name]
+        expected = scan(SCANNED)
+        assert expected
+        for source in (bytearray(SCANNED), memoryview(SCANNED), io.BytesIO(SCANNED)):
+            assert scan(source) == expected
+        with pytest.raises(StreamReadError, match="^stream read failed: simulated read failure$"):
+            scan(FailingStream(SCANNED, fail_after=1))
 
 
 class TestValueObjects:

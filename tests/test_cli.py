@@ -199,12 +199,6 @@ class TestCarveCommand:
             assert len(payload) == entry["length"]
             assert entry["file"] == "%s_%d.bin" % (entry["signature"], entry["offset"])
 
-    def test_chunk_size_floor_is_usage_error(self, forged, tmp_path, capfd):
-        root, _ = forged
-        assert main(["carve", str(root / "memory.bin"), "--out", str(tmp_path),
-                     "--chunk-size", "4096"]) == 1
-        assert "chunk-size" in capfd.readouterr().err
-
 
 class TestPipelineCommands:
     def test_report_matches_manifest_expectations(self, forged, tmp_path, capfd):

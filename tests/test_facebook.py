@@ -150,7 +150,7 @@ class TestAnalytics:
 
     def test_all_known_names_present(self, analytics_db):
         names = [event.name for event in extract_analytics(analytics_db)]
-        assert names == list(facebook.KNOWN_ANALYTICS_NAMES)
+        assert names == ["login", "chat_turned_on", "message_sent_attempt", "message_send_state", "file_downloaded"]
 
     def test_row_without_time_skipped_with_warning(self, tmp_path):
         rows = (
@@ -503,6 +503,14 @@ class TestChatJson:
             "2015-01-19T16:36:23.000Z", None, "2015-01-19T16:36:24.000Z"]
         assert all(f.message == sd.CHAT_PUSH_MESSAGE for f in fragments)
 
+    def test_boolean_time_leaves_the_fragment_undated(self):
+        (fragment,) = extract_chat_json(b'{"time": true, "type": "orca_message", "message": "hi"}')
+        assert fragment.parsed and fragment.message == "hi"
+        assert (fragment.time_raw, fragment.time) == (None, None)
+        warnings = []
+        assert mapping.normalize([fragment], warnings=warnings) == []
+        assert warnings == ["chat fragment at offset 0: unparsed or undated, skipped"]
+
     def test_too_deep_region_is_kept_unparsed_and_the_rest_is_read(self):
         payload = sd.CHAT_PUSH_JSON.encode("utf-8")
         data = b"junk " + DEEP_CHAT_REGION + b" " + payload
@@ -579,8 +587,8 @@ class TestBalancedEnd:
         buf = head + marker + tail
         rel = len(head)
         lo, hi = max(rel - before, 0), min(rel + len(marker) + after, len(buf))
-        bounded = facebook._fragment_from_region(buf, lo, hi, rel, 1000, marker, "m.bin")
-        copied = facebook._fragment_from_region(buf[lo:hi], 0, hi - lo, rel - lo, 1000 + lo, marker, "m.bin")
+        bounded = facebook._fragment_from_region(buf, lo, hi, rel, 1000, "m.bin")
+        copied = facebook._fragment_from_region(buf[lo:hi], 0, hi - lo, rel - lo, 1000 + lo, "m.bin")
         assert (bounded, bounded.extra) == (copied, copied.extra)
 
     @pytest.mark.parametrize("body", [b'{"a":', b"{"])

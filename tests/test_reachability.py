@@ -39,7 +39,6 @@ ALLOWED = {
     "carver.scan_keywords": RAW_SCAN,
     "carver.scan_keywords.emit": RAW_SCAN,
     "carver.KeywordHit.__post_init__": RAW_SCAN,
-    "carver.StreamReadError.__init__": OS_ERROR,
     "locator.scan_tree.on_error": OS_ERROR,
 }
 

@@ -5,16 +5,15 @@ import pytest
 from imartifacts import _scan
 
 
-def reference_find_all(data, pattern, start=0, end=-1):
-    stop = len(data) if end < 0 else min(end, len(data))
-    return [i for i in range(start, stop - len(pattern) + 1) if data[i : i + len(pattern)] == pattern]
+def reference_find_all(data, pattern, start=0):
+    return [i for i in range(start, len(data) - len(pattern) + 1) if data[i : i + len(pattern)] == pattern]
 
 
-def reference_find_multi(data, patterns, start=0, end=-1):
+def reference_find_multi(data, patterns, start=0):
     return sorted(
         (offset, index)
         for index, pattern in enumerate(patterns)
-        for offset in reference_find_all(data, pattern, start, end)
+        for offset in reference_find_all(data, pattern, start)
     )
 
 
@@ -31,7 +30,6 @@ class TestLiteralAnswers:
 
     def test_window(self):
         assert _scan.find_all(b"abcabcab", b"ab", 1) == [3, 6]
-        assert _scan.find_all(b"abcabcab", b"ab", 0, 4) == [0]
 
     def test_find_multi_sorted(self):
         hits = _scan.find_multi(b"xAyBxA", [b"A", b"B"])
@@ -64,5 +62,4 @@ class TestAgainstReference:
     def test_edge_windows(self):
         data = b"ababab"
         for start in range(0, 8):
-            for end in range(-1, 8):
-                assert _scan.find_all(data, b"ab", start, end) == reference_find_all(data, b"ab", start, end)
+            assert _scan.find_all(data, b"ab", start) == reference_find_all(data, b"ab", start)

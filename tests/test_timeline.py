@@ -332,6 +332,17 @@ class TestNormalizeSkype:
         assert event.when.isoformat_ms() == "2015-01-19T16:43:42.000Z"
         assert event.counterpart == sd.SKYPE_PARTNER
 
+    def test_file_offer_body_warnings_reach_the_pipeline(self):
+        body = '<files><file size="-3" index="0">a.txt</file><file size="5" index="0">b.txt</file></files>'
+        direct = []
+        skype.parse_body_xml(body, direct)
+        assert len(direct) == 2
+        warnings = []
+        (event,) = timeline.normalize([skype_message(dict(sd.SKYPE_MESSAGE_ROWS[5], body_xml=body))],
+                                      skype_owner=sd.SKYPE_OWNER, warnings=warnings)
+        assert event.summary == "file offer a.txt, b.txt"
+        assert warnings == direct
+
     def test_video_session_pair(self):
         started, ended = timeline.normalize(
             [skype_message(sd.SKYPE_MESSAGE_ROWS[8]),
