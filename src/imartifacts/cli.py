@@ -9,6 +9,7 @@ evidence.  Diagnostics go to stderr, data to stdout or files.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -91,11 +92,11 @@ def _sniff(path: Path) -> str:
     name = path.name
     if name.endswith(locator._SIDECAR_SUFFIXES):
         return "sidecar"
-    try:
-        with path.open("rb") as handle:
+    with path.open("rb") as handle:
+        try:
             head = handle.read(4096)
-    except OSError:
-        raise OSError("cannot read %s" % path) from None
+        except OSError as error:
+            raise carver.StreamReadError("stream read failed: %s" % error) from error
     if head.startswith(SQLITE_MAGIC):
         return "sqlite"
     if head[:4] in _PCAP_MAGICS:
@@ -246,7 +247,7 @@ def _start_scans(paths: list[Path]) -> dict[int, tuple[int, int]]:
         try:
             if path.stat().st_size >= SCAN_WORKER_MIN_BYTES and _sniff(path) == "raw":
                 large.append(index)
-        except OSError:
+        except (OSError, carver.StreamReadError):
             pass  # read in-line, which reports the error at its turn
     workers: dict[int, tuple[int, int]] = {}
     for index in large[-spare:]:
@@ -326,6 +327,21 @@ def _reap(worker: tuple[int, int], kill: bool = False) -> int:
 
 
 def _run_pipeline(args, paths, journal=None, root=None) -> int:
+    """_gather_and_emit with automatic garbage collection paused, then set back as the caller had it.
+
+    The run's records hold almost no reference cycles, so each collection
+    would rescan every record built so far and free next to nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _gather_and_emit(args, paths, journal, root)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _gather_and_emit(args, paths, journal, root) -> int:
     """Gather paths, then the journal CSV if given, merge and emit the timeline.
 
     With root, evidence paths are rewritten relative to it.  The largest raw

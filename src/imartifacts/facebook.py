@@ -129,13 +129,13 @@ class FbNotification:
     provenance: Provenance
 
 
-def _read(path, warnings, wanted: str, what: str, record) -> list:
-    """The records of the cache table named wanted, read by record in rowid order."""
+def _read(path, warnings, wanted: str, what: str, columns, record) -> list:
+    """The records of the cache table named wanted, read by record through columns in rowid order."""
     with open_immutable(path, warnings) as connection:
         table = table_names(connection).get(wanted.casefold())
         if table is None:
             raise MissingTable("table %s absent from %s" % (wanted, path))
-        return read_table(connection, table, path, EXTRACTOR_PREFIX, what, record, warnings)
+        return read_table(connection, table, path, EXTRACTOR_PREFIX, what, columns, record, warnings)
 
 
 def _epoch(value, unit: str) -> Timestamp | None:
@@ -148,25 +148,30 @@ def _epoch(value, unit: str) -> Timestamp | None:
         return None
 
 
-def _analytics_event(row, column, provenance, warnings):
-    when = _epoch(as_int(column(row, "time", "timestamp")), "millis")
+_ANALYTICS_COLUMNS = (("time", "timestamp"), ("log_type", "type"), ("name", "event_name"), "module",
+                      ("extra", "extra_json"))
+
+
+def _analytics_event(values, provenance, warnings):
+    rowid, time, log_type, name, module, extra = values
+    when = _epoch(as_int(time), "millis")
     if when is None:
-        warn(warnings, "analytics row %s has no usable time" % row["rowid_"])
+        warn(warnings, "analytics row %s has no usable time" % rowid)
         return None
     return FbAnalyticsEvent(
-        row_id=row["rowid_"],
+        row_id=rowid,
         when=when,
-        log_type=as_text(column(row, "log_type", "type")),
-        name=as_text(column(row, "name", "event_name")),
-        module=as_text(column(row, "module")),
-        extra=as_text(column(row, "extra", "extra_json")),
+        log_type=as_text(log_type),
+        name=as_text(name),
+        module=as_text(module),
+        extra=as_text(extra),
         provenance=provenance,
     )
 
 
 def extract_analytics(path, warnings: list[str] | None = None) -> list[FbAnalyticsEvent]:
     """Read the analytics log: one event per row in row order."""
-    return _read(path, warnings, "analytics_logs", "analytics", _analytics_event)
+    return _read(path, warnings, "analytics_logs", "analytics", _ANALYTICS_COLUMNS, _analytics_event)
 
 
 def _parse_birthday(value, warnings, context):
@@ -180,38 +185,48 @@ def _parse_birthday(value, warnings, context):
         return None
 
 
-def _friend(row, column, provenance, warnings):
-    uid = as_text(column(row, "uid", "user_id", "id"))
+_FRIEND_COLUMNS = (
+    ("uid", "user_id", "id"), "first_name", "middle_name", "last_name", "name", ("communication_rank", "rank"),
+    ("contact_email", "email"), "phones", ("profile_url", "url"), ("birthday", "birthday_date"),
+)
+
+
+def _friend(values, provenance, warnings):
+    rowid, uid, first, middle, last, name, rank, email, phones, url, birthday = values
+    uid = as_text(uid)
     if uid is None:
-        warn(warnings, "friend row %s lacks a uid" % row["rowid_"])
+        warn(warnings, "friend row %s lacks a uid" % rowid)
         return None
-    first = as_text(column(row, "first_name"))
-    middle = as_text(column(row, "middle_name"))
-    last = as_text(column(row, "last_name"))
-    name = as_text(column(row, "name"))
+    first = as_text(first)
+    middle = as_text(middle)
+    last = as_text(last)
+    name = as_text(name)
     if name is None:
         name = (" ".join(part for part in (first, middle, last) if part)) or None
-    rank = column(row, "communication_rank", "rank")
+    if rank is not None:
+        try:
+            rank = float(rank)
+        except ValueError:
+            warn(warnings, "unparsed communication rank %r in friends row %s" % (rank, rowid))
+            rank = None
     return FbFriend(
         uid=uid,
         name=name,
         first_name=first,
         middle_name=middle,
         last_name=last,
-        contact_email=as_text(column(row, "contact_email", "email")),
-        phones=as_text(column(row, "phones")),
-        profile_url=as_text(column(row, "profile_url", "url")),
-        communication_rank=float(rank) if rank is not None else None,
-        birthday=_parse_birthday(
-            column(row, "birthday", "birthday_date"), warnings, "friends row %s" % row["rowid_"]
-        ),
+        contact_email=as_text(email),
+        phones=as_text(phones),
+        profile_url=as_text(url),
+        communication_rank=rank,
+        birthday=_parse_birthday(birthday, warnings, "friends row %s" % rowid),
         provenance=provenance,
     )
 
 
 def extract_friends(path, warnings: list[str] | None = None) -> list[FbFriend]:
     """Read the friends cache: profile fields for every friend row."""
-    return _read(path, warnings, "friends", "friends", _friend)
+    return _read(path, warnings, "friends", "friends", _FRIEND_COLUMNS, _friend)
 
 
 def parse_fb_attachments(text: str) -> list[FbAttachment]:
@@ -222,7 +237,7 @@ def parse_fb_attachments(text: str) -> list[FbAttachment]:
     """
     try:
         loaded = json.loads(text)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:  # the last: nesting deeper than the decoder's stack
         raise MalformedJson("attachments column did not parse: %s" % exc) from exc
     if not isinstance(loaded, list):
         raise MalformedJson("attachments JSON is not a list")
@@ -260,7 +275,7 @@ def _parse_tags(raw, warnings, context) -> tuple[str, ...]:
         loaded = json.loads(text)
         if isinstance(loaded, list):
             return tuple(str(tag) for tag in loaded)
-    except ValueError:
+    except (ValueError, RecursionError):
         pass
     # Cache exports sometimes use a set-like spelling; salvage the quoted
     # strings rather than dropping the row.
@@ -278,7 +293,7 @@ def _parse_sender(raw, warnings, context):
     text = as_text(raw)
     try:
         loaded = json.loads(text)
-    except ValueError:
+    except (ValueError, RecursionError):
         warn(warnings, "sender JSON unparsed in %s" % context)
         return None, None, None
     if not isinstance(loaded, dict):
@@ -292,15 +307,22 @@ def _parse_sender(raw, warnings, context):
     )
 
 
-def _message(row, column, provenance, warnings):
-    context = "messages row %s" % row["rowid_"]
-    when = _epoch(as_int(column(row, "timestamp", "timestamp_ms", "time")), "millis")
+_MESSAGE_COLUMNS = (
+    ("timestamp", "timestamp_ms", "time"), "sender", "attachments", ("mid", "message_id"), ("tid", "thread_id"),
+    ("body", "text"), "tags",
+)
+
+
+def _message(values, provenance, warnings):
+    rowid, timestamp, sender_raw, attachments_raw, mid, thread_id, body, tags = values
+    context = "messages row %s" % rowid
+    when = _epoch(as_int(timestamp), "millis")
     if when is None:
         warn(warnings, "%s has no usable timestamp" % context)
         return None
-    sender_raw = as_text(column(row, "sender"))
+    sender_raw = as_text(sender_raw)
     sender_uid, sender_name, sender_email = _parse_sender(sender_raw, warnings, context)
-    attachments_raw = as_text(column(row, "attachments"))
+    attachments_raw = as_text(attachments_raw)
     attachments: tuple[FbAttachment, ...] = ()
     if attachments_raw not in (None, "", "[]"):
         try:
@@ -308,16 +330,16 @@ def _message(row, column, provenance, warnings):
         except MalformedJson:
             warn(warnings, "attachments unparsed in %s" % context)
     return FbMessage(
-        row_id=row["rowid_"],
-        mid=as_text(column(row, "mid", "message_id")),
-        thread_id=as_text(column(row, "tid", "thread_id")),
-        body=as_text(column(row, "body", "text")),
+        row_id=rowid,
+        mid=as_text(mid),
+        thread_id=as_text(thread_id),
+        body=as_text(body),
         when=when,
         sender_uid=sender_uid,
         sender_name=sender_name,
         sender_email=sender_email,
         sender_raw=sender_raw,
-        tags=_parse_tags(column(row, "tags"), warnings, context),
+        tags=_parse_tags(tags, warnings, context),
         attachments=attachments,
         attachments_raw=attachments_raw,
         provenance=provenance,
@@ -326,22 +348,27 @@ def _message(row, column, provenance, warnings):
 
 def extract_messages(path, warnings: list[str] | None = None) -> list[FbMessage]:
     """Read cached chat messages in row order."""
-    return _read(path, warnings, "messages", "messages", _message)
+    return _read(path, warnings, "messages", "messages", _MESSAGE_COLUMNS, _message)
 
 
-def _user(row, column, provenance, warnings):
-    uid = as_text(column(row, "uid", "user_id", "id"))
+_USER_COLUMNS = (("uid", "user_id", "id"), ("last_active", "last_active_time", "last_active_timestamp"),
+                 "name", "email")
+
+
+def _user(values, provenance, warnings):
+    rowid, uid, seconds, name, email = values
+    uid = as_text(uid)
     if uid is None:
-        warn(warnings, "users row %s lacks a uid" % row["rowid_"])
+        warn(warnings, "users row %s lacks a uid" % rowid)
         return None
-    seconds = as_int(column(row, "last_active", "last_active_time", "last_active_timestamp"))
+    seconds = as_int(seconds)
     last_active = _epoch(seconds, "seconds")
     if last_active is None and seconds is not None:
-        warn(warnings, "time out of range %r in users row %s" % (seconds, row["rowid_"]))
+        warn(warnings, "time out of range %r in users row %s" % (seconds, rowid))
     return FbUser(
         id=uid,
-        name=as_text(column(row, "name")),
-        email=as_text(column(row, "email")),
+        name=as_text(name),
+        email=as_text(email),
         last_active=last_active,
         provenance=provenance,
     )
@@ -349,7 +376,7 @@ def _user(row, column, provenance, warnings):
 
 def extract_users(path, warnings: list[str] | None = None) -> list[FbUser]:
     """Read the users table kept alongside cached messages."""
-    return _read(path, warnings, "users", "users", _user)
+    return _read(path, warnings, "users", "users", _USER_COLUMNS, _user)
 
 
 def _parse_iso_column(value, warnings, context):
@@ -362,24 +389,31 @@ def _parse_iso_column(value, warnings, context):
         return None
 
 
-def _notification(row, column, provenance, warnings):
-    context = "notifications row %s" % row["rowid_"]
-    flag = as_int(column(row, "unread", "unread_flag"))
+_NOTIFICATION_COLUMNS = (
+    ("unread", "unread_flag"), ("notification_id", "id"), ("sender_id", "sender"), ("title_text", "title"),
+    ("href", "url"), ("created", "created_time"), ("updated", "updated_time"),
+)
+
+
+def _notification(values, provenance, warnings):
+    rowid, flag, notification_id, sender_id, title, href, created, updated = values
+    context = "notifications row %s" % rowid
+    flag = as_int(flag)
     return FbNotification(
-        notification_id=as_text(column(row, "notification_id", "id")),
-        sender_id=as_text(column(row, "sender_id", "sender")),
-        title_text=as_text(column(row, "title_text", "title")),
-        href=as_text(column(row, "href", "url")),
+        notification_id=as_text(notification_id),
+        sender_id=as_text(sender_id),
+        title_text=as_text(title),
+        href=as_text(href),
         unread_flag=flag if flag is not None else 0,
-        created=_parse_iso_column(column(row, "created", "created_time"), warnings, context),
-        updated=_parse_iso_column(column(row, "updated", "updated_time"), warnings, context),
+        created=_parse_iso_column(created, warnings, context),
+        updated=_parse_iso_column(updated, warnings, context),
         provenance=provenance,
     )
 
 
 def extract_notifications(path, warnings: list[str] | None = None) -> list[FbNotification]:
     """Read cached notifications; times are stored as date-time text."""
-    return _read(path, warnings, "notifications", "notifications", _notification)
+    return _read(path, warnings, "notifications", "notifications", _NOTIFICATION_COLUMNS, _notification)
 
 
 def infer_owner_uid(messages: list[FbMessage]) -> str | None:

@@ -121,19 +121,25 @@ class MessageKind:
     group_chat: bool
 
 
+# The shared kind of each known (code, group chat); made-up codes get a kind of their own.
+_KINDS = {(code, group_chat): MessageKind(label, code, group_chat)
+          for code, label in TYPE_CODE_LABELS.items() for group_chat in (False, True)}
+
+
 def classify_message(type_code, chatmsg_type=None, chatmsg_status=None, participant_count=None) -> MessageKind:
     """Map a message type code to its meaning; total over all integers.
 
     The label depends on the type code alone; chatmsg_type and
     chatmsg_status are accepted because rows carry them together, and a
     participant count above two marks the conversation as a group chat.
+    Each known code gets one shared MessageKind per group-chat reading.
     """
     code = as_int(type_code)
     if code is None:
         code = -1
-    label = TYPE_CODE_LABELS.get(code, "Unknown")
     count = as_int(participant_count)
-    return MessageKind(label=label, code=code, group_chat=count is not None and count > 2)
+    group_chat = count is not None and count > 2
+    return _KINDS.get((code, group_chat)) or MessageKind("Unknown", code, group_chat)
 
 
 # ---------------------------------------------------------------------------
@@ -543,71 +549,95 @@ class SkypeDataset:
     video_messages: list[SkypeVideoMessage]
 
 
-def _account(row, column, provenance, warnings):
-    skypename = as_text(column(row, "skypename"))
+_ACCOUNT_COLUMNS = (
+    "skypename", ("liveid_membername", "liveid"), "fullname", "birthday", "gender", "country", "province",
+    "city", "emails", "mood_text", "registration_timestamp",
+)
+
+
+def _account(values, provenance, warnings):
+    (skypename, liveid, fullname, birthday, gender, country, province, city, emails, mood_text,
+     registered) = values
+    skypename = as_text(skypename)
     if not skypename:
         warn(warnings, "account row without skypename skipped")
         return None
     return SkypeAccount(
         skypename=skypename,
-        liveid=as_text(column(row, "liveid_membername", "liveid")),
-        fullname=as_text(column(row, "fullname")),
-        birthday=_birthday(column(row, "birthday"), warnings, "account %s" % skypename),
-        gender=as_int(column(row, "gender")),
-        country=as_text(column(row, "country")),
-        province=as_text(column(row, "province")),
-        city=as_text(column(row, "city")),
-        emails=as_text(column(row, "emails")),
-        mood_text=as_text(column(row, "mood_text")),
-        registration_time=_ts(column(row, "registration_timestamp"), warnings, "account"),
+        liveid=as_text(liveid),
+        fullname=as_text(fullname),
+        birthday=_birthday(birthday, warnings, "account %s" % skypename),
+        gender=as_int(gender),
+        country=as_text(country),
+        province=as_text(province),
+        city=as_text(city),
+        emails=as_text(emails),
+        mood_text=as_text(mood_text),
+        registration_time=_ts(registered, warnings, "account"),
         provenance=provenance,
     )
 
 
-def _contact(row, column, provenance, warnings):
-    skypename = as_text(column(row, "skypename"))
+_CONTACT_COLUMNS = (
+    "skypename", "fullname", "displayname", "birthday", "gender", "languages", "country", "city",
+    "phone_mobile", "emails", "lastonline_timestamp", "lastused_timestamp",
+)
+
+
+def _contact(values, provenance, warnings):
+    (skypename, fullname, displayname, birthday, gender, languages, country, city, phone_mobile, emails,
+     last_online, last_used) = values
+    skypename = as_text(skypename)
     if not skypename:
         warn(warnings, "contact row without skypename skipped")
         return None
     return SkypeContact(
         skypename=skypename,
-        fullname=as_text(column(row, "fullname")),
-        displayname=as_text(column(row, "displayname")),
-        birthday=_birthday(column(row, "birthday"), warnings, "contact %s" % skypename),
-        gender=as_int(column(row, "gender")),
-        languages=as_text(column(row, "languages")),
-        country=as_text(column(row, "country")),
-        city=as_text(column(row, "city")),
-        phone_mobile=as_text(column(row, "phone_mobile")),
-        emails=as_text(column(row, "emails")),
-        last_online=_ts(column(row, "lastonline_timestamp"), warnings, "contact"),
-        last_used=_ts(column(row, "lastused_timestamp"), warnings, "contact"),
+        fullname=as_text(fullname),
+        displayname=as_text(displayname),
+        birthday=_birthday(birthday, warnings, "contact %s" % skypename),
+        gender=as_int(gender),
+        languages=as_text(languages),
+        country=as_text(country),
+        city=as_text(city),
+        phone_mobile=as_text(phone_mobile),
+        emails=as_text(emails),
+        last_online=_ts(last_online, warnings, "contact"),
+        last_used=_ts(last_used, warnings, "contact"),
         provenance=provenance,
     )
 
 
-def _message(row, column, provenance, warnings):
-    when = _ts(column(row, "timestamp"), warnings, "message")
+_MESSAGE_COLUMNS = (
+    "timestamp", "type", "participant_count", "id", "convo_id", "chatname", "author", "from_dispname",
+    "chatmsg_type", "chatmsg_status", "body_xml", "reason",
+)
+
+
+def _message(values, provenance, warnings):
+    (rowid, timestamp, type_code, count, id_, convo_id, chatname, author, from_dispname, chatmsg_type,
+     chatmsg_status, body_xml, reason) = values
+    when = _ts(timestamp, warnings, "message")
     if when is None:
-        warn(warnings, "message row %s has no usable timestamp" % row["rowid_"])
+        warn(warnings, "message row %s has no usable timestamp" % rowid)
         return None
-    type_code = as_int(column(row, "type"))
+    type_code = as_int(type_code)
     if type_code is None:
         type_code = -1
-    count = as_int(column(row, "participant_count"))
+    count = as_int(count)
     return SkypeMessage(
-        id=as_int(column(row, "id")) or row["rowid_"],
-        convo_id=as_int(column(row, "convo_id")),
-        chatname=as_text(column(row, "chatname")),
-        author=as_text(column(row, "author")),
-        from_dispname=as_text(column(row, "from_dispname")),
+        id=as_int(id_) or rowid,
+        convo_id=as_int(convo_id),
+        chatname=as_text(chatname),
+        author=as_text(author),
+        from_dispname=as_text(from_dispname),
         when=when,
         type_code=type_code,
-        chatmsg_type=as_int(column(row, "chatmsg_type")),
-        chatmsg_status=as_int(column(row, "chatmsg_status")),
-        body_xml=as_text(column(row, "body_xml")),
+        chatmsg_type=as_int(chatmsg_type),
+        chatmsg_status=as_int(chatmsg_status),
+        body_xml=as_text(body_xml),
         participant_count=count,
-        reason=as_text(column(row, "reason")),
+        reason=as_text(reason),
         kind=classify_message(type_code, participant_count=count),
         provenance=provenance,
     )
@@ -615,46 +645,57 @@ def _message(row, column, provenance, warnings):
 
 _TRANSFER_DIRECTIONS = {1: "receiving", 2: "transferring"}
 
+_TRANSFER_COLUMNS = (
+    "type", "partner_handle", "partner_dispname", "status", ("failurereason", "failure_reason"),
+    "starttime", "finishtime", "filepath", "filename", "filesize", ("bytestransferred", "bytes_transferred"),
+)
 
-def _transfer(row, column, provenance, warnings):
-    type_code = as_int(column(row, "type"))
+
+def _transfer(values, provenance, warnings):
+    (rowid, type_code, partner_handle, partner_dispname, status, failure_reason, start, finish, filepath,
+     filename, filesize, transferred) = values
+    type_code = as_int(type_code)
     direction = _TRANSFER_DIRECTIONS.get(type_code)
     if direction is None:
-        warn(warnings, "transfer row %s has unknown type %r" % (row["rowid_"], type_code))
+        warn(warnings, "transfer row %s has unknown type %r" % (rowid, type_code))
         direction = "undetermined"
     return SkypeTransfer(
-        partner_handle=as_text(column(row, "partner_handle")),
-        partner_dispname=as_text(column(row, "partner_dispname")),
+        partner_handle=as_text(partner_handle),
+        partner_dispname=as_text(partner_dispname),
         direction=direction,
         type_code=type_code,
-        status_code=as_int(column(row, "status")),
-        failure_reason=as_text(column(row, "failurereason", "failure_reason")),
-        start=_ts(column(row, "starttime"), warnings, "transfer"),
-        finish=_ts(column(row, "finishtime"), warnings, "transfer"),
-        filepath=as_text(column(row, "filepath")),
-        filename=as_text(column(row, "filename")),
-        filesize=as_int(column(row, "filesize")),
-        bytes_transferred=as_int(column(row, "bytestransferred", "bytes_transferred")),
+        status_code=as_int(status),
+        failure_reason=as_text(failure_reason),
+        start=_ts(start, warnings, "transfer"),
+        finish=_ts(finish, warnings, "transfer"),
+        filepath=as_text(filepath),
+        filename=as_text(filename),
+        filesize=as_int(filesize),
+        bytes_transferred=as_int(transferred),
         provenance=provenance,
     )
 
 
-def _call(row, column, provenance, warnings):
-    begin = _ts(column(row, "begin_timestamp"), warnings, "call")
+_CALL_COLUMNS = ("begin_timestamp", "duration", "is_unseen_missed", "host_identity", "is_incoming", "name")
+
+
+def _call(values, provenance, warnings):
+    rowid, begin, duration, unseen, host_identity, is_incoming, name = values
+    begin = _ts(begin, warnings, "call")
     if begin is None:
-        warn(warnings, "call row %s has no usable begin time" % row["rowid_"])
+        warn(warnings, "call row %s has no usable begin time" % rowid)
         return None
-    duration = as_int(column(row, "duration"))
+    duration = as_int(duration)
     if duration is not None and duration < 0:
-        warn(warnings, "call row %s has negative duration" % row["rowid_"])
+        warn(warnings, "call row %s has negative duration" % rowid)
         duration = None
-    unseen = as_int(column(row, "is_unseen_missed"))
+    unseen = as_int(unseen)
     return SkypeCall(
         begin=begin,
-        host_identity=as_text(column(row, "host_identity")),
+        host_identity=as_text(host_identity),
         duration_s=duration,
-        is_incoming=bool(as_int(column(row, "is_incoming")) or 0),
-        name=as_text(column(row, "name")),
+        is_incoming=bool(as_int(is_incoming) or 0),
+        name=as_text(name),
         unseen_missed=bool(unseen) if unseen is not None else None,
         provenance=provenance,
     )
@@ -670,24 +711,36 @@ def _split_guid(guid: str | None):
     return None
 
 
-def _call_member(row, column, provenance, warnings):
-    guid = as_text(column(row, "guid"))
+_CALL_MEMBER_COLUMNS = ("guid", "identity", "dispname", "call_duration")
+
+
+def _call_member(values, provenance, warnings):
+    _, guid, identity, dispname, duration = values
+    guid = as_text(guid)
     return CallMember(
-        identity=as_text(column(row, "identity")),
-        dispname=as_text(column(row, "dispname")),
+        identity=as_text(identity),
+        dispname=as_text(dispname),
         guid_raw=guid,
         guid_parts=_split_guid(guid),
-        duration_s=as_int(column(row, "call_duration")),
+        duration_s=as_int(duration),
         provenance=provenance,
     )
 
 
-def _video_message(row, column, provenance, warnings):
-    sid = as_text(column(row, "sharing_id", "sid"))
+_VIDEO_MESSAGE_COLUMNS = (
+    ("sharing_id", "sid"), "progress", "local_path", "vod_path", ("public_link", "publiclink"), "author",
+    "creation_timestamp", "reaction_timestamp", "status", "vod_status",
+)
+
+
+def _video_message(values, provenance, warnings):
+    (rowid, sid, progress, local_path, vod_path, public_link, author, created, reacted, status,
+     vod_status) = values
+    sid = as_text(sid)
     if not sid:
-        warn(warnings, "video message row %s without sharing id skipped" % row["rowid_"])
+        warn(warnings, "video message row %s without sharing id skipped" % rowid)
         return None
-    progress = as_int(column(row, "progress"))
+    progress = as_int(progress)
     if progress is None:
         progress = 0
     if not 0 <= progress <= 100:
@@ -695,30 +748,30 @@ def _video_message(row, column, provenance, warnings):
         progress = min(max(progress, 0), 100)
     return SkypeVideoMessage(
         sid=sid,
-        local_path=as_text(column(row, "local_path")),
-        vod_path=as_text(column(row, "vod_path")),
-        public_link=as_text(column(row, "public_link", "publiclink")),
-        author=as_text(column(row, "author")),
+        local_path=as_text(local_path),
+        vod_path=as_text(vod_path),
+        public_link=as_text(public_link),
+        author=as_text(author),
         progress=progress,
-        creation_time=_ts(column(row, "creation_timestamp"), warnings, "video message"),
-        reaction_time=_ts(column(row, "reaction_timestamp"), warnings, "video message"),
-        status=as_int(column(row, "status")),
-        vod_status=as_int(column(row, "vod_status")),
+        creation_time=_ts(created, warnings, "video message"),
+        reaction_time=_ts(reacted, warnings, "video message"),
+        status=as_int(status),
+        vod_status=as_int(vod_status),
         provenance=provenance,
     )
 
 
-# (SkypeDataset field, also the provenance name; table; row reader; read with rowid).
-# Accounts and Contacts need no row id, so they are read in scan order and
-# still load when declared WITHOUT ROWID.
+# (SkypeDataset field, also the provenance name; table; column plan; row
+# reader; read with rowid).  Accounts and Contacts need no row id, so they
+# are read in scan order and still load when declared WITHOUT ROWID.
 _TABLE_READERS = (
-    ("accounts", "Accounts", _account, False),
-    ("contacts", "Contacts", _contact, False),
-    ("messages", "Messages", _message, True),
-    ("transfers", "Transfers", _transfer, True),
-    ("calls", "Calls", _call, True),
-    ("call_members", "CallMembers", _call_member, True),
-    ("video_messages", "VideoMessages", _video_message, True),
+    ("accounts", "Accounts", _ACCOUNT_COLUMNS, _account, False),
+    ("contacts", "Contacts", _CONTACT_COLUMNS, _contact, False),
+    ("messages", "Messages", _MESSAGE_COLUMNS, _message, True),
+    ("transfers", "Transfers", _TRANSFER_COLUMNS, _transfer, True),
+    ("calls", "Calls", _CALL_COLUMNS, _call, True),
+    ("call_members", "CallMembers", _CALL_MEMBER_COLUMNS, _call_member, True),
+    ("video_messages", "VideoMessages", _VIDEO_MESSAGE_COLUMNS, _video_message, True),
 )
 
 
@@ -732,14 +785,15 @@ def extract_main_db(path, warnings: list[str] | None = None) -> SkypeDataset:
         present = table_names(connection)
         collected = {}
         found_any = False
-        for attr, wanted, record, rowid in _TABLE_READERS:
+        for attr, wanted, columns, record, rowid in _TABLE_READERS:
             actual = present.get(wanted.casefold())
             if actual is None:
                 warn(warnings, "table %s absent from %s" % (wanted, path))
                 collected[attr] = []
                 continue
             found_any = True
-            collected[attr] = read_table(connection, actual, path, EXTRACTOR_PREFIX, attr, record, warnings, rowid)
+            collected[attr] = read_table(
+                connection, actual, path, EXTRACTOR_PREFIX, attr, columns, record, warnings, rowid)
         if not found_any:
             raise AllTablesMissing("none of the expected tables exist in %s" % path)
     return SkypeDataset(**collected)

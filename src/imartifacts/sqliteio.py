@@ -6,8 +6,15 @@ sidecar next to the database therefore stays unapplied; callers get a
 warning so the report records that state.
 
 ``read_table`` is the one place where a table's query, its row order and
-the provenance of its records are decided; every extractor supplies only
-a per-row function.
+the provenance of its records are decided.  Every extractor supplies a
+column plan and a per-row function.  The plan is a tuple of column specs,
+each a column name or a tuple of alias names.  ``plan_query`` resolves
+the specs once per table, against the columns of ``SELECT rowid AS
+rowid_, *`` (``SELECT *`` when the table is read without rowid), by the
+rule ``row_value`` applies to one row.  Its query selects the resolved
+columns only, a NULL for a spec that matches none, and the rowid first
+when the table is read with it.  The per-row function gets each row as a
+plain tuple in that order and unpacks it.
 """
 
 from __future__ import annotations
@@ -25,8 +32,8 @@ __all__ = [
     "SQLITE_MAGIC",
     "as_int",
     "as_text",
-    "column_reader",
     "open_immutable",
+    "plan_query",
     "read_table",
     "row_value",
     "table_names",
@@ -110,28 +117,6 @@ def _resolve(keys: dict[str, str], names) -> str | None:
     return None
 
 
-_UNRESOLVED = object()
-
-
-def column_reader(cursor: sqlite3.Cursor):
-    """Reader of the rows of one cursor: ``column(row, *names, default=None)``.
-
-    Gives what row_value gives for the same row and names, but each tuple
-    of names is resolved to a stored column key once per cursor, from
-    ``cursor.description``; a row then costs one ``row[key]``.
-    """
-    keys = _column_keys(column[0] for column in cursor.description)
-    resolved: dict[tuple[str, ...], str | None] = {}
-
-    def column(row: sqlite3.Row, *names: str, default=None):
-        key = resolved.get(names, _UNRESOLVED)
-        if key is _UNRESOLVED:
-            key = resolved[names] = _resolve(keys, names)
-        return default if key is None else row[key]
-
-    return column
-
-
 def row_value(row: sqlite3.Row, *names: str, default=None):
     """Fetch the first present column among names, tolerating absence."""
     key = _resolve(_column_keys(row.keys()), names)
@@ -140,8 +125,8 @@ def row_value(row: sqlite3.Row, *names: str, default=None):
 
 def as_text(value):
     """Column or attribute value as text; undecodable bytes are replaced."""
-    if value is None:
-        return None
+    if value is None or type(value) is str:
+        return value
     if isinstance(value, bytes):
         return value.decode("utf-8", errors="replace")
     return str(value)
@@ -161,23 +146,54 @@ def warn(warnings: list[str] | None, message: str) -> None:
         warnings.append(message)
 
 
-def read_table(connection, table: str, path, prefix: str, what: str, record, warnings, rowid: bool = True) -> list:
-    """The records of one table: ``record(row, column, provenance, warnings)`` per row.
+def _row_key_matches(name: str, key: str) -> bool:
+    """Whether sqlite3.Row's lookup by key takes the column name: equal, or both ASCII and equal ignoring case."""
+    return name == key or (name.isascii() and key.isascii() and name.lower() == key.lower())
 
-    Rows come in rowid order, read as ``rowid_`` beside the table's own
-    columns, or in scan order with the table's columns alone when rowid is
-    false.  Every record shares one ``Provenance(str(path), "<prefix>.<what>",
-    DATABASE)``; rows for which record returns None are skipped.
+
+def plan_query(connection, table: str, columns, rowid: bool = True) -> str:
+    """The query that reads one value per spec of columns from each row of table.
+
+    Each spec, a name or a tuple of aliases, is resolved as row_value
+    resolves it on a row of ``SELECT rowid AS rowid_, *`` (``SELECT *``
+    without rowid), and its column is the one that sqlite3.Row reads for
+    the resolved key.  A spec that matches no column selects NULL.  With
+    rowid, the rowid comes first and rows come in rowid order; without
+    it, rows come in table scan order.  NOT INDEXED keeps a covering
+    index from changing the scan order.
     """
-    if rowid:
-        rows = connection.execute('SELECT rowid AS rowid_, * FROM "%s" ORDER BY rowid_' % table)
-    else:
-        rows = connection.execute('SELECT * FROM "%s"' % table)
-    column = column_reader(rows)
+    source = '"%s" NOT INDEXED' % table
+    selected = ["rowid AS rowid_"] if rowid else []
+    described = connection.execute("SELECT %s FROM %s LIMIT 0" % (", ".join(selected + ["*"]), source))
+    names = [column[0] for column in described.description]
+    keys = _column_keys(names)
+    for spec in columns:
+        key = _resolve(keys, (spec,) if isinstance(spec, str) else spec)
+        if key is None:
+            selected.append("NULL")
+            continue
+        index = next(i for i, name in enumerate(names) if _row_key_matches(name, key))
+        selected.append("rowid" if rowid and index == 0 else '"%s"' % names[index].replace('"', '""'))
+    return "SELECT %s FROM %s%s" % (", ".join(selected), source, " ORDER BY rowid_" if rowid else "")
+
+
+def read_table(connection, table: str, path, prefix: str, what: str, columns, record, warnings,
+               rowid: bool = True) -> list:
+    """The records of one table: ``record(values, provenance, warnings)`` per row.
+
+    values is the row's tuple from plan_query(connection, table, columns,
+    rowid): the rowid first when rowid is true, then one value per spec of
+    columns.  Every record shares one ``Provenance(str(path),
+    "<prefix>.<what>", DATABASE)``; rows for which record returns None are
+    skipped.
+    """
+    cursor = connection.cursor()
+    cursor.row_factory = None
+    rows = cursor.execute(plan_query(connection, table, columns, rowid))
     provenance = Provenance(str(path), "%s.%s" % (prefix, what), Channel.DATABASE)
     out = []
-    for row in rows:
-        item = record(row, column, provenance, warnings)
+    for values in rows:
+        item = record(values, provenance, warnings)
         if item is not None:
             out.append(item)
     return out

@@ -1,6 +1,7 @@
 import csv
 import errno
 import gc
+import io
 import json
 import os
 import sqlite3
@@ -438,7 +439,47 @@ class TestPerInputOutcome:
         link = tmp_path / "gone.db"
         link.symlink_to(tmp_path / "missing")
         assert main(["timeline", str(link)]) == 2
-        assert "error: %s: cannot read %s" % (link, link) in capfd.readouterr().err.splitlines()
+        line = "error: %s: [Errno 2] No such file or directory: '%s'" % (link, link)
+        assert line in capfd.readouterr().err.splitlines()
+        assert main(["carve", str(link), "--out", str(tmp_path / "carved")]) == 2
+        assert line in capfd.readouterr().err.splitlines()
+
+    @pytest.mark.parametrize("when, error", [
+        ("open", "[Errno 13] Permission denied: '%s'"),
+        ("read", "stream read failed: [Errno 5] Input/output error"),
+    ], ids=["open", "read"])
+    def test_failed_open_or_read_gives_one_error_line_in_every_command(
+            self, tmp_path, monkeypatch, capfd, when, error):
+        root = tmp_path / "evidence"
+        root.mkdir()
+        blob = root / "blob.bin"
+        blob.write_bytes(b"raw " + sampledata.CHAT_PUSH_JSON.encode("utf-8"))
+        real_open = Path.open
+
+        class FailingRead(io.BytesIO):
+            def read(self, *args):
+                raise OSError(errno.EIO, "Input/output error")
+
+        def breaking_open(self, *args, **kwargs):
+            if self != blob:
+                return real_open(self, *args, **kwargs)
+            if when == "open":
+                raise PermissionError(errno.EACCES, "Permission denied", str(self))
+            return FailingRead()
+
+        monkeypatch.setattr(Path, "open", breaking_open)
+        monkeypatch.setattr(cli, "open", lambda name, mode: Path(name).open(mode), raising=False)
+        line = "error: %s: %s" % (blob, error.replace("%s", str(blob)))
+        commands = [["timeline", str(blob)], ["report", str(root)],
+                    ["carve", str(blob), "--out", str(tmp_path / "carved")]]
+        for argv in commands:
+            assert main(argv) == 2, argv
+            assert [l for l in capfd.readouterr().err.splitlines() if l.startswith("error:")] == [line], argv
+        # Sniffed for a scan worker first, the input is left to be read, and reported, in-line.
+        forked = _send_raw_to_workers(monkeypatch)
+        assert main(["timeline", str(blob)]) == 2
+        assert [l for l in capfd.readouterr().err.splitlines() if l.startswith("error:")] == [line]
+        assert forked == []
 
     @staticmethod
     def _alone_and_with_bad(capfd, alone, with_bad):
@@ -710,6 +751,44 @@ class TestScanWorkers:
             assert run.returncode == 0, run.stderr
             assert b"ResourceWarning" not in run.stderr
         assert (runs[1].stdout, runs[1].stderr) == (runs[0].stdout, runs[0].stderr)
+
+
+class TestGarbageCollection:
+    """A pipeline run pauses automatic garbage collection and leaves it as the caller had it."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def entered(self, request):
+        before = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if before else gc.disable)()
+
+    def test_state_after_normal_and_failed_runs(self, forged, tmp_path, monkeypatch, capfd, entered):
+        root, _ = forged
+        during = []
+        normalize = timeline.normalize
+        monkeypatch.setattr(timeline, "normalize", lambda *a, **k: during.append(gc.isenabled()) or normalize(*a, **k))
+        files = [str(p) for p in sorted(root.rglob("*")) if p.is_file()]
+        runs = [(["report", str(root)], 0), (["timeline", *files], 0),
+                (["timeline", fb_db(root, "Messages.sqlite"), str(tmp_path / "missing.bin")], 3)]
+        for argv, code in runs:
+            assert main([*argv, "--out", str(tmp_path / "out.jsonl")]) == code
+            assert gc.isenabled() is entered, argv
+        assert during and not any(during)
+
+    def test_state_after_an_interrupt_in_an_extractor(self, forged, monkeypatch, entered):
+        root, _ = forged
+        during = []
+
+        def interrupted(*args, **kwargs):
+            during.append(gc.isenabled())
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(skype, "extract_main_db", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["timeline", str(root / forge.SKYPE_ACCOUNT_DIR / "main.db")])
+        assert during == [False]
+        assert gc.isenabled() is entered
 
 
 class TestTooDeepChatJson:

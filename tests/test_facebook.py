@@ -205,6 +205,20 @@ class TestFriends:
         assert any("birthday" in w for w in warnings)
 
 
+    def test_unparsed_rank_is_none_with_a_warning(self, tmp_path):
+        path = _make_db(
+            tmp_path / "f.sqlite",
+            "CREATE TABLE friends (uid TEXT, name TEXT, communication_rank)",
+            "friends",
+            ({"uid": "1", "name": "A", "communication_rank": "abc"},
+             {"uid": "2", "name": "B", "communication_rank": "0.5"}),
+        )
+        warnings = []
+        first, second = extract_friends(path, warnings)
+        assert (first.communication_rank, second.communication_rank) == (None, 0.5)
+        assert warnings == ["unparsed communication rank 'abc' in friends row 1"]
+
+
 class TestAttachments:
     def test_double_bracketed_array(self):
         attachments = parse_fb_attachments(sd.ATTACHMENTS_JSON)
@@ -291,6 +305,26 @@ class TestMessages:
         assert any("sender" in w for w in warnings)
         assert any("salvaged" in w for w in warnings)
         assert any("attachments" in w for w in warnings)
+
+    @pytest.mark.parametrize("column, warning", [("sender", "sender JSON unparsed"),
+                                                 ("tags", "tags unparsed"),
+                                                 ("attachments", "attachments unparsed")])
+    def test_too_deep_json_column_is_kept_unparsed(self, tmp_path, column, warning):
+        rows = [dict(row) for row in sd.MESSAGE_ROWS]
+        deep = "[" * 100000  # deeper than the JSON decoder's stack
+        rows[0][column] = deep
+        path = _messages_db(tmp_path, message_rows=rows, users_rows=())
+        warnings = []
+        messages = extract_messages(path, warnings)
+        assert [m.row_id for m in messages] == [15, 16, 18, 19, 20]
+        first = messages[0]
+        if column == "sender":
+            assert (first.sender_uid, first.sender_raw) == (None, deep)
+        elif column == "tags":
+            assert first.tags == ()
+        else:
+            assert (first.attachments, first.attachments_raw) == ((), deep)
+        assert warnings == ["%s in messages row 15" % warning]
 
     def test_database_bytes_untouched(self, messages_db):
         before = hashlib.sha256(messages_db.read_bytes()).hexdigest()

@@ -12,6 +12,7 @@ from imartifacts.model import MalformedHex, OutOfRange
 from imartifacts.skype import (
     AllTablesMissing,
     FilesBody,
+    MessageKind,
     NoRecognizedTags,
     PartListBody,
     PlainTextBody,
@@ -109,6 +110,13 @@ class TestClassify:
             kind = classify_message(code, rng.choice((None, 3)), None, rng.choice((None, 1, 2, 5)))
             assert kind.label == KNOWN_CODES.get(code, "Unknown")
             assert kind == classify_message(code, None, None, kind.group_chat and 3 or 2) or True
+
+    def test_known_codes_share_one_kind_per_group_reading(self):
+        assert classify_message(61, participant_count=5) is classify_message("61", 1, 2, 3)
+        assert classify_message(61) is classify_message(61, participant_count=2)
+        assert classify_message(61) is not classify_message(61, participant_count=3)
+        assert classify_message(61) == MessageKind("TextSent", 61, False)
+        assert classify_message(999) == classify_message(999)  # unknown codes are equal, not kept
 
     def test_group_depends_only_on_count(self):
         for code in list(KNOWN_CODES) + [0, 999]:

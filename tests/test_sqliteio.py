@@ -1,17 +1,18 @@
-"""sqliteio: column_reader against the per-row lookup it replaces, table reads, and driver errors."""
+"""sqliteio: the column plan against the per-row lookup it replaces, table reads, and driver errors."""
 
 import dataclasses
 import sqlite3
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from imartifacts import facebook, forge, skype, sqliteio
 from imartifacts.model import Channel
-from imartifacts.sqliteio import column_reader, row_value
+from imartifacts.sqliteio import plan_query, row_value
 
 
 def reference_row_value(row, *names, default=None):
-    """The per-row lookup the extractors used before column_reader, verbatim."""
+    """The per-row lookup the extractors used before the column plan, verbatim."""
     keys = {key.casefold(): key for key in row.keys()}
     for name in names:
         key = keys.get(name.casefold())
@@ -19,6 +20,8 @@ def reference_row_value(row, *names, default=None):
             return row[key]
     return default
 
+
+REFERENCE_QUERIES = {True: 'SELECT rowid AS rowid_, * FROM "%s" ORDER BY rowid_', False: 'SELECT * FROM "%s"'}
 
 FB_TABLES = (
     ("analytics", facebook.extract_analytics),
@@ -28,6 +31,18 @@ FB_TABLES = (
     ("notifications", facebook.extract_notifications),
 )
 
+READER_PLANS = [columns for _, _, columns, _, _ in skype._TABLE_READERS] + [
+    facebook._ANALYTICS_COLUMNS, facebook._FRIEND_COLUMNS, facebook._MESSAGE_COLUMNS,
+    facebook._USER_COLUMNS, facebook._NOTIFICATION_COLUMNS,
+]
+
+
+def aliases_of(spec):
+    return (spec,) if isinstance(spec, str) else tuple(spec)
+
+
+READER_SPECS = sorted({aliases_of(spec) for columns in READER_PLANS for spec in columns})
+
 
 def forged_databases(root):
     return sorted(p for p in root.rglob("*") if p.suffix in (".db", ".sqlite"))
@@ -35,6 +50,32 @@ def forged_databases(root):
 
 def same(got, want):
     return got == want and type(got) is type(want)
+
+
+def plan_mismatches(connection, table, columns, rowid, query=None):
+    """(spec, got, want) for every value of the plan's query that differs from the reference lookup.
+
+    The reference reads the same table with REFERENCE_QUERIES[rowid] as sqlite3.Row rows.
+    """
+    planned = connection.cursor()
+    planned.row_factory = None
+    planned = planned.execute(query or plan_query(connection, table, columns, rowid)).fetchall()
+    reference = connection.cursor()
+    reference.row_factory = sqlite3.Row
+    reference = reference.execute(REFERENCE_QUERIES[rowid] % table).fetchall()
+    assert len(planned) == len(reference)
+    mismatches = []
+    for values, row in zip(planned, reference):
+        if rowid:
+            if not same(values[0], row[0]):
+                mismatches.append(("rowid", values[0], row[0]))
+            values = values[1:]
+        assert len(values) == len(columns)
+        for spec, got in zip(columns, values):
+            want = reference_row_value(row, *aliases_of(spec))
+            if not same(got, want):
+                mismatches.append((spec, got, want))
+    return mismatches
 
 
 @pytest.fixture(scope="module", params=[0, 7, 13])
@@ -47,20 +88,13 @@ def forged_root(request, tmp_path_factory):
 def test_extractor_lookups_match_reference(forged_root, monkeypatch):
     mismatches, aliases = [], set()
 
-    def checking_reader(cursor):
-        column = column_reader(cursor)
+    def checking_plan(connection, table, columns, rowid=True):
+        query = plan_query(connection, table, columns, rowid)
+        aliases.update(aliases_of(spec) for spec in columns)
+        mismatches.extend(plan_mismatches(connection, table, columns, rowid, query))
+        return query
 
-        def checked(row, *names, default=None):
-            got = column(row, *names, default=default)
-            want = reference_row_value(row, *names, default=default)
-            aliases.add(names)
-            if not same(got, want):
-                mismatches.append((names, got, want))
-            return got
-
-        return checked
-
-    monkeypatch.setattr(sqliteio, "column_reader", checking_reader)
+    monkeypatch.setattr(sqliteio, "plan_query", checking_plan)
     databases = forged_databases(forged_root)
     assert databases
     for path in databases:
@@ -75,28 +109,26 @@ def test_extractor_lookups_match_reference(forged_root, monkeypatch):
     assert len(aliases) > 50
     assert mismatches == []
 
-    # Every alias tuple the extractors use, on every row of every table.
+    # Every alias tuple the extractors use, on every row of every table, read both ways.
+    every = sorted(aliases)
     for path in databases:
         with sqliteio.open_immutable(path) as connection:
             for table in sqliteio.table_names(connection).values():
-                for query in ('SELECT * FROM "%s"', 'SELECT rowid AS rowid_, * FROM "%s" ORDER BY rowid_'):
-                    rows = connection.execute(query % table)
-                    column = column_reader(rows)
-                    for row in rows:
-                        for names in aliases:
-                            assert same(column(row, *names), reference_row_value(row, *names))
+                for rowid in (True, False):
+                    assert plan_mismatches(connection, table, every, rowid) == []
 
 
-def rows_of(sql_setup, query):
+def memory_db(sql_setup):
     connection = sqlite3.connect(":memory:")
     connection.row_factory = sqlite3.Row
-    try:
-        connection.executescript(sql_setup)
-        cursor = connection.execute(query)
-        column = column_reader(cursor)
-        return column, cursor.fetchall()
-    finally:
-        connection.close()
+    connection.executescript(sql_setup)
+    return connection
+
+
+def plan_rows(connection, columns, rowid):
+    cursor = connection.cursor()
+    cursor.row_factory = None
+    return cursor.execute(plan_query(connection, "t", columns, rowid)).fetchall()
 
 
 LOOKUPS = [
@@ -129,25 +161,91 @@ LAYOUTS = [
 
 @pytest.mark.parametrize("setup, query", LAYOUTS)
 def test_column_layouts_match_reference(setup, query):
-    column, rows = rows_of(setup, query)
-    for row in rows:
-        for names in LOOKUPS:
-            for default in (None, "fallback"):
-                want = reference_row_value(row, *names, default=default)
-                assert same(column(row, *names, default=default), want), (names, default)
-                assert same(row_value(row, *names, default=default), want), (names, default)
+    connection = memory_db(setup)
+    try:
+        for row in connection.execute(query):
+            for names in LOOKUPS:
+                for default in (None, "fallback"):
+                    want = reference_row_value(row, *names, default=default)
+                    assert same(row_value(row, *names, default=default), want), (names, default)
+        for rowid in (True, False):
+            assert plan_mismatches(connection, "t", LOOKUPS, rowid) == []
+    finally:
+        connection.close()
 
 
 def test_own_rowid_column_yields_the_alias():
-    column, rows = rows_of(LAYOUTS[0][0], LAYOUTS[0][1])
-    assert [column(row, "rowid_") for row in rows] == [1, 2]
+    connection = memory_db(LAYOUTS[0][0])
+    try:
+        assert plan_rows(connection, [("rowid_",)], True) == [(1, 1), (2, 2)]
+        assert plan_rows(connection, [("rowid_",)], False) == [("own",), ("own2",)]
+    finally:
+        connection.close()
 
 
 def test_missing_names_give_the_default():
-    column, (row,) = rows_of("CREATE TABLE t (a INTEGER); INSERT INTO t VALUES (5);", "SELECT * FROM t")
-    assert column(row, "nope") is None
-    assert column(row, "nope", default=0) == 0
-    assert column(row, "nope", "A") == 5
+    connection = memory_db("CREATE TABLE t (a INTEGER); INSERT INTO t VALUES (5);")
+    try:
+        assert plan_rows(connection, ["nope", ("nope", "A")], False) == [(None, 5)]
+        assert plan_rows(connection, ["nope", ("nope", "A")], True) == [(1, None, 5)]
+    finally:
+        connection.close()
+
+
+# Column names a generated table may hold besides the readers' aliases: an
+# own rowid_, names that casefold alike but differ beyond ASCII case, and
+# one with a quote in it.
+EXTRA_NAMES = ["rowid_", "STRASSE", "straße", 'na"me']
+EXTRA_SPECS = [("rowid_",), ("STRASSE",), ("straße",), ("straße", "STRASSE"), ('na"me',)]
+ALL_NAMES = sorted({name for spec in READER_SPECS for name in spec} | set(EXTRA_NAMES))
+
+VALUES = st.one_of(st.none(), st.binary(max_size=6), st.integers(-2**63, 2**63 - 1), st.floats(allow_nan=False),
+                   st.text(st.characters(blacklist_categories=("Cs",)), max_size=6))
+
+
+def twin(name):
+    """A name that casefolds like name but differs beyond ASCII case (U+017F for s, U+212A for k), or None."""
+    for plain, other in (("s", "\u017f"), ("k", "\u212a")):
+        if plain in name:
+            return name.replace(plain, other, 1)
+    return None
+
+
+@st.composite
+def tables(draw):
+    """(specs, CREATE TABLE statement, rows) for a table t whose columns mostly answer the specs."""
+    specs = draw(st.lists(st.sampled_from(READER_SPECS) | st.sampled_from(EXTRA_SPECS), min_size=1, max_size=8))
+    near = sorted({name for spec in specs for name in spec} | set(EXTRA_NAMES))
+    names = []
+    for name in draw(st.lists(st.sampled_from(near) | st.sampled_from(ALL_NAMES), min_size=1, max_size=10)):
+        names.append(name)
+        if twin(name) and draw(st.booleans()):
+            names.append(twin(name))
+    spelled = []
+    for name in draw(st.permutations(names)):
+        flips = draw(st.lists(st.booleans(), min_size=len(name), max_size=len(name)))
+        spelled.append("".join(c.swapcase() if flip and c.isascii() else c for c, flip in zip(name, flips)))
+    unique = list({name.encode("utf-8").lower(): name for name in spelled}.values())  # SQLite folds ASCII only
+    types = draw(st.lists(st.sampled_from(["", "INTEGER", "TEXT", "BLOB", "REAL", "NUMERIC"]),
+                          min_size=len(unique), max_size=len(unique)))
+    rows = draw(st.lists(st.tuples(*[VALUES] * len(unique)), max_size=5))
+    columns = ", ".join('"%s" %s' % (name.replace('"', '""'), kind) for name, kind in zip(unique, types))
+    return specs, "CREATE TABLE t (%s)" % columns, rows
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(tables())
+def test_plan_matches_reference_on_generated_tables(table):
+    specs, create, rows = table
+    connection = sqlite3.connect(":memory:")
+    try:
+        connection.execute(create)
+        if rows:
+            connection.executemany("INSERT INTO t VALUES (%s)" % ", ".join("?" * len(rows[0])), rows)
+        for rowid in (True, False):
+            assert plan_mismatches(connection, "t", specs, rowid) == []
+    finally:
+        connection.close()
 
 
 @pytest.mark.parametrize("module, extract", [(facebook, facebook.extract_messages),
