@@ -23,8 +23,6 @@ from .sqliteio import SQLITE_MAGIC, open_immutable, table_names
 ENV_OUT = "IMARTIFACTS_OUT"
 SCAN_WORKER_MIN_BYTES = 64 << 20  # raw inputs this large may be scanned in a forked worker
 
-_PCAP_MAGICS = tuple(magic.to_bytes(4, order)
-                     for magic in (pcap.MAGIC_US, pcap.MAGIC_NS) for order in ("big", "little"))
 _SKYPE_TABLES = {"accounts", "contacts", "transfers", "calls", "callmembers", "videomessages"}
 
 
@@ -90,7 +88,7 @@ def _default_out(value):
 
 def _sniff(path: Path) -> str:
     name = path.name
-    if name.endswith(locator._SIDECAR_SUFFIXES):
+    if locator.sidecar_target(name) is not None:
         return "sidecar"
     with path.open("rb") as handle:
         try:
@@ -99,7 +97,7 @@ def _sniff(path: Path) -> str:
             raise carver.StreamReadError("stream read failed: %s" % error) from error
     if head.startswith(SQLITE_MAGIC):
         return "sqlite"
-    if head[:4] in _PCAP_MAGICS:
+    if head[:4] in pcap.HEADER_MAGICS:
         return "pcap"
     if head.startswith(b"\xff\xfe") or head.lstrip().startswith((b"Windows Registry", b"REGEDIT4")):
         text = head.decode("utf-16-le" if head.startswith(b"\xff\xfe") else "latin-1",
@@ -360,9 +358,7 @@ def _gather_and_emit(args, paths, journal, root) -> int:
             _reap(worker, kill=True)
     report = gather.merged(fb_owner=args.fb_owner, skype_owner=args.skype_owner)
     if root is not None:
-        from .forge import relativize_events  # the forge and its sample data load only here
-
-        report.events = relativize_events(report.events, root)
+        report.events = timeline.relativize_events(report.events, root)
     out = _default_out(args.out)
     if out:
         with open(out, "wb") as handle:

@@ -25,11 +25,12 @@ from .model import (
     Channel,
     ExtractionError,
     Provenance,
-    TimelineEvent,
     ts_from_filetime_ticks,
     ts_from_iso_text,
     ts_from_unix,
 )
+# Re-exported: tests and the benchmark's layer trace name it forge.relativize_events.
+from .timeline import relativize_events
 
 __all__ = [
     "CAPTURE_NAME",
@@ -687,36 +688,3 @@ def forge_fixture(seed: int, out) -> dict:
     (root / MANIFEST_NAME).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return manifest
-
-
-def relativize_events(events, root) -> list[TimelineEvent]:
-    """Rewrite evidence paths under root as forward-slash relative paths.
-
-    Each distinct path is resolved, and each distinct provenance
-    rewritten, once per call; a path that does not resolve under root
-    leaves its events as they are.
-    """
-    base = Path(root).resolve()
-    relative: dict[str, str | None] = {}
-    rewritten: dict[Provenance, Provenance | None] = {}
-    out = []
-    for event in events:
-        provenance = event.provenance
-        try:
-            new = rewritten[provenance]
-        except KeyError:
-            path = provenance.evidence_path
-            if path not in relative:
-                try:
-                    relative[path] = Path(path).resolve().relative_to(base).as_posix()
-                except (ValueError, OSError):
-                    relative[path] = None
-            rel = relative[path]
-            new = rewritten[provenance] = None if rel is None else Provenance(
-                rel, provenance.extractor, provenance.channel, provenance.byte_offset)
-        if new is None:
-            out.append(event)
-            continue
-        out.append(TimelineEvent(event.when, event.kind, event.app, event.summary, new,
-                                 event.actor, event.counterpart, event.duplicates))
-    return out

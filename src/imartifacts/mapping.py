@@ -31,18 +31,15 @@ _ANALYTICS_KINDS = {
     "chat_turned_on": EventKind.APP_LAUNCH,
 }
 
-# Message-like codes share the sent/received split; the rest map directly.
-_SKYPE_MESSAGE_LABELS = frozenset({
-    "TextSent", "EmoticonSent", "SmsSent", "ContactDetailsSent",
-    "VoiceMessageSent", "BirthdayNote", "Unknown",
-})
-_SKYPE_KIND_BY_LABEL = {
-    "FileSent": EventKind.FILE_TRANSFER,
-    "Conference": EventKind.CALL_START,
-    "VideoSessionStarted": EventKind.CALL_START,
-    "VideoSessionEnded": EventKind.CALL_END,
-    "ContactAsk": EventKind.CONTACT_ADD,
-    "Blocked": EventKind.CONTACT_ADD,
+# The event kind and summary of each Skype label that is not a chat message;
+# every other label, Unknown included, is a message, sent or received.
+_SKYPE_NON_MESSAGES = {
+    "FileSent": (EventKind.FILE_TRANSFER, "file offer"),
+    "Conference": (EventKind.CALL_START, "conference call"),
+    "VideoSessionStarted": (EventKind.CALL_START, "video session started"),
+    "VideoSessionEnded": (EventKind.CALL_END, "video session ended"),
+    "ContactAsk": (EventKind.CONTACT_ADD, "contact request"),
+    "Blocked": (EventKind.CONTACT_ADD, "contact blocked"),
 }
 
 _CHATNAME_RE = re.compile(r"#([^/]+)/\$([^;]*)")
@@ -170,7 +167,13 @@ def _from_skype_message(record: skype.SkypeMessage, owner: str | None,
                         warnings: list[str]) -> list[TimelineEvent]:
     label = record.kind.label
     counterpart = _skype_counterpart(record, owner)
-    if label in _SKYPE_MESSAGE_LABELS:
+    if label in _SKYPE_NON_MESSAGES:
+        kind, summary = _SKYPE_NON_MESSAGES[label]
+        if label == "FileSent":
+            summary = _file_offer_summary(record.body_xml, warnings)
+        elif label == "VideoSessionEnded" and record.reason:
+            summary += " (%s)" % record.reason
+    else:
         if owner is None:
             direction = "undetermined"
         else:
@@ -181,22 +184,6 @@ def _from_skype_message(record: skype.SkypeMessage, owner: str | None,
             summary += " " + UNDETERMINED_MARK
             warnings.append("skype message %d: owner unknown, direction undetermined" % record.id)
         kind = EventKind.MESSAGE_SENT if direction == "sent" else EventKind.MESSAGE_RECEIVED
-    else:
-        kind = _SKYPE_KIND_BY_LABEL[label]
-        if label == "FileSent":
-            summary = _file_offer_summary(record.body_xml, warnings)
-        elif label == "Conference":
-            summary = "conference call"
-        elif label == "VideoSessionStarted":
-            summary = "video session started"
-        elif label == "VideoSessionEnded":
-            summary = "video session ended"
-            if record.reason:
-                summary += " (%s)" % record.reason
-        elif label == "Blocked":
-            summary = "contact blocked"
-        else:
-            summary = "contact request"
     return [TimelineEvent(when=record.when, kind=kind, app=App.SKYPE,
                           summary=summary, provenance=record.provenance,
                           actor=record.author, counterpart=counterpart)]

@@ -50,6 +50,11 @@ MAGIC_US = 0xA1B2C3D4
 MAGIC_NS = 0xA1B23C4D
 PCAPNG_MAGIC = 0x0A0D0D0A
 LINKTYPE_ETHERNET = 1
+MAX_RECORD_LEN = 262_144  # libpcap's MAXIMUM_SNAPLEN; a longer record is damage, not data
+
+# The first four bytes of a classic capture header: (struct byte order, nanosecond).
+HEADER_MAGICS = {magic.to_bytes(4, byteorder): (order, magic == MAGIC_NS)
+                 for magic in (MAGIC_US, MAGIC_NS) for byteorder, order in (("little", "<"), ("big", ">"))}
 
 SUPERNODE_LOOKUP_PORT = 33033
 
@@ -83,14 +88,6 @@ class PcapCapture:
     byte_swapped: bool
 
 
-def _open_source(source):
-    if isinstance(source, (bytes, bytearray, memoryview)):
-        return io.BytesIO(bytes(source))
-    if hasattr(source, "read"):
-        return source
-    return open(source, "rb")
-
-
 _PORTS = struct.Struct(">HH")
 
 
@@ -107,70 +104,61 @@ def read_pcap(source) -> PcapCapture:
 
     Non-IPv4 frames and non-TCP/UDP datagrams are counted, not yielded;
     a record cut short by the end of file or by the snap length is
-    counted as truncated.
+    counted as truncated, and so is one over MAX_RECORD_LEN, which ends
+    the read.
     """
-    stream = _open_source(source)
-    close = not hasattr(source, "read") and not isinstance(source, (bytes, bytearray, memoryview))
-    try:
-        header = stream.read(24)
-        if len(header) < 24:
-            raise NotPcap("file too short for a capture header")
-        magic = struct.unpack("<I", header[:4])[0]
-        if magic == PCAPNG_MAGIC or struct.unpack(">I", header[:4])[0] == PCAPNG_MAGIC:
-            raise NotPcap("pcapng captures are not supported; convert to classic pcap")
-        nanosecond = False
-        if magic == MAGIC_US:
-            order = "<"
-        elif magic == MAGIC_NS:
-            order = "<"
-            nanosecond = True
-        else:
-            big = struct.unpack(">I", header[:4])[0]
-            if big == MAGIC_US:
-                order = ">"
-            elif big == MAGIC_NS:
-                order = ">"
-                nanosecond = True
-            else:
-                raise NotPcap("unrecognized magic 0x%08X" % magic)
-        linktype = struct.unpack(order + "I", header[20:24])[0]
-        if linktype != LINKTYPE_ETHERNET:
-            raise NotPcap("unsupported link type %d" % linktype)
+    if isinstance(source, (bytes, bytearray, memoryview)):
+        return _read_stream(io.BytesIO(source))
+    if hasattr(source, "read"):
+        return _read_stream(source)
+    with open(source, "rb") as stream:
+        return _read_stream(stream)
 
-        packets: list[Packet] = []
-        counters = SkipCounters()
-        addresses = _DottedQuads()  # one str per distinct address in this capture
-        read = stream.read
-        unpack_record = struct.Struct(order + "IIII").unpack
-        append = packets.append
-        while True:
-            record = read(16)
-            if not record:
-                break
-            if len(record) < 16:
-                counters.truncated += 1
-                break
-            ts_sec, ts_frac, incl_len, orig_len = unpack_record(record)
-            data = read(incl_len)
-            if len(data) < incl_len:
-                counters.truncated += 1
-                break
-            if incl_len < orig_len:
-                counters.truncated += 1
-                continue
-            ts_us = ts_sec * 1_000_000 + (ts_frac // 1000 if nanosecond else ts_frac)
-            packet = _parse_frame(ts_us, data, counters, addresses)
-            if packet is not None:
-                append(packet)
-        return PcapCapture(
-            packets=packets,
-            skipped=counters,
-            nanosecond=nanosecond,
-            byte_swapped=(order == ">"),
-        )
-    finally:
-        if close:
-            stream.close()
+
+def _read_stream(stream) -> PcapCapture:
+    """read_pcap's body, apart from it so that a wrapped read_pcap sees one call per capture."""
+    header = stream.read(24)
+    if len(header) < 24:
+        raise NotPcap("file too short for a capture header")
+    magic = header[:4]
+    if magic == PCAPNG_MAGIC.to_bytes(4, "big"):  # the same bytes in either order
+        raise NotPcap("pcapng captures are not supported; convert to classic pcap")
+    if magic not in HEADER_MAGICS:
+        raise NotPcap("unrecognized magic 0x%08X" % int.from_bytes(magic, "little"))
+    order, nanosecond = HEADER_MAGICS[magic]
+    linktype = struct.unpack(order + "I", header[20:24])[0]
+    if linktype != LINKTYPE_ETHERNET:
+        raise NotPcap("unsupported link type %d" % linktype)
+
+    packets: list[Packet] = []
+    counters = SkipCounters()
+    addresses = _DottedQuads()  # one str per distinct address in this capture
+    read = stream.read
+    unpack_record = struct.Struct(order + "IIII").unpack
+    append = packets.append
+    while True:
+        record = read(16)
+        if not record:
+            break
+        if len(record) < 16:
+            counters.truncated += 1
+            break
+        ts_sec, ts_frac, incl_len, orig_len = unpack_record(record)
+        if incl_len > MAX_RECORD_LEN:
+            counters.truncated += 1
+            break
+        data = read(incl_len)
+        if len(data) < incl_len:
+            counters.truncated += 1
+            break
+        if incl_len < orig_len:
+            counters.truncated += 1
+            continue
+        ts_us = ts_sec * 1_000_000 + (ts_frac // 1000 if nanosecond else ts_frac)
+        packet = _parse_frame(ts_us, data, counters, addresses)
+        if packet is not None:
+            append(packet)
+    return PcapCapture(packets, counters, nanosecond, byte_swapped=(order == ">"))
 
 
 def _parse_frame(ts_us: int, data: bytes, counters: SkipCounters, addresses: _DottedQuads):

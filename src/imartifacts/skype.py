@@ -126,13 +126,12 @@ _KINDS = {(code, group_chat): MessageKind(label, code, group_chat)
           for code, label in TYPE_CODE_LABELS.items() for group_chat in (False, True)}
 
 
-def classify_message(type_code, chatmsg_type=None, chatmsg_status=None, participant_count=None) -> MessageKind:
+def classify_message(type_code, participant_count=None) -> MessageKind:
     """Map a message type code to its meaning; total over all integers.
 
-    The label depends on the type code alone; chatmsg_type and
-    chatmsg_status are accepted because rows carry them together, and a
-    participant count above two marks the conversation as a group chat.
-    Each known code gets one shared MessageKind per group-chat reading.
+    The label depends on the type code alone; a participant count above
+    two marks the conversation as a group chat.  Each known code gets one
+    shared MessageKind per group-chat reading.
     """
     code = as_int(type_code)
     if code is None:
@@ -268,17 +267,12 @@ class SupernodeEntry:
             raise OutOfRange("port %d outside 0..65535" % self.port)
 
 
-def decode_decimal_ip(value: int, little_endian: bool = False) -> str:
-    """Turn a packed 32-bit address into a dotted quad.
-
-    Network byte order is the default; the little-endian flag exists for
-    cross-checking a suspicious value against the other reading.
-    """
+def decode_decimal_ip(value: int) -> str:
+    """Turn a packed 32-bit address, in network byte order, into a dotted quad."""
     value = int(value)
     if not 0 <= value <= 0xFFFFFFFF:
         raise OutOfRange("not a 32-bit value: %d" % value)
-    raw = value.to_bytes(4, "little" if little_endian else "big")
-    return ".".join(str(b) for b in raw)
+    return ".".join(str(b) for b in value.to_bytes(4, "big"))
 
 
 def decode_hostcache(hex_text: str, warnings: list[str] | None = None) -> list[SupernodeEntry]:

@@ -1,11 +1,12 @@
 """Timeline assembly: merge events into one sorted evidence stream.
 
 This module ingests external NTFS journal CSV exports, merges and
-deduplicates events, and emits machine-readable reports (JSONL and CSV)
-that parse_jsonl reads back without loss.  It imports only model and the
-standard library, so loading a report loads no extractor.  The record
-mappers that turn each extractor's typed records into TimelineEvents live
-in mapping; normalize here loads that module on first use.
+deduplicates events, rewrites evidence paths relative to an evidence root,
+and emits machine-readable reports (JSONL and CSV) that parse_jsonl reads
+back without loss.  It imports only model and the standard library, so
+loading a report loads no extractor.  The record mappers that turn each
+extractor's typed records into TimelineEvents live in mapping; normalize
+here loads that module on first use.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
     "normalize",
     "parse_jsonl",
     "parse_ntfs_csv",
+    "relativize_events",
 ]
 
 
@@ -328,6 +330,39 @@ def build_report(events, warnings=(), generated_at: str | None = None) -> Report
         generated_at = now.strftime("%Y-%m-%dT%H:%M:%SZ")
     return Report(events=merged, counts=counts, warnings=list(warnings),
                   tool_version=__version__, generated_at=generated_at)
+
+
+def relativize_events(events, root) -> list[TimelineEvent]:
+    """Rewrite evidence paths under root as forward-slash relative paths.
+
+    Each distinct path is resolved, and each distinct provenance
+    rewritten, once per call; a path that does not resolve under root
+    leaves its events as they are.
+    """
+    base = Path(root).resolve()
+    relative: dict[str, str | None] = {}
+    rewritten: dict[Provenance, Provenance | None] = {}
+    out = []
+    for event in events:
+        provenance = event.provenance
+        try:
+            new = rewritten[provenance]
+        except KeyError:
+            path = provenance.evidence_path
+            if path not in relative:
+                try:
+                    relative[path] = Path(path).resolve().relative_to(base).as_posix()
+                except (ValueError, OSError):
+                    relative[path] = None
+            rel = relative[path]
+            new = rewritten[provenance] = None if rel is None else Provenance(
+                rel, provenance.extractor, provenance.channel, provenance.byte_offset)
+        if new is None:
+            out.append(event)
+            continue
+        out.append(TimelineEvent(event.when, event.kind, event.app, event.summary, new,
+                                 event.actor, event.counterpart, event.duplicates))
+    return out
 
 
 # Contractual column set, plus extractor and duplicates so a parsed report

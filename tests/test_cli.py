@@ -273,7 +273,7 @@ class TestPipelineCommands:
     def test_report_builds_one_provenance_per_source(self, tmp_path, monkeypatch, capfd):
         root = tmp_path / "evidence"
         forge.forge_fixture(7, root)
-        built = {"sqliteio": [], "forge": []}
+        built = {"sqliteio": [], "timeline": []}
 
         def counting(keys):
             def build(*args, **kwargs):
@@ -283,9 +283,9 @@ class TestPipelineCommands:
                 return provenance
             return build
 
-        # The SQLite extractors build theirs in sqliteio.read_table, relativize_events its own.
+        # The SQLite extractors build theirs in sqliteio.read_table, timeline.relativize_events its own.
         monkeypatch.setattr(sqliteio, "Provenance", counting(built["sqliteio"]))
-        monkeypatch.setattr(forge, "Provenance", counting(built["forge"]))
+        monkeypatch.setattr(timeline, "Provenance", counting(built["timeline"]))
         out = tmp_path / "report.jsonl"
         assert main(["report", str(root), "--format", "jsonl", "--out", str(out)]) == 0
         golden = Path(__file__).parent / "golden" / "report_seed7.jsonl"
@@ -935,9 +935,8 @@ class TestImportCost:
     def test_cli_import_and_timeline_leave_the_forge_unloaded(self, tmp_path):
         """Importing the command line, or running timeline, loads neither forge nor sampledata.
 
-        Only the forge command and report's rewriting of evidence paths
-        import them; under -X importtime forge itself costs about 10 ms and
-        sampledata about 4 ms.
+        Only the forge command imports them; under -X importtime forge
+        itself costs about 10 ms and sampledata about 4 ms.
         """
         journal = tmp_path / "journal.csv"
         with open(journal, "w", encoding="utf-8", newline="") as handle:
@@ -950,6 +949,22 @@ class TestImportCost:
         result = subprocess.run([sys.executable, "-c", probe], env=_child_env(), capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
         assert result.stdout.split("\n") == ["[]", "[]", ""]
+
+    def test_report_leaves_the_forge_unloaded(self, tmp_path):
+        """A report run, which rewrites evidence paths relative to its root, loads neither forge nor sampledata."""
+        root = tmp_path / "evidence"
+        root.mkdir()
+        with open(root / "journal.csv", "w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle).writerows([sampledata.NTFS_CSV_HEADER, *sampledata.NTFS_CSV_ROWS])
+        out = tmp_path / "out.jsonl"
+        probe = ("import sys, imartifacts.cli as cli\n"
+                 "assert cli.main(['report', %r, '--out', %r]) == 0\n"
+                 "print(sorted(m for m in ('imartifacts.forge', 'imartifacts.sampledata') if m in sys.modules))"
+                 % (str(root), str(out)))
+        result = subprocess.run([sys.executable, "-c", probe], env=_child_env(), capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+        assert '"evidence_path": "journal.csv"' in out.read_text(encoding="utf-8")
 
     # Modules a report reader must not load; all are this package's own or
     # are loaded only by it, since the interpreter's site hooks may preload others.
@@ -978,3 +993,27 @@ class TestImportCost:
         result = subprocess.run([sys.executable, "-c", probe], env=_child_env(), capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+
+class TestZoneSidecarSpelling:
+    """scan and timeline both take a zone sidecar's suffix in any letter case."""
+
+    NAMES = ("a.exe.zone.identifier", "b.exe.Zone.Identifier", "c.exe:ZONE.IDENTIFIER")
+
+    def test_scan_lists_every_spelling(self, tmp_path, capfd):
+        for name in self.NAMES:
+            (tmp_path / name).write_bytes(forge.ZONE_SIDECAR_BODY)
+        assert main(["scan", str(tmp_path)]) == 0
+        lines = capfd.readouterr().out.splitlines()
+        assert sorted((line.split("\t")[0], Path(line.split("\t")[1]).name) for line in lines) == [
+            ("ZoneIdentifierSidecar", name) for name in self.NAMES]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_timeline_reads_every_spelling_as_a_sidecar(self, tmp_path, capfd, name):
+        path = tmp_path / name
+        path.write_bytes(forge.ZONE_SIDECAR_BODY)
+        assert main(["timeline", str(path)]) == 0
+        assert capfd.readouterr().err == "0 events, 0 warnings\n"
+        path.write_bytes(b"\x00garbage, not a zone marker\x00")
+        assert main(["timeline", str(path)]) == 2
+        assert "error: %s: no [ZoneTransfer] ZoneId entry" % path in capfd.readouterr().err

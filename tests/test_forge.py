@@ -275,6 +275,9 @@ class TestExpectedTimeline:
 
 
 class TestRelativize:
+    def test_forge_name_is_the_timeline_function(self):
+        assert relativize_events is timeline.relativize_events
+
     def test_paths_under_root_become_relative(self, tmp_path):
         event = TimelineEvent(
             when=ts_from_unix(1421685822, "seconds"), kind=EventKind.APP_LAUNCH,

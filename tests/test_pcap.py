@@ -99,6 +99,28 @@ class TestReadPcap:
         assert capture.skipped.truncated == 1
         assert len(capture.packets) == 0
 
+    def test_overlong_record_ends_the_read_without_asking_for_its_bytes(self):
+        class ReadSizes(io.BytesIO):
+            def read(self, size=-1):
+                sizes.append(size)
+                return super().read(size)
+
+        sizes = []
+        frame = make_udp_packet(CLIENT, 1, "10.0.0.1", 2)
+        hostile = struct.pack("<IIII", 0, 0, 0xF0000000, 0xF0000000)
+        data = capture_bytes([(T0, frame)]) + hostile + capture_bytes([(T0 + 1, frame)])[24:]
+        capture = read_pcap(ReadSizes(data))
+        assert len(capture.packets) == 1
+        assert capture.skipped.truncated == 1
+        assert max(sizes) <= pcap.MAX_RECORD_LEN
+
+    def test_record_at_the_length_bound_is_read(self):
+        frame = make_udp_packet(CLIENT, 1, "10.0.0.1", 2)
+        padded = frame + bytes(pcap.MAX_RECORD_LEN - len(frame))
+        capture = read_pcap(capture_bytes([(T0, padded), (T0 + 1, frame)]))
+        assert len(capture.packets) == 2
+        assert capture.skipped.truncated == 0
+
     def test_reads_from_path(self, tmp_path):
         path = tmp_path / "c.pcap"
         write_pcap(path, [(T0, make_udp_packet(CLIENT, 1, "10.0.0.1", 2))])
@@ -557,6 +579,9 @@ def reference_read_pcap(data: bytes):
             counters.truncated += 1
             break
         ts_sec, ts_frac, incl_len, orig_len = struct.unpack(order + "IIII", record)
+        if incl_len > 262144:  # libpcap's MAXIMUM_SNAPLEN
+            counters.truncated += 1
+            break
         frame = stream.read(incl_len)
         if len(frame) < incl_len:
             counters.truncated += 1

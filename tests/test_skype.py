@@ -88,14 +88,14 @@ class TestClassify:
         assert kind.code == code
 
     def test_text_message_not_group(self):
-        kind = classify_message(61, 3, 2, 2)
+        kind = classify_message(61, participant_count=2)
         assert (kind.label, kind.group_chat) == ("TextSent", False)
 
     def test_file_send(self):
-        assert classify_message(68, 7, None, 2).label == "FileSent"
+        assert classify_message(68, participant_count=2).label == "FileSent"
 
     def test_group_chat_flag(self):
-        assert classify_message(61, 5, None, 5).group_chat
+        assert classify_message(61, participant_count=5).group_chat
         assert not classify_message(61, participant_count=2).group_chat
         assert not classify_message(61).group_chat
 
@@ -107,12 +107,12 @@ class TestClassify:
         rng = random.Random(5)
         for _ in range(500):
             code = rng.randrange(-1000, 1000)
-            kind = classify_message(code, rng.choice((None, 3)), None, rng.choice((None, 1, 2, 5)))
+            kind = classify_message(code, participant_count=rng.choice((None, 1, 2, 5)))
             assert kind.label == KNOWN_CODES.get(code, "Unknown")
-            assert kind == classify_message(code, None, None, kind.group_chat and 3 or 2) or True
+            assert kind == classify_message(code, participant_count=kind.group_chat and 3 or 2)
 
     def test_known_codes_share_one_kind_per_group_reading(self):
-        assert classify_message(61, participant_count=5) is classify_message("61", 1, 2, 3)
+        assert classify_message(61, participant_count=5) is classify_message("61", participant_count=3)
         assert classify_message(61) is classify_message(61, participant_count=2)
         assert classify_message(61) is not classify_message(61, participant_count=3)
         assert classify_message(61) == MessageKind("TextSent", 61, False)
@@ -200,9 +200,6 @@ class TestDecimalIp:
 
     def test_known_supernode(self):
         assert decode_decimal_ip(1876774292) == "111.221.77.148"
-
-    def test_little_endian_flag(self):
-        assert decode_decimal_ip(1940151468, little_endian=True) == "172.92.164.115"
 
     def test_roundtrip_sampled(self):
         rng = random.Random(31)

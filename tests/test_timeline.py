@@ -302,6 +302,27 @@ def skype_videomessage(reaction=True, creation=True):
 
 
 class TestNormalizeSkype:
+    @pytest.mark.parametrize("code,kind,summary", [
+        (4, EventKind.CALL_START, "conference call"),
+        (30, EventKind.CALL_START, "video session started"),
+        (39, EventKind.CALL_END, "video session ended (busy)"),
+        (50, EventKind.CONTACT_ADD, "contact request"),
+        (51, EventKind.CONTACT_ADD, "contact request"),
+        (53, EventKind.CONTACT_ADD, "contact blocked"),
+        (60, EventKind.MESSAGE_SENT, 'EmoticonSent "hi"'),
+        (61, EventKind.MESSAGE_SENT, 'TextSent "hi"'),
+        (63, EventKind.MESSAGE_SENT, 'ContactDetailsSent "hi"'),
+        (64, EventKind.MESSAGE_SENT, 'SmsSent "hi"'),
+        (67, EventKind.MESSAGE_SENT, 'VoiceMessageSent "hi"'),
+        (68, EventKind.FILE_TRANSFER, "file offer"),
+        (110, EventKind.MESSAGE_SENT, 'BirthdayNote "hi"'),
+        (999, EventKind.MESSAGE_SENT, 'Unknown "hi"'),
+    ])
+    def test_every_type_code(self, code, kind, summary):
+        row = dict(sd.SKYPE_MESSAGE_ROWS[4], type=code, body_xml="hi", reason="busy")
+        (event,) = timeline.normalize([skype_message(row)], skype_owner=sd.SKYPE_OWNER)
+        assert (event.kind, event.summary) == (kind, summary)
+
     def test_text_sent_by_owner(self):
         (event,) = timeline.normalize([skype_message(sd.SKYPE_MESSAGE_ROWS[4])],
                                       skype_owner=sd.SKYPE_OWNER)
