@@ -26,7 +26,7 @@ __all__ = [
     "scan_stream",
 ]
 
-DEFAULT_CHUNK_SIZE = 4 * 1024 * 1024
+DEFAULT_CHUNK_SIZE = 1024 * 1024  # bytes per read; a scan holds a few reads, whatever the stream's size
 MAX_XML_DOCUMENT = 1024 * 1024  # carved app XML never approaches this
 
 XML_DECLARATION = b'<?xml version="'

@@ -173,7 +173,7 @@ class _Gather:
                 groups = _extract_facebook_db(path, self.warnings, names).values()
             return [record for group in groups for record in group]
         if kind == "pcap":
-            flows = pcap.assemble_flows(pcap.read_pcap(path).packets)
+            flows = _capture_flows(path, self.warnings)
             return timeline.normalize(flows, capture_path=label, catalog=self.catalog)
         if kind == "registry":
             return _registry_records(path, self.warnings)
@@ -197,15 +197,21 @@ class _Gather:
         return _scan_raw(path)
 
     def merged(self, *, fb_owner=None, skype_owner=None) -> timeline.Report:
+        """The report of the inputs ingested so far.
+
+        The gather lets go of their records here, so that merge and emit
+        run without them.
+        """
+        records, self.records = self.records, []
         if fb_owner is None:
             fb_owner = facebook.infer_owner_uid(
-                [r for r in self.records if isinstance(r, facebook.FbMessage)])
+                [r for r in records if isinstance(r, facebook.FbMessage)])
         if skype_owner is None:
-            accounts = [r for r in self.records if isinstance(r, skype.SkypeAccount)]
-            skype_owner = accounts[0].skypename if accounts else None
+            skype_owner = next((r.skypename for r in records if isinstance(r, skype.SkypeAccount)), None)
         events = timeline.normalize(
-            self.records, fb_owner_uid=fb_owner, skype_owner=skype_owner,
+            records, fb_owner_uid=fb_owner, skype_owner=skype_owner,
             catalog=self.catalog, warnings=self.warnings)
+        del records
         return timeline.build_report(events, self.warnings)
 
 
@@ -214,6 +220,16 @@ def _registry_records(path: Path, warnings) -> list:
     export = regexport.parse_reg_export(path.read_bytes())
     return (regexport.find_install_records(export, evidence_path=label)
             + regexport.find_persisted_items(export, warnings, evidence_path=label))
+
+
+def _capture_flows(path, warnings) -> list:
+    """The flows of one capture, with a warning in warnings if it skipped any record."""
+    capture = pcap.read_pcap(path)
+    skipped = capture.skipped
+    if skipped.truncated or skipped.non_ipv4 or skipped.non_tcp_udp:
+        warnings.append("%s: %d truncated record(s), %d non-IPv4 frame(s), %d non-TCP/UDP datagram(s) skipped"
+                        % (path, skipped.truncated, skipped.non_ipv4, skipped.non_tcp_udp))
+    return pcap.assemble_flows(capture.packets)
 
 
 def _scan_raw(path: Path) -> list:
@@ -294,20 +310,24 @@ def _fork_scan(path: Path, others) -> tuple[int, int]:
 
 
 def _scan_result(worker: tuple[int, int], path: Path) -> list:
-    """The fragments the worker scanning path sent; ExtractionError if it sent an error or nothing."""
+    """The fragments the worker scanning path sent; ExtractionError if it sent an error or nothing.
+
+    The result is unpickled as it arrives, so no copy of its pickle is kept.
+    """
     import pickle
 
-    chunks = []
     try:
-        while chunk := os.read(worker[1], 1 << 20):
-            chunks.append(chunk)
+        with open(worker[1], "rb", closefd=False) as pipe:
+            result = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):  # nothing, or a pickle cut short
+        result = None
     except BaseException:
         _reap(worker, kill=True)
         raise
     status = _reap(worker)
-    if not chunks or status != 0:
+    if result is None or status != 0:
         raise ExtractionError("scan worker for %s ended without a result (status %d)" % (path, status))
-    ok, value = pickle.loads(b"".join(chunks))
+    ok, value = result
     if not ok:
         raise ExtractionError(value)
     return value
@@ -482,7 +502,8 @@ def _cmd_pcap(args) -> int:
     catalog = pcap.catalog_index(_load_catalog(args.catalog))
     tally = _Tally()
     for name in args.captures:
-        flows = tally.read(name, lambda: pcap.assemble_flows(pcap.read_pcap(name).packets))
+        warnings: list[str] = []
+        flows = tally.read(name, lambda: _capture_flows(name, warnings))
         if flows is None:
             continue
         for flow in flows:
@@ -491,6 +512,8 @@ def _cmd_pcap(args) -> int:
                   % (flow.proto, flow.endpoint_a[0], flow.endpoint_a[1],
                      flow.endpoint_b[0], flow.endpoint_b[1], label.label,
                      flow.packets_ab + flow.packets_ba, flow.bytes_ab + flow.bytes_ba))
+        for warning in warnings:
+            _err("warning: %s" % warning)
     return tally.exit_code()
 
 

@@ -53,6 +53,9 @@ class OutputNotEmpty(ExtractionError):
 
 
 MEMORY_NAME = "memory.bin"
+# memory.bin holds a document across this offset, a boundary between the
+# scanners' reads (a multiple of carver.DEFAULT_CHUNK_SIZE); it also sizes the blob.
+MEMORY_STRADDLE_AT = 4 * 1024 * 1024
 CAPTURE_NAME = "capture.pcap"
 REGISTRY_NAME = "registry_export.reg"
 NTFS_CSV_NAME = "ntfs_journal.csv"
@@ -279,9 +282,8 @@ def _forge_skype(root: Path, rng: random.Random):
 
 def _forge_memory(root: Path, rng: random.Random):
     straddle_doc = sd.CONFIG_XML_DOC
-    blob_size = carver.DEFAULT_CHUNK_SIZE + 1024 * 1024 + rng.randrange(0, 65536)
-    # One document sits across the default chunk boundary on purpose.
-    straddle_offset = carver.DEFAULT_CHUNK_SIZE - len(straddle_doc) // 2
+    blob_size = MEMORY_STRADDLE_AT + 1024 * 1024 + rng.randrange(0, 65536)
+    straddle_offset = MEMORY_STRADDLE_AT - len(straddle_doc) // 2
     plants = [("config-xml", straddle_doc, straddle_offset)]
     taken = [(straddle_offset, straddle_offset + len(straddle_doc))]
     wanted = [

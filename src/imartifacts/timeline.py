@@ -139,17 +139,18 @@ def parse_ntfs_csv(source, warnings: list[str] | None = None,
     """Parse a journal CSV into rows; unreadable rows are skipped loudly.
 
     Stored times carry no zone marker; they are read as UTC unless
-    utc_offset_minutes says the export machine ran at UTC+offset.
+    utc_offset_minutes says the export machine ran at UTC+offset.  A row
+    the csv module cannot read, such as one with a field over its size
+    limit, costs only that row.
     """
     if warnings is None:
         warnings = []
     text = _read_text(source)
     if "\x00" in text:
         raise NotCsv("binary content, not a CSV export")
+    reader = csv.reader(io.StringIO(text))
     try:
-        reader = csv.reader(io.StringIO(text))
         header = next(reader, None)
-        body = list(reader)
     except csv.Error as exc:
         raise NotCsv("unreadable as CSV: %s" % exc) from exc
     if header is None:
@@ -180,7 +181,16 @@ def parse_ntfs_csv(source, warnings: list[str] | None = None,
             return None
 
     rows: list[NtfsJournalRow] = []
-    for line, row in enumerate(body, start=2):
+    line = 1
+    while True:
+        line += 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as exc:  # the reader goes on at the next line
+            warnings.append("line %d: unreadable as CSV (%s), row skipped" % (line, exc))
+            continue
         if not any(field.strip() for field in row):
             continue
         try:

@@ -6,11 +6,13 @@ import json
 import os
 import sqlite3
 import stat
+import struct
 import subprocess
 import sys
 import threading
 import time
 import warnings
+import weakref
 from pathlib import Path
 
 import pytest
@@ -633,6 +635,27 @@ class TestScanWorkers:
             b"error: %s: scan worker for %s ended without a result (status 7)" % (bytes(memory), bytes(memory))]
         _assert_no_child_left()
 
+    def test_error_while_taking_the_result_kills_and_reaps_the_worker(self, tmp_path, monkeypatch):
+        import pickle
+
+        path = tmp_path / "a.bin"
+        path.write_bytes(b"raw")
+        _send_raw_to_workers(monkeypatch)
+        monkeypatch.setattr(cli, "_scan_raw", lambda path: time.sleep(60))
+        fds = _open_fds()
+        workers = cli._start_scans([path])
+
+        def interrupted(pipe):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pickle, "load", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            cli._scan_result(workers[0], path)
+        assert time.monotonic() - start < 30
+        assert _open_fds() == fds
+        _assert_no_child_left()
+
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors through /proc")
     def test_each_worker_holds_no_pipe_read_end(self, tmp_path, monkeypatch):
         paths = [tmp_path / name for name in ("a.bin", "b.bin", "c.bin")]
@@ -751,6 +774,60 @@ class TestScanWorkers:
             assert run.returncode == 0, run.stderr
             assert b"ResourceWarning" not in run.stderr
         assert (runs[1].stdout, runs[1].stderr) == (runs[0].stdout, runs[0].stderr)
+
+
+class TestRecordsReleased:
+    """The gather lets go of its records once they are normalized."""
+
+    def test_a_record_is_freed_when_merged_returns(self, forged):
+        root, _ = forged
+        gather = cli._Gather(None)
+        for path in sorted(p for p in root.rglob("*") if p.is_file()):
+            gather.ingest(path)
+        record = next(r for r in gather.records if isinstance(r, facebook.FbMessage))
+        alive = weakref.ref(record)
+        del record
+        enabled = gc.isenabled()
+        gc.disable()  # as in a run: reference counting alone must free it
+        try:
+            report = gather.merged()
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
+        assert report.events and gather.records == []
+
+
+class TestDamagedCapture:
+    """A capture that skipped records says so in one warning."""
+
+    @pytest.fixture
+    def hostile(self, tmp_path):
+        frame = forge.make_udp_packet("192.168.220.176", 1, "10.0.0.1", 2)
+        t0 = 1421685000 * 1_000_000
+        path = tmp_path / "hostile.pcap"
+        path.write_bytes(forge.write_pcap(None, [(t0, frame)]) + struct.pack("<IIII", 0, 0, 0xF0000000, 0xF0000000)
+                         + forge.write_pcap(None, [(t0 + 1, frame)])[24:])
+        return path
+
+    def warning(self, path):
+        return ("warning: %s: 1 truncated record(s), 0 non-IPv4 frame(s), 0 non-TCP/UDP datagram(s) skipped"
+                % path)
+
+    def test_timeline_verbose_prints_the_warning(self, hostile, capfd):
+        assert main(["timeline", str(hostile), "-v"]) == 0
+        assert capfd.readouterr().err.splitlines() == ["1 events, 1 warnings", self.warning(hostile)]
+
+    def test_pcap_prints_the_warning(self, hostile, capfd):
+        assert main(["pcap", str(hostile)]) == 0
+        captured = capfd.readouterr()
+        assert len(captured.out.splitlines()) == 1
+        assert captured.err.splitlines() == [self.warning(hostile)]
+
+    def test_whole_capture_gives_no_warning(self, forged, capfd):
+        root, _ = forged
+        assert main(["pcap", str(root / forge.CAPTURE_NAME)]) == 0
+        assert capfd.readouterr().err == ""
 
 
 class TestGarbageCollection:

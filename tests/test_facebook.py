@@ -10,7 +10,7 @@ from datetime import date
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from imartifacts import facebook, mapping, sampledata as sd
+from imartifacts import carver, facebook, mapping, sampledata as sd
 from imartifacts.facebook import (
     ChatFragment,
     MalformedJson,
@@ -554,6 +554,29 @@ class TestChatJson:
         assert (deep.offset, deep.parsed, deep.raw) == (5, False, DEEP_CHAT_REGION)
         assert deep.provenance.byte_offset == 5
         assert good.parsed and good.raw == payload and good.message == sd.CHAT_PUSH_MESSAGE
+
+    def test_scan_memory_does_not_grow_with_the_stream(self):
+        import tracemalloc
+
+        payload = sd.CHAT_PUSH_JSON.encode("utf-8")
+        chunk = carver.DEFAULT_CHUNK_SIZE
+        plants = [(n << 20) - len(payload) // 2 for n in (1, 2, 5)] + [(7 << 20) + 999]
+        peaks = []
+        for size in (8 << 20, 32 << 20):
+            data = bytearray(size)
+            for at in plants:
+                data[at:at + len(payload)] = payload
+            stream = io.BytesIO(bytes(data))
+            del data
+            tracemalloc.start()
+            try:
+                fragments = extract_chat_json(stream)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert [f.offset for f in fragments] == plants
+        assert abs(peaks[0] - peaks[1]) <= chunk
+        assert max(peaks) < 3 * chunk + 2 * facebook.CHAT_WINDOW
 
 
 # A chat push whose marker sits beside an array nested deeper than json's

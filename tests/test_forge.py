@@ -140,10 +140,18 @@ class TestMemoryPlants:
 
     def test_one_plant_straddles_default_chunk_boundary(self, forged):
         _, manifest = forged
-        edge = carver.DEFAULT_CHUNK_SIZE
+        edge = forge.MEMORY_STRADDLE_AT
+        assert edge % carver.DEFAULT_CHUNK_SIZE == 0
         straddling = [p for p in manifest["memory"]["plants"]
                       if p["offset"] < edge < p["offset"] + p["length"]]
         assert len(straddling) == 1
+
+    def test_layout_does_not_follow_the_scan_chunk_size(self, tmp_path):
+        memory = forge_fixture(7, tmp_path / "tree")["memory"]
+        assert memory["size"] == 5255217
+        assert [(p["kind"], p["offset"]) for p in memory["plants"]] == [
+            ("chat-json", 486530), ("config-xml", 3067620), ("config-xml", 4194135),
+            ("payload-header", 4256679), ("shared-xml", 4888780)]
 
     def test_carver_recovers_exactly_the_planted_documents(self, forged):
         root, manifest = forged

@@ -123,6 +123,14 @@ class TestNtfsCsv:
         assert len(parsed) == 1
         assert any("LSN" in w and "skipped" in w for w in warnings)
 
+    def test_oversized_field_costs_only_its_row(self):
+        warnings = []
+        first, second = sd.NTFS_CSV_ROWS[0], sd.NTFS_CSV_ROWS[1]
+        oversized = (first[0], first[1], first[2], "x" * 200_000) + first[4:]
+        parsed = timeline.parse_ntfs_csv(journal_text(rows=[first, oversized, second]), warnings)
+        assert [row.lsn for row in parsed] == [int(first[0]), int(second[0])]
+        assert warnings == ["line 3: unreadable as CSV (field larger than field limit (131072)), row skipped"]
+
     def test_unreadable_time_treated_blank(self):
         warnings = []
         rows = [
