@@ -26,7 +26,7 @@ __all__ = [
     "scan_stream",
 ]
 
-DEFAULT_CHUNK_SIZE = 1024 * 1024  # bytes per read; a scan holds a few reads, whatever the stream's size
+DEFAULT_CHUNK_SIZE = 1024 * 1024  # smallest default read; a scan holds a few reads, whatever the stream's size
 MAX_XML_DOCUMENT = 1024 * 1024  # carved app XML never approaches this
 
 XML_DECLARATION = b'<?xml version="'
@@ -104,7 +104,7 @@ DEFAULT_TERMS: tuple[bytes, ...] = (
 )
 
 
-def scan_stream(stream, patterns, horizon, lookback, emit, chunk_size=DEFAULT_CHUNK_SIZE):
+def scan_stream(stream, patterns, horizon, lookback, emit, chunk_size=None):
     """Drive a chunked scan of a stream or bytes, calling emit once per pattern occurrence.
 
     emit(buf, base, rel, pattern_index) runs with buf guaranteed to hold
@@ -112,15 +112,21 @@ def scan_stream(stream, patterns, horizon, lookback, emit, chunk_size=DEFAULT_CH
     and lookback bytes before it (unless the stream starts later).
     Occurrences are visited in offset order exactly once, so chunked and
     whole-buffer scans agree.  A read that fails raises StreamReadError.
+    chunk_size is the bytes per read; by default it is the first multiple
+    of DEFAULT_CHUNK_SIZE over three times what a round keeps, since each
+    round copies what it keeps twice.
     """
     if isinstance(stream, (bytes, bytearray, memoryview)):
         stream = io.BytesIO(bytes(stream))
     patterns = [bytes(p) for p in patterns]
     if not patterns or any(not p for p in patterns):
         raise ValueError("patterns must be non-empty byte strings")
+    longest = max(len(p) for p in patterns)
+    guard = horizon + longest
+    if chunk_size is None:
+        chunk_size = DEFAULT_CHUNK_SIZE * (1 + 3 * (guard + lookback) // DEFAULT_CHUNK_SIZE)
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
-    guard = horizon + max(len(p) for p in patterns)
     buf = b""
     base = 0
     watermark = 0
@@ -135,7 +141,8 @@ def scan_stream(stream, patterns, horizon, lookback, emit, chunk_size=DEFAULT_CH
         end_abs = base + len(buf)
         limit = end_abs if eof else max(end_abs - guard, 0)
         if limit > watermark:
-            for rel, index in find_multi(buf, patterns, max(watermark - base, 0)):
+            # Bytes past the limit are searched in a later round, once the guard behind them is read.
+            for rel, index in find_multi(buf, patterns, max(watermark - base, 0), limit - base + longest):
                 absolute = base + rel
                 if absolute >= limit:
                     break
@@ -175,7 +182,7 @@ def _resolve_header(buf, rel, base, group, results, truncated):
     results.append(CarvedObject(best_sig.name, base + rel, bytes(buf[rel:end])))
 
 
-def carve(stream, signatures=None, chunk_size=DEFAULT_CHUNK_SIZE, truncated=None):
+def carve(stream, signatures=None, chunk_size=None, truncated=None):
     """Carve every signature occurrence from a stream or bytes.
 
     Each header hit yields at most one object: the payload runs to the
@@ -200,7 +207,7 @@ def carve(stream, signatures=None, chunk_size=DEFAULT_CHUNK_SIZE, truncated=None
     return results
 
 
-def scan_keywords(stream, terms=None, context_radius=256, chunk_size=DEFAULT_CHUNK_SIZE):
+def scan_keywords(stream, terms=None, context_radius=256, chunk_size=None):
     """Find keyword occurrences in a stream, each with surrounding context.
 
     Context is clipped only at the stream boundaries; hits are returned in

@@ -546,7 +546,7 @@ def _fragment_from_region(buf: bytes, lo: int, hi: int, marker_rel: int, base: i
 def extract_chat_json(
     stream,
     evidence_path: str = "<stream>",
-    chunk_size: int = carver.DEFAULT_CHUNK_SIZE,
+    chunk_size: int | None = None,
 ) -> list[ChatFragment]:
     """Recover chat push JSON fragments around each marker occurrence.
 

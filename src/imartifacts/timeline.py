@@ -125,6 +125,30 @@ class NtfsJournalRow:
 
 _REQUIRED_COLUMNS = ("lsn", "event", "file name", "full path")
 
+# One record of the excel dialect the journal is read in: a field that opens
+# with a quote runs to its closing quote, line breaks included, then to the
+# next comma or line break; any other field runs to the next comma or line break.
+_CSV_FIELD = r'(?:"[^"]*(?:""[^"]*)*"?[^,\r\n]*|[^,\r\n]*)'
+_CSV_RECORD = re.compile(r"%s(?:,%s)*(?:\r+\n?|\n)?" % (_CSV_FIELD, _CSV_FIELD))
+
+
+class _Lines:
+    """The lines of a text for csv.reader; offset is where the next line starts, and may be moved."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.offset = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> str:
+        start = self.offset
+        if start >= len(self.text):
+            raise StopIteration
+        self.offset = self.text.find("\n", start) + 1 or len(self.text)
+        return self.text[start:self.offset]
+
 
 def _journal_timestamp(text: str, utc_offset_minutes: int) -> Timestamp:
     parsed = ts_from_iso_text(text)
@@ -141,14 +165,16 @@ def parse_ntfs_csv(source, warnings: list[str] | None = None,
     Stored times carry no zone marker; they are read as UTC unless
     utc_offset_minutes says the export machine ran at UTC+offset.  A row
     the csv module cannot read, such as one with a field over its size
-    limit, costs only that row.
+    limit, costs only that row: reading goes on after the row's end, so
+    no text inside it is read as rows.
     """
     if warnings is None:
         warnings = []
     text = _read_text(source)
     if "\x00" in text:
         raise NotCsv("binary content, not a CSV export")
-    reader = csv.reader(io.StringIO(text))
+    lines = _Lines(text)
+    reader = csv.reader(lines)
     try:
         header = next(reader, None)
     except csv.Error as exc:
@@ -184,12 +210,14 @@ def parse_ntfs_csv(source, warnings: list[str] | None = None,
     line = 1
     while True:
         line += 1
+        start = lines.offset
         try:
             row = next(reader)
         except StopIteration:
             break
-        except csv.Error as exc:  # the reader goes on at the next line
+        except csv.Error as exc:  # the reader would go on at its next line, which may be inside the row
             warnings.append("line %d: unreadable as CSV (%s), row skipped" % (line, exc))
+            lines.offset = _CSV_RECORD.match(text, start).end()
             continue
         if not any(field.strip() for field in row):
             continue

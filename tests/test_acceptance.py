@@ -117,7 +117,7 @@ def test_08_carving_64mib_stream():
     taken: list[tuple[int, int]] = []
     for index, (name, doc) in enumerate(zip(names, docs)):
         if index == 0:
-            offset = carver.DEFAULT_CHUNK_SIZE - len(doc) // 2  # straddles chunk 1|2
+            offset = 4 * carver.DEFAULT_CHUNK_SIZE - len(doc) // 2  # straddles carve's reads 1|2
         else:
             while True:
                 offset = rng.randrange(0, size - len(doc))

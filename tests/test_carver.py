@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from imartifacts.carver import (
+    DEFAULT_CHUNK_SIZE,
     DEFAULT_TERMS,
     CarvedObject,
     KeywordHit,
@@ -239,6 +240,25 @@ class TestStreamErrors:
             assert scan(source) == expected
         with pytest.raises(StreamReadError, match="^stream read failed: simulated read failure$"):
             scan(FailingStream(SCANNED, fail_after=1))
+
+
+class RecordingStream(io.BytesIO):
+    def __init__(self, payload):
+        super().__init__(payload)
+        self.sizes = []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return super().read(size)
+
+
+class TestDefaultReads:
+    @pytest.mark.parametrize("name, chunks", [("carve", 4), ("scan_keywords", 1), ("extract_chat_json", 1)])
+    def test_reads_are_well_over_what_a_round_keeps(self, name, chunks):
+        """carve keeps up to 1 MiB, its longest document, each round, so it reads 4 MiB; the others read 1 MiB."""
+        stream = RecordingStream(SCANNED)
+        SCANNERS[name](stream)
+        assert set(stream.sizes) == {chunks * DEFAULT_CHUNK_SIZE}
 
 
 class TestValueObjects:

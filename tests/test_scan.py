@@ -5,15 +5,16 @@ import pytest
 from imartifacts import _scan
 
 
-def reference_find_all(data, pattern, start=0):
-    return [i for i in range(start, len(data) - len(pattern) + 1) if data[i : i + len(pattern)] == pattern]
+def reference_find_all(data, pattern, start=0, end=None):
+    stop = len(data) if end is None else min(end, len(data))
+    return [i for i in range(start, stop - len(pattern) + 1) if data[i : i + len(pattern)] == pattern]
 
 
-def reference_find_multi(data, patterns, start=0):
+def reference_find_multi(data, patterns, start=0, end=None):
     return sorted(
         (offset, index)
         for index, pattern in enumerate(patterns)
-        for offset in reference_find_all(data, pattern, start)
+        for offset in reference_find_all(data, pattern, start, end)
     )
 
 
@@ -30,6 +31,10 @@ class TestLiteralAnswers:
 
     def test_window(self):
         assert _scan.find_all(b"abcabcab", b"ab", 1) == [3, 6]
+
+    def test_end_bounds_whole_occurrences(self):
+        assert _scan.find_all(b"abcabcab", b"ab", 0, 5) == [0, 3]
+        assert _scan.find_all(b"abcabcab", b"ab", 0, 4) == [0]
 
     def test_find_multi_sorted(self):
         hits = _scan.find_multi(b"xAyBxA", [b"A", b"B"])
@@ -58,6 +63,8 @@ class TestAgainstReference:
             assert _scan.find_all(data, patterns[0], start) == reference_find_all(data, patterns[0], start)
             assert _scan.find_multi(data, patterns) == reference_find_multi(data, patterns)
             assert _scan.find_multi(data, patterns, start) == reference_find_multi(data, patterns, start)
+            end = rng.randrange(start, len(data) + 8)
+            assert _scan.find_multi(data, patterns, start, end) == reference_find_multi(data, patterns, start, end)
 
     def test_edge_windows(self):
         data = b"ababab"

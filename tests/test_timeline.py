@@ -131,6 +131,30 @@ class TestNtfsCsv:
         assert [row.lsn for row in parsed] == [int(first[0]), int(second[0])]
         assert warnings == ["line 3: unreadable as CSV (field larger than field limit (131072)), row skipped"]
 
+    def test_no_rows_from_inside_an_oversized_quoted_field(self):
+        warnings = []
+        first, second = sd.NTFS_CSV_ROWS[0], sd.NTFS_CSV_ROWS[1]
+        planted = "7,2015-01-22 11:46:02,Fake Event,,x.txt,Users\\x.txt"
+        spanning = "\n".join(["x" * 70_000] * 3 + [planted])
+        oversized = (first[0], first[1], first[2], spanning) + first[4:]
+        parsed = timeline.parse_ntfs_csv(journal_text(rows=[first, oversized, second]), warnings)
+        assert [row.lsn for row in parsed] == [int(first[0]), int(second[0])]
+        assert warnings == ["line 3: unreadable as CSV (field larger than field limit (131072)), row skipped"]
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.text(alphabet='a,"\n\r', max_size=12))
+    def test_record_grammar_splits_as_the_csv_module_does(self, text):
+        try:
+            whole = list(csv.reader(io.StringIO(text)))
+        except csv.Error:  # a bare carriage return inside a line
+            return
+        pieces, start = [], 0
+        while start < len(text):
+            end = timeline._CSV_RECORD.match(text, start).end()
+            pieces.append(text[start:end])
+            start = end
+        assert [row for piece in pieces for row in csv.reader(io.StringIO(piece))] == whole
+
     def test_unreadable_time_treated_blank(self):
         warnings = []
         rows = [
