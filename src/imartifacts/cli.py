@@ -146,18 +146,31 @@ def _extract_facebook_db(path: Path, warnings, present: set[str]) -> dict[str, l
 
 
 class _Gather:
-    def __init__(self, catalog):
+    def __init__(self, catalog, fb_owner=None, skype_owner=None):
         self.catalog = pcap.catalog_index(catalog)
-        self.records: list = []  # extracted records and the events of captures and journals
+        self.fb_owner, self.skype_owner = fb_owner, skype_owner  # the owners of every cache and store
+        self.events: list = []
         self.warnings: list[str] = []
         self.tally = _Tally()
 
     def ingest(self, path: Path, utc_offset: int = 0, kind: str | None = None, worker=None) -> None:
-        """Extract one input, sniffing its kind unless kind names it.
+        """Extract one input, sniffing its kind unless kind names it, and map its records to events.
 
-        With a worker from _start_scans, the input's fragments are that worker's result.
+        With a worker from _start_scans, the input's fragments are that
+        worker's result.  An owner the gather was not given comes from the
+        input's own records, which are let go when this returns.
         """
-        self.records += self.tally.read(str(path), lambda: self._extract(path, utc_offset, kind, worker)) or []
+        records = self.tally.read(str(path), lambda: self._extract(path, utc_offset, kind, worker))
+        if not records:
+            return
+        fb_owner, skype_owner = self.fb_owner, self.skype_owner
+        if fb_owner is None:
+            fb_owner = facebook.infer_owner_uid([r for r in records if isinstance(r, facebook.FbMessage)])
+        if skype_owner is None:
+            skype_owner = next((r.skypename for r in records if isinstance(r, skype.SkypeAccount)), None)
+        self.events += timeline.normalize(
+            records, fb_owner_uid=fb_owner, skype_owner=skype_owner, capture_path=str(path),
+            catalog=self.catalog, warnings=self.warnings)
 
     def _extract(self, path: Path, utc_offset: int, kind: str | None, worker) -> list | None:
         """The records or events of one input, or None if no extractor reads it."""
@@ -173,8 +186,7 @@ class _Gather:
                 groups = _extract_facebook_db(path, self.warnings, names).values()
             return [record for group in groups for record in group]
         if kind == "pcap":
-            flows = _capture_flows(path, self.warnings)
-            return timeline.normalize(flows, capture_path=label, catalog=self.catalog)
+            return _capture_flows(path, self.warnings)
         if kind == "registry":
             return _registry_records(path, self.warnings)
         if kind == "journal-csv":
@@ -195,24 +207,6 @@ class _Gather:
             locator.read_zone_identifier(path.read_bytes(), sidecar_path=label)
             return []
         return _scan_raw(path)
-
-    def merged(self, *, fb_owner=None, skype_owner=None) -> timeline.Report:
-        """The report of the inputs ingested so far.
-
-        The gather lets go of their records here, so that merge and emit
-        run without them.
-        """
-        records, self.records = self.records, []
-        if fb_owner is None:
-            fb_owner = facebook.infer_owner_uid(
-                [r for r in records if isinstance(r, facebook.FbMessage)])
-        if skype_owner is None:
-            skype_owner = next((r.skypename for r in records if isinstance(r, skype.SkypeAccount)), None)
-        events = timeline.normalize(
-            records, fb_owner_uid=fb_owner, skype_owner=skype_owner,
-            catalog=self.catalog, warnings=self.warnings)
-        del records
-        return timeline.build_report(events, self.warnings)
 
 
 def _registry_records(path: Path, warnings) -> list:
@@ -347,8 +341,8 @@ def _reap(worker: tuple[int, int], kill: bool = False) -> int:
 def _run_pipeline(args, paths, journal=None, root=None) -> int:
     """_gather_and_emit with automatic garbage collection paused, then set back as the caller had it.
 
-    The run's records hold almost no reference cycles, so each collection
-    would rescan every record built so far and free next to nothing.
+    The run's records and events hold almost no reference cycles, so each
+    collection would rescan every event built so far and free next to nothing.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -366,7 +360,7 @@ def _gather_and_emit(args, paths, journal, root) -> int:
     inputs are scanned in forked workers (_start_scans) while this process
     reads the others; each worker's result is taken at its input's turn.
     """
-    gather = _Gather(_load_catalog(args.catalog))
+    gather = _Gather(_load_catalog(args.catalog), args.fb_owner, args.skype_owner)
     workers = _start_scans(paths)
     try:
         for index, path in enumerate(paths):
@@ -376,7 +370,7 @@ def _gather_and_emit(args, paths, journal, root) -> int:
     finally:
         for worker in workers.values():  # left only if this process raised
             _reap(worker, kill=True)
-    report = gather.merged(fb_owner=args.fb_owner, skype_owner=args.skype_owner)
+    report = timeline.build_report(gather.events, gather.warnings)
     if root is not None:
         report.events = timeline.relativize_events(report.events, root)
     out = _default_out(args.out)
@@ -569,8 +563,10 @@ _CATALOG_HELP = ("endpoint catalog text replacing the builtin: one 'match label 
 def _add_pipeline_flags(parser) -> None:
     parser.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     parser.add_argument("--out", help="write output here instead of stdout")
-    parser.add_argument("--fb-owner", help="cache owner uid for direction calls")
-    parser.add_argument("--skype-owner", help="account name owning the message store")
+    parser.add_argument("--fb-owner", help="owner uid of every cache, for direction calls; "
+                        "unset, each cache's is inferred from its sent-tagged messages")
+    parser.add_argument("--skype-owner", help="account name owning every message store; "
+                        "unset, each store's is the first in its Accounts table")
     parser.add_argument("--catalog", help=_CATALOG_HELP)
     parser.add_argument("--utc-offset", type=int, default=0,
                         help="journal CSV zone offset in minutes")

@@ -91,7 +91,7 @@ def open_immutable(path: str | Path, warnings: list[str] | None = None) -> sqlit
         message = "wal-present-not-applied: %s" % path
         if message not in warnings:  # once per database, however many extractors open it
             warnings.append(message)
-    uri = "file:%s?mode=ro&immutable=1" % Path(path).as_posix()
+    uri = Path(path).absolute().as_uri() + "?mode=ro&immutable=1"  # "#", "?" and "%" percent-encoded
     connection = sqlite3.connect(uri, uri=True, factory=_ClosingConnection)
     connection.row_factory = sqlite3.Row
     return connection

@@ -207,9 +207,9 @@ def parse_ntfs_csv(source, warnings: list[str] | None = None,
             return None
 
     rows: list[NtfsJournalRow] = []
-    line = 1
+    line, start = 1, 0  # the physical line number of the record at start
     while True:
-        line += 1
+        line += text.count("\n", start, lines.offset)
         start = lines.offset
         try:
             row = next(reader)

@@ -777,25 +777,27 @@ class TestScanWorkers:
 
 
 class TestRecordsReleased:
-    """The gather lets go of its records once they are normalized."""
+    """The gather lets go of an input's records once they are mapped to events."""
 
-    def test_a_record_is_freed_when_merged_returns(self, forged):
+    def test_a_record_is_freed_when_its_ingest_returns(self, forged, monkeypatch):
         root, _ = forged
+        normalize, alive = timeline.normalize, []
+
+        def watched(records, **kwargs):
+            alive.append(weakref.ref(next(r for r in records if isinstance(r, facebook.FbMessage))))
+            return normalize(records, **kwargs)
+
+        monkeypatch.setattr(timeline, "normalize", watched)
         gather = cli._Gather(None)
-        for path in sorted(p for p in root.rglob("*") if p.is_file()):
-            gather.ingest(path)
-        record = next(r for r in gather.records if isinstance(r, facebook.FbMessage))
-        alive = weakref.ref(record)
-        del record
         enabled = gc.isenabled()
         gc.disable()  # as in a run: reference counting alone must free it
         try:
-            report = gather.merged()
-            assert alive() is None
+            gather.ingest(Path(fb_db(root, "Messages.sqlite")))
+            assert len(alive) == 1 and alive[0]() is None
         finally:
             if enabled:
                 gc.enable()
-        assert report.events and gather.records == []
+        assert gather.events
 
 
 class TestDamagedCapture:

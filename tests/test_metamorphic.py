@@ -1,0 +1,155 @@
+"""Metamorphic relations of the merged timeline over forged evidence trees.
+
+Each relation compares runs of the command line with one another rather
+than with an expected output:
+
+- partition: one run over all inputs gives the multiset of JSONL lines
+  that one run per input gives together;
+- order: reversed inputs give the same bytes;
+- clock offset: ``--utc-offset`` moves the journal events, and only them;
+- location: a tree whose directory name holds "#", "?", "%" or a space
+  gives the report of the same tree elsewhere, and nothing is written
+  beside the evidence.
+
+The partition relation also runs on trees with two Facebook caches or two
+Skype stores of different owners, whose messages each take their own
+store's owner.
+"""
+
+import json
+import os
+import shutil
+import sqlite3
+from collections import Counter
+from dataclasses import replace
+from datetime import timedelta
+from pathlib import Path
+
+import pytest
+
+from imartifacts import forge, sampledata, timeline
+from imartifacts.cli import main
+from imartifacts.model import App, EventKind, Timestamp
+
+SEEDS = (0, 7, 19)
+ODD_NAMES = ("a#b", "e?f", "c%41d", "sp ace")
+JOURNAL = "timeline.ntfs_csv"
+
+
+@pytest.fixture(scope="module", params=SEEDS, ids=lambda seed: "seed%d" % seed)
+def tree(request, tmp_path_factory):
+    root = tmp_path_factory.mktemp("seed%d" % request.param) / "evidence"
+    forge.forge_fixture(request.param, root)
+    return request.param, root
+
+
+def _inputs(root: Path) -> list[str]:
+    return sorted(str(p) for p in root.rglob("*") if p.is_file())
+
+
+def _output(out: Path, *argv: str) -> bytes:
+    """What the command writes to --out; its exit code is not checked."""
+    main([*argv, "--out", str(out)])
+    return out.read_bytes()
+
+
+def _assert_partition(tmp_path: Path, inputs: list[str]) -> None:
+    out = tmp_path / "out.jsonl"
+    whole = Counter(_output(out, "timeline", *inputs).splitlines())
+    parts = Counter()
+    for path in inputs:
+        parts.update(_output(out, "timeline", path).splitlines())
+    assert whole == parts
+
+
+def _snapshot(top: Path) -> dict:
+    """Every file and directory under top: its size and modification time."""
+    found = {}
+    for directory, dirs, files in os.walk(top):
+        for name in dirs + files:
+            info = os.stat(os.path.join(directory, name))
+            found[os.path.relpath(os.path.join(directory, name), top)] = (info.st_size, info.st_mtime_ns)
+    return found
+
+
+class TestRelations:
+    def test_partition(self, tree, tmp_path):
+        _, root = tree
+        _assert_partition(tmp_path, _inputs(root))
+
+    def test_reversed_inputs_give_the_same_bytes(self, tree, tmp_path):
+        _, root = tree
+        inputs = _inputs(root)
+        forward = _output(tmp_path / "forward.jsonl", "timeline", *inputs)
+        assert forward
+        assert _output(tmp_path / "reversed.jsonl", "timeline", *reversed(inputs)) == forward
+
+    def test_utc_offset_moves_only_the_journal_events(self, tree, tmp_path):
+        _, root = tree
+        inputs = _inputs(root)
+        plain = timeline.parse_jsonl(_output(tmp_path / "plain.jsonl", "timeline", *inputs))
+        moved = timeline.parse_jsonl(
+            _output(tmp_path / "moved.jsonl", "timeline", *inputs, "--utc-offset", "90"))
+        journal = [e for e in plain if e.provenance.extractor == JOURNAL]
+        assert journal
+        assert [e for e in moved if e.provenance.extractor != JOURNAL] == \
+            [e for e in plain if e.provenance.extractor != JOURNAL]
+        assert [e for e in moved if e.provenance.extractor == JOURNAL] == [
+            replace(e, when=Timestamp(e.when.utc_instant - timedelta(minutes=90), e.when.encoding, e.when.raw))
+            for e in journal]
+
+    @pytest.mark.parametrize("name", ODD_NAMES)
+    def test_location(self, tree, tmp_path, name):
+        seed, root = tree
+        expected = _output(tmp_path / "plain.jsonl", "report", str(root))
+        parent = tmp_path / "parent"
+        forge.forge_fixture(seed, parent / name)
+        before = _snapshot(parent)
+        assert _output(tmp_path / "odd.jsonl", "report", str(parent / name)) == expected
+        assert _snapshot(parent) == before
+
+
+class TestOneOwnerPerStore:
+    """A cache or store whose owner is not given is owned by the uid its own records name."""
+
+    @pytest.fixture
+    def root(self, tmp_path):
+        root = tmp_path / "evidence"
+        forge.forge_fixture(7, root)
+        return root
+
+    def test_two_facebook_caches(self, root, tmp_path):
+        owner_db = root / forge.FACEBOOK_DB_DIR / "Messages.sqlite"
+        other_dir = owner_db.parents[2] / sampledata.CORRESPONDENT_UID / "DB"
+        other_dir.mkdir(parents=True)
+        other_db = other_dir / "Messages.sqlite"
+        shutil.copyfile(owner_db, other_db)
+        with sqlite3.connect(other_db) as connection:  # the correspondent's cache tags their own rows sent
+            connection.execute(
+                "UPDATE messages SET tags = CASE WHEN sender LIKE ? THEN '[\"sent\"]' ELSE '[]' END",
+                ('%%"user_id": "%s"%%' % sampledata.CORRESPONDENT_UID,))
+        connection.close()
+        inputs = _inputs(root)
+        _assert_partition(tmp_path, inputs)
+        events = timeline.parse_jsonl(_output(tmp_path / "all.jsonl", "timeline", *inputs))
+        kinds = Counter((e.provenance.evidence_path == str(other_db), e.actor, e.kind)
+                        for e in events if e.provenance.extractor == "facebook.messages")
+        jack = json.loads(sampledata.MESSAGE_ROWS[1]["sender"])["name"]
+        assert kinds[(False, jack, EventKind.MESSAGE_RECEIVED)] == 3
+        assert kinds[(True, jack, EventKind.MESSAGE_SENT)] == 3
+        assert kinds[(True, sampledata.OWNER_NAME, EventKind.MESSAGE_RECEIVED)] == 2
+
+    def test_two_skype_stores(self, root, tmp_path):
+        owner_db = root / forge.SKYPE_ACCOUNT_DIR / "main.db"
+        other_db = owner_db.parents[1] / "someone.else" / "main.db"
+        other_db.parent.mkdir()
+        shutil.copyfile(owner_db, other_db)
+        with sqlite3.connect(other_db) as connection:
+            connection.execute("UPDATE Accounts SET skypename = 'someone.else'")
+        connection.close()
+        inputs = _inputs(root)
+        _assert_partition(tmp_path, inputs)
+        events = timeline.parse_jsonl(_output(tmp_path / "all.jsonl", "timeline", *inputs))
+        sent = Counter(e.provenance.evidence_path == str(other_db)
+                       for e in events if e.kind is EventKind.MESSAGE_SENT and e.app is App.SKYPE)
+        assert sent[False] > 0 and sent[True] == 0

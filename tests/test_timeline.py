@@ -141,6 +141,19 @@ class TestNtfsCsv:
         assert [row.lsn for row in parsed] == [int(first[0]), int(second[0])]
         assert warnings == ["line 3: unreadable as CSV (field larger than field limit (131072)), row skipped"]
 
+    def test_warnings_name_the_physical_line(self):
+        first, second = sd.NTFS_CSV_ROWS[0], sd.NTFS_CSV_ROWS[1]
+        spanning = (first[0], first[1], first[2], "one\ntwo\nthree") + first[4:]
+        oversized = (first[0], first[1], first[2], "\n".join(["x" * 70_000] * 3)) + first[4:]
+        bad_lsn = ("oops",) + second[1:]
+        warnings = []
+        timeline.parse_ntfs_csv(journal_text(rows=[spanning, bad_lsn]), warnings)
+        assert warnings == ["line 5: unreadable LSN 'oops', row skipped"]
+        warnings = []  # and after a row the csv module could not read
+        timeline.parse_ntfs_csv(journal_text(rows=[first, oversized, bad_lsn]), warnings)
+        assert warnings == ["line 3: unreadable as CSV (field larger than field limit (131072)), row skipped",
+                            "line 6: unreadable LSN 'oops', row skipped"]
+
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(st.text(alphabet='a,"\n\r', max_size=12))
     def test_record_grammar_splits_as_the_csv_module_does(self, text):
