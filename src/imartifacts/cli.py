@@ -158,14 +158,21 @@ class _Gather:
 
         With a worker from _start_scans, the input's fragments are that
         worker's result.  An owner the gather was not given comes from the
-        input's own records, which are let go when this returns.
+        input's own records, which are let go when this returns; failing
+        that, a cache's owner is the uid that names the account directory
+        of its absolute path.
         """
         records = self.tally.read(str(path), lambda: self._extract(path, utc_offset, kind, worker))
         if not records:
             return
         fb_owner, skype_owner = self.fb_owner, self.skype_owner
         if fb_owner is None:
-            fb_owner = facebook.infer_owner_uid([r for r in records if isinstance(r, facebook.FbMessage)])
+            messages = [r for r in records if isinstance(r, facebook.FbMessage)]
+            fb_owner = facebook.infer_owner_uid(messages)
+            if fb_owner is None and messages:
+                fb_owner = next((match.account for match in locator.match_catalog(os.path.abspath(path), False)
+                                 if match.rule_id == "fb-cache-db" and match.account.isascii()
+                                 and match.account.isdigit()), None)
         if skype_owner is None:
             skype_owner = next((r.skypename for r in records if isinstance(r, skype.SkypeAccount)), None)
         self.events += timeline.normalize(
@@ -223,7 +230,7 @@ def _capture_flows(path, warnings) -> list:
     if skipped.truncated or skipped.non_ipv4 or skipped.non_tcp_udp:
         warnings.append("%s: %d truncated record(s), %d non-IPv4 frame(s), %d non-TCP/UDP datagram(s) skipped"
                         % (path, skipped.truncated, skipped.non_ipv4, skipped.non_tcp_udp))
-    return pcap.assemble_flows(capture.packets)
+    return capture.flows
 
 
 def _scan_raw(path: Path) -> list:
@@ -564,7 +571,8 @@ def _add_pipeline_flags(parser) -> None:
     parser.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     parser.add_argument("--out", help="write output here instead of stdout")
     parser.add_argument("--fb-owner", help="owner uid of every cache, for direction calls; "
-                        "unset, each cache's is inferred from its sent-tagged messages")
+                        "unset, each cache's is inferred from its sent-tagged messages, "
+                        "else from the uid directory it sits in")
     parser.add_argument("--skype-owner", help="account name owning every message store; "
                         "unset, each store's is the first in its Accounts table")
     parser.add_argument("--catalog", help=_CATALOG_HELP)

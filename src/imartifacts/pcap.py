@@ -82,7 +82,9 @@ class SkipCounters:
 
 @dataclass
 class PcapCapture:
-    packets: list[Packet]
+    """The flows of one capture, with what its header said and what its read skipped."""
+
+    flows: list[Flow]
     skipped: SkipCounters
     nanosecond: bool
     byte_swapped: bool
@@ -100,12 +102,13 @@ class _DottedQuads(dict):
 
 
 def read_pcap(source) -> PcapCapture:
-    """Read a classic pcap capture into accepted packets plus skip counts.
+    """Read a classic pcap capture into its flows plus skip counts.
 
-    Non-IPv4 frames and non-TCP/UDP datagrams are counted, not yielded;
-    a record cut short by the end of file or by the snap length is
-    counted as truncated, and so is one over MAX_RECORD_LEN, which ends
-    the read.
+    The accepted packets go to assemble_flows as they are read, so memory
+    grows with the flows, not the packets.  Non-IPv4 frames and
+    non-TCP/UDP datagrams are counted, not folded; a record cut short by
+    the end of file or by the snap length is counted as truncated, and so
+    is one over MAX_RECORD_LEN, which ends the read.
     """
     if isinstance(source, (bytes, bytearray, memoryview)):
         return _read_stream(io.BytesIO(source))
@@ -117,6 +120,15 @@ def read_pcap(source) -> PcapCapture:
 
 def _read_stream(stream) -> PcapCapture:
     """read_pcap's body, apart from it so that a wrapped read_pcap sees one call per capture."""
+    order, nanosecond = _read_header(stream)
+    counters = SkipCounters()
+    # assemble_flows is looked up as the module global, so a wrapped one sees this call.
+    flows = assemble_flows(_packets(stream.read, order, nanosecond, counters))
+    return PcapCapture(flows, counters, nanosecond, byte_swapped=(order == ">"))
+
+
+def _read_header(stream) -> tuple[str, bool]:
+    """Check a classic capture header; return its struct byte order and whether it is nanosecond."""
     header = stream.read(24)
     if len(header) < 24:
         raise NotPcap("file too short for a capture header")
@@ -129,13 +141,13 @@ def _read_stream(stream) -> PcapCapture:
     linktype = struct.unpack(order + "I", header[20:24])[0]
     if linktype != LINKTYPE_ETHERNET:
         raise NotPcap("unsupported link type %d" % linktype)
+    return order, nanosecond
 
-    packets: list[Packet] = []
-    counters = SkipCounters()
+
+def _packets(read, order: str, nanosecond: bool, counters: SkipCounters):
+    """Yield the accepted packets of the records after the header, counting the rest in counters."""
     addresses = _DottedQuads()  # one str per distinct address in this capture
-    read = stream.read
     unpack_record = struct.Struct(order + "IIII").unpack
-    append = packets.append
     while True:
         record = read(16)
         if not record:
@@ -157,8 +169,7 @@ def _read_stream(stream) -> PcapCapture:
         ts_us = ts_sec * 1_000_000 + (ts_frac // 1000 if nanosecond else ts_frac)
         packet = _parse_frame(ts_us, data, counters, addresses)
         if packet is not None:
-            append(packet)
-    return PcapCapture(packets, counters, nanosecond, byte_swapped=(order == ">"))
+            yield packet
 
 
 def _parse_frame(ts_us: int, data: bytes, counters: SkipCounters, addresses: _DottedQuads):

@@ -832,6 +832,51 @@ class TestDamagedCapture:
         assert capfd.readouterr().err == ""
 
 
+class TestCaptureFold:
+    """A capture is folded into flows as it is read, through the two layers the benchmark traces."""
+
+    FLOWS = 20
+    PEAK_GROWTH_BOUND = 64 << 10  # bytes; 14,000 more packets kept in a list would take about 5 MiB
+
+    def write_capture(self, path, packets):
+        t0 = 1421685000 * 1_000_000
+        frames = [(t0 + i, forge.make_udp_packet("192.168.220.176", 5000 + i % self.FLOWS, "31.13.76.102", 443,
+                                                 b"x" * 40))
+                  for i in range(packets)]
+        forge.write_pcap(path, frames)
+        return path
+
+    def test_memory_does_not_grow_with_the_packets(self, tmp_path):
+        import tracemalloc
+
+        peaks = []
+        for packets in (2_000, 16_000):
+            path = self.write_capture(tmp_path / ("%d.pcap" % packets), packets)
+            warnings = []
+            tracemalloc.start()
+            try:
+                flows = cli._capture_flows(path, warnings)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert warnings == []
+            assert len(flows) == self.FLOWS
+            assert sum(flow.total_packets for flow in flows) == packets
+        assert abs(peaks[1] - peaks[0]) < self.PEAK_GROWTH_BOUND
+
+    def test_timeline_reads_and_folds_each_capture_once(self, tmp_path, monkeypatch, capfd):
+        calls = []
+        for name in ("read_pcap", "assemble_flows"):
+            def counted(*args, _name=name, _function=getattr(pcap, name), **kwargs):
+                calls.append(_name)
+                return _function(*args, **kwargs)
+
+            monkeypatch.setattr(pcap, name, counted)
+        captures = [str(self.write_capture(tmp_path / ("%d.pcap" % n), 30)) for n in range(2)]
+        assert main(["timeline", *captures, "--out", str(tmp_path / "out.csv"), "--format", "csv"]) == 0
+        assert sorted(calls) == ["assemble_flows"] * 2 + ["read_pcap"] * 2
+
+
 class TestGarbageCollection:
     """A pipeline run pauses automatic garbage collection and leaves it as the caller had it."""
 
@@ -904,6 +949,60 @@ class TestOutOfRangeFacebookTime:
         assert ("warning: messages row %d has no usable timestamp" % rowid).encode() in err.splitlines()
         sources = [e.provenance.extractor for e in timeline.parse_jsonl(out)]
         assert sources.count("facebook.messages") == len(sampledata.MESSAGE_ROWS) - 1
+
+
+class TestFacebookOwnerFromPath:
+    """A cache with no sent-tagged message takes its owner from the uid directory it sits in."""
+
+    @pytest.fixture
+    def tagged(self, tmp_path):
+        forge.forge_fixture(7, tmp_path / "evidence")
+        return tmp_path / "evidence" / forge.FACEBOOK_DB_DIR / "Messages.sqlite"
+
+    def copy_untagged(self, source, target):
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(source.read_bytes())
+        connection = sqlite3.connect(target)
+        with connection:
+            connection.execute("UPDATE messages SET tags = '[]'")
+        connection.close()
+        return target
+
+    def messages(self, capfdbinary, path):
+        code, out, err = _outcome(capfdbinary, ["timeline", str(path), "-v"])
+        assert code == 0, err
+        return [(e.kind, e.summary) for e in timeline.parse_jsonl(out)], err.decode("utf-8").splitlines()
+
+    def assert_undetermined(self, capfdbinary, path):
+        got, err = self.messages(capfdbinary, path)
+        unknown = [line for line in err if "owner unknown, direction undetermined" in line]
+        assert got and len(unknown) == len(got)
+        assert {kind for kind, _ in got} == {EventKind.MESSAGE_RECEIVED}
+
+    def test_untagged_cache_gets_the_directions_of_its_tags(self, tmp_path, tagged, capfdbinary):
+        untagged = self.copy_untagged(tagged, tmp_path / "untagged" / forge.FACEBOOK_DB_DIR / "Messages.sqlite")
+        want, _ = self.messages(capfdbinary, tagged)
+        got, err = self.messages(capfdbinary, untagged)
+        assert got == want
+        assert {kind for kind, _ in got} == {EventKind.MESSAGE_SENT, EventKind.MESSAGE_RECEIVED}
+        assert not [line for line in err if "owner unknown" in line]
+
+    def test_relative_path_gets_the_same_owner(self, tmp_path, tagged, capfdbinary, monkeypatch):
+        untagged = self.copy_untagged(tagged, tmp_path / "untagged" / forge.FACEBOOK_DB_DIR / "Messages.sqlite")
+        want, _ = self.messages(capfdbinary, tagged)
+        monkeypatch.chdir(untagged.parent.parent)
+        for path in ("DB/Messages.sqlite", "../%s/DB/Messages.sqlite" % sampledata.OWNER_UID):
+            got, err = self.messages(capfdbinary, path)
+            assert got == want
+            assert not [line for line in err if "owner unknown" in line]
+
+    def test_untagged_cache_outside_an_account_directory_stays_undetermined(self, tmp_path, tagged, capfdbinary):
+        self.assert_undetermined(capfdbinary, self.copy_untagged(tagged, tmp_path / "loose" / "Messages.sqlite"))
+
+    def test_account_directory_that_is_not_a_uid_names_no_owner(self, tmp_path, tagged, capfdbinary):
+        db_dir = forge.FACEBOOK_DB_DIR.replace(sampledata.OWNER_UID, "jack")
+        assert db_dir != forge.FACEBOOK_DB_DIR
+        self.assert_undetermined(capfdbinary, self.copy_untagged(tagged, tmp_path / db_dir / "Messages.sqlite"))
 
 
 class TestParsedDiagnosticsReachTheOutput:

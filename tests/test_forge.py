@@ -48,8 +48,7 @@ def extract_tree(root):
     records.append(regexport.find_install_time(export, sd.FACEBOOK_PACKAGE_FULL, evidence_path=reg))
     records.append(regexport.find_install_time(export, sd.SKYPE_PACKAGE_FULL, evidence_path=reg))
     records += regexport.find_persisted_items(export, evidence_path=reg)
-    capture = pcap.read_pcap(root / CAPTURE_NAME)
-    records += pcap.assemble_flows(capture.packets)
+    records += pcap.read_pcap(root / CAPTURE_NAME).flows
     events = timeline.normalize(
         records, fb_owner_uid=sd.OWNER_UID, skype_owner=sd.SKYPE_OWNER,
         capture_path=str(root / CAPTURE_NAME))
@@ -190,7 +189,7 @@ class TestCapture:
         capture = pcap.read_pcap(root / CAPTURE_NAME)
         assert capture.skipped == pcap.SkipCounters()
         flows = {(f.proto, f.endpoint_a, f.endpoint_b): f
-                 for f in pcap.assemble_flows(capture.packets)}
+                 for f in capture.flows}
         assert len(flows) == len(manifest["capture"]["flows"])
         for entry in manifest["capture"]["flows"]:
             key = (entry["proto"], tuple(entry["endpoint_a"]), tuple(entry["endpoint_b"]))

@@ -38,16 +38,29 @@ def capture_bytes(frames, **kwargs):
     return write_pcap(None, frames, **kwargs)
 
 
+def read_packets(data):
+    """The accepted packets of a capture and its skip counts: the generator read_pcap folds, listed."""
+    stream = io.BytesIO(data)
+    order, nanosecond = pcap._read_header(stream)
+    counters = pcap.SkipCounters()
+    return list(pcap._packets(stream.read, order, nanosecond, counters)), counters
+
+
+def packet_count(capture):
+    return sum(flow.total_packets for flow in capture.flows)
+
+
 class TestReadPcap:
     def test_udp_packets_all_yielded(self):
         frames = [
             (T0 + i * 1000, make_udp_packet(CLIENT, 40000 + i, "10.0.0.1", 53, b"q" * 10))
             for i in range(10)
         ]
-        capture = read_pcap(capture_bytes(frames))
-        assert len(capture.packets) == 10
-        assert all(p.proto == "udp" for p in capture.packets)
-        assert capture.packets[0].ip_payload_len == 8 + 10
+        packets, _ = read_packets(capture_bytes(frames))
+        assert len(packets) == 10
+        assert all(p.proto == "udp" for p in packets)
+        assert packets[0].ip_payload_len == 8 + 10
+        assert packet_count(read_pcap(capture_bytes(frames))) == 10
 
     def test_byte_swapped_magic_identical_yield(self):
         frames = [
@@ -56,14 +69,16 @@ class TestReadPcap:
         ]
         native = read_pcap(capture_bytes(frames))
         swapped = read_pcap(capture_bytes(frames, byte_swapped=True))
-        assert swapped.byte_swapped
-        assert swapped.packets == native.packets
+        assert swapped.byte_swapped and not native.byte_swapped
+        assert swapped.flows == native.flows
+        assert read_packets(capture_bytes(frames, byte_swapped=True)) == read_packets(capture_bytes(frames))
 
     def test_nanosecond_resolution(self):
         frames = [(T0 + 123, make_udp_packet(CLIENT, 1, "10.0.0.1", 2))]
         capture = read_pcap(capture_bytes(frames, nanosecond=True))
         assert capture.nanosecond
-        assert capture.packets[0].ts_us == T0 + 123
+        (flow,) = capture.flows
+        assert flow.first_ts_us == T0 + 123
 
     def test_empty_file(self):
         with pytest.raises(NotPcap):
@@ -82,7 +97,7 @@ class TestReadPcap:
         arp = b"\x02" * 6 + b"\x04" * 6 + b"\x08\x06" + bytes(28)
         frames = [(T0, arp), (T0 + 1, make_udp_packet(CLIENT, 1, "10.0.0.1", 2))]
         capture = read_pcap(capture_bytes(frames))
-        assert len(capture.packets) == 1
+        assert packet_count(capture) == 1
         assert capture.skipped.non_ipv4 == 1
 
     def test_non_tcp_udp_counted(self):
@@ -90,14 +105,14 @@ class TestReadPcap:
         # Rewrite the protocol byte inside the IPv4 header to ICMP.
         icmp = icmp[: 14 + 9] + b"\x01" + icmp[14 + 10 :]
         capture = read_pcap(capture_bytes([(T0, icmp)]))
-        assert len(capture.packets) == 0
+        assert capture.flows == []
         assert capture.skipped.non_tcp_udp == 1
 
     def test_truncated_record_counted(self):
         good = capture_bytes([(T0, make_udp_packet(CLIENT, 1, "10.0.0.1", 2, b"xy"))])
         capture = read_pcap(good[:-3])
         assert capture.skipped.truncated == 1
-        assert len(capture.packets) == 0
+        assert capture.flows == []
 
     def test_overlong_record_ends_the_read_without_asking_for_its_bytes(self):
         class ReadSizes(io.BytesIO):
@@ -110,7 +125,7 @@ class TestReadPcap:
         hostile = struct.pack("<IIII", 0, 0, 0xF0000000, 0xF0000000)
         data = capture_bytes([(T0, frame)]) + hostile + capture_bytes([(T0 + 1, frame)])[24:]
         capture = read_pcap(ReadSizes(data))
-        assert len(capture.packets) == 1
+        assert packet_count(capture) == 1
         assert capture.skipped.truncated == 1
         assert max(sizes) <= pcap.MAX_RECORD_LEN
 
@@ -118,17 +133,17 @@ class TestReadPcap:
         frame = make_udp_packet(CLIENT, 1, "10.0.0.1", 2)
         padded = frame + bytes(pcap.MAX_RECORD_LEN - len(frame))
         capture = read_pcap(capture_bytes([(T0, padded), (T0 + 1, frame)]))
-        assert len(capture.packets) == 2
+        assert packet_count(capture) == 2
         assert capture.skipped.truncated == 0
 
     def test_reads_from_path(self, tmp_path):
         path = tmp_path / "c.pcap"
         write_pcap(path, [(T0, make_udp_packet(CLIENT, 1, "10.0.0.1", 2))])
-        assert len(read_pcap(path).packets) == 1
+        assert packet_count(read_pcap(path)) == 1
 
     def test_packet_instant(self):
         capture = read_pcap(capture_bytes([(1421685000_123000, make_udp_packet(CLIENT, 1, "10.0.0.1", 2))]))
-        (flow,) = assemble_flows(capture.packets)
+        (flow,) = capture.flows
         assert flow.first_seen.isoformat_ms() == "2015-01-19T16:30:00.123Z"
 
 
@@ -139,7 +154,7 @@ class TestFlows:
         for i in range(3):
             frames.append((T0 + i * 10_000, make_tcp_packet(CLIENT, 49431, *server, b"c" * 5)))
             frames.append((T0 + i * 10_000 + 500, make_tcp_packet(server[0], server[1], CLIENT, 49431, b"s" * 9)))
-        (flow,) = assemble_flows(read_pcap(capture_bytes(frames)).packets)
+        (flow,) = read_pcap(capture_bytes(frames)).flows
         assert flow.total_packets == 6
         assert {flow.packets_ab, flow.packets_ba} == {3}
         assert flow.proto == "tcp"
@@ -154,7 +169,7 @@ class TestFlows:
             (T0 + 2, make_udp_packet("10.0.0.1", 9000, CLIENT, 1111, b"c")),
             (T0 + 3, make_udp_packet("10.0.0.2", 9000, CLIENT, 2222, b"d")),
         ]
-        flows = assemble_flows(read_pcap(capture_bytes(frames)).packets)
+        flows = read_pcap(capture_bytes(frames)).flows
         assert len(flows) == 2
 
     def test_zero_packets(self):
@@ -169,11 +184,10 @@ class TestFlows:
             frames.append((T0 + i, make_tcp_packet(src[0], src[1], dst[0], dst[1], b"x" * rng.randrange(0, 9))))
         mirrored = []
         for ts, frame in frames:
-            capture = read_pcap(capture_bytes([(ts, frame)]))
-            p = capture.packets[0]
+            (p,), _ = read_packets(capture_bytes([(ts, frame)]))
             mirrored.append((ts, make_tcp_packet(p.dst_ip, p.dst_port, p.src_ip, p.src_port, p.payload)))
-        forward = assemble_flows(read_pcap(capture_bytes(frames)).packets)
-        backward = assemble_flows(read_pcap(capture_bytes(mirrored)).packets)
+        forward = read_pcap(capture_bytes(frames)).flows
+        backward = read_pcap(capture_bytes(mirrored)).flows
 
         def shape(flows):
             return sorted(
@@ -200,15 +214,15 @@ class TestFlows:
             else:
                 frames.append((T0 + i, make_udp_packet(CLIENT, rng.randrange(1024, 65000), "10.9.8.7", 53, b"z" * size)))
                 expected += 8 + size
-        capture = read_pcap(capture_bytes(frames))
-        flows = assemble_flows(capture.packets)
-        assert sum(p.ip_payload_len for p in capture.packets) == expected
+        packets, _ = read_packets(capture_bytes(frames))
+        flows = read_pcap(capture_bytes(frames)).flows
+        assert sum(p.ip_payload_len for p in packets) == expected
         assert sum(f.total_bytes for f in flows) == expected
 
     def test_flow_sni_picked_up(self):
         hello = make_client_hello("5-edge-chat.facebook.com")
         frames = [(T0, make_tcp_packet(CLIENT, 49431, "31.13.76.102", 443, hello))]
-        (flow,) = assemble_flows(read_pcap(capture_bytes(frames)).packets)
+        (flow,) = read_pcap(capture_bytes(frames)).flows
         assert flow.sni == "5-edge-chat.facebook.com"
 
 
@@ -302,7 +316,7 @@ def _flow(dst_ip, dst_port, proto="tcp", sni=None):
             else make_udp_packet(CLIENT, 49999, dst_ip, dst_port, b""),
         )
     ]
-    (flow,) = assemble_flows(read_pcap(capture_bytes(frames)).packets)
+    (flow,) = read_pcap(capture_bytes(frames)).flows
     flow.sni = sni
     return flow
 
@@ -771,20 +785,23 @@ class TestFrameParsingOracle:
             assert capture == expected
             return
         packets, skipped, nanosecond, byte_swapped = expected
-        assert [astuple(packet) for packet in capture.packets] == [tuple(packet) for packet in packets]
-        assert astuple(capture.skipped) == skipped
+        read, counters = read_packets(data)
+        assert [astuple(packet) for packet in read] == [tuple(packet) for packet in packets]
+        assert astuple(counters) == astuple(capture.skipped) == skipped
         assert (capture.nanosecond, capture.byte_swapped) == (nanosecond, byte_swapped)
-        assert assemble_flows(capture.packets) == assemble_flows(packets)
+        assert capture.flows == assemble_flows(packets)
 
     def test_every_edge_matches_reference(self):
         frames = list(edge_frames())
         data = capture_bytes([(T0 + i, frame) for i, frame in enumerate(frames)])
         packets, skipped, _, _ = reference_read_pcap(data)
+        read, counters = read_packets(data)
         capture = read_pcap(data)
-        assert [astuple(packet) for packet in capture.packets] == [tuple(p) for p in packets]
-        assert astuple(capture.skipped) == skipped
-        assert len(capture.packets) + sum(skipped) == len(frames)
-        assert capture.packets and all(skipped)
+        assert [astuple(packet) for packet in read] == [tuple(p) for p in packets]
+        assert astuple(counters) == astuple(capture.skipped) == skipped
+        assert len(read) + sum(skipped) == len(frames)
+        assert read and all(skipped)
+        assert capture.flows == assemble_flows(packets)
 
     def test_benchmark_capture_shapes_match_reference(self):
         frames = [(T0 + i, make_tcp_packet(CLIENT, 49152 + i % 3, "31.13.76.102", 443, make_client_hello("x.com")))
@@ -795,13 +812,14 @@ class TestFrameParsingOracle:
             for nanosecond in (False, True):
                 data = capture_bytes(frames, byte_swapped=byte_swapped, nanosecond=nanosecond)
                 packets, skipped, _, _ = reference_read_pcap(data)
+                read, _ = read_packets(data)
                 capture = read_pcap(data)
-                assert [astuple(packet) for packet in capture.packets] == [tuple(p) for p in packets]
+                assert [astuple(packet) for packet in read] == [tuple(p) for p in packets]
                 assert astuple(capture.skipped) == skipped == (0, 0, 0)
-                assert assemble_flows(capture.packets) == assemble_flows(packets)
+                assert capture.flows == assemble_flows(packets)
 
     def test_one_string_per_address(self):
         frames = [(T0 + i, make_udp_packet(CLIENT, 1000 + i, "10.0.0.1", 53)) for i in range(5)]
-        packets = read_pcap(capture_bytes(frames)).packets
+        packets, _ = read_packets(capture_bytes(frames))
         assert len({id(packet.src_ip) for packet in packets}) == 1
         assert len({id(packet.dst_ip) for packet in packets}) == 1

@@ -539,8 +539,7 @@ class TestNormalizeOther:
             (1421685001_000000, forge.make_tcp_packet(
                 sd.FACEBOOK_CHAT_IP, 443, "192.168.220.176", 49200, b"yo")),
         ]
-        capture = pcap.read_pcap(forge.write_pcap(None, frames))
-        (flow,) = pcap.assemble_flows(capture.packets)
+        (flow,) = pcap.read_pcap(forge.write_pcap(None, frames)).flows
         (event,) = timeline.normalize([flow], capture_path="capture.pcap")
         assert event.kind is EventKind.NETWORK_SESSION
         assert event.app is App.FACEBOOK
@@ -551,7 +550,7 @@ class TestNormalizeOther:
 
     def test_flow_unlabeled_is_other(self):
         frames = [(0, forge.make_udp_packet("10.0.0.1", 1111, "10.0.0.2", 2222, b"x"))]
-        (flow,) = pcap.assemble_flows(pcap.read_pcap(forge.write_pcap(None, frames)).packets)
+        (flow,) = pcap.read_pcap(forge.write_pcap(None, frames)).flows
         (event,) = timeline.normalize([flow])
         assert event.app is App.OTHER
         assert "Other" in event.summary
