@@ -217,8 +217,11 @@ class _Gather:
 
 
 def _registry_records(path: Path, warnings) -> list:
+    """The install and persisted-item records of one export, with a warning in warnings if it skipped any line."""
     label = str(path)
     export = regexport.parse_reg_export(path.read_bytes())
+    if export.errors:
+        warnings.append("%s: %d unreadable line(s) skipped, first at line %d: %s" % (label, len(export.errors), *export.errors[0]))
     return (regexport.find_install_records(export, evidence_path=label)
             + regexport.find_persisted_items(export, warnings, evidence_path=label))
 
@@ -276,8 +279,8 @@ def _start_scans(paths: list[Path]) -> dict[int, tuple[int, int]]:
 def _fork_scan(path: Path, others) -> tuple[int, int]:
     """Start a child that sends _scan_raw(path) through a pipe: (its pid, the read end).
 
-    The child writes the pickle of (True, fragments) or (False, error text)
-    and ends with os._exit, so it never returns into the caller's code.
+    The child pickles (True, fragments) or (False, error text) straight into
+    the pipe and ends with os._exit, so it never returns into the caller's code.
     others are the workers already started, whose read ends it closes.
     """
     import pickle
@@ -299,9 +302,14 @@ def _fork_scan(path: Path, others) -> tuple[int, int]:
                 result = (True, _scan_raw(path))
             except Exception as error:
                 result = (False, str(error))
-            data = memoryview(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
-            while data:
-                data = data[os.write(write_end, data):]
+
+            class Pipe:  # pickle.dump hands it one frame at a time, so the whole pickle is never held
+                def write(self, data):
+                    data = memoryview(data)
+                    while data:
+                        data = data[os.write(write_end, data):]
+
+            pickle.dump(result, Pipe(), pickle.HIGHEST_PROTOCOL)
             os.close(write_end)
             status = 0
         finally:
@@ -417,19 +425,28 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _cmd_facebook(args) -> int:
+def _each_input(names, read, show) -> int:
+    """show(name, read(name, warnings)) and then the warnings of each input that was read; the tally's exit code."""
     tally = _Tally()
-    for name in args.databases:
-        path = Path(name)
+    for name in names:
         warnings: list[str] = []
-        groups = tally.read(name, lambda: _extract_facebook_db(path, warnings, _table_names(path)))
-        if groups is None:
+        result = tally.read(str(name), lambda: read(name, warnings))
+        if result is None:
             continue
-        counts = " ".join("%s=%d" % (label, len(rows)) for label, rows in groups.items())
-        print("%s: %s" % (name, counts or "no recognized tables"))
+        show(name, result)
         for warning in warnings:
             _err("warning: %s" % warning)
     return tally.exit_code()
+
+
+def _cmd_facebook(args) -> int:
+    def show(name, groups):
+        counts = " ".join("%s=%d" % (label, len(rows)) for label, rows in groups.items())
+        print("%s: %s" % (name, counts or "no recognized tables"))
+
+    return _each_input(args.databases,
+                       lambda name, warnings: _extract_facebook_db(Path(name), warnings, _table_names(Path(name))),
+                       show)
 
 
 def _cmd_skype(args) -> int:
@@ -441,50 +458,35 @@ def _cmd_skype(args) -> int:
             return 2
     else:
         databases = [path]
-    tally = _Tally()
-    for database in databases:
-        warnings: list[str] = []
-        dataset = tally.read(str(database), lambda: skype.extract_main_db(database, warnings))
-        if dataset is None:
-            continue
-        counts = " ".join("%s=%d" % (name, len(group)) for name, group in vars(dataset).items())
-        print("%s: %s" % (database, counts))
-        for warning in warnings:
-            _err("warning: %s" % warning)
-    return tally.exit_code()
+
+    def show(database, dataset):
+        print("%s: %s" % (database, " ".join("%s=%d" % (name, len(group)) for name, group in vars(dataset).items())))
+
+    return _each_input(databases, skype.extract_main_db, show)
 
 
 def _cmd_registry(args) -> int:
-    path = Path(args.export)
-    warnings: list[str] = []
-    records = _Tally().read(str(path), lambda: _registry_records(path, warnings))
-    if records is None:
-        return 2
-    for record in records:
-        if isinstance(record, regexport.InstallRecord):
-            print("install\t%s\t%s" % (record.package.text, record.install_time.isoformat_ms()))
-        else:
-            print("persisted\t%s\t%s\t%s"
-                  % (record.guid, record.file_path, record.last_updated.isoformat_ms()))
-    for warning in warnings:
-        _err("warning: %s" % warning)
-    return 0
+    def show(_, records):
+        for record in records:
+            if isinstance(record, regexport.InstallRecord):
+                print("install\t%s\t%s" % (record.package.text, record.install_time.isoformat_ms()))
+            else:
+                print("persisted\t%s\t%s\t%s"
+                      % (record.guid, record.file_path, record.last_updated.isoformat_ms()))
+
+    return _each_input([Path(args.export)], _registry_records, show)
 
 
 def _cmd_carve(args) -> int:
     out_dir = _default_out(args.out) or "."
     Path(out_dir).mkdir(parents=True, exist_ok=True)
-    tally = _Tally()
     index = []
 
-    def carve_file(name):
+    def carve_file(name, _):
         with open(name, "rb") as handle:
             return carver.carve(handle)
 
-    for name in args.raw_files:
-        objects = tally.read(name, lambda: carve_file(name))
-        if objects is None:
-            continue
+    def show(name, objects):
         for item in objects:
             filename = "%s_%d.bin" % (item.signature_name, item.offset)
             (Path(out_dir) / filename).write_bytes(item.payload)
@@ -493,29 +495,26 @@ def _cmd_carve(args) -> int:
                 "offset": item.offset, "length": len(item.payload), "sha256": item.sha256(),
             })
         print("%s: %d objects" % (name, len(objects)))
+
+    code = _each_input(args.raw_files, carve_file, show)
     index.sort(key=lambda entry: (entry["source"], entry["offset"]))
     (Path(out_dir) / "index.json").write_text(
         json.dumps(index, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return tally.exit_code()
+    return code
 
 
 def _cmd_pcap(args) -> int:
     catalog = pcap.catalog_index(_load_catalog(args.catalog))
-    tally = _Tally()
-    for name in args.captures:
-        warnings: list[str] = []
-        flows = tally.read(name, lambda: _capture_flows(name, warnings))
-        if flows is None:
-            continue
+
+    def show(_, flows):
         for flow in flows:
             label = pcap.label_flow(flow, catalog)
             print("%s\t%s:%d\t%s:%d\t%s\t%d packets\t%d bytes"
                   % (flow.proto, flow.endpoint_a[0], flow.endpoint_a[1],
                      flow.endpoint_b[0], flow.endpoint_b[1], label.label,
                      flow.packets_ab + flow.packets_ba, flow.bytes_ab + flow.bytes_ba))
-        for warning in warnings:
-            _err("warning: %s" % warning)
-    return tally.exit_code()
+
+    return _each_input(args.captures, _capture_flows, show)
 
 
 def _cmd_timeline(args) -> int:

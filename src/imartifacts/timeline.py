@@ -19,6 +19,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
@@ -306,8 +308,10 @@ def normalize(records, *, fb_owner_uid: str | None = None,
 
 
 def _total_key(event: TimelineEvent) -> tuple:
-    # sort_key is the contractual ordering; the rest makes the order total
-    # so merge output never depends on input order.
+    # sort_key is the contractual ordering; the rest makes the order total,
+    # and two keys are equal exactly when the events are (for the int and
+    # str raw values Timestamp holds), so merge output never depends on
+    # input order.
     p = event.provenance
     return event.sort_key() + (
         event.actor or "",
@@ -317,33 +321,25 @@ def _total_key(event: TimelineEvent) -> tuple:
         p.extractor,
         p.channel.value,
         -1 if p.byte_offset is None else p.byte_offset,
+        event.actor is None,
+        event.counterpart is None,
+        type(event.when.raw) is str,
     )
 
 
 def merge_sort(events) -> list[TimelineEvent]:
-    """Sort ascending and collapse exact duplicates onto a counter."""
-    # No event is hashed. Equal events have equal keys (for the int and str
-    # raw values Timestamp holds), so duplicates sit in one run of the stably
-    # sorted order; the key also makes None and "" or 5 and "5" alike, so
-    # within a run an event is compared with == against the events kept so
-    # far, and the first occurrence keeps the summed count.
-    events = list(events)
-    keys = [_total_key(event) for event in events]
+    """Sort ascending and collapse exact duplicates onto a counter.
+
+    Equal events have equal keys, so they are neighbours in the stably
+    sorted order; the first keeps the summed count, and no event is hashed.
+    """
     out: list[TimelineEvent] = []
-    counts: dict[int, int] = {}  # position in out -> summed duplicates
-    run_key, run_start = None, 0
-    for index in sorted(range(len(events)), key=keys.__getitem__):
-        event = events[index]
-        if keys[index] != run_key:
-            run_key, run_start = keys[index], len(out)
-        for position in range(run_start, len(out)):
-            if out[position] == event:
-                counts[position] = counts.get(position, out[position].duplicates) + event.duplicates
-                break
-        else:
-            out.append(event)
-    for position, count in counts.items():
-        out[position] = replace(out[position], duplicates=count)
+    for _, run in groupby(sorted(((_total_key(event), event) for event in events), key=itemgetter(0)),
+                          key=itemgetter(0)):
+        (_, first), *rest = run
+        if rest:
+            first = replace(first, duplicates=first.duplicates + sum(event.duplicates for _, event in rest))
+        out.append(first)
     return out
 
 

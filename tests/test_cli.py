@@ -1009,6 +1009,7 @@ class TestParsedDiagnosticsReachTheOutput:
     """Warnings the registry and Skype XML parsers give are printed, not dropped."""
 
     WANT = [
+        "warning: <export>: 1 unreadable line(s) skipped, first at line 6: bad dword payload 'zz'",
         "warning: persisted item %s lacks FilePath, skipped" % ORPHAN_GUID,
         "warning: LastIP is not a 32-bit decimal: 'notanumber'",
         "warning: time out of range '99999999999999' in config LastUsed",
@@ -1018,23 +1019,27 @@ class TestParsedDiagnosticsReachTheOutput:
     def tree(self, tmp_path):
         root = tmp_path / "evidence"
         root.mkdir()
-        (root / "export.reg").write_bytes(ORPHAN_EXPORT)
+        (root / "export.reg").write_bytes(ORPHAN_EXPORT + b'"A"=dword:zz\r\n')
         (root / "shared.xml").write_bytes(
             sampledata.SHARED_XML_DOC.replace(b"1940151468", b"notanumber"))
         (root / "config.xml").write_bytes(
             sampledata.CONFIG_XML_DOC.replace(b"1421679670", b"99999999999999"))
         return root
 
+    def want(self, tree):
+        return [line.replace("<export>", str(tree / "export.reg")) for line in self.WANT]
+
     def test_timeline_and_report_print_them(self, tree, capfd):
         inputs = [str(tree / n) for n in ("export.reg", "shared.xml", "config.xml")]
+        want = self.want(tree)
         for command in (["timeline", *inputs, "-v"], ["report", str(tree), "-v"]):
             assert main(command) == 0
             lines = capfd.readouterr().err.splitlines()
-            assert sorted(l for l in lines if l in self.WANT) == sorted(self.WANT), command
+            assert sorted(l for l in lines if l in want) == sorted(want), command
 
     def test_registry_prints_them(self, tree, capfd):
         assert main(["registry", str(tree / "export.reg")]) == 0
-        assert capfd.readouterr().err.splitlines() == [self.WANT[0]]
+        assert capfd.readouterr().err.splitlines() == self.want(tree)[:2]
 
 
 class TestUsage:

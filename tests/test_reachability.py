@@ -28,6 +28,7 @@ LIBRARY_API = "library API: README documents it as the way to load a report"
 PERFBENCH_LAYER = "perfbench layer: perfbench/trace_run.py times it at this path until the benchmark is retargeted"
 RAW_SCAN = "keyword scan of raw blobs: kept for the one-read raw scanner on the ROADMAP"
 OS_ERROR = "error path: runs only when the operating system fails a read or a directory listing"
+WORKER_ONLY = "runs only in a forked scan worker, whose own calls the trace does not see"
 
 # Qualified name (module.function, module.Class.method) -> why no command reaches it.
 ALLOWED = {
@@ -40,6 +41,7 @@ ALLOWED = {
     "carver.scan_keywords.emit": RAW_SCAN,
     "carver.KeywordHit.__post_init__": RAW_SCAN,
     "locator.scan_tree.on_error": OS_ERROR,
+    "cli._fork_scan.Pipe.write": WORKER_ONLY,
 }
 
 # A catalog read by --catalog: one Skype line, which relabels the forged rst flow.

@@ -604,8 +604,8 @@ class TestMergeSort:
         assert timeline.merge_sort([other, sk, fb]) == [fb, sk, other]
 
     def test_order_independence(self):
-        base = [event_at(s, summary=t, actor=a)
-                for s in (1, 2, 2, 3) for t in "xy" for a in (None, "z")]
+        base = [event_at(s, summary=t, actor=a, counterpart=c)
+                for s in (1, 2, 2, 3) for t in "xy" for a in (None, "", "z") for c in (None, "")]
         expected = timeline.merge_sort(base)
         for seed in range(10):
             shuffled = base[:]
@@ -1064,8 +1064,9 @@ class TestLoneSurrogate:
         assert rows[1][timeline.EMIT_FIELDS.index("summary")] == "caf\\ud800 \\\\ud800"
 
 
-# Small pools so that sort keys tie often: None and "" actors, and 5 and "5"
-# raw values, give equal keys for events that are not equal.
+# Small pools so that the leading fields of sort keys tie often: None and ""
+# actors and counterparts, and 5 and "5" raw values, differ only in the last
+# fields of the key.
 MERGE_EVENTS = st.builds(
     TimelineEvent,
     when=st.builds(lambda seconds, encoding, raw: Timestamp(ts_from_unix(seconds, "seconds").utc_instant,
@@ -1095,6 +1096,14 @@ class TestMergeOracle:
         assert [repr(event) for event in merged] == [repr(event) for event in expected]
         assert [event.duplicates for event in merged] == [event.duplicates for event in expected]
         assert sum(event.duplicates for event in merged) == sum(event.duplicates for event in inputs)
+
+    @PROPERTY
+    @given(MERGE_EVENTS, MERGE_EVENTS, st.sets(st.sampled_from(
+        ["when", "kind", "app", "summary", "provenance", "actor", "counterpart", "duplicates"])))
+    def test_equal_keys_exactly_when_equal_events(self, a, other, fields):
+        # b takes some of other's fields, so that it often differs from a in one only
+        b = replace(a, **{name: getattr(other, name) for name in fields})
+        assert (timeline._total_key(a) == timeline._total_key(b)) == (a == b)
 
 
 # parse_jsonl and _utc_from_when as they were before parse_jsonl shared
