@@ -87,6 +87,7 @@ def _default_out(value):
 
 
 def _sniff(path: Path) -> str:
+    """The kind of input at path, by its name and by the parsers' own tests of its first 4 KiB."""
     name = path.name
     if locator.sidecar_target(name) is not None:
         return "sidecar"
@@ -99,22 +100,14 @@ def _sniff(path: Path) -> str:
         return "sqlite"
     if head[:4] in pcap.HEADER_MAGICS:
         return "pcap"
-    if head.startswith(b"\xff\xfe") or head.lstrip().startswith((b"Windows Registry", b"REGEDIT4")):
-        text = head.decode("utf-16-le" if head.startswith(b"\xff\xfe") else "latin-1",
-                           errors="replace").lstrip("﻿ \r\n")
-        if text.startswith(("Windows Registry", "REGEDIT4")):
-            return "registry"
-    if head.lstrip().startswith(b"<?xml"):
+    if regexport.is_export_head(head):
+        return "registry"
+    if head.removeprefix(b"\xef\xbb\xbf").lstrip().startswith(b"<?xml"):
         return "xml"
     if name.lower().endswith(".json"):
         return "json"
-    if name.lower().endswith(".csv"):
-        try:
-            first = head.decode("utf-8-sig", errors="strict").splitlines()[0].casefold()
-        except (UnicodeDecodeError, IndexError):
-            return "raw"
-        if "lsn" in first and "event" in first:
-            return "journal-csv"
+    if name.lower().endswith(".csv") and timeline.is_journal_head(head):
+        return "journal-csv"
     return "raw"
 
 
@@ -471,8 +464,9 @@ def _cmd_registry(args) -> int:
             if isinstance(record, regexport.InstallRecord):
                 print("install\t%s\t%s" % (record.package.text, record.install_time.isoformat_ms()))
             else:
+                when = record.last_updated
                 print("persisted\t%s\t%s\t%s"
-                      % (record.guid, record.file_path, record.last_updated.isoformat_ms()))
+                      % (record.guid, record.file_path, "" if when is None else when.isoformat_ms()))
 
     return _each_input([Path(args.export)], _registry_records, show)
 

@@ -21,7 +21,7 @@ from .model import (
     TimelineEvent,
     ts_from_unix,
 )
-from .timeline import UNDETERMINED_MARK, _short
+from .timeline import UNDETERMINED_MARK, _basename, _short
 
 _ANALYTICS_KINDS = {
     "login": EventKind.LOGIN,
@@ -270,10 +270,9 @@ def _from_persisted(record: regexport.PersistedItem,
     if record.last_updated is None:
         warnings.append("persisted item %s: no usable instant, skipped" % record.guid)
         return []
-    name = record.file_path.replace("\\", "/").rstrip("/").rsplit("/", 1)[-1]
     return [TimelineEvent(when=record.last_updated, kind=EventKind.FILE_TRANSFER,
                           app=_app_for_name(record.key_path),
-                          summary="persisted file %s" % name,
+                          summary="persisted file %s" % _basename(record.file_path),
                           provenance=record.provenance)]
 
 

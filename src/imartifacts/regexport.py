@@ -11,6 +11,7 @@ plausibility window is accepted.
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass, field
 
@@ -37,6 +38,7 @@ __all__ = [
     "find_install_records",
     "find_install_time",
     "find_persisted_items",
+    "is_export_head",
     "parse_reg_export",
 ]
 
@@ -51,6 +53,16 @@ class PackageKeyNotFound(ExtractionError):
 
 HEADER_50 = "Windows Registry Editor Version 5.00"
 HEADER_4 = "REGEDIT4"
+
+
+def is_export_head(head: bytes) -> bool:
+    """Whether head, a file's first bytes decoded as parse_reg_export decodes a file, opens with an export header.
+
+    Any "Windows Registry" or REGEDIT4 line counts, so one that
+    parse_reg_export does not accept fails there loudly.
+    """
+    return decode_text(head).lstrip("\ufeff").lstrip().startswith(("Windows Registry", HEADER_4))
+
 
 # Instants outside this window mark a FILETIME reading as implausible.
 def _ticks_of(year):
@@ -136,8 +148,10 @@ def parse_reg_export(text) -> RegExport:
     """
     if isinstance(text, (bytes, bytearray)):
         text = decode_text(bytes(text))
-    text = text.lstrip("﻿")
-    lines = text.splitlines()
+    # Lines end at \r\n, \r or \n only, and every use strips a line's end:
+    # str.splitlines would also break at U+2028 and the like, which regedit
+    # writes raw inside values.
+    lines = io.StringIO(text.lstrip("\ufeff"), newline="").readlines()
     position = 0
     while position < len(lines) and not lines[position].strip():
         position += 1

@@ -45,6 +45,7 @@ __all__ = [
     "build_report",
     "emit",
     "ingest_ntfs_csv",
+    "is_journal_head",
     "merge_sort",
     "normalize",
     "parse_jsonl",
@@ -87,6 +88,11 @@ def _short(text: str | None, width: int = 80) -> str:
     return textwrap.shorten(text, width=width, placeholder="...")
 
 
+def _basename(path: str) -> str:
+    """The last segment of a Windows or POSIX path, a trailing separator ignored."""
+    return path.replace("\\", "/").rstrip("/").rsplit("/", 1)[-1]
+
+
 def _read_text(source) -> str:
     """Accept a stream, Path, bytes, path string or literal text."""
     if hasattr(source, "read"):
@@ -126,6 +132,17 @@ class NtfsJournalRow:
 
 
 _REQUIRED_COLUMNS = ("lsn", "event", "file name", "full path")
+
+
+def is_journal_head(head: bytes) -> bool:
+    """Whether head, a file's first bytes, opens with a line naming the LSN and Event columns.
+
+    Only that line is decoded, with bad bytes replaced, so a journal the
+    parser cannot decode reaches it and fails there loudly.
+    """
+    first = head.split(b"\n", 1)[0].decode("utf-8-sig", "replace").casefold()
+    return "lsn" in first and "event" in first
+
 
 # One record of the excel dialect the journal is read in: a field that opens
 # with a quote runs to its closing quote, line breaks included, then to the
@@ -269,7 +286,7 @@ def ingest_ntfs_csv(source, warnings: list[str] | None = None,
             warnings.append("LSN %d: blank Event Time, time-inherited from preceding row" % row.lsn)
         else:
             last_timed = when
-        name = row.file_name or row.full_path.replace("\\", "/").rstrip("/").rsplit("/", 1)[-1]
+        name = row.file_name or _basename(row.full_path)
         summary = ("%s %s" % (row.event, name)).strip()
         events.append(TimelineEvent(
             when=when,

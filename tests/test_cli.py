@@ -1042,6 +1042,86 @@ class TestParsedDiagnosticsReachTheOutput:
         assert capfd.readouterr().err.splitlines() == self.want(tree)[:2]
 
 
+class TestSniffAsksTheParsers:
+    """timeline reads every export and journal that registry and --ntfs-csv read, as they read it."""
+
+    @staticmethod
+    def events_without_paths(capfdbinary, path):
+        code, out, _ = _outcome(capfdbinary, ["timeline", str(path)])
+        assert code == 0
+        return [{k: v for k, v in json.loads(line).items() if k != "evidence_path"} for line in out.splitlines()]
+
+    @pytest.mark.parametrize("encoding, bom", [("utf-8", b"\xef\xbb\xbf"), ("utf-16-be", b"\xfe\xff")])
+    def test_export_in_another_encoding_gives_the_utf16le_exports_events(self, forged, tmp_path, capfdbinary,
+                                                                         encoding, bom):
+        root, _ = forged
+        original = root / "registry_export.reg"
+        body = original.read_bytes()
+        assert body.startswith(b"\xff\xfe")
+        copy = tmp_path / "export.reg"
+        copy.write_bytes(bom + body[2:].decode("utf-16-le").encode(encoding))
+        want = self.events_without_paths(capfdbinary, original)
+        assert len(want) == 4
+        assert self.events_without_paths(capfdbinary, copy) == want
+        assert _outcome(capfdbinary, ["registry", str(copy)]) == _outcome(capfdbinary, ["registry", str(original)])
+
+    @staticmethod
+    def journal_and_flag_agree(capfdbinary, journal):
+        """The outcome of timeline journal, which must be that of timeline --ntfs-csv journal."""
+        sniffed = _outcome(capfdbinary, ["timeline", str(journal)])
+        assert sniffed == _outcome(capfdbinary, ["timeline", str(journal), "--ntfs-csv", str(journal)])
+        return sniffed
+
+    def test_journal_cut_inside_a_character_at_4096_bytes_is_read(self, forged, tmp_path, capfdbinary):
+        root, _ = forged
+        header, rows = (root / "ntfs_journal.csv").read_bytes().split(b"\n", 1)
+        start = header + b"\n1,2015-01-22 11:46:02,File Creation,"
+        padded = start + b"x" * (4095 - len(start)) + "é,pad.txt,Users\\pad.txt\r\n".encode() + rows
+        assert padded[4095:4097] == "é".encode()
+        journal = tmp_path / "journal.csv"
+        journal.write_bytes(padded)
+        code, out, _ = self.journal_and_flag_agree(capfdbinary, journal)
+        assert code == 0 and len(out.splitlines()) == len(rows.splitlines()) + 1
+
+    def test_journal_with_a_latin1_byte_fails_as_with_the_flag(self, forged, tmp_path, capfdbinary):
+        root, _ = forged
+        header, rows = (root / "ntfs_journal.csv").read_bytes().split(b"\n", 1)
+        journal = tmp_path / "journal.csv"
+        journal.write_bytes(header + b"\n\xe9" + rows)
+        code, out, err = self.journal_and_flag_agree(capfdbinary, journal)
+        assert code == 2 and out == b""
+        assert err.startswith(b"error: %s: 'utf-8' codec can't decode byte 0xe9" % bytes(journal))
+
+    @pytest.mark.parametrize("name, doc, old, new, warning", [
+        ("shared.xml", sampledata.SHARED_XML_DOC, b"1940151468", b"notanumber",
+         b"warning: LastIP is not a 32-bit decimal: 'notanumber'"),
+        ("config.xml", sampledata.CONFIG_XML_DOC, b"1421679670", b"99999999999999",
+         b"warning: time out of range '99999999999999' in config LastUsed"),
+    ], ids=["shared", "config"])
+    def test_xml_with_a_utf8_bom_is_parsed(self, tmp_path, capfdbinary, name, doc, old, new, warning):
+        plain, marked = tmp_path / "plain" / name, tmp_path / "marked" / name
+        for path, prefix in ((plain, b""), (marked, b"\xef\xbb\xbf")):
+            path.parent.mkdir()
+            path.write_bytes(prefix + doc.replace(old, new))
+        code, out, err = _outcome(capfdbinary, ["timeline", str(plain), "-v"])
+        assert warning in err.splitlines()
+        assert _outcome(capfdbinary, ["timeline", str(marked), "-v"]) == (code, out, err)
+
+    def test_registry_prints_an_undated_persisted_item_with_an_empty_time(self, forged, tmp_path, capfdbinary):
+        root, _ = forged
+        text = (root / "registry_export.reg").read_bytes().decode("utf-16")
+        undated = tmp_path / "undated.reg"
+        undated.write_bytes(b"\xff\xfe" + "".join(
+            line for line in text.splitlines(True) if not line.startswith('"LastUpdatedTime"')).encode("utf-16-le"))
+        code, out, err = _outcome(capfdbinary, ["registry", str(undated)])
+        assert code == 0
+        persisted = [line.split(b"\t") for line in out.splitlines() if line.startswith(b"persisted\t")]
+        assert len(persisted) == 2 and all(fields[3] == b"" for fields in persisted)
+        assert len(out.splitlines()) == 4
+        assert err.splitlines() == [b"warning: persisted item %s lacks LastUpdatedTime" % fields[1]
+                                    for fields in persisted]
+
+
 class TestUsage:
     def test_no_command(self, capfd):
         assert main([]) == 1

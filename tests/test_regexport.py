@@ -151,6 +151,39 @@ class TestParse:
         (value,) = export.keys["HKLM\\K"]
         assert (value.name, value.data) == ("@", "default")
 
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    def test_only_cr_and_lf_end_a_line(self, char):
+        item = sd.PERSISTED_ITEMS[0]
+        path = item["file_path"].replace("SuspectToVictim", "Suspect%sToVictim" % char)
+        text = export_text().replace(item["file_path"].replace("\\", "\\\\"), path.replace("\\", "\\\\"))
+        for newline in ("\n", "\r\n", "\r"):
+            export = parse_reg_export(text.replace("\n", newline))
+            assert export.errors == []
+            warnings = []
+            assert [i.file_path for i in find_persisted_items(export, warnings)] == [
+                path, sd.PERSISTED_ITEMS[1]["file_path"]]
+            assert warnings == []
+
+
+class TestIsExportHead:
+    @pytest.mark.parametrize("encoding, bom", [
+        ("utf-16-le", b"\xff\xfe"), ("utf-16-be", b"\xfe\xff"), ("utf-8", b"\xef\xbb\xbf"), ("utf-8", b""),
+    ])
+    def test_each_encoding_parse_reg_export_reads(self, encoding, bom):
+        data = bom + export_text().encode(encoding)
+        assert regexport.is_export_head(data[:4096])
+        assert len(find_persisted_items(parse_reg_export(data))) == 2
+
+    @pytest.mark.parametrize("head", [
+        b"", b"\xff\xfe", b"REGEDIT", b"W\x00i\x00n\x00d\x00o\x00w\x00s\x00", b"; Windows Registry",
+        b"\x00" * 4096, b"SQLite format 3\x00",
+    ], ids=["empty", "bom-only", "short", "utf16le-without-bom", "comment", "zeros", "sqlite"])
+    def test_other_heads(self, head):
+        assert not regexport.is_export_head(head)
+
+    def test_blank_text_may_come_first(self):
+        assert regexport.is_export_head(b"\xef\xbb\xbf\r\n \tREGEDIT4\r\n")
+
 
 class TestSerialize:
     def test_round_trip_fixed_point(self, export):
