@@ -9,11 +9,14 @@ evidence.  Diagnostics go to stderr, data to stdout or files.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
+import itertools
 import json
 import os
 import sys
 import threading
+from collections.abc import Iterator
 from pathlib import Path
 
 from . import carver, facebook, locator, pcap, regexport, skype, timeline
@@ -150,30 +153,57 @@ class _Gather:
         """Extract one input, sniffing its kind unless kind names it, and map its records to events.
 
         With a worker from _start_scans, the input's fragments are that
-        worker's result.  An owner the gather was not given comes from the
-        input's own records, which are let go when this returns; failing
-        that, a cache's owner is the uid that names the account directory
-        of its absolute path.
+        worker's result.  The input's extraction warnings are kept as they
+        come; its events and then its mapping warnings are kept only if the
+        whole input is read.
         """
-        records = self.tally.read(str(path), lambda: self._extract(path, utc_offset, kind, worker))
-        if not records:
-            return
-        fb_owner, skype_owner = self.fb_owner, self.skype_owner
-        if fb_owner is None:
-            messages = [r for r in records if isinstance(r, facebook.FbMessage)]
-            fb_owner = facebook.infer_owner_uid(messages)
-            if fb_owner is None and messages:
-                fb_owner = next((match.account for match in locator.match_catalog(os.path.abspath(path), False)
-                                 if match.rule_id == "fb-cache-db" and match.account.isascii()
-                                 and match.account.isdigit()), None)
-        if skype_owner is None:
-            skype_owner = next((r.skypename for r in records if isinstance(r, skype.SkypeAccount)), None)
-        self.events += timeline.normalize(
-            records, fb_owner_uid=fb_owner, skype_owner=skype_owner, capture_path=str(path),
-            catalog=self.catalog, warnings=self.warnings)
+        warnings: list[str] = []
+        events = self.tally.read(str(path), lambda: self._map(path, utc_offset, kind, worker, warnings))
+        if events is not None:
+            self.events += events
+            self.warnings += warnings
 
-    def _extract(self, path: Path, utc_offset: int, kind: str | None, worker) -> list | None:
-        """The records or events of one input, or None if no extractor reads it."""
+    def _map(self, path: Path, utc_offset: int, kind: str | None, worker, warnings: list[str]) -> list | None:
+        """The events of one input, or None if no extractor reads it; mapping warnings go to warnings.
+
+        A Skype store's records are mapped as they are read; every other
+        input's are read whole first.  An owner the gather was not given
+        comes from the input's own records, which are let go when this
+        returns: a store's is the first of its leading Accounts rows, and a
+        cache's is inferred from its messages or, failing that, is the uid
+        that names the account directory of its absolute path.
+        """
+        records = self._extract(path, utc_offset, kind, worker)
+        if records is None:
+            return None
+        fb_owner, skype_owner = self.fb_owner, self.skype_owner
+        if isinstance(records, list):
+            if fb_owner is None:
+                messages = [r for r in records if isinstance(r, facebook.FbMessage)]
+                fb_owner = facebook.infer_owner_uid(messages)
+                if fb_owner is None and messages:
+                    fb_owner = next((match.account for match in locator.match_catalog(os.path.abspath(path), False)
+                                     if match.rule_id == "fb-cache-db" and match.account.isascii()
+                                     and match.account.isdigit()), None)
+            return timeline.normalize(records, fb_owner_uid=fb_owner, skype_owner=skype_owner,
+                                      capture_path=str(path), catalog=self.catalog, warnings=warnings)
+        with contextlib.closing(records):  # a store's connection is closed if mapping stops partway
+            head = []  # the leading Accounts rows and the record after them
+            for record in records:
+                head.append(record)
+                if not isinstance(record, skype.SkypeAccount):
+                    break
+            if skype_owner is None and head and isinstance(head[0], skype.SkypeAccount):
+                skype_owner = head[0].skypename
+            return timeline.normalize(itertools.chain(head, records), fb_owner_uid=fb_owner,
+                                      skype_owner=skype_owner, capture_path=str(path), catalog=self.catalog,
+                                      warnings=warnings)
+
+    def _extract(self, path: Path, utc_offset: int, kind: str | None, worker) -> list | Iterator | None:
+        """The records or events of one input, or None if no extractor reads it.
+
+        A Skype store's are an iterator over its rows as they are read, every other input's a list.
+        """
         if worker is not None:
             return _scan_result(worker, path)
         label = str(path)
@@ -181,10 +211,8 @@ class _Gather:
         if kind == "sqlite":
             names = _table_names(path)
             if names & _SKYPE_TABLES:
-                groups = vars(skype.extract_main_db(path, self.warnings)).values()
-            else:
-                groups = _extract_facebook_db(path, self.warnings, names).values()
-            return [record for group in groups for record in group]
+                return skype.extract_main_db(path, self.warnings)
+            return [record for group in _extract_facebook_db(path, self.warnings, names).values() for record in group]
         if kind == "pcap":
             return _capture_flows(path, self.warnings)
         if kind == "registry":
@@ -455,7 +483,8 @@ def _cmd_skype(args) -> int:
     def show(database, dataset):
         print("%s: %s" % (database, " ".join("%s=%d" % (name, len(group)) for name, group in vars(dataset).items())))
 
-    return _each_input(databases, skype.extract_main_db, show)
+    return _each_input(databases, lambda name, warnings: skype.group_main_db(skype.extract_main_db(name, warnings)),
+                       show)
 
 
 def _cmd_registry(args) -> int:

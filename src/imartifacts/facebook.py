@@ -135,7 +135,7 @@ def _read(path, warnings, wanted: str, what: str, columns, record) -> list:
         table = table_names(connection).get(wanted.casefold())
         if table is None:
             raise MissingTable("table %s absent from %s" % (wanted, path))
-        return read_table(connection, table, path, EXTRACTOR_PREFIX, what, columns, record, warnings)
+        return list(read_table(connection, table, path, EXTRACTOR_PREFIX, what, columns, record, warnings))
 
 
 def _epoch(value, unit: str) -> Timestamp | None:

@@ -61,7 +61,9 @@ EPOCH_MILLIS_THRESHOLD = 10**12
 ENCODINGS = ("unix_seconds", "unix_millis", "filetime_100ns", "iso_text")
 
 
-@dataclass(frozen=True)
+# Timestamp, Provenance and TimelineEvent keep their fields in slots: a run
+# holds one event and one timestamp per event, and no instance __dict__.
+@dataclass(frozen=True, slots=True)
 class Timestamp:
     """A decoded instant plus the raw value it came from.
 
@@ -237,7 +239,7 @@ _KIND_ORDER = {kind: index for index, kind in enumerate(EventKind)}
 _APP_ORDER = {app: index for index, app in enumerate(App)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Provenance:
     """Where a record came from: path, optional offset, extractor, channel."""
 
@@ -259,7 +261,7 @@ class Provenance:
             raise ValueError("byte_offset is only valid for carved evidence")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimelineEvent:
     """One dated happening reconstructed from the evidence."""
 

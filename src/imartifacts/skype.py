@@ -13,6 +13,7 @@ from __future__ import annotations
 import ipaddress
 import re
 import xml.etree.ElementTree as ET
+from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import date, datetime
 
@@ -46,6 +47,7 @@ __all__ = [
     "decode_decimal_ip",
     "decode_hostcache",
     "extract_main_db",
+    "group_main_db",
     "parse_body_xml",
     "parse_config_xml",
     "parse_shared_xml",
@@ -769,25 +771,36 @@ _TABLE_READERS = (
 )
 
 
-def extract_main_db(path, warnings: list[str] | None = None) -> SkypeDataset:
-    """Parse every recognized table of a message-store database.
+def extract_main_db(path, warnings: list[str] | None = None) -> Iterator:
+    """Yield the records of every recognized table of a message-store database as its rows are read.
 
-    Absent tables produce empty lists plus a warning; a database with none
-    of the seven tables is rejected outright.
+    Tables come in _TABLE_READERS order, so the Accounts rows lead.  An
+    absent table yields nothing but a warning; a database with none of the
+    seven tables raises AllTablesMissing once all are looked up.  The
+    database is opened when the first record is asked for and closed when
+    the last is read, or when the iterator is closed.  group_main_db
+    gathers the records into a SkypeDataset.
     """
     with open_immutable(path, warnings) as connection:
         present = table_names(connection)
-        collected = {}
         found_any = False
         for attr, wanted, columns, record, rowid in _TABLE_READERS:
             actual = present.get(wanted.casefold())
             if actual is None:
                 warn(warnings, "table %s absent from %s" % (wanted, path))
-                collected[attr] = []
                 continue
             found_any = True
-            collected[attr] = read_table(
-                connection, actual, path, EXTRACTOR_PREFIX, attr, columns, record, warnings, rowid)
+            yield from read_table(connection, actual, path, EXTRACTOR_PREFIX, attr, columns, record, warnings, rowid)
         if not found_any:
             raise AllTablesMissing("none of the expected tables exist in %s" % path)
-    return SkypeDataset(**collected)
+
+
+def group_main_db(records) -> SkypeDataset:
+    """The records extract_main_db yields, each in the SkypeDataset field of its table.
+
+    A record's provenance names its table's field: skype.<field>.
+    """
+    groups: dict[str, list] = {attr: [] for attr, *_ in _TABLE_READERS}
+    for record in records:
+        groups[record.provenance.extractor.removeprefix(EXTRACTOR_PREFIX + ".")].append(record)
+    return SkypeDataset(**groups)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 import sqlite3
+from collections.abc import Iterator
 from pathlib import Path
 
 from .model import Channel, ExtractionError, Provenance
@@ -178,22 +179,21 @@ def plan_query(connection, table: str, columns, rowid: bool = True) -> str:
 
 
 def read_table(connection, table: str, path, prefix: str, what: str, columns, record, warnings,
-               rowid: bool = True) -> list:
-    """The records of one table: ``record(values, provenance, warnings)`` per row.
+               rowid: bool = True) -> Iterator:
+    """The records of one table, yielded as its rows are read: ``record(values, provenance, warnings)`` per row.
 
     values is the row's tuple from plan_query(connection, table, columns,
     rowid): the rowid first when rowid is true, then one value per spec of
     columns.  Every record shares one ``Provenance(str(path),
     "<prefix>.<what>", DATABASE)``; rows for which record returns None are
-    skipped.
+    skipped.  Nothing is queried before the first record is asked for, so
+    the caller keeps connection open until the last one.
     """
     cursor = connection.cursor()
     cursor.row_factory = None
     rows = cursor.execute(plan_query(connection, table, columns, rowid))
     provenance = Provenance(str(path), "%s.%s" % (prefix, what), Channel.DATABASE)
-    out = []
     for values in rows:
         item = record(values, provenance, warnings)
         if item is not None:
-            out.append(item)
-    return out
+            yield item

@@ -11,6 +11,7 @@ here loads that module on first use.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -20,7 +21,6 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
@@ -93,18 +93,33 @@ def _basename(path: str) -> str:
     return path.replace("\\", "/").rstrip("/").rsplit("/", 1)[-1]
 
 
+def _decode(data: bytes, errors: str = "strict") -> str:
+    """data as text: UTF-16 after a UTF-16 byte-order mark, else UTF-8 after an optional one."""
+    encoding = "utf-16" if data[:2] in (codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE) else "utf-8-sig"
+    return data.decode(encoding, errors)
+
+
+def _read_file(path) -> str:
+    """The text of the file at path, its line ends read as universal newlines read them."""
+    return _decode(Path(path).read_bytes()).replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _read_text(source) -> str:
-    """Accept a stream, Path, bytes, path string or literal text."""
+    """Accept a stream, Path, bytes, path string or literal text.
+
+    Bytes from a stream, or given, are decoded with bad bytes replaced; a
+    file's must decode.
+    """
     if hasattr(source, "read"):
         data = source.read()
-        return data.decode("utf-8-sig", "replace") if isinstance(data, bytes) else data
+        return _decode(data, "replace") if isinstance(data, bytes) else data
     if isinstance(source, Path):
-        return source.read_text(encoding="utf-8-sig")
+        return _read_file(source)
     if isinstance(source, bytes):
-        return source.decode("utf-8-sig", "replace")
+        return _decode(source, "replace")
     if isinstance(source, str):
         if "\n" not in source and os.path.exists(source):
-            return Path(source).read_text(encoding="utf-8-sig")
+            return _read_file(source)
         return source
     raise TypeError("expected stream, path or text, got %r" % type(source))
 
@@ -137,10 +152,11 @@ _REQUIRED_COLUMNS = ("lsn", "event", "file name", "full path")
 def is_journal_head(head: bytes) -> bool:
     """Whether head, a file's first bytes, opens with a line naming the LSN and Event columns.
 
-    Only that line is decoded, with bad bytes replaced, so a journal the
-    parser cannot decode reaches it and fails there loudly.
+    head is decoded as the parser decodes a file, but with bad bytes
+    replaced, so a journal the parser cannot decode reaches it and fails
+    there loudly.
     """
-    first = head.split(b"\n", 1)[0].decode("utf-8-sig", "replace").casefold()
+    first = _decode(head, "replace").split("\n", 1)[0].casefold()
     return "lsn" in first and "event" in first
 
 
@@ -264,15 +280,20 @@ def ingest_ntfs_csv(source, warnings: list[str] | None = None,
                     utc_offset_minutes: int = 0,
                     evidence_path: str | None = None) -> list[TimelineEvent]:
     """One journal event per timed row; blank-time rows inherit the
-    preceding timed row's instant and are flagged with a warning."""
+    preceding timed row's instant and are flagged with a warning.
+
+    Once a timed row is read, a warning that says how its zone was taken
+    goes ahead of the rows' own warnings.
+    """
     if warnings is None:
         warnings = []
     if evidence_path is None:
         evidence_path = str(source) if isinstance(source, (str, Path)) and "\n" not in str(source) else "<ntfs-csv>"
     if utc_offset_minutes:
-        warnings.append("journal times interpreted as UTC%+d minutes per override" % utc_offset_minutes)
+        zone = "journal times interpreted as UTC%+d minutes per override" % utc_offset_minutes
     else:
-        warnings.append("journal times carry no zone marker, assumed UTC")
+        zone = "journal times carry no zone marker, assumed UTC"
+    zone_at = len(warnings)  # zone goes here once a dated row is read
     provenance = Provenance(evidence_path, "timeline.ntfs_csv", Channel.INGESTED_CSV)
     events: list[TimelineEvent] = []
     last_timed: Timestamp | None = None
@@ -295,6 +316,8 @@ def ingest_ntfs_csv(source, warnings: list[str] | None = None,
             summary=summary,
             provenance=provenance,
         ))
+    if last_timed is not None:
+        warnings.insert(zone_at, zone)
     return events
 
 
@@ -347,16 +370,23 @@ def _total_key(event: TimelineEvent) -> tuple:
 def merge_sort(events) -> list[TimelineEvent]:
     """Sort ascending and collapse exact duplicates onto a counter.
 
-    Equal events have equal keys, so they are neighbours in the stably
-    sorted order; the first keeps the summed count, and no event is hashed.
+    Events are sorted by sort_key, and only a run of equal sort_keys is
+    ordered by _total_key.  Equal events have equal total keys, so they
+    are neighbours in the stably sorted run; the first keeps the summed
+    count, and no event is hashed.
     """
     out: list[TimelineEvent] = []
-    for _, run in groupby(sorted(((_total_key(event), event) for event in events), key=itemgetter(0)),
-                          key=itemgetter(0)):
-        (_, first), *rest = run
-        if rest:
-            first = replace(first, duplicates=first.duplicates + sum(event.duplicates for _, event in rest))
-        out.append(first)
+    for _, tied in groupby(sorted(events, key=TimelineEvent.sort_key), key=TimelineEvent.sort_key):
+        alone = next(tied)
+        second = next(tied, None)
+        if second is None:
+            out.append(alone)
+            continue
+        for _, same in groupby(sorted((alone, second, *tied), key=_total_key), key=_total_key):
+            first, *rest = same
+            if rest:
+                first = replace(first, duplicates=first.duplicates + sum(event.duplicates for event in rest))
+            out.append(first)
     return out
 
 

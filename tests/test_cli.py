@@ -1,3 +1,4 @@
+import ast
 import csv
 import errno
 import gc
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import imartifacts
-from imartifacts import cli, facebook, forge, pcap, sampledata, skype, sqliteio, timeline
+from imartifacts import cli, facebook, forge, mapping, pcap, sampledata, skype, sqliteio, timeline
 from imartifacts.cli import ENV_OUT, main
 from imartifacts.model import EventKind, ExtractionError, Provenance
 from test_facebook import DEEP_CHAT_REGION
@@ -296,22 +297,26 @@ class TestPipelineCommands:
             assert keys, module
             assert len(keys) == len(set(keys)), module
 
-    def test_report_maps_records_through_timeline_normalize(self, tmp_path, monkeypatch):
+    def test_report_maps_records_through_timeline_normalize(self, tmp_path):
         """Record mapping lives in mapping, but the pipeline still calls it
-        as timeline.normalize, the layer the benchmark's trace wraps."""
+        as timeline.normalize, the layer the benchmark's trace wraps; so with
+        every other layer perfbench/run.py requires of a traced report on a
+        forged tree.  The traced report is the golden one."""
         root = tmp_path / "evidence"
         forge.forge_fixture(7, root)
-        calls = []
-        original = timeline.normalize
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(timeline, "normalize", counted)
-        out = tmp_path / "report.jsonl"
-        assert main(["report", str(root), "--format", "jsonl", "--out", str(out)]) == 0
-        assert len(calls) > 0
+        bench = Path(__file__).resolve().parent.parent / "perfbench"
+        base_layers = next(ast.literal_eval(node.value) for node in ast.parse((bench / "run.py").read_text("utf-8")).body
+                           if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "BASE_LAYERS")
+        stats, out = tmp_path / "trace.json", tmp_path / "report.jsonl"
+        child = subprocess.run([sys.executable, str(bench / "trace_run.py"), str(stats),
+                                "report", str(root), "--format", "jsonl", "--out", str(out)],
+                               env=_child_env(), capture_output=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        trace = json.loads(stats.read_text(encoding="utf-8"))
+        assert trace["missing"] == []
+        required = base_layers + ("forge.relativize_events",)
+        assert "timeline.normalize" in required
+        assert [name for name in required if not trace["layers"].get(name, {}).get("calls")] == []
         golden = Path(__file__).parent / "golden" / "report_seed7.jsonl"
         assert out.read_bytes() == golden.read_bytes()
 
@@ -800,6 +805,75 @@ class TestRecordsReleased:
         assert gather.events
 
 
+class TestSkypeStoreStreamed:
+    """A Skype store's rows are mapped to events as they are read, and a failure partway costs only that store."""
+
+    @staticmethod
+    def store(root):
+        return root / forge.SKYPE_ACCOUNT_DIR / "main.db"
+
+    def test_first_message_event_is_built_before_the_last_row_is_read(self, forged, tmp_path, monkeypatch):
+        root, manifest = forged
+        log = []
+
+        def logged(reader):
+            return lambda *args: log.append("row") or reader(*args)
+
+        readers = tuple((attr, table, columns, logged(reader) if attr == "messages" else reader, rowid)
+                        for attr, table, columns, reader, rowid in skype._TABLE_READERS)
+        monkeypatch.setattr(skype, "_TABLE_READERS", readers)
+        from_message = mapping._from_skype_message
+        monkeypatch.setattr(mapping, "_from_skype_message", lambda *args: log.append("event") or from_message(*args))
+        assert main(["timeline", str(self.store(root)), "--out", str(tmp_path / "out.jsonl")]) == 0
+        assert log.count("row") == len(manifest["skype"]["tables"]["Messages"])
+        last_row = len(log) - 1 - log[::-1].index("row")
+        assert log.index("event") < last_row
+
+    def test_a_store_without_accounts_has_no_owner(self, forged, tmp_path, capfd):
+        root, _ = forged
+        store = tmp_path / "main.db"
+        store.write_bytes(self.store(root).read_bytes())
+        connection = sqlite3.connect(store)
+        connection.execute("DROP TABLE Accounts")
+        connection.commit()
+        connection.close()
+        for path, undetermined in ((self.store(root), False), (store, True)):
+            assert main(["timeline", str(path), "-v"]) == 0
+            out, err = capfd.readouterr()
+            messages = [event for event in timeline.parse_jsonl(out)
+                        if event.kind in (EventKind.MESSAGE_SENT, EventKind.MESSAGE_RECEIVED)]
+            assert messages
+            assert all((timeline.UNDETERMINED_MARK in event.summary) is undetermined for event in messages), path
+            assert ("warning: table Accounts absent from %s" % path in err.splitlines()) is undetermined
+
+    def test_a_mapper_raising_mid_store_fails_only_that_store(self, forged, monkeypatch, capfdbinary):
+        root, _ = forged
+        journal = str(root / "ntfs_journal.csv")
+        alone = _outcome(capfdbinary, ["timeline", journal, "-v"])
+        calls = []
+        from_message = mapping._from_skype_message
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise ValueError("mapper failed")
+            return from_message(*args)
+
+        monkeypatch.setattr(mapping, "_from_skype_message", failing)
+        fds, reported = _open_fds(), []
+        print_line = cli._err
+        monkeypatch.setattr(cli, "_err", lambda message: reported.append(_open_fds()) or print_line(message))
+        code, out, err = _outcome(capfdbinary, ["timeline", str(self.store(root)), journal, "-v"])
+        assert reported and all(open_then == fds for open_then in reported)  # the store is closed before its error line
+        assert _open_fds() == fds
+        assert len(calls) == 3
+        assert code == 3
+        error = b"error: %s: mapper failed" % bytes(self.store(root))
+        assert [line for line in err.splitlines() if line.startswith(b"error:")] == [error]
+        # no events and no mapping warnings from the store: the journal's alone
+        assert (out, err.replace(error + b"\n", b"", 1)) == alone[1:]
+
+
 class TestDamagedCapture:
     """A capture that skipped records says so in one warning."""
 
@@ -1091,6 +1165,22 @@ class TestSniffAsksTheParsers:
         code, out, err = self.journal_and_flag_agree(capfdbinary, journal)
         assert code == 2 and out == b""
         assert err.startswith(b"error: %s: 'utf-8' codec can't decode byte 0xe9" % bytes(journal))
+        # no row was read, so no zone warning either
+        assert err.splitlines()[1:] == [b"0 events, 0 warnings"]
+
+    @pytest.mark.parametrize("encoding", ["utf-16-le", "utf-16-be"])
+    def test_utf16_journal_gives_the_utf8_journals_events_and_warnings(self, forged, tmp_path, capfdbinary,
+                                                                       encoding):
+        root, _ = forged
+        original = root / "ntfs_journal.csv"
+        copy = tmp_path / "journal.csv"
+        copy.write_bytes(("\ufeff" + original.read_bytes().decode("utf-8-sig")).encode(encoding))
+        want = self.events_without_paths(capfdbinary, original)
+        assert want
+        assert self.events_without_paths(capfdbinary, copy) == want
+        assert self.journal_and_flag_agree(capfdbinary, copy)[0] == 0
+        assert _outcome(capfdbinary, ["timeline", str(copy), "-v"])[2] == \
+            _outcome(capfdbinary, ["timeline", str(original), "-v"])[2]
 
     @pytest.mark.parametrize("name, doc, old, new, warning", [
         ("shared.xml", sampledata.SHARED_XML_DOC, b"1940151468", b"notanumber",

@@ -39,7 +39,7 @@ def extract_tree(root):
     records += facebook.extract_analytics(db / "Analytics.sqlite")
     records += facebook.extract_messages(db / "Messages.sqlite")
     records += facebook.extract_notifications(db / "Notifications.sqlite")
-    dataset = skype.extract_main_db(root / forge.SKYPE_ACCOUNT_DIR / "main.db")
+    dataset = skype.group_main_db(skype.extract_main_db(root / forge.SKYPE_ACCOUNT_DIR / "main.db"))
     records += dataset.messages + dataset.transfers + dataset.calls + dataset.video_messages
     with open(root / MEMORY_NAME, "rb") as handle:
         records += facebook.extract_chat_json(handle, evidence_path=str(root / MEMORY_NAME))

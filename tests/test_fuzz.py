@@ -256,7 +256,7 @@ DATABASE_EXTRACTORS = [
     ("Messages.sqlite", facebook.extract_messages),
     ("Messages.sqlite", facebook.extract_users),
     ("Notifications.sqlite", facebook.extract_notifications),
-    ("main.db", skype.extract_main_db),
+    ("main.db", lambda path, warnings: skype.group_main_db(skype.extract_main_db(path, warnings))),
 ]
 
 

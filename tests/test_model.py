@@ -1,10 +1,12 @@
+import pickle
 import random
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from imartifacts import model, regexport
+from imartifacts import facebook, model, regexport, sampledata
 from imartifacts.model import (
     App,
     Channel,
@@ -365,3 +367,44 @@ class TestTimelineEvent:
         start = self.make(kind=EventKind.CALL_START)
         end = self.make(kind=EventKind.CALL_END)
         assert start.sort_key() < end.sort_key()
+
+
+class TestSlottedTypes:
+    """Timestamp, Provenance and TimelineEvent hold their fields in slots, and still pickle and replace.
+
+    The scan worker pickles its chat fragments, which hold the first two.
+    """
+
+    @staticmethod
+    def values():
+        when = ts_from_unix(1421685822, "seconds")
+        carved = Provenance("memory.bin", "facebook.chat_json", Channel.CARVED, byte_offset=7)
+        event = TimelineEvent(when, EventKind.MESSAGE_RECEIVED, App.FACEBOOK, "chat push", carved,
+                              actor="1", counterpart=None, duplicates=3)
+        (fragment,) = facebook.extract_chat_json(sampledata.CHAT_PUSH_JSON.encode("utf-8"), evidence_path="memory.bin")
+        return [when, Timestamp(utc(2015, 1, 22), "iso_text", "2015-01-22"), carved, event, fragment]
+
+    def test_no_instance_dict(self):
+        for value in self.values()[:4]:
+            assert not hasattr(value, "__dict__"), type(value).__name__
+
+    def test_pickle_round_trip(self):
+        for value in self.values():
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                back = pickle.loads(pickle.dumps(value, protocol))
+                assert back == value and type(back) is type(value)
+                assert repr(back) == repr(value)
+
+    def test_replace_keeps_the_checks(self):
+        when, text_when, carved, event, fragment = self.values()
+        assert replace(when, raw=7).raw == 7
+        with pytest.raises(ValueError):
+            replace(text_when, encoding="julian")
+        assert replace(carved, byte_offset=9).byte_offset == 9
+        with pytest.raises(ValueError):
+            replace(carved, byte_offset=None)
+        merged = replace(event, duplicates=5)
+        assert merged.duplicates == 5 and merged == event
+        with pytest.raises(ValueError):
+            replace(event, summary="")
+        assert replace(fragment, offset=3).provenance is fragment.provenance

@@ -78,14 +78,17 @@ def _damage(tree: Path) -> None:
 
 
 def _commands(tree: Path, work: Path) -> list[list[str]]:
-    """Every command once on tree, report and timeline in both formats, a catalog, and a usage error."""
+    """Every command once on tree, report and timeline in both formats, a catalog, and a usage error.
+
+    timeline names the journal twice, so the merge meets events that tie on their sort key.
+    """
     files = [str(p) for p in sorted(tree.rglob("*")) if p.is_file()]
     db_dir = next(tree.rglob("Messages.sqlite")).parent
     return [
         ["report", str(tree), "--format", "jsonl", "-v", "--out", str(work / "report.jsonl")],
         ["report", str(tree), "--format", "csv", "--catalog", str(work / "catalog.txt"),
          "--out", str(work / "report.csv")],
-        ["timeline", *files, "--format", "csv", "-v", "--out", str(work / "timeline.csv")],
+        ["timeline", *files, str(tree / "ntfs_journal.csv"), "--format", "csv", "-v", "--out", str(work / "timeline.csv")],
         ["scan", str(tree)],
         ["facebook", *map(str, sorted(db_dir.glob("*.sqlite")))],
         ["skype", str(tree)],

@@ -22,11 +22,17 @@ from imartifacts.skype import (
     decode_decimal_ip,
     decode_hostcache,
     extract_main_db,
+    group_main_db,
     parse_body_xml,
     parse_config_xml,
     parse_shared_xml,
 )
 from imartifacts.sqliteio import NotSqlite
+
+
+def main_db_dataset(path, warnings=None):
+    """Every record extract_main_db yields for path, grouped by table."""
+    return group_main_db(extract_main_db(path, warnings))
 
 
 def build_main_db(path, tables):
@@ -333,7 +339,7 @@ class TestConfigXml:
 
 class TestMainDb:
     def test_counts(self, main_db):
-        data = extract_main_db(main_db)
+        data = main_db_dataset(main_db)
         assert len(data.accounts) == 1
         assert len(data.contacts) == 3
         assert len(data.messages) == 11
@@ -343,7 +349,7 @@ class TestMainDb:
         assert len(data.video_messages) == 1
 
     def test_account_profile(self, main_db):
-        (account,) = extract_main_db(main_db).accounts
+        (account,) = main_db_dataset(main_db).accounts
         assert account.skypename == "harold.cornwall1"
         assert account.fullname == "Harold Cornwall"
         assert account.birthday == date(1990, 2, 2)
@@ -352,7 +358,7 @@ class TestMainDb:
         assert account.liveid == "harold.cornwall@hotmail.com"
 
     def test_contact_profile(self, main_db):
-        contacts = {c.skypename: c for c in extract_main_db(main_db).contacts}
+        contacts = {c.skypename: c for c in main_db_dataset(main_db).contacts}
         rich = contacts["harold.cornwall1"]
         assert rich.phone_mobile == "+600156688796"
         assert rich.birthday == date(1990, 2, 2)
@@ -361,7 +367,7 @@ class TestMainDb:
         assert contacts["adam.thomson11"].last_online.isoformat_ms() == "2015-01-19T16:49:10.000Z"
 
     def test_transfers_all_outgoing(self, main_db):
-        transfers = extract_main_db(main_db).transfers
+        transfers = main_db_dataset(main_db).transfers
         assert all(t.direction == "transferring" for t in transfers)
         first = transfers[0]
         assert first.filename == "SuspectToVictim.docx"
@@ -375,13 +381,13 @@ class TestMainDb:
         rows = ({**sd.SKYPE_TRANSFER_ROWS[0], "type": 9},)
         path = build_main_db(tmp_path / "m.db", {"Transfers": rows})
         warnings = []
-        data = extract_main_db(path, warnings)
+        data = main_db_dataset(path, warnings)
         assert data.transfers[0].direction == "undetermined"
         assert data.transfers[0].type_code == 9
         assert any("unknown type" in w for w in warnings)
 
     def test_message_kinds(self, main_db):
-        messages = extract_main_db(main_db).messages
+        messages = main_db_dataset(main_db).messages
         assert [m.type_code for m in messages] == [50, 61, 30, 39, 61, 68, 61, 68, 30, 39, 30]
         labels = [m.kind.label for m in messages]
         assert labels[0] == "ContactAsk"
@@ -392,14 +398,14 @@ class TestMainDb:
         assert messages[5].when.isoformat_ms() == "2015-01-19T16:43:42.000Z"
 
     def test_message_bodies_parse(self, main_db):
-        messages = extract_main_db(main_db).messages
+        messages = main_db_dataset(main_db).messages
         offer = parse_body_xml(messages[5].body_xml)
         assert isinstance(offer, FilesBody) and len(offer.files) == 6
         assert isinstance(parse_body_xml(messages[2].body_xml), PartListBody)
         assert isinstance(parse_body_xml(messages[1].body_xml), PlainTextBody)
 
     def test_calls(self, main_db):
-        calls = extract_main_db(main_db).calls
+        calls = main_db_dataset(main_db).calls
         assert [c.duration_s for c in calls] == [14, None, 11, None]
         assert calls[0].begin.isoformat_ms() == "2015-01-19T16:46:39.000Z"
         assert all(c.is_incoming for c in calls)
@@ -407,7 +413,7 @@ class TestMainDb:
         assert calls[1].unseen_missed is True
 
     def test_call_members_guid(self, main_db):
-        members = extract_main_db(main_db).call_members
+        members = main_db_dataset(main_db).call_members
         assert members[0].guid_raw == "adam.thomson11-harold.cornwall1-8-1421685999"
         # Three hyphens make the split ambiguous, so only raw text is kept.
         assert members[0].guid_parts is None
@@ -416,11 +422,11 @@ class TestMainDb:
     def test_guid_split_when_unambiguous(self, tmp_path):
         rows = ({**sd.SKYPE_CALLMEMBER_ROWS[0], "guid": "alice-bob-call7"},)
         path = build_main_db(tmp_path / "m.db", {"CallMembers": rows})
-        (member,) = extract_main_db(path).call_members
+        (member,) = main_db_dataset(path).call_members
         assert member.guid_parts == ("alice", "bob", "call7")
 
     def test_video_message(self, main_db):
-        (vm,) = extract_main_db(main_db).video_messages
+        (vm,) = main_db_dataset(main_db).video_messages
         assert vm.sid == sd.VIDEOMESSAGE_SID
         assert vm.public_link == sd.VIDEOMESSAGE_LINK
         assert vm.author == "adam.thomson11"
@@ -431,7 +437,7 @@ class TestMainDb:
     def test_missing_tables_warned(self, tmp_path):
         path = build_main_db(tmp_path / "m.db", {"Accounts": (sd.SKYPE_ACCOUNT_ROW,)})
         warnings = []
-        data = extract_main_db(path, warnings)
+        data = main_db_dataset(path, warnings)
         assert len(data.accounts) == 1
         for bucket in (data.contacts, data.messages, data.transfers, data.calls, data.call_members, data.video_messages):
             assert bucket == []
@@ -444,15 +450,15 @@ class TestMainDb:
         connection.commit()
         connection.close()
         with pytest.raises(AllTablesMissing):
-            extract_main_db(path)
+            main_db_dataset(path)
 
     def test_not_sqlite(self, tmp_path):
         path = tmp_path / "m.db"
         path.write_bytes(b"nope")
         with pytest.raises(NotSqlite):
-            extract_main_db(path)
+            main_db_dataset(path)
 
     def test_database_bytes_untouched(self, main_db):
         before = hashlib.sha256(main_db.read_bytes()).hexdigest()
-        extract_main_db(main_db)
+        main_db_dataset(main_db)
         assert hashlib.sha256(main_db.read_bytes()).hexdigest() == before

@@ -99,7 +99,7 @@ def test_extractor_lookups_match_reference(forged_root, monkeypatch):
     assert databases
     for path in databases:
         if path.name == "main.db":
-            skype.extract_main_db(path, [])
+            skype.group_main_db(skype.extract_main_db(path, []))
             continue
         for _, extract in FB_TABLES:
             try:
@@ -248,8 +248,10 @@ def test_plan_matches_reference_on_generated_tables(table):
         connection.close()
 
 
-@pytest.mark.parametrize("module, extract", [(facebook, facebook.extract_messages),
-                                             (skype, skype.extract_main_db)])
+@pytest.mark.parametrize("module, extract", [
+    (facebook, facebook.extract_messages),
+    (skype, lambda path, warnings: skype.group_main_db(skype.extract_main_db(path, warnings))),
+], ids=["imartifacts.facebook-extract_messages", "imartifacts.skype-extract_main_db"])
 def test_garbage_pages_raise_damaged_database(tmp_path, module, extract, monkeypatch):
     path = tmp_path / "garbage.db"
     path.write_bytes(sqliteio.SQLITE_MAGIC + bytes(range(256)) * 32)
@@ -311,7 +313,7 @@ def test_each_table_shares_one_database_provenance(tmp_path):
 
     for path in forged_databases(root):
         if path.name == "main.db":
-            dataset = skype.extract_main_db(path, [])
+            dataset = skype.group_main_db(skype.extract_main_db(path, []))
             for field in dataclasses.fields(dataset):
                 check(getattr(dataset, field.name), path, "skype.%s" % field.name)
             continue
@@ -340,7 +342,7 @@ def test_without_rowid_accounts_and_contacts_are_read_in_scan_order(tmp_path):
         CREATE TABLE Contacts (skypename TEXT PRIMARY KEY, displayname TEXT) WITHOUT ROWID;
         INSERT INTO Contacts VALUES ('yan', 'Yan'), ('bob', 'Bob'), ('max', 'Max');
     """)
-    dataset = skype.extract_main_db(path, [])
+    dataset = skype.group_main_db(skype.extract_main_db(path, []))
     assert [account.skypename for account in dataset.accounts] == ["amy", "zed"]
     assert [contact.skypename for contact in dataset.contacts] == ["bob", "max", "yan"]
     assert [contact.displayname for contact in dataset.contacts] == ["Bob", "Max", "Yan"]
@@ -352,5 +354,5 @@ def test_without_rowid_messages_raise_damaged_database(tmp_path):
         INSERT INTO Messages VALUES (1, 1420000000, 61);
     """)
     with pytest.raises(sqliteio.DamagedDatabase, match="rowid") as caught:
-        skype.extract_main_db(path, [])
+        skype.group_main_db(skype.extract_main_db(path, []))
     assert isinstance(caught.value.__cause__, sqlite3.OperationalError)

@@ -8,6 +8,7 @@ import re
 import textwrap
 from dataclasses import replace
 from datetime import datetime, timezone
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -656,6 +657,15 @@ def reference_merge_sort(events):
     return out
 
 
+def total_key_merge(events):
+    """merge_sort as one stable sort by _total_key that collapses equal neighbours: the reference for its tie runs."""
+    out = []
+    for _, run in groupby(sorted(events, key=timeline._total_key), key=timeline._total_key):
+        first, *rest = run
+        out.append(replace(first, duplicates=first.duplicates + sum(e.duplicates for e in rest)) if rest else first)
+    return out
+
+
 def mixed_report():
     records = (
         [fb_analytics("login")]
@@ -1096,6 +1106,19 @@ class TestMergeOracle:
         assert [repr(event) for event in merged] == [repr(event) for event in expected]
         assert [event.duplicates for event in merged] == [event.duplicates for event in expected]
         assert sum(event.duplicates for event in merged) == sum(event.duplicates for event in inputs)
+
+    @PROPERTY
+    @given(st.lists(MERGE_EVENTS, min_size=1, max_size=24), st.lists(st.integers(0, 23), max_size=6), st.data())
+    def test_equals_one_sort_by_total_key(self, events, repeats, data):
+        # MERGE_EVENTS draws from small pools, so sort keys tie often
+        inputs = data.draw(st.permutations(events + [events[i % len(events)] for i in repeats]))
+        merged = timeline.merge_sort(inputs)
+        expected = total_key_merge(inputs)
+        assert [repr(event) for event in merged] == [repr(event) for event in expected]
+        assert [event.duplicates for event in merged] == [event.duplicates for event in expected]
+        # where nothing collapsed, the kept event is the input object that the stable sort put first
+        given_ids = {id(event) for event in inputs}
+        assert all(a is b for a, b in zip(merged, expected) if id(b) in given_ids)
 
     @PROPERTY
     @given(MERGE_EVENTS, MERGE_EVENTS, st.sets(st.sampled_from(
