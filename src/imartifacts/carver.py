@@ -1,9 +1,9 @@
-"""Carve structured documents and keyword hits out of raw byte streams.
+"""Carve structured documents out of raw byte streams.
 
 Memory dumps and unallocated space are scanned for known header/footer
-signature pairs and for keyword remnants.  Scanning is chunked so streams
-larger than memory are handled; a retained overlap guarantees the chunked
-result equals a whole-buffer scan.
+signature pairs.  Scanning is chunked so streams larger than memory are
+handled; a retained overlap guarantees the chunked result equals a
+whole-buffer scan.
 """
 
 from __future__ import annotations
@@ -16,13 +16,10 @@ from .model import ExtractionError
 
 __all__ = [
     "CarvedObject",
-    "DEFAULT_TERMS",
-    "KeywordHit",
     "Signature",
     "StreamReadError",
     "builtin_signatures",
     "carve",
-    "scan_keywords",
     "scan_stream",
 ]
 
@@ -78,30 +75,6 @@ class CarvedObject:
         import hashlib  # only the carve command's index needs it
 
         return hashlib.sha256(self.payload).hexdigest()
-
-
-@dataclass(frozen=True)
-class KeywordHit:
-    """One keyword occurrence with surrounding context bytes."""
-
-    term: str
-    offset: int
-    context: bytes
-    term_offset: int  # position of the term within context
-
-    def __post_init__(self) -> None:
-        probe = self.context[self.term_offset : self.term_offset + len(self.term.encode("latin-1"))]
-        if probe != self.term.encode("latin-1"):
-            raise ValueError("context does not contain the term at term_offset")
-
-
-# Remnant markers left in process memory by the chat apps.
-DEFAULT_TERMS: tuple[bytes, ...] = (
-    b"m_mid",
-    b"orca_message",
-    b"Messaging: 2.0",
-    b"IM-Display-Name:",
-)
 
 
 def scan_stream(stream, patterns, horizon, lookback, emit, chunk_size=None):
@@ -205,32 +178,3 @@ def carve(stream, signatures=None, chunk_size=None, truncated=None):
 
     scan_stream(stream, headers, horizon, 0, emit, chunk_size)
     return results
-
-
-def scan_keywords(stream, terms=None, context_radius=256, chunk_size=None):
-    """Find keyword occurrences in a stream, each with surrounding context.
-
-    Context is clipped only at the stream boundaries; hits are returned in
-    offset order.
-    """
-    term_list = [bytes(t) for t in (terms if terms is not None else DEFAULT_TERMS)]
-    if context_radius < 0:
-        raise ValueError("context_radius must be non-negative")
-    hits: list[KeywordHit] = []
-
-    def emit(buf, base, rel, index):
-        term = term_list[index]
-        lo = max(rel - context_radius, 0)
-        hi = min(rel + len(term) + context_radius, len(buf))
-        hits.append(
-            KeywordHit(
-                term=term.decode("latin-1"),
-                offset=base + rel,
-                context=bytes(buf[lo:hi]),
-                term_offset=rel - lo,
-            )
-        )
-
-    horizon = max(len(t) for t in term_list) + context_radius
-    scan_stream(stream, term_list, horizon, context_radius, emit, chunk_size)
-    return hits

@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import threading
-from collections.abc import Iterator
 from pathlib import Path
 
 from . import carver, facebook, locator, pcap, regexport, skype, timeline
@@ -166,75 +165,63 @@ class _Gather:
     def _map(self, path: Path, utc_offset: int, kind: str | None, worker, warnings: list[str]) -> list | None:
         """The events of one input, or None if no extractor reads it; mapping warnings go to warnings.
 
-        A Skype store's records are mapped as they are read; every other
-        input's are read whole first.  An owner the gather was not given
-        comes from the input's own records, which are let go when this
-        returns: a store's is the first of its leading Accounts rows, and a
-        cache's is inferred from its messages or, failing that, is the uid
-        that names the account directory of its absolute path.
+        One branch per kind reads the input and maps its records.  A Skype
+        store's records are mapped as they are read; every other input's are
+        read whole first.  An owner the gather was not given comes from the
+        input's own records, which are let go when this returns: a store's
+        is its first record's, if that is an Accounts row, and a cache's is
+        inferred from its messages or, failing that, is the uid that names
+        the account directory of its absolute path.
         """
-        records = self._extract(path, utc_offset, kind, worker)
-        if records is None:
-            return None
+        label = str(path)
         fb_owner, skype_owner = self.fb_owner, self.skype_owner
-        if isinstance(records, list):
+
+        def mapped(records):
+            return timeline.normalize(records, fb_owner_uid=fb_owner, skype_owner=skype_owner,
+                                      capture_path=label, catalog=self.catalog, warnings=warnings)
+
+        if worker is not None:
+            return mapped(_scan_result(worker, path))
+        kind = kind or _sniff(path)
+        if kind == "sqlite":
+            names = _table_names(path)
+            if names & _SKYPE_TABLES:
+                with contextlib.closing(skype.extract_main_db(path, self.warnings)) as rows:
+                    # The store's connection is closed if mapping stops partway.
+                    head = list(itertools.islice(rows, 1))
+                    if skype_owner is None and head and isinstance(head[0], skype.SkypeAccount):
+                        skype_owner = head[0].skypename
+                    return mapped(itertools.chain(head, rows))
+            groups = _extract_facebook_db(path, self.warnings, names)
+            messages = groups.get("messages", [])
             if fb_owner is None:
-                messages = [r for r in records if isinstance(r, facebook.FbMessage)]
                 fb_owner = facebook.infer_owner_uid(messages)
                 if fb_owner is None and messages:
                     fb_owner = next((match.account for match in locator.match_catalog(os.path.abspath(path), False)
                                      if match.rule_id == "fb-cache-db" and match.account.isascii()
                                      and match.account.isdigit()), None)
-            return timeline.normalize(records, fb_owner_uid=fb_owner, skype_owner=skype_owner,
-                                      capture_path=str(path), catalog=self.catalog, warnings=warnings)
-        with contextlib.closing(records):  # a store's connection is closed if mapping stops partway
-            head = []  # the leading Accounts rows and the record after them
-            for record in records:
-                head.append(record)
-                if not isinstance(record, skype.SkypeAccount):
-                    break
-            if skype_owner is None and head and isinstance(head[0], skype.SkypeAccount):
-                skype_owner = head[0].skypename
-            return timeline.normalize(itertools.chain(head, records), fb_owner_uid=fb_owner,
-                                      skype_owner=skype_owner, capture_path=str(path), catalog=self.catalog,
-                                      warnings=warnings)
-
-    def _extract(self, path: Path, utc_offset: int, kind: str | None, worker) -> list | Iterator | None:
-        """The records or events of one input, or None if no extractor reads it.
-
-        A Skype store's are an iterator over its rows as they are read, every other input's a list.
-        """
-        if worker is not None:
-            return _scan_result(worker, path)
-        label = str(path)
-        kind = kind or _sniff(path)
-        if kind == "sqlite":
-            names = _table_names(path)
-            if names & _SKYPE_TABLES:
-                return skype.extract_main_db(path, self.warnings)
-            return [record for group in _extract_facebook_db(path, self.warnings, names).values() for record in group]
+            return mapped([record for group in groups.values() for record in group])
         if kind == "pcap":
-            return _capture_flows(path, self.warnings)
+            return mapped(_capture_flows(path, self.warnings))
         if kind == "registry":
-            return _registry_records(path, self.warnings)
+            return mapped(_registry_records(path, self.warnings))
         if kind == "journal-csv":
-            return timeline.ingest_ntfs_csv(
-                path, self.warnings, utc_offset_minutes=utc_offset, evidence_path=label)
-        if kind == "xml":
-            body = path.read_bytes()
-            if b"</Lib>" in body:
-                skype.parse_shared_xml(body, self.warnings)
-                return []
-            if b"</UI>" in body:
-                skype.parse_config_xml(body, self.warnings)
-                return []
-        if kind in ("json", "xml"):
-            self.warnings.append("no extractor for %s, skipped" % label)
-            return None
+            return mapped(timeline.ingest_ntfs_csv(path, self.warnings, utc_offset_minutes=utc_offset,
+                                                   evidence_path=label))
         if kind == "sidecar":
             locator.read_zone_identifier(path.read_bytes(), sidecar_path=label)
             return []
-        return _scan_raw(path)
+        if kind == "raw":
+            return mapped(_scan_raw(path))
+        body = path.read_bytes() if kind == "xml" else b""
+        if b"</Lib>" in body:
+            skype.parse_shared_xml(body, self.warnings)
+            return []
+        if b"</UI>" in body:
+            skype.parse_config_xml(body, self.warnings)
+            return []
+        self.warnings.append("no extractor for %s, skipped" % label)
+        return None
 
 
 def _registry_records(path: Path, warnings) -> list:

@@ -315,15 +315,6 @@ def _forge_memory(root: Path, rng: random.Random):
         target_uid=sd.CORRESPONDENT_UID, sender_uid=sd.OWNER_UID,
         recipient_uid=sd.CORRESPONDENT_UID, thread_id=sd.MESSAGE_THREAD_ID)
 
-    keyword_hits = []
-    for term in carver.DEFAULT_TERMS:
-        for kind, payload, offset in plants:
-            at = payload.find(term)
-            while at != -1:
-                keyword_hits.append({"term": term.decode("latin-1"), "offset": offset + at})
-                at = payload.find(term, at + 1)
-    keyword_hits.sort(key=lambda hit: hit["offset"])
-
     manifest = {
         "path": MEMORY_NAME,
         "size": blob_size,
@@ -332,7 +323,6 @@ def _forge_memory(root: Path, rng: random.Random):
              "sha256": carver.CarvedObject(kind, offset, payload).sha256()}
             for kind, payload, offset in sorted(plants, key=lambda p: p[2])
         ],
-        "keyword_hits": keyword_hits,
         "chat_fragment_offset": chat_offset,
     }
     return manifest, [fragment]

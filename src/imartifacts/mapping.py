@@ -1,9 +1,10 @@
 """Record mapping: place each extractor's typed records on the timeline.
 
 ``normalize`` maps Facebook, Skype, registry and capture records onto
-TimelineEvents.  It is reached through ``timeline.normalize``, which loads
-this module on first use, so that reading a report back needs neither the
-extractors nor their dependencies.
+TimelineEvents through one table, ``_mappers``, that holds the mapper of
+every record type the extractors yield.  It is reached through
+``timeline.normalize``, which loads this module on first use, so that
+reading a report back needs neither the extractors nor their dependencies.
 """
 
 from __future__ import annotations
@@ -43,16 +44,6 @@ _SKYPE_NON_MESSAGES = {
 }
 
 _CHATNAME_RE = re.compile(r"#([^/]+)/\$([^;]*)")
-
-# Record types that describe state rather than a dated happening; they are
-# skipped with a warning instead of being forced onto the timeline.
-_STATE_RECORD_TYPES = (
-    facebook.FbFriend,
-    facebook.FbUser,
-    skype.SkypeAccount,
-    skype.SkypeContact,
-    skype.CallMember,
-)
 
 
 def _chat_counterpart(chatname: str | None, author: str | None) -> str | None:
@@ -281,19 +272,48 @@ _LABEL_APPS = {label: App(pcap.LABEL_APPS.get(label, "other")) for label in pcap
 
 
 def _from_flow(record: pcap.Flow, provenance: Provenance,
-               index: pcap.CatalogIndex) -> TimelineEvent:
+               index: pcap.CatalogIndex) -> list[TimelineEvent]:
     label = pcap.label_flow(record, index).label
     (ip_a, port_a), (ip_b, port_b) = record.endpoint_a, record.endpoint_b
     summary = "%s %s:%d <-> %s:%d %s (%d packets, %d bytes)" % (
         record.proto, ip_a, port_a, ip_b, port_b, label,
         record.total_packets, record.total_bytes)
-    return TimelineEvent(
-        when=record.first_seen,
-        kind=EventKind.NETWORK_SESSION,
-        app=_LABEL_APPS.get(label, App.OTHER),
-        summary=summary,
-        provenance=provenance,
-    )
+    return [TimelineEvent(when=record.first_seen, kind=EventKind.NETWORK_SESSION,
+                          app=_LABEL_APPS.get(label, App.OTHER), summary=summary,
+                          provenance=provenance)]
+
+
+def _mappers(fb_owner_uid: str | None, skype_owner: str | None, warnings: list[str],
+             flow_provenance: Provenance, index: pcap.CatalogIndex) -> dict:
+    """{record type: a function from one record of exactly that type to its events}.
+
+    Each entry looks its _from_* function up when it is called.  A record
+    type that describes state rather than a dated happening is skipped with
+    a warning instead of being forced onto the timeline.
+    """
+    def state(record):
+        warnings.append("%s describes state, not a happening, skipped" % type(record).__name__)
+        return ()
+
+    return {
+        TimelineEvent: lambda record: (record,),
+        facebook.FbAnalyticsEvent: lambda record: _from_fb_analytics(record),
+        facebook.FbMessage: lambda record: _from_fb_message(record, fb_owner_uid, warnings),
+        facebook.FbNotification: lambda record: _from_fb_notification(record, warnings),
+        facebook.ChatFragment: lambda record: _from_chat_fragment(record, warnings),
+        skype.SkypeMessage: lambda record: _from_skype_message(record, skype_owner, warnings),
+        skype.SkypeTransfer: lambda record: _from_skype_transfer(record, skype_owner, warnings),
+        skype.SkypeCall: lambda record: _from_skype_call(record),
+        skype.SkypeVideoMessage: lambda record: _from_skype_videomessage(record, warnings),
+        regexport.InstallRecord: lambda record: _from_install(record),
+        regexport.PersistedItem: lambda record: _from_persisted(record, warnings),
+        pcap.Flow: lambda record: _from_flow(record, flow_provenance, index),
+        facebook.FbFriend: state,
+        facebook.FbUser: state,
+        skype.SkypeAccount: state,
+        skype.SkypeContact: state,
+        skype.CallMember: state,
+    }
 
 
 def normalize(records, *, fb_owner_uid: str | None = None,
@@ -304,38 +324,12 @@ def normalize(records, *, fb_owner_uid: str | None = None,
     """The body of timeline.normalize, whose docstring states the contract."""
     if warnings is None:
         warnings = []
-    index = pcap.catalog_index(catalog)
-    flow_provenance = None  # one per call, made when the first flow is seen
+    mappers = _mappers(fb_owner_uid, skype_owner, warnings,
+                       Provenance(capture_path, "pcap.flows", Channel.NETWORK), pcap.catalog_index(catalog))
     events: list[TimelineEvent] = []
     for record in records:
-        if isinstance(record, TimelineEvent):
-            events.append(record)
-        elif isinstance(record, facebook.FbAnalyticsEvent):
-            events.extend(_from_fb_analytics(record))
-        elif isinstance(record, facebook.FbMessage):
-            events.extend(_from_fb_message(record, fb_owner_uid, warnings))
-        elif isinstance(record, facebook.FbNotification):
-            events.extend(_from_fb_notification(record, warnings))
-        elif isinstance(record, facebook.ChatFragment):
-            events.extend(_from_chat_fragment(record, warnings))
-        elif isinstance(record, skype.SkypeMessage):
-            events.extend(_from_skype_message(record, skype_owner, warnings))
-        elif isinstance(record, skype.SkypeTransfer):
-            events.extend(_from_skype_transfer(record, skype_owner, warnings))
-        elif isinstance(record, skype.SkypeCall):
-            events.extend(_from_skype_call(record))
-        elif isinstance(record, skype.SkypeVideoMessage):
-            events.extend(_from_skype_videomessage(record, warnings))
-        elif isinstance(record, regexport.InstallRecord):
-            events.extend(_from_install(record))
-        elif isinstance(record, regexport.PersistedItem):
-            events.extend(_from_persisted(record, warnings))
-        elif isinstance(record, pcap.Flow):
-            if flow_provenance is None:
-                flow_provenance = Provenance(capture_path, "pcap.flows", Channel.NETWORK)
-            events.append(_from_flow(record, flow_provenance, index))
-        elif isinstance(record, _STATE_RECORD_TYPES):
-            warnings.append("%s describes state, not a happening, skipped" % type(record).__name__)
-        else:
+        mapper = mappers.get(type(record))
+        if mapper is None:
             raise TypeError("cannot place %r on a timeline" % type(record).__name__)
+        events.extend(mapper(record))
     return events

@@ -94,14 +94,13 @@ def _basename(path: str) -> str:
 
 
 def _decode(data: bytes, errors: str = "strict") -> str:
-    """data as text: UTF-16 after a UTF-16 byte-order mark, else UTF-8 after an optional one."""
+    """data as text, its line ends read as universal newlines read them.
+
+    After a UTF-16 byte-order mark it is UTF-16, else UTF-8 after an
+    optional one.
+    """
     encoding = "utf-16" if data[:2] in (codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE) else "utf-8-sig"
-    return data.decode(encoding, errors)
-
-
-def _read_file(path) -> str:
-    """The text of the file at path, its line ends read as universal newlines read them."""
-    return _decode(Path(path).read_bytes()).replace("\r\n", "\n").replace("\r", "\n")
+    return data.decode(encoding, errors).replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _read_text(source) -> str:
@@ -113,13 +112,11 @@ def _read_text(source) -> str:
     if hasattr(source, "read"):
         data = source.read()
         return _decode(data, "replace") if isinstance(data, bytes) else data
-    if isinstance(source, Path):
-        return _read_file(source)
     if isinstance(source, bytes):
         return _decode(source, "replace")
+    if isinstance(source, Path) or (isinstance(source, str) and "\n" not in source and os.path.exists(source)):
+        return _decode(Path(source).read_bytes())
     if isinstance(source, str):
-        if "\n" not in source and os.path.exists(source):
-            return _read_file(source)
         return source
     raise TypeError("expected stream, path or text, got %r" % type(source))
 

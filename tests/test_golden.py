@@ -1,38 +1,64 @@
-"""Golden output gates: `report --format jsonl` and `timeline --format csv` over forged seed 7.
+"""Golden output gates: `report --format jsonl` and `timeline --format csv` over forged seeds 0-19.
 
-report_seed7.jsonl holds the bytes the pipeline wrote for this tree before
+report_seed7.jsonl holds the bytes the pipeline wrote for seed 7 before
 the column reader, the once-per-path evidence relativizing and the summary
 and timestamp fast paths went in. timeline_seed7.csv holds the CSV bytes
 written before the no-hyphen summary cut, the ISO-text and isoformat_ms
-fast paths and the once-per-source provenances went in. The expected
-timeline the forge writes comes from the same normalize, merge and emit
-code under test, so it cannot catch a change there; these files can,
-whatever code the change comes from.
+fast paths and the once-per-source provenances went in. digests.json holds
+the SHA-256 of both outputs for every other seed, taken before the record
+mappers moved into one table per type. The expected timeline the forge
+writes comes from the same normalize, merge and emit code under test, so it
+cannot catch a change there; these files can, whatever code the change
+comes from.
 """
 
+import hashlib
+import json
 from pathlib import Path
+
+import pytest
 
 from imartifacts import forge
 from imartifacts.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "report_seed7.jsonl"
 GOLDEN_CSV = Path(__file__).parent / "golden" / "timeline_seed7.csv"
+DIGESTS = json.loads((Path(__file__).parent / "golden" / "digests.json").read_text(encoding="utf-8"))
+OTHER_SEEDS = [seed for seed in range(20) if seed != 7]
 
 
-def test_report_jsonl_matches_golden_bytes(tmp_path):
+def report_jsonl(tmp_path, seed) -> bytes:
     root = tmp_path / "evidence"
-    forge.forge_fixture(7, root)
+    forge.forge_fixture(seed, root)
     out = tmp_path / "report.jsonl"
     assert main(["report", str(root), "--format", "jsonl", "--out", str(out)]) == 0
-    assert out.read_bytes() == GOLDEN.read_bytes()
+    return out.read_bytes()
 
 
-def test_timeline_csv_matches_golden_bytes(tmp_path, monkeypatch):
+def timeline_csv(tmp_path, monkeypatch, seed) -> bytes:
     root = tmp_path / "evidence"
-    forge.forge_fixture(7, root)
+    forge.forge_fixture(seed, root)
     # Relative input paths, so the evidence_path column does not hold tmp_path.
     monkeypatch.chdir(root)
     files = sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
     out = tmp_path / "timeline.csv"
     assert main(["timeline", *files, "--format", "csv", "--out", str(out)]) == 0
-    assert out.read_bytes() == GOLDEN_CSV.read_bytes()
+    return out.read_bytes()
+
+
+def test_report_jsonl_matches_golden_bytes(tmp_path):
+    assert report_jsonl(tmp_path, 7) == GOLDEN.read_bytes()
+
+
+def test_timeline_csv_matches_golden_bytes(tmp_path, monkeypatch):
+    assert timeline_csv(tmp_path, monkeypatch, 7) == GOLDEN_CSV.read_bytes()
+
+
+@pytest.mark.parametrize("seed", OTHER_SEEDS)
+def test_report_jsonl_matches_golden_digest(tmp_path, seed):
+    assert hashlib.sha256(report_jsonl(tmp_path, seed)).hexdigest() == DIGESTS[str(seed)]["report_jsonl"]
+
+
+@pytest.mark.parametrize("seed", OTHER_SEEDS)
+def test_timeline_csv_matches_golden_digest(tmp_path, monkeypatch, seed):
+    assert hashlib.sha256(timeline_csv(tmp_path, monkeypatch, seed)).hexdigest() == DIGESTS[str(seed)]["timeline_csv"]

@@ -26,7 +26,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "imartifacts"
 
 LIBRARY_API = "library API: README documents it as the way to load a report"
 PERFBENCH_LAYER = "perfbench layer: perfbench/trace_run.py times it at this path until the benchmark is retargeted"
-RAW_SCAN = "keyword scan of raw blobs: kept for the one-read raw scanner on the ROADMAP"
 OS_ERROR = "error path: runs only when the operating system fails a read or a directory listing"
 WORKER_ONLY = "runs only in a forked scan worker, whose own calls the trace does not see"
 
@@ -37,9 +36,6 @@ ALLOWED = {
     "timeline._member": LIBRARY_API,
     "sqliteio.row_value": PERFBENCH_LAYER,
     "regexport.find_install_time": PERFBENCH_LAYER,
-    "carver.scan_keywords": RAW_SCAN,
-    "carver.scan_keywords.emit": RAW_SCAN,
-    "carver.KeywordHit.__post_init__": RAW_SCAN,
     "locator.scan_tree.on_error": OS_ERROR,
     "cli._fork_scan.Pipe.write": WORKER_ONLY,
 }

@@ -6,7 +6,7 @@ import json
 import random
 import re
 import textwrap
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from datetime import datetime, timezone
 from itertools import groupby
 from pathlib import Path
@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from imartifacts import facebook, forge, pcap, regexport, skype, timeline
+from imartifacts import facebook, forge, mapping, pcap, regexport, skype, timeline
 from imartifacts import sampledata as sd
 from imartifacts.locator import parse_package_id
 from imartifacts.model import (
@@ -184,6 +184,18 @@ class TestNtfsCsv:
         rows = [("1", "", "File Deletion", "", "a.txt", "Users\\x\\a.txt")]
         assert timeline.ingest_ntfs_csv(journal_text(rows=rows), warnings) == []
         assert any("no preceding timed row" in w for w in warnings)
+
+    def test_cr_only_line_ends_read_alike_from_path_bytes_and_stream(self, tmp_path):
+        """A journal with CR-only line ends gives one set of events whether it is named, given or streamed."""
+        forge.forge_fixture(7, tmp_path / "evidence")
+        data = (tmp_path / "evidence" / forge.NTFS_CSV_NAME).read_bytes().replace(b"\r\n", b"\r")
+        assert b"\n" not in data
+        target = tmp_path / "journal.csv"
+        target.write_bytes(data)
+        by_path = timeline.ingest_ntfs_csv(target, evidence_path="journal.csv")
+        assert len(by_path) == 5
+        assert timeline.ingest_ntfs_csv(data, evidence_path="journal.csv") == by_path
+        assert timeline.ingest_ntfs_csv(io.BytesIO(data), evidence_path="journal.csv") == by_path
 
     def test_path_input(self, tmp_path):
         target = tmp_path / "journal.csv"
@@ -495,6 +507,26 @@ class TestNormalizeSkype:
     def test_unknown_record_type_raises(self):
         with pytest.raises(TypeError):
             timeline.normalize([object()])
+
+    def test_a_subclass_of_a_record_type_raises(self):
+        """Records are dispatched by their exact type, so a subclass has no mapper."""
+        class LaterEvent(TimelineEvent):
+            pass
+
+        event = event_at(0)
+        with pytest.raises(TypeError, match="LaterEvent"):
+            timeline.normalize([LaterEvent(**{f.name: getattr(event, f.name) for f in fields(event)})])
+
+    def test_every_record_type_has_a_mapper(self):
+        """The mapper table's keys are the extractors' record classes: each dataclass with a provenance."""
+        record_types = {cls for module in (facebook, skype, regexport) for cls in vars(module).values()
+                        if isinstance(cls, type) and is_dataclass(cls) and cls.__module__ == module.__name__
+                        and "provenance" in {f.name for f in fields(cls)}}
+        record_types |= {pcap.Flow, TimelineEvent}
+        table = mapping._mappers(None, None, [], Provenance("capture.pcap", "pcap.flows", Channel.NETWORK),
+                                 pcap.catalog_index(None))
+        assert set(table) == record_types
+        assert len(table) == 17
 
     def test_count_formula(self):
         records = (
