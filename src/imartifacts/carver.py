@@ -9,6 +9,8 @@ whole-buffer scan.
 from __future__ import annotations
 
 import io
+import os
+import stat
 from dataclasses import dataclass
 
 from ._scan import find_multi
@@ -23,7 +25,7 @@ __all__ = [
     "scan_stream",
 ]
 
-DEFAULT_CHUNK_SIZE = 1024 * 1024  # smallest default read; a scan holds a few reads, whatever the stream's size
+DEFAULT_CHUNK_SIZE = 1024 * 1024  # smallest default read; a scan holds one read plus what a round keeps
 MAX_XML_DOCUMENT = 1024 * 1024  # carved app XML never approaches this
 
 XML_DECLARATION = b'<?xml version="'
@@ -80,38 +82,63 @@ class CarvedObject:
 def scan_stream(stream, patterns, horizon, lookback, emit, chunk_size=None):
     """Drive a chunked scan of a stream or bytes, calling emit once per pattern occurrence.
 
-    emit(buf, base, rel, pattern_index) runs with buf guaranteed to hold
-    at least horizon bytes beyond the hit (unless the stream ends first)
-    and lookback bytes before it (unless the stream starts later).
-    Occurrences are visited in offset order exactly once, so chunked and
-    whole-buffer scans agree.  A read that fails raises StreamReadError.
-    chunk_size is the bytes per read; by default it is the first multiple
-    of DEFAULT_CHUNK_SIZE over three times what a round keeps, since each
-    round copies what it keeps twice.
+    emit(buf, base, rel, pattern_index) runs with buf, a bytearray of
+    exactly the bytes held this round, guaranteed to hold at least horizon
+    bytes beyond the hit (unless the stream ends first) and lookback bytes
+    before it (unless the stream starts later).  buf is reused by the next
+    round, so emit copies what it keeps.  Occurrences are visited in
+    offset order exactly once, so chunked and whole-buffer scans agree.  A
+    read that fails raises StreamReadError.  chunk_size is the bytes per
+    read; by default it is the first multiple of DEFAULT_CHUNK_SIZE over
+    three times what a round keeps, so moving what it keeps costs little
+    beside the read.  The one buffer holds a read plus what a round keeps,
+    and no more than one byte past the stream's end when its size is
+    known.
     """
     if isinstance(stream, (bytes, bytearray, memoryview)):
-        stream = io.BytesIO(bytes(stream))
+        data = bytes(stream)
+        left = len(data)
+        stream = io.BytesIO(data)
+    else:
+        left = _bytes_left(stream)
     patterns = [bytes(p) for p in patterns]
     if not patterns or any(not p for p in patterns):
         raise ValueError("patterns must be non-empty byte strings")
     longest = max(len(p) for p in patterns)
     guard = horizon + longest
+    keep = guard + lookback  # the most a round carries into the next
     if chunk_size is None:
-        chunk_size = DEFAULT_CHUNK_SIZE * (1 + 3 * (guard + lookback) // DEFAULT_CHUNK_SIZE)
+        chunk_size = DEFAULT_CHUNK_SIZE * (1 + 3 * keep // DEFAULT_CHUNK_SIZE)
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
-    buf = b""
+    readinto = getattr(stream, "readinto", None)
+    buf = bytearray(chunk_size + keep if left is None else min(chunk_size + keep, left + 1))
+    filled = 0  # buf[:filled] holds the stream from base on
     base = 0
     watermark = 0
     while True:
+        # A stream of known size is asked for one byte past its end, which
+        # tells its end; one that grew since is read as one of unknown size.
+        want = chunk_size if left is None else min(chunk_size, left + 1)
+        if len(buf) < filled + want:  # the last round held less than this one reads into
+            buf.extend(bytes(filled + want - len(buf)))
         try:
-            chunk = stream.read(chunk_size)
+            if readinto is None:
+                chunk = stream.read(want) or b""
+                got = len(chunk)
+                buf[filled:filled + got] = chunk
+            else:
+                with memoryview(buf) as view:
+                    got = readinto(view[filled:filled + want]) or 0
         except OSError as exc:
             raise StreamReadError("stream read failed: %s" % exc) from exc
-        eof = not chunk
-        if chunk:
-            buf += chunk
-        end_abs = base + len(buf)
+        eof = not got
+        filled += got
+        if left is not None:
+            left = None if got > left else left - got
+        if len(buf) > filled:
+            del buf[filled:]  # emit sees exactly the bytes read
+        end_abs = base + filled
         limit = end_abs if eof else max(end_abs - guard, 0)
         if limit > watermark:
             # Bytes past the limit are searched in a later round, once the guard behind them is read.
@@ -126,8 +153,21 @@ def scan_stream(stream, patterns, horizon, lookback, emit, chunk_size=None):
         keep_from = max(watermark - lookback, base)
         cut = keep_from - base
         if cut > 0:
-            buf = buf[cut:]
+            with memoryview(buf) as view:
+                view[:filled - cut] = view[cut:filled]  # one memmove, no copy
+            filled -= cut
             base = keep_from
+
+
+def _bytes_left(stream) -> int | None:
+    """The bytes between a regular file's position and its end, or None when fstat cannot tell."""
+    try:
+        status = os.fstat(stream.fileno())
+        if stat.S_ISREG(status.st_mode):
+            return max(status.st_size - stream.tell(), 0)
+    except (AttributeError, OSError, ValueError):  # no descriptor, a closed one, or no position
+        pass
+    return None
 
 
 def _grouped(signatures):
@@ -152,7 +192,7 @@ def _resolve_header(buf, rel, base, group, results, truncated):
             truncated.append(base + rel)
         return
     end = best_start + len(best_sig.footer)
-    results.append(CarvedObject(best_sig.name, base + rel, bytes(buf[rel:end])))
+    results.append(CarvedObject(best_sig.name, base + rel, bytes(memoryview(buf)[rel:end])))
 
 
 def carve(stream, signatures=None, chunk_size=None, truncated=None):

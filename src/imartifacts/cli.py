@@ -166,8 +166,9 @@ class _Gather:
         """The events of one input, or None if no extractor reads it; mapping warnings go to warnings.
 
         One branch per kind reads the input and maps its records.  A Skype
-        store's records are mapped as they are read; every other input's are
-        read whole first.  An owner the gather was not given comes from the
+        store's records are mapped as they are read, and a capture's flows
+        are let go as they are mapped; every other input's records are read
+        whole first.  An owner the gather was not given comes from the
         input's own records, which are let go when this returns: a store's
         is its first record's, if that is an Accounts row, and a cache's is
         inferred from its messages or, failing that, is the uid that names
@@ -202,7 +203,9 @@ class _Gather:
                                      and match.account.isdigit()), None)
             return mapped([record for group in groups.values() for record in group])
         if kind == "pcap":
-            return mapped(_capture_flows(path, self.warnings))
+            flows = _capture_flows(path, self.warnings)
+            flows.reverse()  # so that popping gives them in order, each let go once it is mapped
+            return mapped(flows.pop() for _ in range(len(flows)))
         if kind == "registry":
             return mapped(_registry_records(path, self.warnings))
         if kind == "journal-csv":
@@ -227,7 +230,7 @@ class _Gather:
 def _registry_records(path: Path, warnings) -> list:
     """The install and persisted-item records of one export, with a warning in warnings if it skipped any line."""
     label = str(path)
-    export = regexport.parse_reg_export(path.read_bytes())
+    export = regexport.parse_reg_export(locator.decode_text(path.read_bytes()))  # the bytes go before the parse
     if export.errors:
         warnings.append("%s: %d unreadable line(s) skipped, first at line %d: %s" % (label, len(export.errors), *export.errors[0]))
     return (regexport.find_install_records(export, evidence_path=label)

@@ -499,10 +499,11 @@ def _fragment_fields(obj: dict) -> dict:
     )
 
 
-def _fragment_from_region(buf: bytes, lo: int, hi: int, marker_rel: int, base: int, evidence_path: str):
+def _fragment_from_region(buf: bytes | bytearray, lo: int, hi: int, marker_rel: int, base: int, evidence_path: str):
     """The fragment around the CHAT_MARKER at buf[marker_rel], read within buf[lo:hi].
 
-    base is the stream offset of buf[0].
+    base is the stream offset of buf[0].  The fragment holds copies of
+    buf's bytes, so buf may be reused once this returns.
     """
     marker_end = marker_rel + len(CHAT_MARKER)
 
@@ -519,7 +520,7 @@ def _fragment_from_region(buf: bytes, lo: int, hi: int, marker_rel: int, base: i
         outermost = candidate
         end = known[candidate] = _balanced_end(buf, candidate, hi, known)
         if end is not None and end >= marker_end:
-            blob = bytes(buf[candidate:end])
+            blob = bytes(memoryview(buf)[candidate:end])  # one copy, not a slice and then a copy
             offset = base + candidate
             try:
                 obj = json.loads(blob.decode("utf-8", errors="replace"))
@@ -539,7 +540,7 @@ def _fragment_from_region(buf: bytes, lo: int, hi: int, marker_rel: int, base: i
     start = outermost if outermost is not None else marker_rel
     offset = base + start
     return ChatFragment(
-        offset=offset, parsed=False, raw=bytes(buf[start:hi]), provenance=provenance_at(offset)
+        offset=offset, parsed=False, raw=bytes(memoryview(buf)[start:hi]), provenance=provenance_at(offset)
     )
 
 

@@ -8,6 +8,7 @@ catalog of known artifact layouts, and reads download zone sidecars.
 
 from __future__ import annotations
 
+import codecs
 import fnmatch
 import os
 import re
@@ -332,9 +333,9 @@ def decode_text(data: bytes) -> str:
     characters; unmarked bytes are UTF-8, else latin-1.
     """
     if data.startswith(b"\xff\xfe"):
-        return data[2:].decode("utf-16-le", errors="replace")
+        return codecs.decode(memoryview(data)[2:], "utf-16-le", "replace")  # the mark is skipped, not copied off
     if data.startswith(b"\xfe\xff"):
-        return data[2:].decode("utf-16-be", errors="replace")
+        return codecs.decode(memoryview(data)[2:], "utf-16-be", "replace")
     if data.startswith(b"\xef\xbb\xbf"):
         return data.decode("utf-8-sig", errors="replace")
     try:

@@ -59,7 +59,7 @@ HEADER_MAGICS = {magic.to_bytes(4, byteorder): (order, magic == MAGIC_NS)
 SUPERNODE_LOOKUP_PORT = 33033
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Packet:
     """One accepted IPv4/TCP-or-UDP packet."""
 
@@ -225,7 +225,7 @@ def _parse_frame(ts_us: int, data: bytes, counters: SkipCounters, addresses: _Do
 # Flow assembly
 
 
-@dataclass
+@dataclass(slots=True)
 class Flow:
     """One bidirectional conversation, endpoints in canonical order."""
 

@@ -11,7 +11,6 @@ plausibility window is accepted.
 
 from __future__ import annotations
 
-import io
 import re
 from dataclasses import dataclass, field
 
@@ -75,7 +74,13 @@ PLAUSIBLE_LO_TICKS = _ticks_of(2000)
 PLAUSIBLE_HI_TICKS = _ticks_of(2100)
 
 _GUID_RE = re.compile(r"^\{?[0-9A-Fa-f]{8}(-[0-9A-Fa-f]{4}){3}-[0-9A-Fa-f]{12}\}?$")
+# One physical line with its end.  Lines end at \r\n, \r or \n only:
+# str.splitlines would also break at U+2028 and the like, which regedit
+# writes raw inside values.
+_LINE = re.compile(r"[^\r\n]+(?:\r\n?|\n)?|\r\n?|\n")
 _VALUE_RE = re.compile(r'^(?:"((?:[^"\\]|\\.)*)"|@)=(.*)$', re.DOTALL)
+_ESCAPED = re.compile(r"\\(.)")
+_HEX_HEAD = re.compile(r"hex(\(([0-9a-fA-F]+)\))?:")
 
 
 @dataclass(frozen=True)
@@ -102,25 +107,25 @@ class RegExport:
 
 
 def _unescape(text: str) -> str:
-    return re.sub(r"\\(.)", lambda m: m.group(1), text)
+    return _ESCAPED.sub(r"\1", text) if "\\" in text else text
 
 
-def _parse_payload(payload: str, line_no: int, errors):
+def _parse_payload(name: str, payload: str, line_no: int, errors):
     payload = payload.strip()
     if payload.startswith('"'):
         if not payload.endswith('"') or len(payload) < 2:
             errors.append((line_no, "unterminated string value"))
             return None
-        return RegValue("", "string", _unescape(payload[1:-1]))
+        return RegValue(name, "string", _unescape(payload[1:-1]))
     lowered = payload.lower()
     if lowered.startswith("dword:"):
         digits = payload[len("dword:"):].strip()
         try:
-            return RegValue("", "dword", int(digits, 16))
+            return RegValue(name, "dword", int(digits, 16))
         except ValueError:
             errors.append((line_no, "bad dword payload %r" % digits))
             return None
-    match = re.match(r"hex(\(([0-9a-fA-F]+)\))?:", lowered)
+    match = _HEX_HEAD.match(lowered)
     if match:
         subtype = match.group(2)
         kind = "qword" if subtype == "b" else "binary"
@@ -135,7 +140,7 @@ def _parse_payload(payload: str, line_no: int, errors):
             except ValueError:
                 errors.append((line_no, "bad hex byte %r" % part))
                 return None
-        return RegValue("", kind, bytes(raw))
+        return RegValue(name, kind, bytes(raw))
     errors.append((line_no, "unrecognized value payload"))
     return None
 
@@ -147,27 +152,18 @@ def parse_reg_export(text) -> RegExport:
     a damaged export still yields everything readable.
     """
     if isinstance(text, (bytes, bytearray)):
-        text = decode_text(bytes(text))
-    # Lines end at \r\n, \r or \n only, and every use strips a line's end:
-    # str.splitlines would also break at U+2028 and the like, which regedit
-    # writes raw inside values.
-    lines = io.StringIO(text.lstrip("\ufeff"), newline="").readlines()
-    position = 0
-    while position < len(lines) and not lines[position].strip():
-        position += 1
-    if position >= len(lines):
+        text = decode_text(text)
+    # Every use strips a line, so they are stripped as they are found, one
+    # at a time: no list of lines is built.
+    lines = enumerate((match.group().strip() for match in _LINE.finditer(text.lstrip("\ufeff"))), 1)
+    header = next((line for _, line in lines if line), None)
+    if header is None:
         raise NotRegExport("empty input")
-    header = lines[position].strip()
     if header not in (HEADER_50, HEADER_4):
         raise NotRegExport("unrecognized header %r" % header[:60])
     export = RegExport(dialect=header)
-    position += 1
     current_key = None
-    while position < len(lines):
-        line_no = position + 1
-        line = lines[position]
-        position += 1
-        stripped = line.strip()
+    for line_no, stripped in lines:
         if not stripped or stripped.startswith(";"):
             continue
         if stripped.startswith("["):
@@ -178,9 +174,8 @@ def parse_reg_export(text) -> RegExport:
             export.keys.setdefault(current_key, [])
             continue
         # Hex payloads continue across lines that end with a backslash.
-        while stripped.endswith("\\") and position < len(lines):
-            stripped = stripped[:-1].rstrip() + lines[position].strip()
-            position += 1
+        while stripped.endswith("\\") and (following := next(lines, None)) is not None:
+            stripped = stripped[:-1].rstrip() + following[1]
         if current_key is None:
             export.errors.append((line_no, "value before any key"))
             continue
@@ -189,9 +184,9 @@ def parse_reg_export(text) -> RegExport:
             export.errors.append((line_no, "unparsed line"))
             continue
         name = _unescape(match.group(1)) if match.group(1) is not None else "@"
-        value = _parse_payload(match.group(2), line_no, export.errors)
+        value = _parse_payload(name, match.group(2), line_no, export.errors)
         if value is not None:
-            export.keys[current_key].append(RegValue(name, value.kind, value.data))
+            export.keys[current_key].append(value)
     return export
 
 

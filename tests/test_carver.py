@@ -212,6 +212,10 @@ class RecordingStream(io.BytesIO):
         self.sizes.append(size)
         return super().read(size)
 
+    def readinto(self, buffer):
+        self.sizes.append(len(buffer))
+        return super().readinto(buffer)
+
 
 class TestDefaultReads:
     @pytest.mark.parametrize("name, chunks", [("carve", 4), ("extract_chat_json", 1)])
@@ -220,6 +224,42 @@ class TestDefaultReads:
         stream = RecordingStream(SCANNED)
         SCANNERS[name](stream)
         assert set(stream.sizes) == {chunks * DEFAULT_CHUNK_SIZE}
+
+
+class TestScanMemory:
+    """A raw scan holds one buffer of a read plus what a round keeps, whatever the stream's size."""
+
+    SLACK = 192 << 10  # bytes: the one time the buffer grows back by what a round keeps, and small objects
+
+    def traced_peak(self, path):
+        import tracemalloc
+
+        with open(path, "rb") as stream:
+            tracemalloc.start()
+            try:
+                fragments = extract_chat_json(stream)
+                return tracemalloc.get_traced_memory()[1], fragments
+            finally:
+                tracemalloc.stop()
+
+    def test_chat_scan_peak_does_not_grow_with_the_filler(self, tmp_path):
+        from imartifacts.facebook import CHAT_MARKER, CHAT_WINDOW
+
+        push = CHAT_PUSH_JSON.encode("utf-8")
+        peaks = []
+        for mib in (4, 32):
+            path = tmp_path / ("filler-%d.bin" % mib)
+            with open(path, "wb") as out:
+                out.write(push)
+                out.truncate(mib << 20)  # zero filler, left sparse on disk
+                out.seek(0, io.SEEK_END)
+                out.write(push)
+            peak, fragments = self.traced_peak(path)
+            assert [fragment.offset for fragment in fragments] == [0, mib << 20]
+            peaks.append(peak)
+        keep = 2 * CHAT_WINDOW + len(CHAT_MARKER)
+        assert abs(peaks[1] - peaks[0]) < 16 << 10
+        assert max(peaks) < DEFAULT_CHUNK_SIZE + keep + self.SLACK
 
 
 class TestValueObjects:

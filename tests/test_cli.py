@@ -467,6 +467,8 @@ class TestPerInputOutcome:
             def read(self, *args):
                 raise OSError(errno.EIO, "Input/output error")
 
+            readinto = read
+
         def breaking_open(self, *args, **kwargs):
             if self != blob:
                 return real_open(self, *args, **kwargs)
@@ -937,6 +939,30 @@ class TestCaptureFold:
             assert len(flows) == self.FLOWS
             assert sum(flow.total_packets for flow in flows) == packets
         assert abs(peaks[1] - peaks[0]) < self.PEAK_GROWTH_BOUND
+
+    def test_flows_are_let_go_as_their_events_are_built(self, tmp_path):
+        """Ingesting a capture never holds every flow together with every event built from them."""
+        import tracemalloc
+
+        path = tmp_path / "many.pcap"
+        forge.write_pcap(path, [(1421685000 * 1_000_000 + i,
+                                 forge.make_udp_packet("192.168.220.176", 1000 + i, "31.13.76.102", 443, b"x" * 40))
+                                for i in range(3_000)])  # one flow per packet
+        gather = cli._Gather(pcap.builtin_catalog())
+        tracemalloc.start()
+        try:
+            flows = cli._capture_flows(path, [])
+            flow_bytes = tracemalloc.get_traced_memory()[0]
+            del flows
+            tracemalloc.stop()
+            tracemalloc.start()
+            gather.ingest(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(gather.events) == 3_000
+        # Holding them together would put the peak about flow_bytes above the events kept.
+        assert peak - kept < flow_bytes // 4
 
     def test_timeline_reads_and_folds_each_capture_once(self, tmp_path, monkeypatch, capfd):
         calls = []

@@ -9,7 +9,10 @@ than with an expected output:
 - clock offset: ``--utc-offset`` moves the journal events, and only them;
 - location: a tree whose directory name holds "#", "?", "%" or a space
   gives the report of the same tree elsewhere, and nothing is written
-  beside the evidence.
+  beside the evidence;
+- encoding: a registry export or a journal re-encoded as UTF-8, UTF-8
+  with a byte-order mark, or UTF-16 of either byte order with one, gives
+  the same events and warnings, paths aside.
 
 The partition relation also runs on trees with two Facebook caches or two
 Skype stores of different owners, whose messages each take their own
@@ -33,6 +36,12 @@ from imartifacts.model import App, EventKind, Timestamp
 
 SEEDS = (0, 7, 19)
 ODD_NAMES = ("a#b", "e?f", "c%41d", "sp ace")
+ENCODINGS = {
+    "utf-8": lambda text: text.encode("utf-8"),
+    "utf-8-bom": lambda text: b"\xef\xbb\xbf" + text.encode("utf-8"),
+    "utf-16le-bom": lambda text: b"\xff\xfe" + text.encode("utf-16-le"),
+    "utf-16be-bom": lambda text: b"\xfe\xff" + text.encode("utf-16-be"),
+}
 JOURNAL = "timeline.ntfs_csv"
 
 
@@ -107,6 +116,26 @@ class TestRelations:
         before = _snapshot(parent)
         assert _output(tmp_path / "odd.jsonl", "report", str(parent / name)) == expected
         assert _snapshot(parent) == before
+
+
+    @pytest.mark.parametrize("name", [forge.REGISTRY_NAME, forge.NTFS_CSV_NAME])
+    def test_encoding(self, tree, tmp_path, capfd, name):
+        _, root = tree
+        data = (root / name).read_bytes()
+        text = data.decode("utf-16") if data.startswith((b"\xff\xfe", b"\xfe\xff")) else data.decode("utf-8-sig")
+        seen = {}
+        for encoding, encode in ENCODINGS.items():
+            path = tmp_path / encoding / name
+            path.parent.mkdir()
+            path.write_bytes(encode(text))
+            capfd.readouterr()
+            events = timeline.parse_jsonl(_output(tmp_path / "out.jsonl", "timeline", str(path)))
+            warnings = capfd.readouterr().err.replace(str(path), "<input>")
+            seen[encoding] = ([replace(e, provenance=replace(e.provenance, evidence_path="<input>")) for e in events],
+                              warnings)
+        assert seen["utf-8"][0]
+        assert all(outcome == seen["utf-8"] for outcome in seen.values()), \
+            [encoding for encoding, outcome in seen.items() if outcome != seen["utf-8"]]
 
 
 class TestOneOwnerPerStore:

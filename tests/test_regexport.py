@@ -165,6 +165,27 @@ class TestParse:
             assert warnings == []
 
 
+class TestParseMemory:
+    def test_utf16_export_is_parsed_without_copies(self):
+        """Beside what the parse returns, it holds less than the input's size: one decoded text, no more."""
+        import tracemalloc
+
+        lines = [regexport.HEADER_50, ""]
+        for i in range(3_000):
+            lines += ["[HKEY_CURRENT_USER\\Software\\Test\\Key%04d]" % i, '"Name"="value %d"' % i,
+                      '"Data"=hex:00,01,02,03', ""]
+        data = b"\xff\xfe" + "\r\n".join(lines).encode("utf-16-le")
+        tracemalloc.start()
+        try:
+            export = parse_reg_export(data)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(export.keys) == 3_000 and not export.errors
+        # A 4-byte-per-character line buffer, or a list of every line, would take about twice the input.
+        assert peak - kept < len(data)
+
+
 class TestIsExportHead:
     @pytest.mark.parametrize("encoding, bom", [
         ("utf-16-le", b"\xff\xfe"), ("utf-16-be", b"\xfe\xff"), ("utf-8", b"\xef\xbb\xbf"), ("utf-8", b""),
