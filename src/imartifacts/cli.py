@@ -2,8 +2,10 @@
 
 One subcommand per extraction surface plus `timeline`/`report` to merge
 everything into a single event stream and `forge` to synthesize test
-evidence.  Diagnostics go to stderr, data to stdout or files.  Exit codes:
-0 success, 1 usage error, 2 nothing usable, 3 partial success.
+evidence.  Each format's rules (its sniff test, tables, tags and owners)
+live in the module that parses it; this one only dispatches to them.
+Diagnostics go to stderr, data to stdout or files.  Exit codes: 0
+success, 1 usage error, 2 nothing usable, 3 partial success.
 """
 
 from __future__ import annotations
@@ -24,9 +26,6 @@ from .sqliteio import SQLITE_MAGIC, open_immutable, table_names
 
 ENV_OUT = "IMARTIFACTS_OUT"
 SCAN_WORKER_MIN_BYTES = 64 << 20  # raw inputs this large may be scanned in a forked worker
-
-_SKYPE_TABLES = {"accounts", "contacts", "transfers", "calls", "callmembers", "videomessages"}
-
 
 class _Usage(Exception):
     pass
@@ -104,7 +103,7 @@ def _sniff(path: Path) -> str:
         return "pcap"
     if regexport.is_export_head(head):
         return "registry"
-    if head.removeprefix(b"\xef\xbb\xbf").lstrip().startswith(b"<?xml"):
+    if locator.decode_text(head).lstrip().startswith("<?xml"):
         return "xml"
     if name.lower().endswith(".json"):
         return "json"
@@ -116,24 +115,6 @@ def _sniff(path: Path) -> str:
 def _table_names(path: Path) -> set[str]:
     with open_immutable(path) as connection:
         return {n.casefold() for n in table_names(connection)}
-
-
-_FACEBOOK_EXTRACTORS = (
-    ("analytics_logs", "analytics", facebook.extract_analytics),
-    ("friends", "friends", facebook.extract_friends),
-    ("messages", "messages", facebook.extract_messages),
-    ("users", "users", facebook.extract_users),
-    ("notifications", "notifications", facebook.extract_notifications),
-)
-
-
-def _extract_facebook_db(path: Path, warnings, present: set[str]) -> dict[str, list]:
-    """Run the extractor of every cache table in present, the casefolded table names."""
-    out = {}
-    for table, label, extractor in _FACEBOOK_EXTRACTORS:
-        if table in present:
-            out[label] = extractor(path, warnings)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +152,7 @@ class _Gather:
         whole first.  An owner the gather was not given comes from the
         input's own records, which are let go when this returns: a store's
         is its first record's, if that is an Accounts row, and a cache's is
-        inferred from its messages or, failing that, is the uid that names
-        the account directory of its absolute path.
+        facebook.cache_owner's.
         """
         label = str(path)
         fb_owner, skype_owner = self.fb_owner, self.skype_owner
@@ -186,21 +166,16 @@ class _Gather:
         kind = kind or _sniff(path)
         if kind == "sqlite":
             names = _table_names(path)
-            if names & _SKYPE_TABLES:
+            if names & skype.STORE_TABLES:
                 with contextlib.closing(skype.extract_main_db(path, self.warnings)) as rows:
                     # The store's connection is closed if mapping stops partway.
                     head = list(itertools.islice(rows, 1))
                     if skype_owner is None and head and isinstance(head[0], skype.SkypeAccount):
                         skype_owner = head[0].skypename
                     return mapped(itertools.chain(head, rows))
-            groups = _extract_facebook_db(path, self.warnings, names)
-            messages = groups.get("messages", [])
+            groups = facebook.extract_cache(path, self.warnings, names)
             if fb_owner is None:
-                fb_owner = facebook.infer_owner_uid(messages)
-                if fb_owner is None and messages:
-                    fb_owner = next((match.account for match in locator.match_catalog(os.path.abspath(path), False)
-                                     if match.rule_id == "fb-cache-db" and match.account.isascii()
-                                     and match.account.isdigit()), None)
+                fb_owner = facebook.cache_owner(path, groups)
             return mapped([record for group in groups.values() for record in group])
         if kind == "pcap":
             flows = _capture_flows(path, self.warnings)
@@ -216,12 +191,7 @@ class _Gather:
             return []
         if kind == "raw":
             return mapped(_scan_raw(path))
-        body = path.read_bytes() if kind == "xml" else b""
-        if b"</Lib>" in body:
-            skype.parse_shared_xml(body, self.warnings)
-            return []
-        if b"</UI>" in body:
-            skype.parse_config_xml(body, self.warnings)
+        if kind == "xml" and skype.parse_state_xml(path.read_bytes(), self.warnings) is not None:
             return []
         self.warnings.append("no extractor for %s, skipped" % label)
         return None
@@ -456,7 +426,7 @@ def _cmd_facebook(args) -> int:
         print("%s: %s" % (name, counts or "no recognized tables"))
 
     return _each_input(args.databases,
-                       lambda name, warnings: _extract_facebook_db(Path(name), warnings, _table_names(Path(name))),
+                       lambda name, warnings: facebook.extract_cache(Path(name), warnings, _table_names(Path(name))),
                        show)
 
 
@@ -531,9 +501,10 @@ def _cmd_pcap(args) -> int:
 
 
 def _cmd_timeline(args) -> int:
-    # The journal CSV is ingested last, even if it also appears as an input.
+    # The journal CSV is ingested last, and not also as an input that resolves to the same file.
     journal = Path(args.ntfs_csv) if args.ntfs_csv else None
-    paths = [p for p in map(Path, args.inputs) if not p.is_dir() and p != journal]
+    target = os.path.realpath(journal) if journal else None  # unlike Path.resolve, never raises on a link loop
+    paths = [p for p in map(Path, args.inputs) if not p.is_dir() and os.path.realpath(p) != target]
     return _run_pipeline(args, paths, journal=journal)
 
 

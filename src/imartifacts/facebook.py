@@ -1,7 +1,8 @@
 """Extract records from the Facebook app's cache databases and memory remnants.
 
 The app keeps per-login SQLite caches (analytics log, friends, messages,
-notifications) under its package LocalState.  Message rows embed JSON in
+users, notifications) under its package LocalState; extract_cache reads
+one table by table, and cache_owner names its login.  Message rows embed JSON in
 several columns; malformed JSON never aborts extraction, the raw text is
 kept and a warning recorded.  Process memory additionally holds chat push
 notifications as JSON fragments which can be recovered by marker scanning.
@@ -10,11 +11,12 @@ notifications as JSON fragments which can be recovered by marker scanning.
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from datetime import date, datetime
 
-from . import carver
+from . import carver, locator
 from .model import Channel, ExtractionError, OutOfRange, Provenance, Timestamp, ts_from_iso_text, ts_from_unix
 from .sqliteio import MissingTable, as_int, as_text, open_immutable, read_table, table_names, warn
 
@@ -27,7 +29,9 @@ __all__ = [
     "FbNotification",
     "FbUser",
     "MalformedJson",
+    "cache_owner",
     "extract_analytics",
+    "extract_cache",
     "extract_chat_json",
     "extract_friends",
     "extract_messages",
@@ -416,6 +420,17 @@ def extract_notifications(path, warnings: list[str] | None = None) -> list[FbNot
     return _read(path, warnings, "notifications", "notifications", _NOTIFICATION_COLUMNS, _notification)
 
 
+# (casefolded cache table, group label, extractor), in the order the tables are read.
+_CACHE_TABLES = (("analytics_logs", "analytics", extract_analytics), ("friends", "friends", extract_friends),
+                 ("messages", "messages", extract_messages), ("users", "users", extract_users),
+                 ("notifications", "notifications", extract_notifications))
+
+
+def extract_cache(path, warnings: list[str] | None, present: set[str]) -> dict[str, list]:
+    """{group label: records} from the extractor of every cache table in present, the casefolded table names."""
+    return {label: extractor(path, warnings) for table, label, extractor in _CACHE_TABLES if table in present}
+
+
 def infer_owner_uid(messages: list[FbMessage]) -> str | None:
     """Guess the cache owner: the uid that authored "sent"-tagged messages."""
     counts: dict[str, int] = {}
@@ -425,6 +440,18 @@ def infer_owner_uid(messages: list[FbMessage]) -> str | None:
     if not counts:
         return None
     return max(counts.items(), key=lambda pair: (pair[1], pair[0]))[0]
+
+
+def cache_owner(path, groups: dict[str, list]) -> str | None:
+    """The owner of the cache at path, given its extract_cache groups: infer_owner_uid of its messages, or else, if
+    it has messages, the all-digit uid naming the account directory of path made absolute (the fb-cache-db rule)."""
+    messages = groups.get("messages", [])
+    owner = infer_owner_uid(messages)
+    if owner is None and messages:
+        owner = next((match.account for match in locator.match_catalog(os.path.abspath(path), False)
+                      if match.rule_id == "fb-cache-db" and match.account.isascii() and match.account.isdigit()),
+                     None)
+    return owner
 
 
 @dataclass(frozen=True)

@@ -247,12 +247,12 @@ class InstallRecord:
 
 
 def _key_segments(path: str) -> list[str]:
+    """A key path's segments; empty ones, as a doubled or trailing backslash leaves, are dropped."""
     return [segment for segment in path.split("\\") if segment]
 
 
-def _package_tail(path: str) -> tuple[str, str] | None:
-    """A key's casefolded (family, full) last two segments, if it has two."""
-    segments = _key_segments(path)
+def _package_tail(segments: list[str]) -> tuple[str, str] | None:
+    """The casefolded (family, full) last two of a key's segments, if it has two."""
     if len(segments) < 2:
         return None
     return segments[-2].casefold(), segments[-1].casefold()
@@ -283,7 +283,7 @@ def find_install_time(export: RegExport, package, evidence_path: str = "<reg-exp
         package = parse_package_id(package)
     wanted = (package.family.casefold(), package.text.casefold())
     for key in export.keys:
-        if _package_tail(key) == wanted:
+        if _package_tail(_key_segments(key)) == wanted:
             return _install_record(export, key, package, evidence_path)
     raise PackageKeyNotFound("no repository key for %s" % package.text)
 
@@ -293,28 +293,25 @@ def find_install_records(export: RegExport, evidence_path: str = "<reg-export>")
 
     A key qualifies when its last segment is a package identity and the
     one before names that package's family.  Each is resolved as
-    find_install_time would resolve its package, through one index of the
-    keys; a package whose time cannot be decoded is skipped.
+    find_install_time would resolve its package, through an index of the
+    first key of each tail; a package whose time cannot be decoded is
+    skipped.  One pass over the keys does both, since the first key with
+    a package key's tail is never after it.
     """
     first_keys: dict[tuple[str, str], str] = {}
-    for key in export.keys:
-        tail = _package_tail(key)
-        if tail is not None:
-            first_keys.setdefault(tail, key)
     records = []
     for key in export.keys:
-        segments = key.split("\\")
-        if len(segments) < 2:
+        segments = _key_segments(key)
+        tail = _package_tail(segments)
+        if tail is None:
             continue
+        first = first_keys.setdefault(tail, key)
         try:
             package = parse_package_id(segments[-1])
         except ExtractionError:
             continue
-        family = package.family.casefold()
-        if segments[-2].casefold() != family:
+        if tail[0] != package.family.casefold():
             continue
-        # The key's own tail is indexed, so the lookup always finds a key.
-        first = first_keys[family, package.text.casefold()]
         try:
             records.append(_install_record(export, first, package, evidence_path))
         except ExtractionError:
@@ -345,10 +342,10 @@ def find_persisted_items(
     """Collect per-file storage records: one item per GUID subkey."""
     items = []
     for key, values in export.keys.items():
-        segments = [s.casefold() for s in _key_segments(key)]
-        if len(segments) < 3 or tuple(segments[-3:-1]) != _PERSISTED_MARKER:
+        segments = _key_segments(key)
+        if len(segments) < 3 or (segments[-3].casefold(), segments[-2].casefold()) != _PERSISTED_MARKER:
             continue
-        guid = _key_segments(key)[-1]
+        guid = segments[-1]
         if not _GUID_RE.match(guid):
             continue
         named = {v.name.casefold(): v for v in values}

@@ -1,11 +1,13 @@
 """Extract records from Skype's main.db, shared.xml, and config.xml.
 
 The per-login main.db carries accounts, contacts, the full message store
-with integer type codes, file transfers, calls, and video messages.  Two
-XML files alongside it record network state (supernode addresses packed
-as prefixed hex in shared.xml) and the per-account contact list with
-dot-escaped names (config.xml).  Both XML files are parsed leniently by
-tag scanning, since carved copies are often incomplete.
+with integer type codes, file transfers, calls, and video messages; any
+of STORE_TABLES marks a database as one.  Two XML files alongside it
+record network state (supernode addresses packed as prefixed hex in
+shared.xml) and the per-account contact list with dot-escaped names
+(config.xml).  parse_state_xml decodes either by its byte-order mark and
+picks the parser by its closing element; both parse leniently by tag
+scanning, since carved copies are often incomplete.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import date, datetime
 
+from .locator import decode_text
 from .model import ExtractionError, MalformedHex, OutOfRange, Provenance, Timestamp, ts_from_unix
 from .sqliteio import as_int, as_text, open_immutable, read_table, table_names, warn
 
@@ -30,6 +33,7 @@ __all__ = [
     "NoRecognizedTags",
     "PartListBody",
     "PlainTextBody",
+    "STORE_TABLES",
     "SkypeAccount",
     "SkypeCall",
     "SkypeConfig",
@@ -51,6 +55,7 @@ __all__ = [
     "parse_body_xml",
     "parse_config_xml",
     "parse_shared_xml",
+    "parse_state_xml",
 ]
 
 
@@ -315,20 +320,14 @@ class SkypeNetworkState:
     node_id: str | None
 
 
-def _decode_xml_bytes(data) -> str:
-    if isinstance(data, str):
-        return data
-    return bytes(data).decode("utf-8", errors="replace")
-
-
 def _simple_tag(text, name):
     match = re.search(r"<%s>\s*([^<]*?)\s*</%s>" % (name, name), text, re.IGNORECASE)
     return match.group(1) if match else None
 
 
 def parse_shared_xml(data, warnings: list[str] | None = None) -> SkypeNetworkState:
-    """Read network state from shared.xml by lenient tag scanning."""
-    text = _decode_xml_bytes(data)
+    """Read network state from shared.xml, text or its bytes, by lenient tag scanning."""
+    text = decode_text(data) if isinstance(data, (bytes, bytearray)) else data
     last_ip_raw = _simple_tag(text, "LastIP")
     port_raw = _simple_tag(text, "ListeningPort")
     supernode_raw = _simple_tag(text, "Supernode")
@@ -401,10 +400,11 @@ class SkypeConfig:
 def parse_config_xml(data, warnings: list[str] | None = None) -> SkypeConfig:
     """Read the per-account config.xml: serial, last-used time, contacts.
 
-    Contact names appear as element names under <u> with dots stored as
-    ".2E"-style hex escapes, which are decoded back.
+    data is text or the file's bytes.  Contact names appear as element
+    names under <u> with dots stored as ".2E"-style hex escapes, which are
+    decoded back.
     """
-    text = _decode_xml_bytes(data)
+    text = decode_text(data) if isinstance(data, (bytes, bytearray)) else data
     serial_match = re.search(r'<config[^>]*\bserial="(\d+)"', text, re.IGNORECASE)
     last_used_raw = _simple_tag(text, "LastUsed")
     u_match = re.search(r"<u>(.*?)</u>", text, re.DOTALL)
@@ -424,6 +424,17 @@ def parse_config_xml(data, warnings: list[str] | None = None) -> SkypeConfig:
         contacts=tuple(name for name, _ in entries),
         entries=tuple(entries),
     )
+
+
+def parse_state_xml(data: bytes, warnings: list[str] | None = None) -> SkypeNetworkState | SkypeConfig | None:
+    """The state in a state XML file's bytes, decoded by locator.decode_text: shared.xml's if they
+    close a <Lib> element, else config.xml's if they close a <UI>, else None."""
+    text = decode_text(data)
+    if "</Lib>" in text:
+        return parse_shared_xml(text, warnings)
+    if "</UI>" in text:
+        return parse_config_xml(text, warnings)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -769,6 +780,9 @@ _TABLE_READERS = (
     ("call_members", "CallMembers", _CALL_MEMBER_COLUMNS, _call_member, True),
     ("video_messages", "VideoMessages", _VIDEO_MESSAGE_COLUMNS, _video_message, True),
 )
+
+# Casefolded tables any of which marks a message store; not Messages, which a Facebook cache has too.
+STORE_TABLES = frozenset(table.casefold() for _, table, *_ in _TABLE_READERS if table != "Messages")
 
 
 def extract_main_db(path, warnings: list[str] | None = None) -> Iterator:

@@ -3,10 +3,11 @@
 This module ingests external NTFS journal CSV exports, merges and
 deduplicates events, rewrites evidence paths relative to an evidence root,
 and emits machine-readable reports (JSONL and CSV) that parse_jsonl reads
-back without loss.  It imports only model and the standard library, so
-loading a report loads no extractor.  The record mappers that turn each
-extractor's typed records into TimelineEvents live in mapping; normalize
-here loads that module on first use.
+back without loss.  A journal is a Path naming a file, bytes, a stream or
+a str of CSV text, and CR, LF and CR LF end its lines alike.  It imports
+only model and the standard library, so loading a report loads no
+extractor; normalize loads mapping, which holds the record mappers, on
+first use.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import codecs
 import csv
 import io
 import json
-import os
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -93,32 +93,23 @@ def _basename(path: str) -> str:
     return path.replace("\\", "/").rstrip("/").rsplit("/", 1)[-1]
 
 
-def _decode(data: bytes, errors: str = "strict") -> str:
-    """data as text, its line ends read as universal newlines read them.
-
-    After a UTF-16 byte-order mark it is UTF-16, else UTF-8 after an
-    optional one.
-    """
-    encoding = "utf-16" if data[:2] in (codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE) else "utf-8-sig"
-    return data.decode(encoding, errors).replace("\r\n", "\n").replace("\r", "\n")
-
-
 def _read_text(source) -> str:
-    """Accept a stream, Path, bytes, path string or literal text.
+    """The text of a journal source, its line ends read as universal newlines read them.
 
-    Bytes from a stream, or given, are decoded with bad bytes replaced; a
-    file's must decode.
+    A Path names a file, whose bytes must decode; a str is the text itself;
+    a stream's read() gives either.  Bytes given or read decode with bad
+    bytes replaced.  Any bytes are UTF-16 after its mark, else UTF-8.
     """
-    if hasattr(source, "read"):
-        data = source.read()
-        return _decode(data, "replace") if isinstance(data, bytes) else data
-    if isinstance(source, bytes):
-        return _decode(source, "replace")
-    if isinstance(source, Path) or (isinstance(source, str) and "\n" not in source and os.path.exists(source)):
-        return _decode(Path(source).read_bytes())
-    if isinstance(source, str):
-        return source
-    raise TypeError("expected stream, path or text, got %r" % type(source))
+    if isinstance(source, Path):
+        text, errors = source.read_bytes(), "strict"
+    else:
+        text, errors = (source.read() if hasattr(source, "read") else source), "replace"
+    if isinstance(text, bytes):
+        encoding = "utf-16" if text[:2] in (codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE) else "utf-8-sig"
+        text = text.decode(encoding, errors)
+    elif not isinstance(text, str):
+        raise TypeError("expected stream, Path, bytes or text, got %r" % type(source))
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +144,7 @@ def is_journal_head(head: bytes) -> bool:
     replaced, so a journal the parser cannot decode reaches it and fails
     there loudly.
     """
-    first = _decode(head, "replace").split("\n", 1)[0].casefold()
+    first = _read_text(head).split("\n", 1)[0].casefold()
     return "lsn" in first and "event" in first
 
 
@@ -285,7 +276,7 @@ def ingest_ntfs_csv(source, warnings: list[str] | None = None,
     if warnings is None:
         warnings = []
     if evidence_path is None:
-        evidence_path = str(source) if isinstance(source, (str, Path)) and "\n" not in str(source) else "<ntfs-csv>"
+        evidence_path = str(source) if isinstance(source, Path) else "<ntfs-csv>"
     if utc_offset_minutes:
         zone = "journal times interpreted as UTC%+d minutes per override" % utc_offset_minutes
     else:

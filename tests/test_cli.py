@@ -14,6 +14,7 @@ import threading
 import time
 import warnings
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from imartifacts.cli import ENV_OUT, main
 from imartifacts.model import EventKind, ExtractionError, Provenance
 from test_facebook import DEEP_CHAT_REGION
 from test_forge import expected_events
+from test_metamorphic import ENCODINGS
 
 
 @pytest.fixture(scope="module")
@@ -254,6 +256,28 @@ class TestPipelineCommands:
         assert all(e.duplicates == 1 for e in journal_events)
         tally = tallies[-1]
         assert tally.ok.count(journal) == 1 and tally.failed == []
+
+    def test_journal_named_by_another_path_is_read_once(self, forged, tmp_path, capfd):
+        """An input that resolves to the --ntfs-csv file, through ".." or a symbolic link, is not read again."""
+        root, _ = forged
+        journal = tmp_path / "ntfs_journal.csv"
+        journal.write_bytes((root / "ntfs_journal.csv").read_bytes())
+        (tmp_path / "sub").mkdir()
+        link = tmp_path / "link.csv"
+        link.symlink_to(journal)
+        assert main(["timeline", str(journal)]) == 0
+        alone = timeline.parse_jsonl(capfd.readouterr().out)
+        assert len(alone) == 5
+        for other in (tmp_path / "sub" / ".." / "ntfs_journal.csv", link):
+            for argv in ([str(journal), "--ntfs-csv", str(other)], [str(other), "--ntfs-csv", str(journal)]):
+                assert main(["timeline", *argv]) == 0
+                events = timeline.parse_jsonl(capfd.readouterr().out)
+                assert [replace(e, provenance=replace(e.provenance, evidence_path=str(journal))) for e in events] \
+                    == alone
+        loop = tmp_path / "loop.csv"
+        loop.symlink_to(loop)
+        assert main(["timeline", str(loop), "--ntfs-csv", str(journal)]) == 3  # the loop fails alone
+        assert len(timeline.parse_jsonl(capfd.readouterr().out)) == 5
 
     def test_partial_failure_keeps_good_events(self, forged, tmp_path, capfd):
         root, _ = forged
@@ -1142,6 +1166,50 @@ class TestParsedDiagnosticsReachTheOutput:
         assert capfd.readouterr().err.splitlines() == self.want(tree)[:2]
 
 
+# The kind _sniff gives each file of a forged tree, by its path in the tree.
+_SKYPE_RECEIVED = forge.SKYPE_ACCOUNT_DIR + "/ReceiveStorage/VictimToSuspect.pdf"
+FORGED_KINDS = {
+    **{"%s/%s.sqlite" % (forge.FACEBOOK_DB_DIR, name): "sqlite"
+       for name in ("Analytics", "FriendRequests", "Friends", "Messages", "Notifications", "Stories")},
+    forge.SKYPE_ACCOUNT_DIR + "/main.db": "sqlite",
+    forge.SKYPE_ACCOUNT_DIR + "/config.xml": "xml",
+    forge.SKYPE_STATE_DIR + "/shared.xml": "xml",
+    _SKYPE_RECEIVED: "raw",
+    _SKYPE_RECEIVED + ".Zone.Identifier": "sidecar",
+    forge.DOWNLOADS_DIR + "/VictimToSuspect.txt": "raw",
+    forge.DOWNLOADS_DIR + "/VictimToSuspect.txt:Zone.Identifier": "sidecar",
+    forge.CAPTURE_NAME: "pcap",
+    forge.MANIFEST_NAME: "json",
+    forge.MEMORY_NAME: "raw",
+    forge.NTFS_CSV_NAME: "journal-csv",
+    forge.REGISTRY_NAME: "registry",
+}
+
+
+class TestForgedKinds:
+    def test_every_forged_file_has_its_kind(self, forged_seeds):
+        for seed, root in forged_seeds.items():
+            kinds = {p.relative_to(root).as_posix(): cli._sniff(p) for p in root.rglob("*") if p.is_file()}
+            assert kinds == FORGED_KINDS, seed
+
+    def test_text_files_keep_their_kind_in_every_marked_encoding(self, forged_seeds, tmp_path):
+        """The export, the journal, both state XML files and the zone sidecars, in UTF-8 and with each byte-order mark."""
+        texts = [name for name, kind in FORGED_KINDS.items() if kind in ("registry", "journal-csv", "xml", "sidecar")]
+        assert len(texts) == 6
+        changed = []
+        for seed, root in forged_seeds.items():
+            for name in texts:
+                data = (root / name).read_bytes()
+                text = data.decode("utf-16") if data.startswith((b"\xff\xfe", b"\xfe\xff")) else data.decode("utf-8-sig")
+                for label, encode in ENCODINGS.items():
+                    copy = tmp_path / str(seed) / label / Path(name).name
+                    copy.parent.mkdir(parents=True, exist_ok=True)
+                    copy.write_bytes(encode(text))
+                    if cli._sniff(copy) != FORGED_KINDS[name]:
+                        changed.append((seed, name, label))
+        assert changed == []
+
+
 class TestSniffAsksTheParsers:
     """timeline reads every export and journal that registry and --ntfs-csv read, as they read it."""
 
@@ -1208,17 +1276,32 @@ class TestSniffAsksTheParsers:
         assert _outcome(capfdbinary, ["timeline", str(copy), "-v"])[2] == \
             _outcome(capfdbinary, ["timeline", str(original), "-v"])[2]
 
-    @pytest.mark.parametrize("name, doc, old, new, warning", [
+    STATE_XML_FAULTS = pytest.mark.parametrize("name, doc, old, new, warning", [
         ("shared.xml", sampledata.SHARED_XML_DOC, b"1940151468", b"notanumber",
          b"warning: LastIP is not a 32-bit decimal: 'notanumber'"),
         ("config.xml", sampledata.CONFIG_XML_DOC, b"1421679670", b"99999999999999",
          b"warning: time out of range '99999999999999' in config LastUsed"),
     ], ids=["shared", "config"])
+
+    @STATE_XML_FAULTS
     def test_xml_with_a_utf8_bom_is_parsed(self, tmp_path, capfdbinary, name, doc, old, new, warning):
         plain, marked = tmp_path / "plain" / name, tmp_path / "marked" / name
         for path, prefix in ((plain, b""), (marked, b"\xef\xbb\xbf")):
             path.parent.mkdir()
             path.write_bytes(prefix + doc.replace(old, new))
+        code, out, err = _outcome(capfdbinary, ["timeline", str(plain), "-v"])
+        assert warning in err.splitlines()
+        assert _outcome(capfdbinary, ["timeline", str(marked), "-v"]) == (code, out, err)
+
+    @STATE_XML_FAULTS
+    @pytest.mark.parametrize("encoding", ["utf-16-le", "utf-16-be"])
+    def test_xml_with_a_utf16_bom_is_parsed(self, tmp_path, capfdbinary, name, doc, old, new, warning, encoding):
+        plain, marked = tmp_path / "plain" / name, tmp_path / "marked" / name
+        plain.parent.mkdir()
+        plain.write_bytes(doc.replace(old, new))
+        marked.parent.mkdir()
+        marked.write_bytes(("\ufeff" + doc.replace(old, new).decode("utf-8")).encode(encoding))
+        assert cli._sniff(marked) == "xml"
         code, out, err = _outcome(capfdbinary, ["timeline", str(plain), "-v"])
         assert warning in err.splitlines()
         assert _outcome(capfdbinary, ["timeline", str(marked), "-v"]) == (code, out, err)

@@ -10,9 +10,11 @@ than with an expected output:
 - location: a tree whose directory name holds "#", "?", "%" or a space
   gives the report of the same tree elsewhere, and nothing is written
   beside the evidence;
-- encoding: a registry export or a journal re-encoded as UTF-8, UTF-8
-  with a byte-order mark, or UTF-16 of either byte order with one, gives
-  the same events and warnings, paths aside.
+- encoding: a registry export, a journal, or a Skype shared.xml or
+  config.xml re-encoded as UTF-8, UTF-8 with a byte-order mark, or UTF-16
+  of either byte order with one, is sniffed as the same kind and gives the
+  same events and warnings, paths aside; a state XML file also gives the
+  same parsed state.
 
 The partition relation also runs on trees with two Facebook caches or two
 Skype stores of different owners, whose messages each take their own
@@ -30,8 +32,8 @@ from pathlib import Path
 
 import pytest
 
-from imartifacts import forge, sampledata, timeline
-from imartifacts.cli import main
+from imartifacts import forge, sampledata, skype, timeline
+from imartifacts.cli import _sniff, main
 from imartifacts.model import App, EventKind, Timestamp
 
 SEEDS = (0, 7, 19)
@@ -118,22 +120,26 @@ class TestRelations:
         assert _snapshot(parent) == before
 
 
-    @pytest.mark.parametrize("name", [forge.REGISTRY_NAME, forge.NTFS_CSV_NAME])
+    @pytest.mark.parametrize("name", [forge.REGISTRY_NAME, forge.NTFS_CSV_NAME, forge.SKYPE_STATE_DIR + "/shared.xml",
+                                      forge.SKYPE_ACCOUNT_DIR + "/config.xml"], ids=lambda name: Path(name).name)
     def test_encoding(self, tree, tmp_path, capfd, name):
         _, root = tree
         data = (root / name).read_bytes()
         text = data.decode("utf-16") if data.startswith((b"\xff\xfe", b"\xfe\xff")) else data.decode("utf-8-sig")
+        xml = name.endswith(".xml")
         seen = {}
         for encoding, encode in ENCODINGS.items():
-            path = tmp_path / encoding / name
+            path = tmp_path / encoding / Path(name).name
             path.parent.mkdir()
             path.write_bytes(encode(text))
             capfd.readouterr()
-            events = timeline.parse_jsonl(_output(tmp_path / "out.jsonl", "timeline", str(path)))
+            events = timeline.parse_jsonl(_output(tmp_path / "out.jsonl", "timeline", str(path), "-v"))
             warnings = capfd.readouterr().err.replace(str(path), "<input>")
-            seen[encoding] = ([replace(e, provenance=replace(e.provenance, evidence_path="<input>")) for e in events],
-                              warnings)
-        assert seen["utf-8"][0]
+            seen[encoding] = (_sniff(path),
+                              [replace(e, provenance=replace(e.provenance, evidence_path="<input>")) for e in events],
+                              warnings, skype.parse_state_xml(path.read_bytes()) if xml else None)
+        assert seen["utf-8"][0] == ("xml" if xml else "registry" if name == forge.REGISTRY_NAME else "journal-csv")
+        assert seen["utf-8"][3] if xml else seen["utf-8"][1]
         assert all(outcome == seen["utf-8"] for outcome in seen.values()), \
             [encoding for encoding, outcome in seen.items() if outcome != seen["utf-8"]]
 

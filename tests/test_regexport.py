@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from imartifacts import regexport
+from imartifacts.cli import main
 from imartifacts import sampledata as sd
 from imartifacts.forge import serialize_reg_export
 from imartifacts.locator import parse_package_id
@@ -324,7 +326,7 @@ def reference_install_records(export):
     """One find_install_time call per qualifying key: the oracle for find_install_records."""
     records = []
     for key in export.keys:
-        segments = key.split("\\")
+        segments = [segment for segment in key.split("\\") if segment]
         if len(segments) < 2:
             continue
         try:
@@ -375,8 +377,8 @@ class TestInstallRecords:
         assert find_install_records(export) == [] == reference_install_records(export)
 
     def test_key_paths_with_empty_segments(self):
-        # An empty segment between family and full still names the package
-        # for lookup, though the key itself does not qualify as a package key.
+        # Empty segments, from a doubled or a trailing backslash, are dropped:
+        # each of the three keys is a package key.
         gap = sd.REPOSITORY_BRANCH + "\\" + sd.FACEBOOK_PACKAGE_FAMILY + "\\\\" + sd.FACEBOOK_PACKAGE_FULL
         good, good_values = _install_key(
             sd.REPOSITORY_BRANCH, sd.FACEBOOK_PACKAGE_FAMILY, sd.FACEBOOK_PACKAGE_FULL, LATER_TICKS)
@@ -389,8 +391,9 @@ class TestInstallRecords:
         export = parse_reg_export(text)
         assert list(export.keys) == [gap, good, trailing]
         records = find_install_records(export)
-        assert [(r.package.text, r.key_path) for r in records] == [(sd.FACEBOOK_PACKAGE_FULL, gap)]
-        assert records[0].install_time.isoformat_ms() == "2015-01-19T16:28:08.000Z"
+        assert [(r.package.text, r.key_path) for r in records] == [
+            (sd.FACEBOOK_PACKAGE_FULL, gap), (sd.FACEBOOK_PACKAGE_FULL, gap), (sd.SKYPE_PACKAGE_FULL, trailing)]
+        assert {r.install_time.isoformat_ms() for r in records} == {"2015-01-19T16:28:08.000Z"}
         assert records == reference_install_records(export)
         assert find_install_time(export, sd.SKYPE_PACKAGE_FULL).key_path == trailing
 
@@ -411,6 +414,46 @@ class TestInstallRecords:
         records = find_install_records(RegExport(keys=keys))
         assert len(records) == packages
         assert len(calls) <= 2 * packages
+
+
+# Package keys as exports spell them, in the case they were written or in
+# another (an all-upper full identity no longer parses), with empty segments
+# from doubled or trailing backslashes, and with or without an install time.
+_PACKAGES = [(sd.FACEBOOK_PACKAGE_FAMILY, sd.FACEBOOK_PACKAGE_FULL), (sd.SKYPE_PACKAGE_FAMILY, sd.SKYPE_PACKAGE_FULL)]
+_CASES = [str, str.upper, str.lower, lambda text: text.replace(text.split(".")[0], text.split(".")[0].upper())]
+_TIMES = [None, sd.INSTALL_TIME_TICKS, LATER_TICKS, 0]
+_BRANCHES = [sd.REPOSITORY_BRANCH, "HKEY_LOCAL_MACHINE\\Repository", "HKEY_LOCAL_MACHINE\\Repository\\"]
+
+_key_specs = st.tuples(st.sampled_from(_BRANCHES), st.sampled_from(_PACKAGES), st.sampled_from(_CASES),
+                       st.sampled_from(["\\", "\\\\"]), st.sampled_from(["", "\\"]), st.sampled_from(_TIMES),
+                       st.booleans())
+
+
+def _drawn_export(specs) -> RegExport:
+    keys = {}
+    for branch, (family, full), case, gap, end, ticks, whole in specs:
+        key = branch + "\\" + case(family) + gap + case(full) + end if whole else branch + "\\" + case(family)
+        values = [] if ticks is None else [RegValue("InstallTime", "qword", ticks.to_bytes(8, "little"))]
+        keys.setdefault(key, values)
+    return RegExport(keys=keys)
+
+
+class TestInstallKeyRule:
+    """find_install_records and find_install_time split key paths by one rule."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.lists(_key_specs, max_size=8))
+    def test_every_package_key_gets_find_install_time_record(self, specs):
+        export = _drawn_export(specs)
+        assert find_install_records(export) == reference_install_records(export)
+
+    def test_registry_prints_a_key_that_ends_in_a_backslash(self, tmp_path, capsys):
+        key, values = _install_key(sd.REPOSITORY_BRANCH, sd.SKYPE_PACKAGE_FAMILY, sd.SKYPE_PACKAGE_FULL + "\\",
+                                   sd.INSTALL_TIME_TICKS)
+        path = tmp_path / "export.reg"
+        path.write_text(serialize_reg_export(RegExport(keys={key: values})), encoding="utf-8")
+        assert main(["registry", str(path)]) == 0
+        assert capsys.readouterr().out == "install\t%s\t2015-01-19T16:28:08.000Z\n" % sd.SKYPE_PACKAGE_FULL
 
 
 class TestPersistedItems:

@@ -1,6 +1,7 @@
 """sqliteio: the column plan against the per-row lookup it replaces, table reads, and driver errors."""
 
 import dataclasses
+import random
 import sqlite3
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from imartifacts import facebook, forge, skype, sqliteio
 from imartifacts.model import Channel
 from imartifacts.sqliteio import plan_query, row_value
+from sqlite_file import SqliteFile
 
 
 def reference_row_value(row, *names, default=None):
@@ -356,3 +358,61 @@ def test_without_rowid_messages_raise_damaged_database(tmp_path):
     with pytest.raises(sqliteio.DamagedDatabase, match="rowid") as caught:
         skype.group_main_db(skype.extract_main_db(path, []))
     assert isinstance(caught.value.__cause__, sqlite3.OperationalError)
+
+
+def typed(rows) -> list:
+    """rows with each value paired with its type, so that 1, 1.0 and True differ."""
+    return [tuple((type(value), value) for value in row) for row in rows]
+
+
+def test_file_format_reader_matches_sqlite3(tmp_path):
+    """The reader's rows are sqlite3's, across interior pages, overflow chains and an added column."""
+    path = tmp_path / "deep.db"
+    rng = random.Random(7)
+    with sqlite3.connect(path) as connection:
+        connection.execute("PRAGMA page_size = 512")
+        connection.execute('CREATE TABLE t (id INTEGER PRIMARY KEY, a TEXT, b BLOB, "c d" REAL, e)')
+        connection.executemany('INSERT INTO t VALUES (?, ?, ?, ?, ?)', [
+            (n * 7 + 1, "é" * rng.randrange(3000), rng.randbytes(rng.randrange(900)), rng.random(),
+             rng.choice([None, 0, 1, -5, 2**40, -2**63, 1.5, "x"])) for n in range(300)])
+        connection.execute("ALTER TABLE t ADD COLUMN f TEXT")
+        connection.execute("INSERT INTO t (a, f) VALUES ('tail', 'added')")
+        want = connection.execute("SELECT rowid, * FROM t ORDER BY rowid").fetchall()
+    connection.close()
+    reader = SqliteFile(path.read_bytes())
+    assert reader.page_size == 512
+    assert reader.table("t") == (["id", "a", "b", "c d", "e", "f"], want)
+    assert typed(reader.table("t")[1]) == typed(want)
+
+
+def test_read_table_gives_the_file_format_readers_rows(forged_seeds, monkeypatch):
+    """Each table that read_table reads from a store or cache of seeds 0-19 holds the reader's rows in rowid order."""
+    reads = []
+
+    def recording(connection, table, path, prefix, what, columns, record, warnings, rowid=True):
+        rows = sqliteio.read_table(connection, table, path, prefix, what, columns, lambda values, *_: values,
+                                   warnings, rowid)
+        reads.append((path, table, columns, rowid, list(rows)))
+        return iter(())
+
+    monkeypatch.setattr(skype, "read_table", recording)
+    monkeypatch.setattr(facebook, "read_table", recording)
+    for root in forged_seeds.values():
+        for path in forged_databases(root):
+            tables = {name.casefold() for name in SqliteFile(path.read_bytes()).schema()}
+            if tables & skype.STORE_TABLES:
+                list(skype.extract_main_db(path))
+            else:
+                facebook.extract_cache(path, None, tables)
+    assert len(reads) == len(forged_seeds) * 12  # seven store tables and five cache tables per tree
+    assert all(rows for *_, rows in reads)
+    mismatched = []
+    for path, table, columns, rowid, got in reads:
+        names, rows = SqliteFile(path.read_bytes()).table(table)
+        index = {name.casefold(): position for position, name in enumerate(names, 1)}
+        want = [(row[0],) * rowid + tuple(next((row[index[name.casefold()]] for name in aliases_of(spec)
+                                                if name.casefold() in index), None) for spec in columns)
+                for row in rows]
+        if typed(got) != typed(want):
+            mismatched.append((path.name, table))
+    assert mismatched == []

@@ -200,9 +200,32 @@ class TestNtfsCsv:
     def test_path_input(self, tmp_path):
         target = tmp_path / "journal.csv"
         target.write_text(journal_text())
-        events = timeline.ingest_ntfs_csv(str(target))
+        events = timeline.ingest_ntfs_csv(target)
         assert len(events) == 5
         assert events[0].provenance.evidence_path == str(target)
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_every_source_and_line_end_reads_alike(self, tmp_path, ending):
+        """A str, StringIO, bytes, BytesIO and Path holding one journal give one set of events."""
+        expected = timeline.ingest_ntfs_csv(journal_text(), evidence_path="journal.csv")
+        assert len(expected) == 5
+        text = journal_text().replace("\r\n", "\n").replace("\n", ending)
+        target = tmp_path / "journal.csv"
+        target.write_bytes(text.encode("utf-8"))
+        sources = {"str": text, "StringIO": io.StringIO(text), "bytes": text.encode("utf-8"),
+                   "BytesIO": io.BytesIO(text.encode("utf-8")), "Path": target}
+        read = {name: timeline.ingest_ntfs_csv(source, evidence_path="journal.csv")
+                for name, source in sources.items()}
+        assert [name for name, events in read.items() if events != expected] == []
+
+    def test_a_str_naming_a_file_is_text(self, tmp_path, monkeypatch):
+        """A one-line str is CSV text, even when it names a journal that exists."""
+        target = tmp_path / "journal.csv"
+        target.write_text(journal_text())
+        monkeypatch.chdir(tmp_path)
+        for name in (str(target), "journal.csv"):
+            with pytest.raises(timeline.NotCsv, match="no delimited columns"):
+                timeline.ingest_ntfs_csv(name)
 
     def test_lsn_must_be_nonnegative(self):
         with pytest.raises(ValueError):
