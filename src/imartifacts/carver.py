@@ -79,21 +79,22 @@ class CarvedObject:
         return hashlib.sha256(self.payload).hexdigest()
 
 
-def scan_stream(stream, patterns, horizon, lookback, emit, chunk_size=None):
-    """Drive a chunked scan of a stream or bytes, calling emit once per pattern occurrence.
+def scan_stream(stream, patterns, horizon, lookback, chunk_size=None):
+    """Yield (buf, base, rel, pattern_index) once per pattern occurrence in a stream or bytes.
 
-    emit(buf, base, rel, pattern_index) runs with buf, a bytearray of
-    exactly the bytes held this round, guaranteed to hold at least horizon
-    bytes beyond the hit (unless the stream ends first) and lookback bytes
-    before it (unless the stream starts later).  buf is reused by the next
-    round, so emit copies what it keeps.  Occurrences are visited in
-    offset order exactly once, so chunked and whole-buffer scans agree.  A
-    read that fails raises StreamReadError.  chunk_size is the bytes per
-    read; by default it is the first multiple of DEFAULT_CHUNK_SIZE over
-    three times what a round keeps, so moving what it keeps costs little
-    beside the read.  The one buffer holds a read plus what a round keeps,
-    and no more than one byte past the stream's end when its size is
-    known.
+    The scan is chunked and lazy: the stream is read only as the hits are
+    taken.  buf is a bytearray of exactly the bytes held this round, and
+    the occurrence starts at buf[rel], base + rel bytes into the stream.
+    buf holds at least horizon bytes beyond the hit (unless the stream ends
+    first) and lookback bytes before it (unless the stream starts later).
+    buf is reused by the next round, so the taker copies what it keeps
+    before it takes the next hit.  Occurrences are visited in offset order
+    exactly once, so chunked and whole-buffer scans agree.  A read that
+    fails raises StreamReadError.  chunk_size is the bytes per read; by
+    default it is the first multiple of DEFAULT_CHUNK_SIZE over three times
+    what a round keeps, so moving what it keeps costs little beside the
+    read.  The one buffer holds a read plus what a round keeps, and no
+    more than one byte past the stream's end when its size is known.
     """
     if isinstance(stream, (bytes, bytearray, memoryview)):
         data = bytes(stream)
@@ -137,7 +138,7 @@ def scan_stream(stream, patterns, horizon, lookback, emit, chunk_size=None):
         if left is not None:
             left = None if got > left else left - got
         if len(buf) > filled:
-            del buf[filled:]  # emit sees exactly the bytes read
+            del buf[filled:]  # the hits see exactly the bytes read
         end_abs = base + filled
         limit = end_abs if eof else max(end_abs - guard, 0)
         if limit > watermark:
@@ -146,7 +147,7 @@ def scan_stream(stream, patterns, horizon, lookback, emit, chunk_size=None):
                 absolute = base + rel
                 if absolute >= limit:
                     break
-                emit(buf, base, rel, index)
+                yield buf, base, rel, index
             watermark = limit
         if eof:
             return
@@ -212,9 +213,6 @@ def carve(stream, signatures=None, chunk_size=None, truncated=None):
     header_groups = [groups[h] for h in headers]
     horizon = max(sig.max_length for sig in sigs)
     results: list[CarvedObject] = []
-
-    def emit(buf, base, rel, index):
+    for buf, base, rel, index in scan_stream(stream, headers, horizon, 0, chunk_size):
         _resolve_header(buf, rel, base, header_groups[index], results, truncated)
-
-    scan_stream(stream, headers, horizon, 0, emit, chunk_size)
     return results

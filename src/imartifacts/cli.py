@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import threading
+from collections.abc import Iterator
 from pathlib import Path
 
 from . import carver, facebook, locator, pcap, regexport, skype, timeline
@@ -132,8 +133,8 @@ class _Gather:
     def ingest(self, path: Path, utc_offset: int = 0, kind: str | None = None, worker=None) -> None:
         """Extract one input, sniffing its kind unless kind names it, and map its records to events.
 
-        With a worker from _start_scans, the input's fragments are that
-        worker's result.  The input's extraction warnings are kept as they
+        With a worker from _start_scans, the input's fragments are those
+        that worker sends.  The input's extraction warnings are kept as they
         come; its events and then its mapping warnings are kept only if the
         whole input is read.
         """
@@ -147,9 +148,10 @@ class _Gather:
         """The events of one input, or None if no extractor reads it; mapping warnings go to warnings.
 
         One branch per kind reads the input and maps its records.  A Skype
-        store's records are mapped as they are read, and a capture's flows
-        are let go as they are mapped; every other input's records are read
-        whole first.  An owner the gather was not given comes from the
+        store's records and a raw input's fragments, scanned here or sent by
+        a worker, are mapped as they are read, and a capture's flows are let
+        go as they are mapped; every other input's records are read whole
+        first.  An owner the gather was not given comes from the
         input's own records, which are let go when this returns: a store's
         is its first record's, if that is an Accounts row, and a cache's is
         facebook.cache_owner's.
@@ -162,7 +164,8 @@ class _Gather:
                                       capture_path=label, catalog=self.catalog, warnings=warnings)
 
         if worker is not None:
-            return mapped(_scan_result(worker, path))
+            with contextlib.closing(_scan_result(worker, path)) as fragments:  # the worker is reaped if mapping stops
+                return mapped(fragments)
         kind = kind or _sniff(path)
         if kind == "sqlite":
             names = _table_names(path)
@@ -178,9 +181,7 @@ class _Gather:
                 fb_owner = facebook.cache_owner(path, groups)
             return mapped([record for group in groups.values() for record in group])
         if kind == "pcap":
-            flows = _capture_flows(path, self.warnings)
-            flows.reverse()  # so that popping gives them in order, each let go once it is mapped
-            return mapped(flows.pop() for _ in range(len(flows)))
+            return mapped(_drained(_capture_flows(path, self.warnings)))
         if kind == "registry":
             return mapped(_registry_records(path, self.warnings))
         if kind == "journal-csv":
@@ -190,7 +191,8 @@ class _Gather:
             locator.read_zone_identifier(path.read_bytes(), sidecar_path=label)
             return []
         if kind == "raw":
-            return mapped(_scan_raw(path))
+            with contextlib.closing(_scan_raw(path)) as fragments:  # the file is closed if mapping stops
+                return mapped(fragments)
         if kind == "xml" and skype.parse_state_xml(path.read_bytes(), self.warnings) is not None:
             return []
         self.warnings.append("no extractor for %s, skipped" % label)
@@ -217,9 +219,16 @@ def _capture_flows(path, warnings) -> list:
     return capture.flows
 
 
-def _scan_raw(path: Path) -> list:
+def _drained(items: list) -> Iterator:
+    """The items in order, each let go by the list as it is taken."""
+    items.reverse()
+    return (items.pop() for _ in range(len(items)))
+
+
+def _scan_raw(path: Path) -> Iterator:
+    """The chat fragments of one raw input as they are found; the file is open until the last is taken."""
     with path.open("rb") as handle:
-        return facebook.extract_chat_json(handle, evidence_path=str(path))
+        yield from facebook.extract_chat_json(handle, evidence_path=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +269,12 @@ def _start_scans(paths: list[Path]) -> dict[int, tuple[int, int]]:
 def _fork_scan(path: Path, others) -> tuple[int, int]:
     """Start a child that sends _scan_raw(path) through a pipe: (its pid, the read end).
 
-    The child pickles (True, fragments) or (False, error text) straight into
-    the pipe and ends with os._exit, so it never returns into the caller's code.
-    others are the workers already started, whose read ends it closes.
+    The child scans the whole input first, so it never waits on a full pipe
+    while it could be scanning.  Then it pickles a header, (True, count) or
+    (False, error text), straight into the pipe, and then each of the count
+    fragments as a pickle of its own, letting each go once it is sent.  It
+    ends with os._exit, so it never returns into the caller's code.  others
+    are the workers already started, whose read ends it closes.
     """
     import pickle
 
@@ -280,17 +292,20 @@ def _fork_scan(path: Path, others) -> tuple[int, int]:
             for _, other in others:
                 os.close(other)
             try:
-                result = (True, _scan_raw(path))
+                fragments = list(_scan_raw(path))
+                header = (True, len(fragments))
             except Exception as error:
-                result = (False, str(error))
+                fragments, header = [], (False, str(error))
 
-            class Pipe:  # pickle.dump hands it one frame at a time, so the whole pickle is never held
+            class Pipe:  # pickle.dump hands it one frame at a time, so no whole pickle is held
                 def write(self, data):
                     data = memoryview(data)
                     while data:
                         data = data[os.write(write_end, data):]
 
-            pickle.dump(result, Pipe(), pickle.HIGHEST_PROTOCOL)
+            pipe = Pipe()
+            for item in itertools.chain([header], _drained(fragments)):
+                pickle.dump(item, pipe, pickle.HIGHEST_PROTOCOL)
             os.close(write_end)
             status = 0
         finally:
@@ -299,28 +314,31 @@ def _fork_scan(path: Path, others) -> tuple[int, int]:
     return pid, read_end
 
 
-def _scan_result(worker: tuple[int, int], path: Path) -> list:
-    """The fragments the worker scanning path sent; ExtractionError if it sent an error or nothing.
+def _scan_result(worker: tuple[int, int], path: Path) -> Iterator:
+    """The fragments the worker scanning path sends, each yielded as it is unpickled.
 
-    The result is unpickled as it arrives, so no copy of its pickle is kept.
+    ExtractionError, once the worker is reaped, if it sent an error, or
+    ended before its last fragment or with a nonzero status.  The worker
+    is killed and reaped if this stops early.
     """
     import pickle
 
     try:
         with open(worker[1], "rb", closefd=False) as pipe:
-            result = pickle.load(pipe)
-    except (EOFError, pickle.UnpicklingError):  # nothing, or a pickle cut short
-        result = None
+            try:
+                ok, value = pickle.load(pipe)
+                for _ in range(value if ok else 0):
+                    yield pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):  # nothing, or a pickle cut short
+                ok = None
     except BaseException:
         _reap(worker, kill=True)
         raise
     status = _reap(worker)
-    if result is None or status != 0:
+    if ok is None or status != 0:
         raise ExtractionError("scan worker for %s ended without a result (status %d)" % (path, status))
-    ok, value = result
     if not ok:
         raise ExtractionError(value)
-    return value
 
 
 def _reap(worker: tuple[int, int], kill: bool = False) -> int:
@@ -367,8 +385,9 @@ def _gather_and_emit(args, paths, journal, root) -> int:
         for worker in workers.values():  # left only if this process raised
             _reap(worker, kill=True)
     report = timeline.build_report(gather.events, gather.warnings)
-    if root is not None:
-        report.events = timeline.relativize_events(report.events, root)
+    gather.events = None  # the merged list holds every event now
+    if root is not None:  # each old event is let go as it is rewritten
+        report.events = timeline.relativize_events(_drained(report.events), root)
     out = _default_out(args.out)
     if out:
         with open(out, "wb") as handle:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import date, datetime
 
@@ -454,7 +455,7 @@ def cache_owner(path, groups: dict[str, list]) -> str | None:
     return owner
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChatFragment:
     """A chat push notification recovered from raw memory."""
 
@@ -575,20 +576,16 @@ def extract_chat_json(
     stream,
     evidence_path: str = "<stream>",
     chunk_size: int | None = None,
-) -> list[ChatFragment]:
-    """Recover chat push JSON fragments around each marker occurrence.
+) -> Iterator[ChatFragment]:
+    """Yield the chat push JSON fragments around each marker occurrence, in offset order.
 
     For every marker hit the smallest brace-balanced region containing it
     (within CHAT_WINDOW bytes either side) is parsed; fragments that do
     not parse are still reported with their raw bytes so nothing silently
-    disappears.  A failed read raises carver.StreamReadError.
+    disappears.  The stream is read as the fragments are taken, so no list
+    of them is held.  A failed read raises carver.StreamReadError after the
+    fragments found before it were yielded.
     """
-    fragments: list[ChatFragment] = []
-
-    def emit(buf, base, rel, index):
-        lo = max(rel - CHAT_WINDOW, 0)
-        hi = min(rel + CHAT_WINDOW, len(buf))
-        fragments.append(_fragment_from_region(buf, lo, hi, rel, base, evidence_path))
-
-    carver.scan_stream(stream, [CHAT_MARKER], CHAT_WINDOW, CHAT_WINDOW, emit, chunk_size)
-    return fragments
+    for buf, base, rel, _ in carver.scan_stream(stream, [CHAT_MARKER], CHAT_WINDOW, CHAT_WINDOW, chunk_size):
+        yield _fragment_from_region(buf, max(rel - CHAT_WINDOW, 0), min(rel + CHAT_WINDOW, len(buf)),
+                                    rel, base, evidence_path)

@@ -21,6 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
@@ -96,9 +97,10 @@ def _basename(path: str) -> str:
 def _read_text(source) -> str:
     """The text of a journal source, its line ends read as universal newlines read them.
 
-    A Path names a file, whose bytes must decode; a str is the text itself;
-    a stream's read() gives either.  Bytes given or read decode with bad
-    bytes replaced.  Any bytes are UTF-16 after its mark, else UTF-8.
+    A Path names a file, whose bytes must decode, else NotCsv names the
+    first byte that does not; a str is the text itself; a stream's read()
+    gives either.  Bytes given or read decode with bad bytes replaced.  Any
+    bytes are UTF-16 after its mark, else UTF-8.
     """
     if isinstance(source, Path):
         text, errors = source.read_bytes(), "strict"
@@ -106,7 +108,13 @@ def _read_text(source) -> str:
         text, errors = (source.read() if hasattr(source, "read") else source), "replace"
     if isinstance(text, bytes):
         encoding = "utf-16" if text[:2] in (codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE) else "utf-8-sig"
-        text = text.decode(encoding, errors)
+        try:
+            text = text.decode(encoding, errors)
+        except UnicodeDecodeError as exc:  # utf-8-sig counts its positions from after the mark
+            marked = encoding == "utf-8-sig" and text.startswith(codecs.BOM_UTF8)
+            raise NotCsv("not %s text: byte 0x%02x at byte offset %d does not decode"
+                         % ("UTF-16" if encoding == "utf-16" else "UTF-8", exc.object[exc.start],
+                            exc.start + 3 * marked)) from exc
     elif not isinstance(text, str):
         raise TypeError("expected stream, Path, bytes or text, got %r" % type(source))
     return text.replace("\r\n", "\n").replace("\r", "\n")
@@ -189,7 +197,8 @@ def parse_ntfs_csv(source, warnings: list[str] | None = None,
     utc_offset_minutes says the export machine ran at UTC+offset.  A row
     the csv module cannot read, such as one with a field over its size
     limit, costs only that row: reading goes on after the row's end, so
-    no text inside it is read as rows.
+    no text inside it is read as rows.  A row with no event, no file name
+    and no path says nothing, and is skipped with a warning.
     """
     if warnings is None:
         warnings = []
@@ -251,12 +260,16 @@ def parse_ntfs_csv(source, warnings: list[str] | None = None,
         except ValueError:
             warnings.append("line %d: unreadable LSN %r, row skipped" % (line, cell(row, "lsn")))
             continue
+        event, file_name, full_path = cell(row, "event"), cell(row, "file name"), cell(row, "full path")
+        if not (event or file_name or _basename(full_path)):  # ingest_ntfs_csv would have no summary
+            warnings.append("line %d: no event, file name or path, row skipped" % line)
+            continue
         rows.append(NtfsJournalRow(
             lsn=lsn,
             event_time=timed(row, "event time", line),
-            event=cell(row, "event"),
-            file_name=cell(row, "file name"),
-            full_path=cell(row, "full path"),
+            event=event,
+            file_name=file_name,
+            full_path=full_path,
             detail=cell(row, "detail") or None,
             create_time=timed(row, "create time", line),
             modified_time=timed(row, "modified time", line),
@@ -355,22 +368,26 @@ def _total_key(event: TimelineEvent) -> tuple:
     )
 
 
+_instant = attrgetter("when.utc_instant")
+
+
 def merge_sort(events) -> list[TimelineEvent]:
     """Sort ascending and collapse exact duplicates onto a counter.
 
-    Events are sorted by sort_key, and only a run of equal sort_keys is
-    ordered by _total_key.  Equal events have equal total keys, so they
-    are neighbours in the stably sorted run; the first keeps the summed
-    count, and no event is hashed.
+    Events are sorted by their instant, an object each already holds, so
+    no key is built for an event alone at its instant.  Only a run of
+    equal instants is ordered by _total_key, which starts with sort_key.
+    Equal events have equal total keys, so they are neighbours in the
+    sorted run; the first keeps the summed count, and no event is hashed.
     """
     out: list[TimelineEvent] = []
-    for _, tied in groupby(sorted(events, key=TimelineEvent.sort_key), key=TimelineEvent.sort_key):
-        alone = next(tied)
-        second = next(tied, None)
+    for _, timed in groupby(sorted(events, key=_instant), key=_instant):
+        alone = next(timed)
+        second = next(timed, None)
         if second is None:
             out.append(alone)
             continue
-        for _, same in groupby(sorted((alone, second, *tied), key=_total_key), key=_total_key):
+        for _, same in groupby(sorted((alone, second, *timed), key=_total_key), key=_total_key):
             first, *rest = same
             if rest:
                 first = replace(first, duplicates=first.duplicates + sum(event.duplicates for event in rest))
@@ -469,16 +486,18 @@ _APP_JSON = {app: _json_value(app.value) for app in App}
 
 
 def _emit_jsonl(report: Report, out) -> None:
-    # The four provenance fields, rendered once per Provenance object;
-    # report.events keeps every one alive, so no id is reused meanwhile.
+    # The four provenance fields, rendered once per Provenance object without
+    # an offset; report.events keeps every one alive, so no id is reused
+    # meanwhile.  One with an offset is a carved event's own, so it is not kept.
     provenances: dict[int, tuple[str, str, str, str]] = {}
     for event in report.events:
         provenance = event.provenance
         rendered = provenances.get(id(provenance))
         if rendered is None:
-            rendered = provenances[id(provenance)] = (
-                _json_value(provenance.evidence_path), _json_value(provenance.byte_offset),
-                _json_value(provenance.channel.value), _json_value(provenance.extractor))
+            rendered = (_json_value(provenance.evidence_path), _json_value(provenance.byte_offset),
+                        _json_value(provenance.channel.value), _json_value(provenance.extractor))
+            if provenance.byte_offset is None:
+                provenances[id(provenance)] = rendered
         when = event.when
         line = _JSONL_LINE % (
             _json_str(when.isoformat_ms()), _json_value(when.raw), _json_value(when.encoding),

@@ -186,7 +186,7 @@ class FailingStream:
 
 
 # The two raw scanners, each of which finds something in SCANNED.
-SCANNERS = {"carve": carve, "extract_chat_json": extract_chat_json}
+SCANNERS = {"carve": carve, "extract_chat_json": lambda source: list(extract_chat_json(source))}
 SCANNED = b"\x00" * 100 + CONFIG_DOC + b" junk " + CHAT_PUSH_JSON.encode("utf-8") + b"\x00" * 100
 
 
@@ -237,7 +237,7 @@ class TestScanMemory:
         with open(path, "rb") as stream:
             tracemalloc.start()
             try:
-                fragments = extract_chat_json(stream)
+                fragments = list(extract_chat_json(stream))
                 return tracemalloc.get_traced_memory()[1], fragments
             finally:
                 tracemalloc.stop()
@@ -290,12 +290,9 @@ def scan_hits(source, lookback, chunk_size):
     end, clipped only where the stream starts or ends.
     """
     hits = []
-
-    def emit(buf, base, rel, index):
+    for buf, base, rel, index in scan_stream(source, PROPERTY_TERMS, lookback, lookback, chunk_size):
         end = rel + len(PROPERTY_TERMS[index]) + lookback
         hits.append((base + rel, index, bytes(buf[max(rel - lookback, 0):end])))
-
-    scan_stream(source, PROPERTY_TERMS, lookback, lookback, emit, chunk_size)
     return hits
 
 

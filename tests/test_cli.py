@@ -666,6 +666,77 @@ class TestScanWorkers:
             b"error: %s: scan worker for %s ended without a result (status 7)" % (bytes(memory), bytes(memory))]
         _assert_no_child_left()
 
+    @staticmethod
+    def write_pushes(path):
+        """A raw input of three chat pushes and an unparsed deep region: four fragments."""
+        push = sampledata.CHAT_PUSH_JSON.encode("utf-8")
+        path.write_bytes(b" junk ".join([push, DEEP_CHAT_REGION, push, push]))
+        return path
+
+    @pytest.mark.parametrize("sent", [0, 1, 3])
+    def test_worker_that_dies_after_some_fragments_fails_only_its_input(
+            self, forged, tmp_path, monkeypatch, capfdbinary, sent):
+        import pickle
+
+        root, _ = forged
+        raw = self.write_pushes(tmp_path / "pagefile.sys")
+        messages = fb_db(root, "Messages.sqlite")
+        alone = _outcome(capfdbinary, ["timeline", messages])
+        forked = _send_raw_to_workers(monkeypatch)
+        dump, dumped = pickle.dump, []
+
+        def send_then_die(item, *args, **kwargs):  # only the worker pickles during main
+            if len(dumped) == 1 + sent:  # the header and sent fragments are out
+                os._exit(5)
+            dumped.append(item)
+            dump(item, *args, **kwargs)
+
+        monkeypatch.setattr(pickle, "dump", send_then_die)
+        fds = _open_fds()
+        code, out, err = _outcome(capfdbinary, ["timeline", messages, str(raw)])
+        assert (code, forked) == (3, [raw])
+        assert [line for line in err.splitlines() if line.startswith(b"error:")] == [
+            b"error: %s: scan worker for %s ended without a result (status 5)" % (bytes(raw), bytes(raw))]
+        assert out == alone[1]  # the messages' events, and none of the fragments already sent
+        assert _open_fds() == fds
+        _assert_no_child_left()
+
+    def test_worker_sends_the_in_line_fragments(self, tmp_path, monkeypatch):
+        raw = self.write_pushes(tmp_path / "pagefile.sys")
+        in_line = list(cli._scan_raw(raw))
+        assert [fragment.parsed for fragment in in_line] == [True, False, True, True]
+        _send_raw_to_workers(monkeypatch)
+        fds = _open_fds()
+        sent = list(cli._scan_result(cli._start_scans([raw])[0], raw))
+        assert sent == in_line
+        assert [fragment.extra for fragment in sent] == [fragment.extra for fragment in in_line]
+        assert _open_fds() == fds
+        _assert_no_child_left()
+
+    def test_error_header_raises_its_text(self, tmp_path, monkeypatch):
+        raw = self.write_pushes(tmp_path / "pagefile.sys")
+
+        def failing(path):
+            raise ExtractionError("read failed at offset 7")
+
+        _send_raw_to_workers(monkeypatch)
+        monkeypatch.setattr(cli, "_scan_raw", failing)
+        fds = _open_fds()
+        with pytest.raises(ExtractionError, match="^read failed at offset 7$"):
+            list(cli._scan_result(cli._start_scans([raw])[0], raw))
+        assert _open_fds() == fds
+        _assert_no_child_left()
+
+    def test_result_left_partway_kills_and_reaps_the_worker(self, tmp_path, monkeypatch):
+        raw = self.write_pushes(tmp_path / "pagefile.sys")
+        _send_raw_to_workers(monkeypatch)
+        fds = _open_fds()
+        fragments = cli._scan_result(cli._start_scans([raw])[0], raw)
+        assert next(fragments).parsed
+        fragments.close()
+        assert _open_fds() == fds
+        _assert_no_child_left()
+
     def test_error_while_taking_the_result_kills_and_reaps_the_worker(self, tmp_path, monkeypatch):
         import pickle
 
@@ -682,7 +753,7 @@ class TestScanWorkers:
         monkeypatch.setattr(pickle, "load", interrupted)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            cli._scan_result(workers[0], path)
+            list(cli._scan_result(workers[0], path))
         assert time.monotonic() - start < 30
         assert _open_fds() == fds
         _assert_no_child_left()
@@ -697,7 +768,7 @@ class TestScanWorkers:
         monkeypatch.setattr(cli, "_scan_raw", lambda path: sorted(set(_pipe_read_ends()) - set(inherited)))
         workers = cli._start_scans(paths)
         assert sorted(workers) == [0, 1, 2]
-        assert [cli._scan_result(workers[index], path) for index, path in enumerate(paths)] == [[], [], []]
+        assert [list(cli._scan_result(workers[index], path)) for index, path in enumerate(paths)] == [[], [], []]
         _assert_no_child_left()
 
     def test_path_given_twice_is_read_twice(self, forged, monkeypatch, capfdbinary):
@@ -897,6 +968,68 @@ class TestSkypeStoreStreamed:
         error = b"error: %s: mapper failed" % bytes(self.store(root))
         assert [line for line in err.splitlines() if line.startswith(b"error:")] == [error]
         # no events and no mapping warnings from the store: the journal's alone
+        assert (out, err.replace(error + b"\n", b"", 1)) == alone[1:]
+
+
+class TestRawScanStreamed:
+    """A raw input's fragments are mapped as they are found, so no list of them is held."""
+
+    BRACES = 2_000  # unclosed, so every fragment's raw bytes run from the first of them to the input's end
+    PEAK_GROWTH_BOUND = 128 << 10  # bytes; 225 more fragments held would take about 1.5 MiB
+
+    def traced_ingest(self, path):
+        import tracemalloc
+
+        gather = cli._Gather(None)
+        tracemalloc.start()
+        try:
+            gather.ingest(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, gather
+
+    def test_memory_does_not_grow_with_the_fragments(self, tmp_path):
+        warm = tmp_path / "warm.bin"
+        warm.write_bytes(b"{ orca_message ")
+        self.traced_ingest(warm)  # imports and caches filled on first use
+        peaks = []
+        for markers in (75, 300):
+            path = tmp_path / ("%d.bin" % markers)
+            path.write_bytes(b"{" * self.BRACES + b" orca_message " * markers)
+            peak, gather = self.traced_ingest(path)
+            assert gather.tally.ok == [str(path)] and gather.events == []
+            assert len(gather.warnings) == markers  # each fragment is unparsed, so skipped with a warning
+            peaks.append(peak)
+        # Held whole, the 300 fragments' raw bytes alone would take 300 x 6.2 KB.
+        assert peaks[1] < 1 << 20
+        assert peaks[1] - peaks[0] < self.PEAK_GROWTH_BOUND
+
+    def test_a_mapper_raising_mid_scan_closes_the_input_first(self, forged, tmp_path, monkeypatch, capfdbinary):
+        root, _ = forged
+        push = sampledata.CHAT_PUSH_JSON.encode("utf-8")
+        raw = tmp_path / "pagefile.sys"
+        raw.write_bytes(b" junk ".join([push] * 3))
+        journal = str(root / "ntfs_journal.csv")
+        alone = _outcome(capfdbinary, ["timeline", journal, "-v"])
+        calls = []
+        from_fragment = mapping._from_chat_fragment
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ValueError("mapper failed")
+            return from_fragment(*args)
+
+        monkeypatch.setattr(mapping, "_from_chat_fragment", failing)
+        fds, reported = _open_fds(), []
+        print_line = cli._err
+        monkeypatch.setattr(cli, "_err", lambda message: reported.append(_open_fds()) or print_line(message))
+        code, out, err = _outcome(capfdbinary, ["timeline", str(raw), journal, "-v"])
+        assert reported and all(open_then == fds for open_then in reported)  # the input is closed before its error line
+        assert (code, len(calls)) == (3, 2)
+        error = b"error: %s: mapper failed" % bytes(raw)
+        assert [line for line in err.splitlines() if line.startswith(b"error:")] == [error]
         assert (out, err.replace(error + b"\n", b"", 1)) == alone[1:]
 
 
@@ -1258,9 +1391,20 @@ class TestSniffAsksTheParsers:
         journal.write_bytes(header + b"\n\xe9" + rows)
         code, out, err = self.journal_and_flag_agree(capfdbinary, journal)
         assert code == 2 and out == b""
-        assert err.startswith(b"error: %s: 'utf-8' codec can't decode byte 0xe9" % bytes(journal))
+        assert err.splitlines()[0] == b"error: %s: not UTF-8 text: byte 0xe9 at byte offset %d does not decode" % (
+            bytes(journal), len(header) + 1)
         # no row was read, so no zone warning either
         assert err.splitlines()[1:] == [b"0 events, 0 warnings"]
+
+    def test_journal_row_with_a_time_and_nothing_else_is_skipped(self, forged, tmp_path, capfdbinary):
+        root, _ = forged
+        header, rows = (root / "ntfs_journal.csv").read_bytes().split(b"\n", 1)
+        journal = tmp_path / "journal.csv"
+        journal.write_bytes(header + b"\n1,2015-01-22 11:46:02,,,,\r\n" + rows)
+        code, out, err = _outcome(capfdbinary, ["timeline", str(journal), "-v"])
+        assert (code, out, err) == _outcome(capfdbinary, ["timeline", str(journal), "--ntfs-csv", str(journal), "-v"])
+        assert code == 0 and len(out.splitlines()) == len(rows.splitlines())
+        assert b"warning: line 2: no event, file name or path, row skipped" in err.splitlines()
 
     @pytest.mark.parametrize("encoding", ["utf-16-le", "utf-16-be"])
     def test_utf16_journal_gives_the_utf8_journals_events_and_warnings(self, forged, tmp_path, capfdbinary,

@@ -491,7 +491,7 @@ class TestChatJson:
         assert b"orca_message" in fragment.raw
 
     def test_no_marker_no_fragments(self):
-        assert extract_chat_json(b"nothing interesting here " * 100) == []
+        assert list(extract_chat_json(b"nothing interesting here " * 100)) == []
 
     def test_string_escapes_do_not_break_balance(self):
         doc = '{"type": "orca_message", "message": "brace \\" } in string", "time": 5}'
@@ -513,8 +513,8 @@ class TestChatJson:
             pieces.append(payload)
             cursor += len(payload)
         data = b"".join(pieces)
-        whole = extract_chat_json(data)
-        chunked = extract_chat_json(io.BytesIO(data), chunk_size=1024)
+        whole = list(extract_chat_json(data))
+        chunked = list(extract_chat_json(io.BytesIO(data), chunk_size=1024))
         assert whole == chunked
         assert [f.offset for f in whole] == expected_offsets
         assert all(f.parsed for f in whole)
@@ -530,7 +530,7 @@ class TestChatJson:
                   for time in (sd.CHAT_PUSH_TIME, 10**20, sd.CHAT_PUSH_TIME + 1)]
         assert len(set(pushes)) == 3
         data = b" junk ".join(push.encode("utf-8") for push in pushes)
-        fragments = extract_chat_json(data, "pagefile.sys")
+        fragments = list(extract_chat_json(data, "pagefile.sys"))
         assert [(f.parsed, f.time_raw) for f in fragments] == [
             (True, sd.CHAT_PUSH_TIME), (True, 10**20), (True, sd.CHAT_PUSH_TIME + 1)]
         assert [f.time and f.time.isoformat_ms() for f in fragments] == [
@@ -570,7 +570,7 @@ class TestChatJson:
             del data
             tracemalloc.start()
             try:
-                fragments = extract_chat_json(stream)
+                fragments = list(extract_chat_json(stream))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

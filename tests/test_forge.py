@@ -169,7 +169,7 @@ class TestMemoryPlants:
     def test_chat_fragment_recovered_at_plant_offset(self, forged):
         root, manifest = forged
         with open(root / MEMORY_NAME, "rb") as handle:
-            fragments = facebook.extract_chat_json(handle, evidence_path=MEMORY_NAME)
+            fragments = list(facebook.extract_chat_json(handle, evidence_path=MEMORY_NAME))
         assert len(fragments) == 1
         assert fragments[0].offset == manifest["memory"]["chat_fragment_offset"]
         assert fragments[0].parsed

@@ -223,14 +223,14 @@ CHAT_PIECES = [CHAT_MARKER, b"{", b"}", b'"', b"\\", b":", b",", b'{"a":', b"[",
 @FUZZ
 @given(st.binary(max_size=512))
 def test_extract_chat_json_any_bytes(data):
-    fragments = returns_or_extraction_error(extract_chat_json, data)
+    fragments = returns_or_extraction_error(lambda data: list(extract_chat_json(data)), data)
     assert fragments is None or all(isinstance(fragment, ChatFragment) for fragment in fragments)
 
 
 @FUZZ
 @given(st.lists(st.one_of(st.sampled_from(CHAT_PIECES), st.binary(max_size=16)), max_size=24).map(b"".join))
 def test_extract_chat_json_markers_and_braces(data):
-    fragments = returns_or_extraction_error(extract_chat_json, data)
+    fragments = returns_or_extraction_error(lambda data: list(extract_chat_json(data)), data)
     assert fragments is None or len(fragments) == data.count(CHAT_MARKER)
 
 
@@ -246,7 +246,7 @@ def test_extract_chat_json_chunked_equals_whole(chunk_size, filler, planted, tai
         at = max(boundary * chunk_size + shift, 0)
         data[at:at + len(piece)] = piece
     data = bytes(data)
-    assert extract_chat_json(io.BytesIO(data), chunk_size=chunk_size) == extract_chat_json(data)
+    assert list(extract_chat_json(io.BytesIO(data), chunk_size=chunk_size)) == list(extract_chat_json(data))
 
 
 SQLITE_HEADER_SIZE = 100

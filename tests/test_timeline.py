@@ -124,6 +124,37 @@ class TestNtfsCsv:
         assert len(parsed) == 1
         assert any("LSN" in w and "skipped" in w for w in warnings)
 
+    @pytest.mark.parametrize("path", ["", "\\", "  "])
+    def test_row_with_no_event_name_or_path_costs_only_its_row(self, path):
+        """A timed row that names nothing would have no summary; it is skipped, not fatal to the journal."""
+        first, second = sd.NTFS_CSV_ROWS[0], sd.NTFS_CSV_ROWS[1]
+        empty = ("1", "2015-01-22 11:46:02", "", "", "", path)
+        warnings = []
+        events = timeline.ingest_ntfs_csv(journal_text(rows=[first, empty, second]), warnings)
+        assert [event.summary for event in events] == ["File Creation %s" % row[4] for row in (first, second)]
+        assert warnings == ["journal times carry no zone marker, assumed UTC",
+                            "line 3: no event, file name or path, row skipped"]
+
+    def test_row_naming_only_a_path_is_kept(self):
+        warnings = []
+        (event,) = timeline.ingest_ntfs_csv(journal_text(rows=[("1", "2015-01-22 11:46:02", "", "", "", "C:\\a.txt")]),
+                                            warnings)
+        assert event.summary == "a.txt"
+        assert warnings == ["journal times carry no zone marker, assumed UTC"]
+
+    @pytest.mark.parametrize("bom, encoding, name", [
+        (b"", "utf-8", "UTF-8"), (b"\xef\xbb\xbf", "utf-8", "UTF-8"), (b"\xff\xfe", "utf-16-le", "UTF-16")])
+    def test_undecodable_file_raises_not_csv_naming_the_byte(self, tmp_path, bom, encoding, name):
+        text = journal_text().encode(encoding)
+        bad = {"UTF-8": b"\xff", "UTF-16": b"\x00\xdc"}[name]  # a lone low surrogate in UTF-16LE
+        at = len(bom) + len(text) // 2 // 2 * 2
+        path = tmp_path / "journal.csv"
+        path.write_bytes(bom + text[:at - len(bom)] + bad + text[at - len(bom):])
+        with pytest.raises(timeline.NotCsv) as caught:
+            timeline.ingest_ntfs_csv(path)
+        assert str(caught.value) == "not %s text: byte 0x%02x at byte offset %d does not decode" % (name, bad[0], at)
+        assert isinstance(caught.value.__cause__, UnicodeDecodeError)
+
     def test_oversized_field_costs_only_its_row(self):
         warnings = []
         first, second = sd.NTFS_CSV_ROWS[0], sd.NTFS_CSV_ROWS[1]
