@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import gc
 import itertools
 import json
@@ -23,7 +24,7 @@ from pathlib import Path
 
 from . import carver, facebook, locator, pcap, regexport, skype, timeline
 from .model import ExtractionError
-from .sqliteio import SQLITE_MAGIC, open_immutable, table_names
+from .sqliteio import SQLITE_MAGIC, open_immutable
 
 ENV_OUT = "IMARTIFACTS_OUT"
 SCAN_WORKER_MIN_BYTES = 64 << 20  # raw inputs this large may be scanned in a forked worker
@@ -113,11 +114,6 @@ def _sniff(path: Path) -> str:
     return "raw"
 
 
-def _table_names(path: Path) -> set[str]:
-    with open_immutable(path) as connection:
-        return {n.casefold() for n in table_names(connection)}
-
-
 # ---------------------------------------------------------------------------
 # The gather pipeline shared by `timeline` and `report`
 
@@ -147,14 +143,14 @@ class _Gather:
     def _map(self, path: Path, utc_offset: int, kind: str | None, worker, warnings: list[str]) -> list | None:
         """The events of one input, or None if no extractor reads it; mapping warnings go to warnings.
 
-        One branch per kind reads the input and maps its records.  A Skype
+        One branch per kind reads the input and maps its records; a SQLite
+        input is opened once, and skype.is_store picks its reader.  A Skype
         store's records and a raw input's fragments, scanned here or sent by
         a worker, are mapped as they are read, and a capture's flows are let
         go as they are mapped; every other input's records are read whole
-        first.  An owner the gather was not given comes from the
-        input's own records, which are let go when this returns: a store's
-        is its first record's, if that is an Accounts row, and a cache's is
-        facebook.cache_owner's.
+        first.  An owner the gather was not given comes from the input's own
+        records, which are let go when this returns: a store's is its first
+        record's, if that is an Accounts row, and a cache's is facebook.cache_owner's.
         """
         label = str(path)
         fb_owner, skype_owner = self.fb_owner, self.skype_owner
@@ -168,15 +164,15 @@ class _Gather:
                 return mapped(fragments)
         kind = kind or _sniff(path)
         if kind == "sqlite":
-            names = _table_names(path)
-            if names & skype.STORE_TABLES:
-                with contextlib.closing(skype.extract_main_db(path, self.warnings)) as rows:
-                    # The store's connection is closed if mapping stops partway.
-                    head = list(itertools.islice(rows, 1))
-                    if skype_owner is None and head and isinstance(head[0], skype.SkypeAccount):
-                        skype_owner = head[0].skypename
-                    return mapped(itertools.chain(head, rows))
-            groups = facebook.extract_cache(path, self.warnings, names)
+            with open_immutable(path, self.warnings) as connection:
+                if skype.is_store(connection):
+                    with contextlib.closing(skype.extract_main_db(connection, path, self.warnings)) as rows:
+                        # If mapping stops partway, the store's cursor is let go before its connection closes.
+                        head = list(itertools.islice(rows, 1))
+                        if skype_owner is None and head and isinstance(head[0], skype.SkypeAccount):
+                            skype_owner = head[0].skypename
+                        return mapped(itertools.chain(head, rows))
+                groups = facebook.extract_cache(connection, path, self.warnings)
             if fb_owner is None:
                 fb_owner = facebook.cache_owner(path, groups)
             return mapped([record for group in groups.values() for record in group])
@@ -439,31 +435,37 @@ def _each_input(names, read, show) -> int:
     return tally.exit_code()
 
 
-def _cmd_facebook(args) -> int:
-    def show(name, groups):
-        counts = " ".join("%s=%d" % (label, len(rows)) for label, rows in groups.items())
-        print("%s: %s" % (name, counts or "no recognized tables"))
+def _read_database(name, warnings, store: bool, read):
+    """read(connection, name, warnings) on the database at name, opened once.  ExtractionError if skype.is_store
+    does not call it a Skype message store, when store is true, or a Facebook cache, when it is false."""
+    with open_immutable(name, warnings) as connection:
+        if skype.is_store(connection) != store:
+            kinds = ("a Facebook cache", "a Skype message store")
+            raise ExtractionError("%s, not %s" % (kinds[not store], kinds[store]))
+        return read(connection, name, warnings)
 
-    return _each_input(args.databases,
-                       lambda name, warnings: facebook.extract_cache(Path(name), warnings, _table_names(Path(name))),
-                       show)
+
+def _show_counts(name, groups) -> None:
+    counts = " ".join("%s=%d" % (label, len(group)) for label, group in groups.items())
+    print("%s: %s" % (name, counts or "no recognized tables"))
+
+
+def _cmd_facebook(args) -> int:
+    return _each_input(args.databases, functools.partial(_read_database, store=False, read=facebook.extract_cache),
+                       _show_counts)
 
 
 def _cmd_skype(args) -> int:
     path = Path(args.path)
-    if path.is_dir():
-        databases = sorted(path.rglob("main.db"))
-        if not databases:
-            _err("error: no main.db under %s" % path)
-            return 2
-    else:
-        databases = [path]
+    databases = sorted(path.rglob("main.db")) if path.is_dir() else [path]
+    if not databases:
+        _err("error: no main.db under %s" % path)
+        return 2
 
-    def show(database, dataset):
-        print("%s: %s" % (database, " ".join("%s=%d" % (name, len(group)) for name, group in vars(dataset).items())))
+    def read(connection, name, warnings):  # {SkypeDataset field: records}
+        return vars(skype.group_main_db(skype.extract_main_db(connection, name, warnings)))
 
-    return _each_input(databases, lambda name, warnings: skype.group_main_db(skype.extract_main_db(name, warnings)),
-                       show)
+    return _each_input(databases, functools.partial(_read_database, store=True, read=read), _show_counts)
 
 
 def _cmd_registry(args) -> int:

@@ -1,11 +1,11 @@
 """Extract records from the Facebook app's cache databases and memory remnants.
 
-The app keeps per-login SQLite caches (analytics log, friends, messages,
-users, notifications) under its package LocalState; extract_cache reads
-one table by table, and cache_owner names its login.  Message rows embed JSON in
-several columns; malformed JSON never aborts extraction, the raw text is
-kept and a warning recorded.  Process memory additionally holds chat push
-notifications as JSON fragments which can be recovered by marker scanning.
+The app keeps per-login SQLite caches (analytics log, friends, messages, users,
+notifications) under its package LocalState; extract_cache reads one table by
+table, on a connection the caller opened, and cache_owner names its login.
+Message rows embed JSON in several columns; malformed JSON never aborts
+extraction, the raw text is kept and a warning recorded.  Process memory holds
+chat push notifications as JSON fragments, recovered by marker scanning.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from datetime import date, datetime
 
 from . import carver, locator
 from .model import Channel, ExtractionError, OutOfRange, Provenance, Timestamp, ts_from_iso_text, ts_from_unix
-from .sqliteio import MissingTable, as_int, as_text, open_immutable, read_table, table_names, warn
+from .sqliteio import MissingTable, as_int, as_text, read_table, table_names, warn
 
 __all__ = [
     "ChatFragment",
@@ -134,13 +134,12 @@ class FbNotification:
     provenance: Provenance
 
 
-def _read(path, warnings, wanted: str, what: str, columns, record) -> list:
-    """The records of the cache table named wanted, read by record through columns in rowid order."""
-    with open_immutable(path, warnings) as connection:
-        table = table_names(connection).get(wanted.casefold())
-        if table is None:
-            raise MissingTable("table %s absent from %s" % (wanted, path))
-        return list(read_table(connection, table, path, EXTRACTOR_PREFIX, what, columns, record, warnings))
+def _read(connection, path, warnings, wanted: str, what: str, columns, record) -> list:
+    """The records of the cache table named wanted, read on connection by record through columns in rowid order."""
+    table = table_names(connection).get(wanted.casefold())
+    if table is None:
+        raise MissingTable("table %s absent from %s" % (wanted, path))
+    return list(read_table(connection, table, path, EXTRACTOR_PREFIX, what, columns, record, warnings))
 
 
 def _epoch(value, unit: str) -> Timestamp | None:
@@ -174,9 +173,9 @@ def _analytics_event(values, provenance, warnings):
     )
 
 
-def extract_analytics(path, warnings: list[str] | None = None) -> list[FbAnalyticsEvent]:
+def extract_analytics(connection, path, warnings: list[str] | None = None) -> list[FbAnalyticsEvent]:
     """Read the analytics log: one event per row in row order."""
-    return _read(path, warnings, "analytics_logs", "analytics", _ANALYTICS_COLUMNS, _analytics_event)
+    return _read(connection, path, warnings, "analytics_logs", "analytics", _ANALYTICS_COLUMNS, _analytics_event)
 
 
 def _parse_birthday(value, warnings, context):
@@ -229,9 +228,9 @@ def _friend(values, provenance, warnings):
     )
 
 
-def extract_friends(path, warnings: list[str] | None = None) -> list[FbFriend]:
+def extract_friends(connection, path, warnings: list[str] | None = None) -> list[FbFriend]:
     """Read the friends cache: profile fields for every friend row."""
-    return _read(path, warnings, "friends", "friends", _FRIEND_COLUMNS, _friend)
+    return _read(connection, path, warnings, "friends", "friends", _FRIEND_COLUMNS, _friend)
 
 
 def parse_fb_attachments(text: str) -> list[FbAttachment]:
@@ -351,9 +350,9 @@ def _message(values, provenance, warnings):
     )
 
 
-def extract_messages(path, warnings: list[str] | None = None) -> list[FbMessage]:
+def extract_messages(connection, path, warnings: list[str] | None = None) -> list[FbMessage]:
     """Read cached chat messages in row order."""
-    return _read(path, warnings, "messages", "messages", _MESSAGE_COLUMNS, _message)
+    return _read(connection, path, warnings, "messages", "messages", _MESSAGE_COLUMNS, _message)
 
 
 _USER_COLUMNS = (("uid", "user_id", "id"), ("last_active", "last_active_time", "last_active_timestamp"),
@@ -379,9 +378,9 @@ def _user(values, provenance, warnings):
     )
 
 
-def extract_users(path, warnings: list[str] | None = None) -> list[FbUser]:
+def extract_users(connection, path, warnings: list[str] | None = None) -> list[FbUser]:
     """Read the users table kept alongside cached messages."""
-    return _read(path, warnings, "users", "users", _USER_COLUMNS, _user)
+    return _read(connection, path, warnings, "users", "users", _USER_COLUMNS, _user)
 
 
 def _parse_iso_column(value, warnings, context):
@@ -416,9 +415,9 @@ def _notification(values, provenance, warnings):
     )
 
 
-def extract_notifications(path, warnings: list[str] | None = None) -> list[FbNotification]:
+def extract_notifications(connection, path, warnings: list[str] | None = None) -> list[FbNotification]:
     """Read cached notifications; times are stored as date-time text."""
-    return _read(path, warnings, "notifications", "notifications", _NOTIFICATION_COLUMNS, _notification)
+    return _read(connection, path, warnings, "notifications", "notifications", _NOTIFICATION_COLUMNS, _notification)
 
 
 # (casefolded cache table, group label, extractor), in the order the tables are read.
@@ -427,9 +426,10 @@ _CACHE_TABLES = (("analytics_logs", "analytics", extract_analytics), ("friends",
                  ("notifications", "notifications", extract_notifications))
 
 
-def extract_cache(path, warnings: list[str] | None, present: set[str]) -> dict[str, list]:
-    """{group label: records} from the extractor of every cache table in present, the casefolded table names."""
-    return {label: extractor(path, warnings) for table, label, extractor in _CACHE_TABLES if table in present}
+def extract_cache(connection, path, warnings: list[str] | None = None) -> dict[str, list]:
+    """{group label: records} from the extractor of every cache table the open connection to path holds."""
+    present = table_names(connection)
+    return {label: extract(connection, path, warnings) for table, label, extract in _CACHE_TABLES if table in present}
 
 
 def infer_owner_uid(messages: list[FbMessage]) -> str | None:

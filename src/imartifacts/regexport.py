@@ -251,11 +251,9 @@ def _key_segments(path: str) -> list[str]:
     return [segment for segment in path.split("\\") if segment]
 
 
-def _package_tail(segments: list[str]) -> tuple[str, str] | None:
-    """The casefolded (family, full) last two of a key's segments, if it has two."""
-    if len(segments) < 2:
-        return None
-    return segments[-2].casefold(), segments[-1].casefold()
+def _package_tail(segments: list[str]) -> str | None:
+    """The last two of a key's segments, if it has two, as one casefolded family\\full string."""
+    return "\\".join(segments[-2:]).casefold() if len(segments) >= 2 else None
 
 
 def _install_record(export: RegExport, key: str, package: PackageIdentity,
@@ -281,7 +279,7 @@ def find_install_time(export: RegExport, package, evidence_path: str = "<reg-exp
     """
     if isinstance(package, str):
         package = parse_package_id(package)
-    wanted = (package.family.casefold(), package.text.casefold())
+    wanted = _package_tail([package.family, package.text])
     for key in export.keys:
         if _package_tail(_key_segments(key)) == wanted:
             return _install_record(export, key, package, evidence_path)
@@ -298,7 +296,7 @@ def find_install_records(export: RegExport, evidence_path: str = "<reg-export>")
     skipped.  One pass over the keys does both, since the first key with
     a package key's tail is never after it.
     """
-    first_keys: dict[tuple[str, str], str] = {}
+    first_keys: dict[str, str] = {}
     records = []
     for key in export.keys:
         segments = _key_segments(key)
@@ -308,12 +306,8 @@ def find_install_records(export: RegExport, evidence_path: str = "<reg-export>")
         first = first_keys.setdefault(tail, key)
         try:
             package = parse_package_id(segments[-1])
-        except ExtractionError:
-            continue
-        if tail[0] != package.family.casefold():
-            continue
-        try:
-            records.append(_install_record(export, first, package, evidence_path))
+            if segments[-2].casefold() == package.family.casefold():
+                records.append(_install_record(export, first, package, evidence_path))
         except ExtractionError:
             continue
     return records

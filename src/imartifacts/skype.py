@@ -1,13 +1,13 @@
 """Extract records from Skype's main.db, shared.xml, and config.xml.
 
-The per-login main.db carries accounts, contacts, the full message store
-with integer type codes, file transfers, calls, and video messages; any
-of STORE_TABLES marks a database as one.  Two XML files alongside it
-record network state (supernode addresses packed as prefixed hex in
-shared.xml) and the per-account contact list with dot-escaped names
-(config.xml).  parse_state_xml decodes either by its byte-order mark and
-picks the parser by its closing element; both parse leniently by tag
-scanning, since carved copies are often incomplete.
+The per-login main.db carries accounts, contacts, the full message store with
+integer type codes, file transfers, calls, and video messages; any of
+STORE_TABLES marks a database as one (is_store), which extract_main_db reads on
+the caller's connection.  Two XML files alongside it record network state
+(supernode addresses packed as prefixed hex in shared.xml) and the per-account
+contact list with dot-escaped names (config.xml).  parse_state_xml decodes
+either by its byte-order mark and picks the parser by its closing element; both
+parse leniently by tag scanning, since carved copies are often incomplete.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from datetime import date, datetime
 
 from .locator import decode_text
 from .model import ExtractionError, MalformedHex, OutOfRange, Provenance, Timestamp, ts_from_unix
-from .sqliteio import as_int, as_text, open_immutable, read_table, table_names, warn
+from .sqliteio import as_int, as_text, read_table, table_names, warn
 
 __all__ = [
     "AllTablesMissing",
@@ -52,6 +52,7 @@ __all__ = [
     "decode_hostcache",
     "extract_main_db",
     "group_main_db",
+    "is_store",
     "parse_body_xml",
     "parse_config_xml",
     "parse_shared_xml",
@@ -785,28 +786,29 @@ _TABLE_READERS = (
 STORE_TABLES = frozenset(table.casefold() for _, table, *_ in _TABLE_READERS if table != "Messages")
 
 
-def extract_main_db(path, warnings: list[str] | None = None) -> Iterator:
-    """Yield the records of every recognized table of a message-store database as its rows are read.
+def is_store(connection) -> bool:
+    """Whether the open database is a message store, holding one of STORE_TABLES; any other is a Facebook cache."""
+    return not STORE_TABLES.isdisjoint(table_names(connection))
+
+
+def extract_main_db(connection, path, warnings: list[str] | None = None) -> Iterator:
+    """Yield the records of every recognized table of the store open on connection as its rows are read.
 
     Tables come in _TABLE_READERS order, so the Accounts rows lead.  An
     absent table yields nothing but a warning; a database with none of the
     seven tables raises AllTablesMissing once all are looked up.  The
-    database is opened when the first record is asked for and closed when
-    the last is read, or when the iterator is closed.  group_main_db
-    gathers the records into a SkypeDataset.
+    caller keeps connection open until the last record is read or the
+    iterator is closed; group_main_db gathers them into a SkypeDataset.
     """
-    with open_immutable(path, warnings) as connection:
-        present = table_names(connection)
-        found_any = False
-        for attr, wanted, columns, record, rowid in _TABLE_READERS:
-            actual = present.get(wanted.casefold())
-            if actual is None:
-                warn(warnings, "table %s absent from %s" % (wanted, path))
-                continue
-            found_any = True
+    present = table_names(connection)
+    for attr, wanted, columns, record, rowid in _TABLE_READERS:
+        actual = present.get(wanted.casefold())
+        if actual is None:
+            warn(warnings, "table %s absent from %s" % (wanted, path))
+        else:
             yield from read_table(connection, actual, path, EXTRACTOR_PREFIX, attr, columns, record, warnings, rowid)
-        if not found_any:
-            raise AllTablesMissing("none of the expected tables exist in %s" % path)
+    if present.keys().isdisjoint(table.casefold() for _, table, *_ in _TABLE_READERS):
+        raise AllTablesMissing("none of the expected tables exist in %s" % path)
 
 
 def group_main_db(records) -> SkypeDataset:

@@ -90,7 +90,7 @@ def open_immutable(path: str | Path, warnings: list[str] | None = None) -> sqlit
         raise NotSqlite("not a SQLite database: %s" % path)
     if warnings is not None and os.path.exists(path + "-wal"):
         message = "wal-present-not-applied: %s" % path
-        if message not in warnings:  # once per database, however many extractors open it
+        if message not in warnings:  # a run opens each database once, but may be given one input twice
             warnings.append(message)
     uri = Path(path).absolute().as_uri() + "?mode=ro&immutable=1"  # "#", "?" and "%" percent-encoded
     connection = sqlite3.connect(uri, uri=True, factory=_ClosingConnection)
@@ -186,8 +186,9 @@ def read_table(connection, table: str, path, prefix: str, what: str, columns, re
     rowid): the rowid first when rowid is true, then one value per spec of
     columns.  Every record shares one ``Provenance(str(path),
     "<prefix>.<what>", DATABASE)``; rows for which record returns None are
-    skipped.  Nothing is queried before the first record is asked for, so
-    the caller keeps connection open until the last one.
+    skipped.  Nothing is queried before the first record is asked for, so the
+    caller keeps connection open until the last one; then the connection's
+    cached pages are freed, as no table is read twice.
     """
     cursor = connection.cursor()
     cursor.row_factory = None
@@ -197,3 +198,4 @@ def read_table(connection, table: str, path, prefix: str, what: str, columns, re
         item = record(values, provenance, warnings)
         if item is not None:
             yield item
+    connection.execute("PRAGMA shrink_memory")

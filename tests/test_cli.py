@@ -111,6 +111,23 @@ class TestSummaries:
     def test_facebook_total_failure(self, capfd):
         assert main(["facebook", "/no/such.db"]) == 2
 
+    def test_facebook_fails_a_skype_store(self, forged, capfd):
+        root, _ = forged
+        store, cache = str(root / forge.SKYPE_ACCOUNT_DIR / "main.db"), fb_db(root, "Messages.sqlite")
+        assert main(["facebook", store, cache]) == 3
+        out, err = capfd.readouterr()
+        assert err.splitlines() == ["error: %s: a Skype message store, not a Facebook cache" % store]
+        assert out.splitlines() == ["%s: messages=5 users=2" % cache]
+
+    def test_skype_fails_a_facebook_cache(self, forged, capfd):
+        root, _ = forged
+        store, cache = str(root / forge.SKYPE_ACCOUNT_DIR / "main.db"), fb_db(root, "Messages.sqlite")
+        assert main(["skype", cache]) == 2
+        out, err = capfd.readouterr()
+        assert (out, err.splitlines()) == ("", ["error: %s: a Facebook cache, not a Skype message store" % cache])
+        assert main(["skype", store]) == 0
+        assert capfd.readouterr().out.startswith("%s: accounts=1 " % store)
+
     def test_registry_lines(self, forged, capfd):
         root, _ = forged
         assert main(["registry", str(root / "registry_export.reg")]) == 0
@@ -409,6 +426,20 @@ class TestWal:
             lines = capfd.readouterr().err.splitlines()
             assert [l for l in lines if "wal-present-not-applied" in l] == [
                 "warning: wal-present-not-applied: %s" % messages], command
+
+    def test_a_database_no_reader_reads_is_warned_too(self, tmp_path, capfd):
+        other = tmp_path / "evidence" / "Other.sqlite"
+        other.parent.mkdir()
+        connection = sqlite3.connect(other)
+        connection.execute("CREATE TABLE other (x)")
+        connection.commit()
+        connection.close()
+        Path(str(other) + "-wal").write_bytes(self.WAL_HEADER)
+        for command in (["facebook", str(other)], ["report", str(other.parent), "-v"],
+                        ["timeline", str(other), "-v"]):
+            assert main(command) == 0
+            lines = capfd.readouterr().err.splitlines()
+            assert "warning: wal-present-not-applied: %s" % other in lines, command
 
 
 DAMAGED_DB = b"SQLite format 3\x00" + b"\x00" * 64

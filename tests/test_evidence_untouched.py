@@ -4,9 +4,11 @@ A child process runs every command of test_reachability._commands over a
 forged tree, with its outputs in a directory beside the tree's parent, not
 in it.  An audit hook in the child records each open with write flags and
 each sqlite3.connect under the tree; every write fails the test, as does a
-connect that is not read-only and immutable.  SQLite opens its own files
-without an audit event, so the tree and its parent are also compared
-before and after: every name, size, modification time and SHA-256.
+connect that is not read-only and immutable, and each report, timeline,
+facebook and skype run must connect each SQLite file it reads exactly
+once.  SQLite opens its own files without an audit event, so the tree and
+its parent are also compared before and after: every name, size,
+modification time and SHA-256.
 
 The run is made on the plain tree and on one whose Facebook message cache
 has a write-ahead log beside it, which must not gain a -shm file.  Run as
@@ -27,6 +29,7 @@ import pytest
 
 import test_cli
 from imartifacts import forge
+from imartifacts.sqliteio import SQLITE_MAGIC
 from test_reachability import CATALOG, PACKAGE, _commands
 
 WRITE_FLAGS = os.O_WRONLY | os.O_RDWR | os.O_CREAT | os.O_TRUNC | os.O_APPEND
@@ -47,6 +50,11 @@ def _snapshot(top: Path) -> dict:
     return found
 
 
+def _is_sqlite(path: Path) -> bool:
+    with open(path, "rb") as handle:
+        return handle.read(len(SQLITE_MAGIC)) == SQLITE_MAGIC
+
+
 def _under(path: str, root: str) -> bool:
     path = os.path.realpath(path)
     return path == root or path.startswith(root + os.sep)
@@ -57,11 +65,11 @@ def audit(tree: Path, work: Path) -> dict:
 
     Returns {"codes": [[command, exit code], ...], "opened": the number of
     opens under tree, "writes": [[path, mode, flags], ...] of those with write
-    flags, "connects": [[database, read-only and immutable], ...] of the
-    sqlite3.connect calls under tree}.
+    flags, "connects": [[index of the command in codes, database path, read-only and
+    immutable], ...] of the sqlite3.connect calls under tree}.
     """
     root = os.path.realpath(tree)
-    seen = {"opened": 0, "writes": [], "connects": []}
+    seen = {"opened": 0, "writes": [], "connects": [], "codes": []}
 
     def hook(event, args):
         if event == "open" and isinstance(args[0], (str, bytes, os.PathLike)):
@@ -79,12 +87,13 @@ def audit(tree: Path, work: Path) -> dict:
             else:
                 path, read_only = database, False
             if _under(path, root):
-                seen["connects"].append([database, read_only])
+                seen["connects"].append([len(seen["codes"]), os.path.realpath(path), read_only])
 
     sys.addaudithook(hook)
     from imartifacts import cli
 
-    seen["codes"] = [[argv[0], cli.main(argv)] for argv in _commands(tree, work)]
+    for argv in _commands(tree, work):
+        seen["codes"].append([argv[0], cli.main(argv)])
     return seen
 
 
@@ -111,7 +120,15 @@ def test_no_command_writes_to_the_evidence(tmp_path, wal):
                              ["skype", 0], ["registry", 0], ["carve", 0], ["pcap", 0], ["pcap", 1]]
     assert seen["opened"] > 0  # the hook sees the evidence being read
     assert seen["writes"] == []
-    assert seen["connects"] and [database for database, read_only in seen["connects"] if not read_only] == []
+    assert seen["connects"] and [database for _, database, read_only in seen["connects"] if not read_only] == []
+    databases = sorted(os.path.realpath(p) for p in tree.rglob("*") if p.is_file() and _is_sqlite(p))
+    read_by = {"report": databases, "timeline": databases,
+               "skype": [database for database in databases if database.endswith(os.sep + "main.db")]}
+    for index, argv in enumerate(_commands(tree, work)):
+        reads = read_by.get(argv[0], sorted(map(os.path.realpath, argv[1:])) if argv[0] == "facebook" else [])
+        connected = sorted(database for run, database, _ in seen["connects"] if run == index)
+        assert connected == reads, argv[0]  # each database a run reads is connected once
+    assert len(databases) == 7 and len(read_by["skype"]) == 1
     after = _snapshot(tree.parent)
     assert [name for name in after if name.endswith("-shm")] == []
     assert after == before

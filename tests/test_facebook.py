@@ -27,6 +27,12 @@ from imartifacts.model import Channel
 from imartifacts.sqliteio import DamagedDatabase, MissingTable, NotSqlite, open_immutable
 
 
+def read(extract, path, warnings=None):
+    """extract's records from the database at path, on a connection opened for the call."""
+    with open_immutable(path, warnings) as connection:
+        return extract(connection, path, warnings)
+
+
 def _make_db(path, schema, table, rows):
     connection = sqlite3.connect(path)
     try:
@@ -138,7 +144,7 @@ def notifications_db(tmp_path):
 
 class TestAnalytics:
     def test_login_row(self, analytics_db):
-        events = extract_analytics(analytics_db)
+        events = read(extract_analytics, analytics_db)
         first = events[0]
         assert first.row_id == 1
         assert first.when.isoformat_ms() == "2015-01-22T03:45:14.666Z"
@@ -149,7 +155,7 @@ class TestAnalytics:
         assert first.provenance.channel is Channel.DATABASE
 
     def test_all_known_names_present(self, analytics_db):
-        names = [event.name for event in extract_analytics(analytics_db)]
+        names = [event.name for event in read(extract_analytics, analytics_db)]
         assert names == ["login", "chat_turned_on", "message_sent_attempt", "message_send_state", "file_downloaded"]
 
     def test_row_without_time_skipped_with_warning(self, tmp_path):
@@ -164,19 +170,19 @@ class TestAnalytics:
             rows,
         )
         warnings = []
-        events = extract_analytics(path, warnings)
+        events = read(extract_analytics, path, warnings)
         assert len(events) == 1
         assert any("no usable time" in w for w in warnings)
 
     def test_missing_table(self, tmp_path):
         path = _make_db(tmp_path / "b.sqlite", "CREATE TABLE other (x)", "other", ())
         with pytest.raises(MissingTable):
-            extract_analytics(path)
+            read(extract_analytics, path)
 
 
 class TestFriends:
     def test_profile_row(self, friends_db):
-        friends = extract_friends(friends_db)
+        friends = read(extract_friends, friends_db)
         row = friends[0]
         assert row.uid == "100004911219827"
         assert row.name == "Kelvin Sky"
@@ -188,7 +194,7 @@ class TestFriends:
         assert row.birthday == date(1990, 1, 1)
 
     def test_name_assembled_when_absent(self, friends_db):
-        friends = extract_friends(friends_db)
+        friends = read(extract_friends, friends_db)
         assert friends[1].name == "Jack Jeffrey"
         assert friends[1].birthday is None
 
@@ -200,7 +206,7 @@ class TestFriends:
             ({"uid": "1", "name": "N", "birthday": "not-a-date"},),
         )
         warnings = []
-        friends = extract_friends(path, warnings)
+        friends = read(extract_friends, path, warnings)
         assert friends[0].birthday is None
         assert any("birthday" in w for w in warnings)
 
@@ -214,7 +220,7 @@ class TestFriends:
              {"uid": "2", "name": "B", "communication_rank": "0.5"}),
         )
         warnings = []
-        first, second = extract_friends(path, warnings)
+        first, second = read(extract_friends, path, warnings)
         assert (first.communication_rank, second.communication_rank) == (None, 0.5)
         assert warnings == ["unparsed communication rank 'abc' in friends row 1"]
 
@@ -248,11 +254,11 @@ class TestAttachments:
 
 class TestMessages:
     def test_rows_in_row_order(self, messages_db):
-        messages = extract_messages(messages_db)
+        messages = read(extract_messages, messages_db)
         assert [m.row_id for m in messages] == [15, 16, 18, 19, 20]
 
     def test_third_row_values(self, messages_db):
-        third = extract_messages(messages_db)[2]
+        third = read(extract_messages, messages_db)[2]
         assert third.row_id == 18
         assert third.body == "Hello Victim"
         assert third.sender_name == "Jack Jeffrey"
@@ -262,19 +268,19 @@ class TestMessages:
         assert third.attachments == ()
 
     def test_attachment_row(self, messages_db):
-        with_files = extract_messages(messages_db)[3]
+        with_files = read(extract_messages, messages_db)[3]
         assert with_files.body == "Here are some files for you SUSPECT"
         assert len(with_files.attachments) == 2
         assert with_files.attachments[1].name == "VictimToSuspect.pdf"
         assert with_files.attachments_raw == sd.ATTACHMENTS_JSON
 
     def test_direction_from_sent_tag(self, messages_db):
-        messages = extract_messages(messages_db)
+        messages = read(extract_messages, messages_db)
         directions = [mapping._fb_direction(m, None) for m in messages]
         assert directions == ["sent", "undetermined", "undetermined", "sent", "undetermined"]
 
     def test_direction_owner_fallback(self, messages_db):
-        messages = extract_messages(messages_db)
+        messages = read(extract_messages, messages_db)
         stripped = [
             facebook.FbMessage(
                 **{**m.__dict__, "tags": tuple(t for t in m.tags if t != "sent")}
@@ -286,7 +292,7 @@ class TestMessages:
         assert mapping._fb_direction(stripped[1], sd.OWNER_UID) == "received"
 
     def test_infer_owner(self, messages_db):
-        assert infer_owner_uid(extract_messages(messages_db)) == sd.OWNER_UID
+        assert infer_owner_uid(read(extract_messages, messages_db)) == sd.OWNER_UID
         assert infer_owner_uid([]) is None
 
     def test_malformed_columns_kept_with_warnings(self, tmp_path):
@@ -296,7 +302,7 @@ class TestMessages:
         rows[0]["attachments"] = "[[broken"
         path = _messages_db(tmp_path, message_rows=rows, users_rows=())
         warnings = []
-        (message,) = extract_messages(path, warnings)
+        (message,) = read(extract_messages, path, warnings)
         assert message.sender_uid is None
         assert message.sender_raw == "{broken"
         assert message.tags == ("inbox", "sent")
@@ -315,7 +321,7 @@ class TestMessages:
         rows[0][column] = deep
         path = _messages_db(tmp_path, message_rows=rows, users_rows=())
         warnings = []
-        messages = extract_messages(path, warnings)
+        messages = read(extract_messages, path, warnings)
         assert [m.row_id for m in messages] == [15, 16, 18, 19, 20]
         first = messages[0]
         if column == "sender":
@@ -328,45 +334,42 @@ class TestMessages:
 
     def test_database_bytes_untouched(self, messages_db):
         before = hashlib.sha256(messages_db.read_bytes()).hexdigest()
-        extract_messages(messages_db)
-        extract_users(messages_db)
+        read(extract_messages, messages_db)
+        read(extract_users, messages_db)
         after = hashlib.sha256(messages_db.read_bytes()).hexdigest()
         assert before == after
 
-    def test_connection_closed_on_return_and_raise(self, messages_db, tmp_path, monkeypatch):
-        opened = []
-
-        def recording_open(*args, **kwargs):
-            opened.append(open_immutable(*args, **kwargs))
-            return opened[-1]
-
-        monkeypatch.setattr(facebook, "open_immutable", recording_open)
-        extract_messages(messages_db)
+    def test_connection_closed_on_return_and_raise(self, messages_db, tmp_path):
+        with open_immutable(messages_db) as connection:
+            read_messages = extract_messages(connection, messages_db)
+            assert extract_users(connection, messages_db)  # a reader leaves the caller's connection open
+        other = _make_db(tmp_path / "Other.sqlite", "CREATE TABLE other (x)", "other", [])
         with pytest.raises(MissingTable):
-            extract_messages(_make_db(tmp_path / "Other.sqlite", "CREATE TABLE other (x)", "other", []))
-        assert len(opened) == 2
-        for connection in opened:
+            with open_immutable(other) as raised:
+                extract_messages(raised, other)
+        assert [m.row_id for m in read_messages] == [15, 16, 18, 19, 20]
+        for opened in (connection, raised):
             with pytest.raises(sqlite3.ProgrammingError):
-                connection.execute("SELECT 1")
+                opened.execute("SELECT 1")
 
     def test_not_sqlite(self, tmp_path):
         path = tmp_path / "plain.txt"
         path.write_bytes(b"just text, no database here")
         with pytest.raises(NotSqlite):
-            extract_messages(path)
+            read(extract_messages, path)
 
     def test_without_rowid_table_is_damaged_database(self, tmp_path):
         path = _make_db(tmp_path / "Messages.sqlite",
                         "CREATE TABLE messages (msg_id TEXT PRIMARY KEY, text TEXT) WITHOUT ROWID",
                         "messages", [{"msg_id": "m1", "text": "hi"}])
         with pytest.raises(DamagedDatabase, match="rowid") as caught:
-            extract_messages(path)
+            read(extract_messages, path)
         assert isinstance(caught.value.__cause__, sqlite3.OperationalError)
 
 
 class TestUsers:
     def test_rows(self, messages_db):
-        users = extract_users(messages_db)
+        users = read(extract_users, messages_db)
         assert [(u.id, u.name) for u in users] == [
             ("100004911219827", "Kelvin Sky"),
             ("100004935817781", "Jack Jeffry"),
@@ -378,7 +381,7 @@ class TestUsers:
         path = _messages_db(tmp_path, message_rows=(), users_rows=(
             {"id": "7", "name": "N", "email": "", "last_active": None},
         ))
-        (user,) = extract_users(path)
+        (user,) = read(extract_users, path)
         assert user.last_active is None
 
 
@@ -399,7 +402,7 @@ class TestOutOfRangeEpochs:
             (dict(sd.ANALYTICS_LOGIN_ROW, time=value),) + sd.ANALYTICS_EXTRA_ROWS,
         )
         warnings = []
-        events = extract_analytics(path, warnings)
+        events = read(extract_analytics, path, warnings)
         assert [e.row_id for e in events] == [row["id"] for row in sd.ANALYTICS_EXTRA_ROWS]
         assert warnings == ["analytics row 1 has no usable time"]
 
@@ -408,17 +411,17 @@ class TestOutOfRangeEpochs:
         first, *rest = sd.MESSAGE_ROWS
         path = _messages_db(tmp_path, message_rows=[dict(first, timestamp=value)] + rest)
         warnings = []
-        messages = extract_messages(path, warnings)
+        messages = read(extract_messages, path, warnings)
         assert [m.row_id for m in messages] == [row["rowid"] for row in rest]
         assert "messages row %d has no usable timestamp" % first["rowid"] in warnings
-        assert len(extract_users(path)) == len(sd.USERS_ROWS)
+        assert len(read(extract_users, path)) == len(sd.USERS_ROWS)
 
     @pytest.mark.parametrize("value", OUT_OF_RANGE_EPOCHS)
     def test_user_kept_without_last_active_and_warned(self, tmp_path, value):
         first, second = sd.USERS_ROWS
         path = _messages_db(tmp_path, users_rows=[dict(first, last_active=value), second])
         warnings = []
-        users = extract_users(path, warnings)
+        users = read(extract_users, path, warnings)
         assert [(u.id, u.last_active) for u in users][0] == (first["id"], None)
         assert users[1].last_active.isoformat_ms() == "2015-02-12T18:34:03.000Z"
         assert warnings == ["time out of range %r in users row 1" % int(value)]
@@ -426,7 +429,7 @@ class TestOutOfRangeEpochs:
 
 class TestNotifications:
     def test_rows_and_flag_readings(self, notifications_db):
-        notes = extract_notifications(notifications_db)
+        notes = read(extract_notifications, notifications_db)
         assert len(notes) == 2
         first, second = notes
         assert first.sender_id == "100004935817781"
@@ -444,7 +447,7 @@ class TestNotifications:
             ({"notification_id": "n1", "unread": 1, "created": "whenever"},),
         )
         warnings = []
-        (note,) = extract_notifications(path, warnings)
+        (note,) = read(extract_notifications, path, warnings)
         assert note.created is None
         assert any("unparsed time" in w for w in warnings)
 

@@ -16,6 +16,7 @@ from imartifacts.forge import (
     relativize_events,
 )
 from imartifacts.model import Channel, Provenance, TimelineEvent, EventKind, App, ts_from_unix
+from imartifacts.sqliteio import open_immutable
 
 
 def expected_events(manifest: dict) -> list[TimelineEvent]:
@@ -36,10 +37,14 @@ def extract_tree(root):
     """Run every extractor over a forged tree the way the manifest promises."""
     db = root / forge.FACEBOOK_DB_DIR
     records = []
-    records += facebook.extract_analytics(db / "Analytics.sqlite")
-    records += facebook.extract_messages(db / "Messages.sqlite")
-    records += facebook.extract_notifications(db / "Notifications.sqlite")
-    dataset = skype.group_main_db(skype.extract_main_db(root / forge.SKYPE_ACCOUNT_DIR / "main.db"))
+    for name, extract in (("Analytics.sqlite", facebook.extract_analytics),
+                          ("Messages.sqlite", facebook.extract_messages),
+                          ("Notifications.sqlite", facebook.extract_notifications)):
+        with open_immutable(db / name) as connection:
+            records += extract(connection, db / name)
+    main_db = root / forge.SKYPE_ACCOUNT_DIR / "main.db"
+    with open_immutable(main_db) as connection:
+        dataset = skype.group_main_db(skype.extract_main_db(connection, main_db))
     records += dataset.messages + dataset.transfers + dataset.calls + dataset.video_messages
     with open(root / MEMORY_NAME, "rb") as handle:
         records += facebook.extract_chat_json(handle, evidence_path=str(root / MEMORY_NAME))

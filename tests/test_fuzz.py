@@ -10,7 +10,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from imartifacts import facebook, forge, sampledata as sd, skype
+from imartifacts import facebook, forge, sampledata as sd, skype, sqliteio
 from imartifacts.facebook import CHAT_MARKER, ChatFragment, extract_chat_json
 from imartifacts.locator import ZoneMarker, read_zone_identifier
 from imartifacts.model import ExtractionError
@@ -256,8 +256,14 @@ DATABASE_EXTRACTORS = [
     ("Messages.sqlite", facebook.extract_messages),
     ("Messages.sqlite", facebook.extract_users),
     ("Notifications.sqlite", facebook.extract_notifications),
-    ("main.db", lambda path, warnings: skype.group_main_db(skype.extract_main_db(path, warnings))),
+    ("main.db", lambda *opened: skype.group_main_db(skype.extract_main_db(*opened))),
 ]
+
+
+def read_database(extract, path):
+    """extract(connection, path, warnings) on a connection to path opened for the call."""
+    with sqliteio.open_immutable(path, []) as connection:
+        return extract(connection, path, [])
 
 
 @pytest.fixture(scope="module")
@@ -277,4 +283,4 @@ def test_sqlite_extractors_on_damaged_pages(forged_databases, tmp_path_factory, 
         data[SQLITE_HEADER_SIZE + offset % (len(data) - SQLITE_HEADER_SIZE)] = value
     path = tmp_path_factory.getbasetemp() / ("damaged-" + name)
     path.write_bytes(bytes(data))
-    returns_or_extraction_error(lambda p: extract(p, []), path)
+    returns_or_extraction_error(lambda p: read_database(extract, p), path)

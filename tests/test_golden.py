@@ -6,10 +6,11 @@ and timestamp fast paths went in. timeline_seed7.csv holds the CSV bytes
 written before the no-hyphen summary cut, the ISO-text and isoformat_ms
 fast paths and the once-per-source provenances went in. digests.json holds
 the SHA-256 of both outputs for every other seed, taken before the record
-mappers moved into one table per type. The expected timeline the forge
-writes comes from the same normalize, merge and emit code under test, so it
-cannot catch a change there; these files can, whatever code the change
-comes from.
+mappers moved into one table per type, and the SHA-256 of the
+`timeline -v` stderr of every seed, taken before each SQLite file was
+opened once per run. The expected timeline the forge writes comes from
+the same normalize, merge and emit code under test, so it cannot catch a
+change there; these files can, whatever code the change comes from.
 """
 
 import hashlib
@@ -35,14 +36,14 @@ def report_jsonl(tmp_path, seed) -> bytes:
     return out.read_bytes()
 
 
-def timeline_csv(tmp_path, monkeypatch, seed) -> bytes:
+def timeline_csv(tmp_path, monkeypatch, seed, *flags) -> bytes:
     root = tmp_path / "evidence"
     forge.forge_fixture(seed, root)
     # Relative input paths, so the evidence_path column does not hold tmp_path.
     monkeypatch.chdir(root)
     files = sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
     out = tmp_path / "timeline.csv"
-    assert main(["timeline", *files, "--format", "csv", "--out", str(out)]) == 0
+    assert main(["timeline", *files, "--format", "csv", "--out", str(out), *flags]) == 0
     return out.read_bytes()
 
 
@@ -62,3 +63,9 @@ def test_report_jsonl_matches_golden_digest(tmp_path, seed):
 @pytest.mark.parametrize("seed", OTHER_SEEDS)
 def test_timeline_csv_matches_golden_digest(tmp_path, monkeypatch, seed):
     assert hashlib.sha256(timeline_csv(tmp_path, monkeypatch, seed)).hexdigest() == DIGESTS[str(seed)]["timeline_csv"]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_timeline_verbose_stderr_matches_golden_digest(tmp_path, monkeypatch, capsys, seed):
+    timeline_csv(tmp_path, monkeypatch, seed, "-v")
+    assert hashlib.sha256(capsys.readouterr().err.encode()).hexdigest() == DIGESTS[str(seed)]["timeline_stderr"]

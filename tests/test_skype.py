@@ -27,12 +27,13 @@ from imartifacts.skype import (
     parse_config_xml,
     parse_shared_xml,
 )
-from imartifacts.sqliteio import NotSqlite
+from imartifacts.sqliteio import NotSqlite, open_immutable
 
 
 def main_db_dataset(path, warnings=None):
-    """Every record extract_main_db yields for path, grouped by table."""
-    return group_main_db(extract_main_db(path, warnings))
+    """Every record extract_main_db yields for path, on a connection opened for the call, grouped by table."""
+    with open_immutable(path, warnings) as connection:
+        return group_main_db(extract_main_db(connection, path, warnings))
 
 
 def build_main_db(path, tables):

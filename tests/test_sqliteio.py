@@ -46,6 +46,17 @@ def aliases_of(spec):
 READER_SPECS = sorted({aliases_of(spec) for columns in READER_PLANS for spec in columns})
 
 
+def read(extract, path, warnings=None):
+    """extract(connection, path, warnings) on a connection to path opened for the call."""
+    with sqliteio.open_immutable(path, warnings) as connection:
+        return extract(connection, path, warnings)
+
+
+def store_dataset(connection, path, warnings=None):
+    """The SkypeDataset of the message store open on connection."""
+    return skype.group_main_db(skype.extract_main_db(connection, path, warnings))
+
+
 def forged_databases(root):
     return sorted(p for p in root.rglob("*") if p.suffix in (".db", ".sqlite"))
 
@@ -100,14 +111,15 @@ def test_extractor_lookups_match_reference(forged_root, monkeypatch):
     databases = forged_databases(forged_root)
     assert databases
     for path in databases:
-        if path.name == "main.db":
-            skype.group_main_db(skype.extract_main_db(path, []))
-            continue
-        for _, extract in FB_TABLES:
-            try:
-                extract(path, [])
-            except sqliteio.MissingTable:
-                pass
+        with sqliteio.open_immutable(path) as connection:
+            if path.name == "main.db":
+                store_dataset(connection, path, [])
+                continue
+            for _, extract in FB_TABLES:
+                try:
+                    extract(connection, path, [])
+                except sqliteio.MissingTable:
+                    pass
     assert len(aliases) > 50
     assert mismatches == []
 
@@ -250,24 +262,15 @@ def test_plan_matches_reference_on_generated_tables(table):
         connection.close()
 
 
-@pytest.mark.parametrize("module, extract", [
-    (facebook, facebook.extract_messages),
-    (skype, lambda path, warnings: skype.group_main_db(skype.extract_main_db(path, warnings))),
-], ids=["imartifacts.facebook-extract_messages", "imartifacts.skype-extract_main_db"])
-def test_garbage_pages_raise_damaged_database(tmp_path, module, extract, monkeypatch):
+@pytest.mark.parametrize("extract", [facebook.extract_messages, store_dataset],
+                         ids=["imartifacts.facebook-extract_messages", "imartifacts.skype-extract_main_db"])
+def test_garbage_pages_raise_damaged_database(tmp_path, extract):
     path = tmp_path / "garbage.db"
     path.write_bytes(sqliteio.SQLITE_MAGIC + bytes(range(256)) * 32)
-    opened = []
-
-    def recording_open(*args, **kwargs):
-        opened.append(sqliteio.open_immutable(*args, **kwargs))
-        return opened[-1]
-
-    monkeypatch.setattr(module, "open_immutable", recording_open)
     with pytest.raises(sqliteio.DamagedDatabase) as caught:
-        extract(path, [])
+        with sqliteio.open_immutable(path, []) as connection:
+            extract(connection, path, [])
     assert isinstance(caught.value.__cause__, sqlite3.DatabaseError)
-    (connection,) = opened
     with pytest.raises(sqlite3.ProgrammingError):  # closed
         connection.execute("SELECT 1")
 
@@ -295,7 +298,7 @@ def test_undecodable_column_name_raises_damaged_database(tmp_path):
     assert data.count(b"zzzz") == 1  # the column name, in the stored CREATE statement
     path.write_bytes(data.replace(b"zzzz", b"zz\xff\xfe"))
     with pytest.raises(sqliteio.DamagedDatabase) as caught:
-        facebook.extract_messages(path, [])
+        read(facebook.extract_messages, path, [])
     assert isinstance(caught.value.__cause__, UnicodeDecodeError)
 
 
@@ -315,13 +318,13 @@ def test_each_table_shares_one_database_provenance(tmp_path):
 
     for path in forged_databases(root):
         if path.name == "main.db":
-            dataset = skype.group_main_db(skype.extract_main_db(path, []))
+            dataset = read(store_dataset, path, [])
             for field in dataclasses.fields(dataset):
                 check(getattr(dataset, field.name), path, "skype.%s" % field.name)
             continue
         for what, extract in FB_TABLES:
             try:
-                records = extract(path, [])
+                records = read(extract, path, [])
             except sqliteio.MissingTable:
                 continue
             check(records, path, "facebook.%s" % what)
@@ -344,7 +347,7 @@ def test_without_rowid_accounts_and_contacts_are_read_in_scan_order(tmp_path):
         CREATE TABLE Contacts (skypename TEXT PRIMARY KEY, displayname TEXT) WITHOUT ROWID;
         INSERT INTO Contacts VALUES ('yan', 'Yan'), ('bob', 'Bob'), ('max', 'Max');
     """)
-    dataset = skype.group_main_db(skype.extract_main_db(path, []))
+    dataset = read(store_dataset, path, [])
     assert [account.skypename for account in dataset.accounts] == ["amy", "zed"]
     assert [contact.skypename for contact in dataset.contacts] == ["bob", "max", "yan"]
     assert [contact.displayname for contact in dataset.contacts] == ["Bob", "Max", "Yan"]
@@ -356,7 +359,7 @@ def test_without_rowid_messages_raise_damaged_database(tmp_path):
         INSERT INTO Messages VALUES (1, 1420000000, 61);
     """)
     with pytest.raises(sqliteio.DamagedDatabase, match="rowid") as caught:
-        skype.group_main_db(skype.extract_main_db(path, []))
+        read(store_dataset, path, [])
     assert isinstance(caught.value.__cause__, sqlite3.OperationalError)
 
 
@@ -400,10 +403,11 @@ def test_read_table_gives_the_file_format_readers_rows(forged_seeds, monkeypatch
     for root in forged_seeds.values():
         for path in forged_databases(root):
             tables = {name.casefold() for name in SqliteFile(path.read_bytes()).schema()}
-            if tables & skype.STORE_TABLES:
-                list(skype.extract_main_db(path))
-            else:
-                facebook.extract_cache(path, None, tables)
+            with sqliteio.open_immutable(path) as connection:
+                if tables & skype.STORE_TABLES:
+                    list(skype.extract_main_db(connection, path))
+                else:
+                    facebook.extract_cache(connection, path)
     assert len(reads) == len(forged_seeds) * 12  # seven store tables and five cache tables per tree
     assert all(rows for *_, rows in reads)
     mismatched = []
