@@ -145,12 +145,13 @@ class _Gather:
 
         One branch per kind reads the input and maps its records; a SQLite
         input is opened once, and skype.is_store picks its reader.  A Skype
-        store's records and a raw input's fragments, scanned here or sent by
-        a worker, are mapped as they are read, and a capture's flows are let
-        go as they are mapped; every other input's records are read whole
-        first.  An owner the gather was not given comes from the input's own
-        records, which are let go when this returns: a store's is its first
-        record's, if that is an Accounts row, and a cache's is facebook.cache_owner's.
+        store's or Facebook cache's records and a raw input's fragments,
+        scanned here or sent by a worker, are mapped as they are read, and a
+        capture's flows are let go as they are mapped; every other input's
+        records are read whole first.  An owner the gather was not given
+        comes from the input itself: a store's is its first record's, if
+        that is an Accounts row, and a cache's is facebook.cache_owner's,
+        found in a pass over its messages before any record is read.
         """
         label = str(path)
         fb_owner, skype_owner = self.fb_owner, self.skype_owner
@@ -172,10 +173,11 @@ class _Gather:
                         if skype_owner is None and head and isinstance(head[0], skype.SkypeAccount):
                             skype_owner = head[0].skypename
                         return mapped(itertools.chain(head, rows))
+                if fb_owner is None:
+                    fb_owner = facebook.cache_owner(connection, path)
                 groups = facebook.extract_cache(connection, path, self.warnings)
-            if fb_owner is None:
-                fb_owner = facebook.cache_owner(path, groups)
-            return mapped([record for group in groups.values() for record in group])
+                with contextlib.closing(_chained(groups.values())) as records:  # the cursor goes before the connection
+                    return mapped(records)
         if kind == "pcap":
             return mapped(_drained(_capture_flows(path, self.warnings)))
         if kind == "registry":
@@ -193,6 +195,12 @@ class _Gather:
             return []
         self.warnings.append("no extractor for %s, skipped" % label)
         return None
+
+
+def _chained(groups) -> Iterator:
+    """The items of each group in turn; closing this closes the group being taken."""
+    for group in groups:
+        yield from group
 
 
 def _registry_records(path: Path, warnings) -> list:
@@ -348,7 +356,7 @@ def _reap(worker: tuple[int, int], kill: bool = False) -> int:
     return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
-def _run_pipeline(args, paths, journal=None, root=None) -> int:
+def _run_pipeline(args, paths, journal=None, root=None, warnings=()) -> int:
     """_gather_and_emit with automatic garbage collection paused, then set back as the caller had it.
 
     The run's records and events hold almost no reference cycles, so each
@@ -357,20 +365,22 @@ def _run_pipeline(args, paths, journal=None, root=None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _gather_and_emit(args, paths, journal, root)
+        return _gather_and_emit(args, paths, journal, root, warnings)
     finally:
         if enabled:
             gc.enable()
 
 
-def _gather_and_emit(args, paths, journal, root) -> int:
+def _gather_and_emit(args, paths, journal, root, warnings) -> int:
     """Gather paths, then the journal CSV if given, merge and emit the timeline.
 
-    With root, evidence paths are rewritten relative to it.  The largest raw
+    The report's warnings start with the given ones.  With root, evidence
+    paths are rewritten relative to it.  The largest raw
     inputs are scanned in forked workers (_start_scans) while this process
     reads the others; each worker's result is taken at its input's turn.
     """
     gather = _Gather(_load_catalog(args.catalog), args.fb_owner, args.skype_owner)
+    gather.warnings += warnings
     workers = _start_scans(paths)
     try:
         for index, path in enumerate(paths):
@@ -451,8 +461,10 @@ def _show_counts(name, groups) -> None:
 
 
 def _cmd_facebook(args) -> int:
-    return _each_input(args.databases, functools.partial(_read_database, store=False, read=facebook.extract_cache),
-                       _show_counts)
+    def read(connection, name, warnings):  # {group label: records}, each group read whole while the file is open
+        return {label: list(group) for label, group in facebook.extract_cache(connection, name, warnings).items()}
+
+    return _each_input(args.databases, functools.partial(_read_database, store=False, read=read), _show_counts)
 
 
 def _cmd_skype(args) -> int:
@@ -522,11 +534,22 @@ def _cmd_pcap(args) -> int:
 
 
 def _cmd_timeline(args) -> int:
-    # The journal CSV is ingested last, and not also as an input that resolves to the same file.
+    # Each file is read once, whatever it is called.  The journal CSV is ingested last, and an input that resolves
+    # to it is left out; one that resolves to an earlier input is left out with a warning.
     journal = Path(args.ntfs_csv) if args.ntfs_csv else None
-    target = os.path.realpath(journal) if journal else None  # unlike Path.resolve, never raises on a link loop
-    paths = [p for p in map(Path, args.inputs) if not p.is_dir() and os.path.realpath(p) != target]
-    return _run_pipeline(args, paths, journal=journal)
+    first: dict[str, int | None] = {}  # real path -> position of the input naming it, None for the journal
+    if journal:
+        first[os.path.realpath(journal)] = None  # unlike Path.resolve, realpath never raises on a link loop
+    paths, warnings = [], []
+    for index, name in enumerate(args.inputs):
+        if os.path.isdir(name):
+            continue
+        at = first.setdefault(os.path.realpath(name), index)
+        if at == index:
+            paths.append(Path(name))
+        elif at is not None:
+            warnings.append("%s names the same file as %s, skipped" % (name, args.inputs[at]))
+    return _run_pipeline(args, paths, journal=journal, warnings=warnings)
 
 
 def _cmd_report(args) -> int:

@@ -1,24 +1,30 @@
 """Extract records from the Facebook app's cache databases and memory remnants.
 
 The app keeps per-login SQLite caches (analytics log, friends, messages, users,
-notifications) under its package LocalState; extract_cache reads one table by
-table, on a connection the caller opened, and cache_owner names its login.
-Message rows embed JSON in several columns; malformed JSON never aborts
-extraction, the raw text is kept and a warning recorded.  Process memory holds
-chat push notifications as JSON fragments, recovered by marker scanning.
+notifications) under its package LocalState.  Every extract_* reader yields a
+table's records as its rows are read, on a connection the caller opened, and
+extract_cache gives each table the open cache holds its reader.  cache_owner
+names the cache's login in one pass over the messages table that comes before
+the records are read, so that they can be placed as they come.  Message rows
+embed JSON in several columns; each distinct sender and tags text is parsed
+once per table read, malformed JSON never aborts extraction, the raw text is
+kept and a warning recorded.  Process memory holds chat push notifications as
+JSON fragments, recovered by marker scanning.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from datetime import date, datetime
+from datetime import date
 
 from . import carver, locator
-from .model import Channel, ExtractionError, OutOfRange, Provenance, Timestamp, ts_from_iso_text, ts_from_unix
+from .model import (Channel, ExtractionError, OutOfRange, Provenance, Timestamp, date_from_ymd, ts_from_iso_text,
+                    ts_from_unix)
 from .sqliteio import MissingTable, as_int, as_text, read_table, table_names, warn
 
 __all__ = [
@@ -49,6 +55,7 @@ class MalformedJson(ExtractionError):
 
 CHAT_MARKER = b"orca_message"
 CHAT_WINDOW = 64 * 1024
+PARSE_CACHE_SIZE = 1024  # distinct sender or tags texts whose parse one table read keeps
 
 EXTRACTOR_PREFIX = "facebook"
 
@@ -134,12 +141,13 @@ class FbNotification:
     provenance: Provenance
 
 
-def _read(connection, path, warnings, wanted: str, what: str, columns, record) -> list:
-    """The records of the cache table named wanted, read on connection by record through columns in rowid order."""
+def _read(connection, path, warnings, wanted: str, what: str, columns, record) -> Iterator:
+    """The records of the cache table named wanted, yielded as record reads its rows on connection through columns
+    in rowid order; MissingTable, once the first is asked for, if the table is absent."""
     table = table_names(connection).get(wanted.casefold())
     if table is None:
         raise MissingTable("table %s absent from %s" % (wanted, path))
-    return list(read_table(connection, table, path, EXTRACTOR_PREFIX, what, columns, record, warnings))
+    yield from read_table(connection, table, path, EXTRACTOR_PREFIX, what, columns, record, warnings)
 
 
 def _epoch(value, unit: str) -> Timestamp | None:
@@ -173,8 +181,8 @@ def _analytics_event(values, provenance, warnings):
     )
 
 
-def extract_analytics(connection, path, warnings: list[str] | None = None) -> list[FbAnalyticsEvent]:
-    """Read the analytics log: one event per row in row order."""
+def extract_analytics(connection, path, warnings: list[str] | None = None) -> Iterator[FbAnalyticsEvent]:
+    """Yield the analytics log as it is read: one event per row in row order."""
     return _read(connection, path, warnings, "analytics_logs", "analytics", _ANALYTICS_COLUMNS, _analytics_event)
 
 
@@ -183,7 +191,7 @@ def _parse_birthday(value, warnings, context):
         return None
     text = as_text(value)
     try:
-        return datetime.strptime(text[:10], "%Y-%m-%d").date()
+        return date_from_ymd(text[:10], "-")
     except ValueError:
         warn(warnings, "unparsed birthday %r in %s" % (text, context))
         return None
@@ -228,8 +236,8 @@ def _friend(values, provenance, warnings):
     )
 
 
-def extract_friends(connection, path, warnings: list[str] | None = None) -> list[FbFriend]:
-    """Read the friends cache: profile fields for every friend row."""
+def extract_friends(connection, path, warnings: list[str] | None = None) -> Iterator[FbFriend]:
+    """Yield the friends cache as it is read: profile fields for every friend row."""
     return _read(connection, path, warnings, "friends", "friends", _FRIEND_COLUMNS, _friend)
 
 
@@ -311,48 +319,91 @@ def _parse_sender(raw, warnings, context):
     )
 
 
+class _ParseCache:
+    """parse(raw, warnings, context) for the rows of one table read, parsing each distinct text once.
+
+    A text's result is kept only when its parse appended no warning, so
+    every row still gets its own warnings; the first PARSE_CACHE_SIZE such
+    results are kept, and no more, however many rows the table holds.
+    """
+
+    def __init__(self, parse):
+        self.parse = parse
+        self.results: dict[str, object] = {}
+
+    def __call__(self, raw, warnings, context):
+        if type(raw) is not str:  # None, and the rare number or blob, are parsed as they come
+            return self.parse(raw, warnings, context)
+        result = self.results.get(raw)
+        if result is None:
+            said: list[str] = []
+            result = self.parse(raw, said, context)
+            if said:
+                if warnings is not None:
+                    warnings.extend(said)
+            elif len(self.results) < PARSE_CACHE_SIZE:
+                self.results[raw] = result
+        return result
+
+
+# The first three are all the owner pass reads.
 _MESSAGE_COLUMNS = (
-    ("timestamp", "timestamp_ms", "time"), "sender", "attachments", ("mid", "message_id"), ("tid", "thread_id"),
-    ("body", "text"), "tags",
+    ("timestamp", "timestamp_ms", "time"), "sender", "tags", "attachments", ("mid", "message_id"),
+    ("tid", "thread_id"), ("body", "text"),
 )
+_OWNER_COLUMNS = _MESSAGE_COLUMNS[:3]
 
 
-def _message(values, provenance, warnings):
-    rowid, timestamp, sender_raw, attachments_raw, mid, thread_id, body, tags = values
-    context = "messages row %s" % rowid
-    when = _epoch(as_int(timestamp), "millis")
-    if when is None:
-        warn(warnings, "%s has no usable timestamp" % context)
-        return None
-    sender_raw = as_text(sender_raw)
-    sender_uid, sender_name, sender_email = _parse_sender(sender_raw, warnings, context)
-    attachments_raw = as_text(attachments_raw)
-    attachments: tuple[FbAttachment, ...] = ()
-    if attachments_raw not in (None, "", "[]"):
-        try:
-            attachments = tuple(parse_fb_attachments(attachments_raw))
-        except MalformedJson:
-            warn(warnings, "attachments unparsed in %s" % context)
-    return FbMessage(
-        row_id=rowid,
-        mid=as_text(mid),
-        thread_id=as_text(thread_id),
-        body=as_text(body),
-        when=when,
-        sender_uid=sender_uid,
-        sender_name=sender_name,
-        sender_email=sender_email,
-        sender_raw=sender_raw,
-        tags=_parse_tags(tags, warnings, context),
-        attachments=attachments,
-        attachments_raw=attachments_raw,
-        provenance=provenance,
-    )
+def _message_reader(owner_pass: bool = False):
+    """A read_table record function for one read of a messages table, with its own parse caches.
+
+    It gives the FbMessage of each row with a usable time, from the
+    _MESSAGE_COLUMNS values; for the owner pass, only the (sender uid,
+    tags) of the same rows, from the _OWNER_COLUMNS values.
+    """
+    senders, tag_lists = _ParseCache(_parse_sender), _ParseCache(_parse_tags)
+
+    def message(values, provenance, warnings):
+        rowid, timestamp, sender_raw, tags, *rest = values
+        context = "messages row %s" % rowid
+        when = _epoch(as_int(timestamp), "millis")
+        if when is None:
+            warn(warnings, "%s has no usable timestamp" % context)
+            return None
+        sender_raw = as_text(sender_raw)
+        sender_uid, sender_name, sender_email = senders(sender_raw, warnings, context)
+        if owner_pass:
+            return sender_uid, tag_lists(tags, warnings, context)
+        attachments_raw, mid, thread_id, body = rest
+        attachments_raw = as_text(attachments_raw)
+        attachments: tuple[FbAttachment, ...] = ()
+        if attachments_raw not in (None, "", "[]"):
+            try:
+                attachments = tuple(parse_fb_attachments(attachments_raw))
+            except MalformedJson:
+                warn(warnings, "attachments unparsed in %s" % context)
+        return FbMessage(
+            row_id=rowid,
+            mid=as_text(mid),
+            thread_id=as_text(thread_id),
+            body=as_text(body),
+            when=when,
+            sender_uid=sender_uid,
+            sender_name=sender_name,
+            sender_email=sender_email,
+            sender_raw=sender_raw,
+            tags=tag_lists(tags, warnings, context),
+            attachments=attachments,
+            attachments_raw=attachments_raw,
+            provenance=provenance,
+        )
+
+    return message
 
 
-def extract_messages(connection, path, warnings: list[str] | None = None) -> list[FbMessage]:
-    """Read cached chat messages in row order."""
-    return _read(connection, path, warnings, "messages", "messages", _MESSAGE_COLUMNS, _message)
+def extract_messages(connection, path, warnings: list[str] | None = None) -> Iterator[FbMessage]:
+    """Yield cached chat messages in row order as they are read."""
+    return _read(connection, path, warnings, "messages", "messages", _MESSAGE_COLUMNS, _message_reader())
 
 
 _USER_COLUMNS = (("uid", "user_id", "id"), ("last_active", "last_active_time", "last_active_timestamp"),
@@ -378,8 +429,8 @@ def _user(values, provenance, warnings):
     )
 
 
-def extract_users(connection, path, warnings: list[str] | None = None) -> list[FbUser]:
-    """Read the users table kept alongside cached messages."""
+def extract_users(connection, path, warnings: list[str] | None = None) -> Iterator[FbUser]:
+    """Yield the users table kept alongside cached messages as it is read."""
     return _read(connection, path, warnings, "users", "users", _USER_COLUMNS, _user)
 
 
@@ -415,8 +466,8 @@ def _notification(values, provenance, warnings):
     )
 
 
-def extract_notifications(connection, path, warnings: list[str] | None = None) -> list[FbNotification]:
-    """Read cached notifications; times are stored as date-time text."""
+def extract_notifications(connection, path, warnings: list[str] | None = None) -> Iterator[FbNotification]:
+    """Yield cached notifications as they are read; times are stored as date-time text."""
     return _read(connection, path, warnings, "notifications", "notifications", _NOTIFICATION_COLUMNS, _notification)
 
 
@@ -426,29 +477,48 @@ _CACHE_TABLES = (("analytics_logs", "analytics", extract_analytics), ("friends",
                  ("notifications", "notifications", extract_notifications))
 
 
-def extract_cache(connection, path, warnings: list[str] | None = None) -> dict[str, list]:
-    """{group label: records} from the extractor of every cache table the open connection to path holds."""
+def extract_cache(connection, path, warnings: list[str] | None = None) -> dict[str, Iterator]:
+    """{group label: its extractor's records} for every cache table the open connection to path holds.
+
+    Each group is its table's reader, not yet started, so a table is read
+    only as its records are taken, and the connection must stay open until
+    the last is.
+    """
     present = table_names(connection)
     return {label: extract(connection, path, warnings) for table, label, extract in _CACHE_TABLES if table in present}
 
 
-def infer_owner_uid(messages: list[FbMessage]) -> str | None:
-    """Guess the cache owner: the uid that authored "sent"-tagged messages."""
+def infer_owner_uid(messages: Iterable[tuple[str | None, tuple[str, ...]]]) -> str | None:
+    """Guess the cache owner from the (sender uid, tags) of its messages: the uid that authored the most
+    "sent"-tagged ones, and of those tied, the greatest."""
     counts: dict[str, int] = {}
-    for message in messages:
-        if "sent" in message.tags and message.sender_uid:
-            counts[message.sender_uid] = counts.get(message.sender_uid, 0) + 1
+    for sender_uid, tags in messages:
+        if "sent" in tags and sender_uid:
+            counts[sender_uid] = counts.get(sender_uid, 0) + 1
     if not counts:
         return None
     return max(counts.items(), key=lambda pair: (pair[1], pair[0]))[0]
 
 
-def cache_owner(path, groups: dict[str, list]) -> str | None:
-    """The owner of the cache at path, given its extract_cache groups: infer_owner_uid of its messages, or else, if
-    it has messages, the all-digit uid naming the account directory of path made absolute (the fb-cache-db rule)."""
-    messages = groups.get("messages", [])
-    owner = infer_owner_uid(messages)
-    if owner is None and messages:
+def cache_owner(connection, path) -> str | None:
+    """The owner of the cache open on connection at path, from one pass over its messages table, if it has one.
+
+    The pass reads the time, sender and tags of each row that
+    extract_messages keeps, and adds no warning.  The owner is
+    infer_owner_uid of those rows, or else, if there are any, the all-digit
+    uid naming the account directory of path made absolute (the
+    fb-cache-db rule).
+    """
+    table = table_names(connection).get("messages")
+    if table is None:
+        return None
+    rows = read_table(connection, table, path, EXTRACTOR_PREFIX, None, _OWNER_COLUMNS, _message_reader(owner_pass=True),
+                      None)
+    first = next(rows, None)
+    if first is None:
+        return None
+    owner = infer_owner_uid(itertools.chain((first,), rows))
+    if owner is None:
         owner = next((match.account for match in locator.match_catalog(os.path.abspath(path), False)
                       if match.rule_id == "fb-cache-db" and match.account.isascii() and match.account.isdigit()),
                      None)

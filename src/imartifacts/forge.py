@@ -53,8 +53,9 @@ class OutputNotEmpty(ExtractionError):
 
 
 MEMORY_NAME = "memory.bin"
-# memory.bin holds a document across this offset, a boundary between the
-# scanners' reads (a multiple of carver.DEFAULT_CHUNK_SIZE); it also sizes the blob.
+# memory.bin holds a document across this offset, a multiple of
+# carver.DEFAULT_CHUNK_SIZE; it also sizes the blob, so it stays as it is
+# whatever the scanners' reads are.
 MEMORY_STRADDLE_AT = 4 * 1024 * 1024
 CAPTURE_NAME = "capture.pcap"
 REGISTRY_NAME = "registry_export.reg"

@@ -327,9 +327,16 @@ def normalize(records, *, fb_owner_uid: str | None = None,
     mappers = _mappers(fb_owner_uid, skype_owner, warnings,
                        Provenance(capture_path, "pcap.flows", Channel.NETWORK), pcap.catalog_index(catalog))
     events: list[TimelineEvent] = []
+    names: dict[str, str] = {}  # one str per distinct actor or counterpart, however many rows spell it
     for record in records:
         mapper = mappers.get(type(record))
         if mapper is None:
             raise TypeError("cannot place %r on a timeline" % type(record).__name__)
-        events.extend(mapper(record))
+        for event in mapper(record):
+            # Events are frozen, but a name swapped for an equal str looks the same to any holder.
+            if event.actor is not None:
+                object.__setattr__(event, "actor", names.setdefault(event.actor, event.actor))
+            if event.counterpart is not None:
+                object.__setattr__(event, "counterpart", names.setdefault(event.counterpart, event.counterpart))
+            events.append(event)
     return events

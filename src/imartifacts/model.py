@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 
 __all__ = [
     "AmbiguousInterpretation",
@@ -25,6 +25,7 @@ __all__ = [
     "Provenance",
     "Timestamp",
     "TimelineEvent",
+    "date_from_ymd",
     "infer_epoch_unit",
     "ts_from_filetime_ticks",
     "ts_from_iso_text",
@@ -146,6 +147,20 @@ def ts_from_filetime_ticks(ticks: int) -> Timestamp:
     if instant > MAX_INSTANT:
         raise OutOfRange("instant outside representable range: %d" % ticks)
     return Timestamp(instant, "filetime_100ns", ticks)
+
+
+# strptime's own patterns for %Y, %m and %d (CPython's Lib/_strptime.py): a
+# date is read as strptime reads it, without importing _strptime and calendar.
+_YMD = r"(?P<Y>\d\d\d\d)%s(?P<m>1[0-2]|0[1-9]|[1-9])%s(?P<d>3[0-1]|[1-2]\d|0[1-9]|[1-9]| [1-9])"
+
+
+def date_from_ymd(text: str, separator: str = "") -> date:
+    """datetime.strptime(text, f"%Y{separator}%m{separator}%d").date(), and ValueError where that raises one."""
+    sep = re.escape(separator)
+    match = re.match(_YMD % (sep, sep), text, re.IGNORECASE)
+    if match is None or match.end() != len(text):
+        raise ValueError("date text %r does not match year, month and day" % (text,))
+    return date(int(match["Y"]), int(match["m"]), int(match["d"]))
 
 
 _ISO_LAYOUTS = (

@@ -17,10 +17,10 @@ import re
 import xml.etree.ElementTree as ET
 from collections.abc import Iterator
 from dataclasses import dataclass
-from datetime import date, datetime
+from datetime import date
 
 from .locator import decode_text
-from .model import ExtractionError, MalformedHex, OutOfRange, Provenance, Timestamp, ts_from_unix
+from .model import ExtractionError, MalformedHex, OutOfRange, Provenance, Timestamp, date_from_ymd, ts_from_unix
 from .sqliteio import as_int, as_text, read_table, table_names, warn
 
 __all__ = [
@@ -99,7 +99,7 @@ def _birthday(value, warnings, context):
         warn(warnings, "unparsed birthday %r in %s" % (value, context))
         return None
     try:
-        return datetime.strptime(text, "%Y%m%d").date()
+        return date_from_ymd(text)
     except ValueError:
         warn(warnings, "implausible birthday %r in %s" % (value, context))
         return None

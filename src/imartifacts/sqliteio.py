@@ -178,22 +178,24 @@ def plan_query(connection, table: str, columns, rowid: bool = True) -> str:
     return "SELECT %s FROM %s%s" % (", ".join(selected), source, " ORDER BY rowid_" if rowid else "")
 
 
-def read_table(connection, table: str, path, prefix: str, what: str, columns, record, warnings,
+def read_table(connection, table: str, path, prefix: str, what: str | None, columns, record, warnings,
                rowid: bool = True) -> Iterator:
     """The records of one table, yielded as its rows are read: ``record(values, provenance, warnings)`` per row.
 
     values is the row's tuple from plan_query(connection, table, columns,
     rowid): the rowid first when rowid is true, then one value per spec of
     columns.  Every record shares one ``Provenance(str(path),
-    "<prefix>.<what>", DATABASE)``; rows for which record returns None are
-    skipped.  Nothing is queried before the first record is asked for, so the
-    caller keeps connection open until the last one; then the connection's
-    cached pages are freed, as no table is read twice.
+    "<prefix>.<what>", DATABASE)``; with what None, for a pass that keeps
+    no record, provenance is None.  Rows for which record returns None are
+    skipped.  Nothing is queried before the first record is asked for, so
+    the caller keeps connection open until the last one; then the
+    connection's cached pages are freed, as a table is read once, or twice
+    when a pass over it comes first.
     """
     cursor = connection.cursor()
     cursor.row_factory = None
     rows = cursor.execute(plan_query(connection, table, columns, rowid))
-    provenance = Provenance(str(path), "%s.%s" % (prefix, what), Channel.DATABASE)
+    provenance = None if what is None else Provenance(str(path), "%s.%s" % (prefix, what), Channel.DATABASE)
     for values in rows:
         item = record(values, provenance, warnings)
         if item is not None:

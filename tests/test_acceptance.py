@@ -117,7 +117,9 @@ def test_08_carving_64mib_stream():
     taken: list[tuple[int, int]] = []
     for index, (name, doc) in enumerate(zip(names, docs)):
         if index == 0:
-            offset = 4 * carver.DEFAULT_CHUNK_SIZE - len(doc) // 2  # straddles carve's reads 1|2
+            # Straddles carve's reads 1|2: the first reads a chunk plus what a round keeps.
+            keep = carver.MAX_XML_DOCUMENT + len(carver.XML_DECLARATION)
+            offset = carver.DEFAULT_CHUNK_SIZE * (1 + 3 * keep // carver.DEFAULT_CHUNK_SIZE) + keep - len(doc) // 2
         else:
             while True:
                 offset = rng.randrange(0, size - len(doc))

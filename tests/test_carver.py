@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from imartifacts.carver import (
     DEFAULT_CHUNK_SIZE,
+    MAX_XML_DOCUMENT,
+    XML_DECLARATION,
     CarvedObject,
     Signature,
     StreamReadError,
@@ -13,7 +15,7 @@ from imartifacts.carver import (
     carve,
     scan_stream,
 )
-from imartifacts.facebook import extract_chat_json
+from imartifacts.facebook import CHAT_MARKER, CHAT_WINDOW, extract_chat_json
 from imartifacts.sampledata import CHAT_PUSH_JSON
 
 CONFIG_DOC = (
@@ -217,19 +219,31 @@ class RecordingStream(io.BytesIO):
         return super().readinto(buffer)
 
 
+# What a round of each raw scanner keeps for the next: the horizon and the longest pattern, and for a chat scan
+# the lookback too.
+KEEPS = {"carve": MAX_XML_DOCUMENT + len(XML_DECLARATION), "extract_chat_json": 2 * CHAT_WINDOW + len(CHAT_MARKER)}
+# A chat scan's buffer: its read, the first multiple of DEFAULT_CHUNK_SIZE over three times what a round keeps,
+# plus what a round keeps.
+CHAT_BUFFER = (DEFAULT_CHUNK_SIZE * (1 + 3 * KEEPS["extract_chat_json"] // DEFAULT_CHUNK_SIZE)
+               + KEEPS["extract_chat_json"])
+
+
 class TestDefaultReads:
-    @pytest.mark.parametrize("name, chunks", [("carve", 4), ("extract_chat_json", 1)])
+    @pytest.mark.parametrize("name, chunks", [("carve", 13), ("extract_chat_json", 2)])
     def test_reads_are_well_over_what_a_round_keeps(self, name, chunks):
-        """carve keeps up to 1 MiB, its longest document, each round, so it reads 4 MiB; extract_chat_json reads 1 MiB."""
-        stream = RecordingStream(SCANNED)
+        """carve keeps up to 1 MiB, its longest document, each round, so it reads 3.25 MiB; extract_chat_json keeps
+        128 KiB and reads 512 KiB.  The first read also fills what later rounds keep."""
+        stream = RecordingStream(SCANNED + bytes(4 << 20))
         SCANNERS[name](stream)
-        assert set(stream.sizes) == {chunks * DEFAULT_CHUNK_SIZE}
+        read = chunks * DEFAULT_CHUNK_SIZE
+        assert stream.sizes[0] == read + KEEPS[name]
+        assert set(stream.sizes[1:]) == {read}
 
 
 class TestScanMemory:
     """A raw scan holds one buffer of a read plus what a round keeps, whatever the stream's size."""
 
-    SLACK = 192 << 10  # bytes: the one time the buffer grows back by what a round keeps, and small objects
+    SLACK = 16 << 10  # bytes: the small objects beside the buffer, which is never grown back
 
     def traced_peak(self, path):
         import tracemalloc
@@ -243,8 +257,6 @@ class TestScanMemory:
                 tracemalloc.stop()
 
     def test_chat_scan_peak_does_not_grow_with_the_filler(self, tmp_path):
-        from imartifacts.facebook import CHAT_MARKER, CHAT_WINDOW
-
         push = CHAT_PUSH_JSON.encode("utf-8")
         peaks = []
         for mib in (4, 32):
@@ -257,9 +269,20 @@ class TestScanMemory:
             peak, fragments = self.traced_peak(path)
             assert [fragment.offset for fragment in fragments] == [0, mib << 20]
             peaks.append(peak)
-        keep = 2 * CHAT_WINDOW + len(CHAT_MARKER)
         assert abs(peaks[1] - peaks[0]) < 16 << 10
-        assert max(peaks) < DEFAULT_CHUNK_SIZE + keep + self.SLACK
+        assert max(peaks) < CHAT_BUFFER + self.SLACK
+
+    def test_chat_scan_peak_is_its_buffer(self, tmp_path):
+        """The first read fills the buffer, so no round grows it back through a temporary run of zeros."""
+        push = CHAT_PUSH_JSON.encode("utf-8")
+        path = tmp_path / "five.bin"
+        with open(path, "wb") as out:
+            out.write(push)
+            out.write(bytes(5_000_000))
+            out.write(push)
+        peak, fragments = self.traced_peak(path)
+        assert [fragment.offset for fragment in fragments] == [0, 5_000_000 + len(push)]
+        assert peak - CHAT_BUFFER <= self.SLACK
 
 
 class TestValueObjects:

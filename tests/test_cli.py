@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import os
+import re
 import sqlite3
 import stat
 import struct
@@ -295,6 +296,22 @@ class TestPipelineCommands:
         loop.symlink_to(loop)
         assert main(["timeline", str(loop), "--ntfs-csv", str(journal)]) == 3  # the loop fails alone
         assert len(timeline.parse_jsonl(capfd.readouterr().out)) == 5
+
+    def test_one_file_named_twice_is_read_once(self, forged, monkeypatch, capfdbinary):
+        """The seed-7 message cache named as M and ./M: its rows are read once, and the second name is warned about."""
+        root, _ = forged
+        monkeypatch.chdir(root / forge.FACEBOOK_DB_DIR)
+        code, out, err = _outcome(capfdbinary, ["timeline", "Messages.sqlite", "--format", "csv", "-v"])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out.decode("utf-8"))))
+        assert [row["duplicates"] for row in rows if row["kind"].startswith("Message")] == ["1"] * 5
+        twice = _outcome(capfdbinary, ["timeline", "Messages.sqlite", "./Messages.sqlite", "--format", "csv", "-v"])
+        assert twice[:2] == (code, out)
+        counts, *warned = err.decode("utf-8").splitlines()
+        events, count = re.fullmatch(r"(\d+) events, (\d+) warnings", counts).groups()
+        assert twice[2].decode("utf-8").splitlines() == [
+            "%s events, %d warnings" % (events, int(count) + 1),
+            "warning: ./Messages.sqlite names the same file as Messages.sqlite, skipped", *warned]
 
     def test_partial_failure_keeps_good_events(self, forged, tmp_path, capfd):
         root, _ = forged
@@ -802,24 +819,25 @@ class TestScanWorkers:
         assert [list(cli._scan_result(workers[index], path)) for index, path in enumerate(paths)] == [[], [], []]
         _assert_no_child_left()
 
-    def test_path_given_twice_is_read_twice(self, forged, monkeypatch, capfdbinary):
+    def test_path_given_twice_is_read_once(self, forged, monkeypatch, capfdbinary):
         root, _ = forged
         memory = root / forge.MEMORY_NAME
-        argv = ["timeline", str(memory), str(memory)]
+        argv = ["timeline", str(memory), str(memory), "-v"]
         in_line = _outcome(capfdbinary, argv)
         forked = _send_raw_to_workers(monkeypatch)
         assert _outcome(capfdbinary, argv) == in_line
-        assert forked == [memory, memory]
-        assert [event.duplicates for event in timeline.parse_jsonl(in_line[1])] == [2]
+        assert forked == [memory]
+        assert [event.duplicates for event in timeline.parse_jsonl(in_line[1])] == [1]
+        assert ("warning: %s names the same file as %s, skipped\n" % (memory, memory)).encode() in in_line[2]
         _assert_no_child_left()
 
     def test_only_the_last_large_raw_inputs_are_forked_and_only_they_sniffed_first(
             self, tmp_path, monkeypatch, capfdbinary):
-        small, first, second = tmp_path / "small.bin", tmp_path / "first.bin", tmp_path / "second.bin"
+        small, first, second, third = (tmp_path / (name + ".bin") for name in ("small", "first", "second", "third"))
         small.write_bytes(b"x" * 10)
-        for path in (first, second):
+        for path in (first, second, third):
             path.write_bytes(b"x" * 100 + sampledata.CHAT_PUSH_JSON.encode("utf-8"))
-        argv = ["timeline", str(first), str(small), str(second), str(first)]
+        argv = ["timeline", str(first), str(small), str(second), str(third)]
         in_line = _outcome(capfdbinary, argv)
         forked = _send_raw_to_workers(monkeypatch, cpus=2)
         monkeypatch.setattr(cli, "SCAN_WORKER_MIN_BYTES", 50)
@@ -827,8 +845,8 @@ class TestScanWorkers:
         sniff = cli._sniff
         monkeypatch.setattr(cli, "_sniff", lambda path: sniffed.append(path.name) or sniff(path))
         assert _outcome(capfdbinary, argv) == in_line
-        assert forked == [first]  # one CPU to spare: the last large input, at position 3
-        assert sniffed == ["first.bin", "second.bin", "first.bin",  # large ones, before any is read
+        assert forked == [third]  # one CPU to spare: the last large input, at position 3
+        assert sniffed == ["first.bin", "second.bin", "third.bin",  # large ones, before any is read
                            "first.bin", "small.bin", "second.bin"]  # in-line, at their turn
         _assert_no_child_left()
 
@@ -917,8 +935,13 @@ class TestRecordsReleased:
         normalize, alive = timeline.normalize, []
 
         def watched(records, **kwargs):
-            alive.append(weakref.ref(next(r for r in records if isinstance(r, facebook.FbMessage))))
-            return normalize(records, **kwargs)
+            def watching():
+                for record in records:
+                    if not alive and isinstance(record, facebook.FbMessage):
+                        alive.append(weakref.ref(record))
+                    yield record
+
+            return normalize(watching(), **kwargs)
 
         monkeypatch.setattr(timeline, "normalize", watched)
         gather = cli._Gather(None)
@@ -1000,6 +1023,97 @@ class TestSkypeStoreStreamed:
         assert [line for line in err.splitlines() if line.startswith(b"error:")] == [error]
         # no events and no mapping warnings from the store: the journal's alone
         assert (out, err.replace(error + b"\n", b"", 1)) == alone[1:]
+
+
+class TestFacebookCacheStreamed:
+    """A cache's records are mapped as they are read, after one pass over its messages names the owner."""
+
+    TRANSIENT_GROWTH_BOUND = 128 << 10  # bytes; 3,000 more messages held at once would take over 2 MiB
+
+    @staticmethod
+    def grown(root, target, rows):
+        """A copy of the forged message cache at target with rows messages, varied from its own."""
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(Path(fb_db(root, "Messages.sqlite")).read_bytes())
+        connection = sqlite3.connect(target)
+        columns = "mid, tid, body, sender, timestamp, tags, attachments"
+        with connection:
+            base = connection.execute("SELECT %s FROM messages ORDER BY rowid" % columns).fetchall()
+            grown = []
+            for n in range(rows):
+                mid, tid, body, sender, timestamp, tags, attachments = base[n % len(base)]
+                grown.append(("%s.%d" % (mid, n), tid, "%s %d" % (body, n), sender, timestamp + n, tags, attachments))
+            connection.execute("DELETE FROM messages")
+            connection.executemany("INSERT INTO messages (%s) VALUES (?, ?, ?, ?, ?, ?, ?)" % columns, grown)
+        connection.close()
+        return target
+
+    @staticmethod
+    def traced_ingest(path):
+        """The bytes an ingest held at its peak beyond what it still holds when it returns, and the gather."""
+        import tracemalloc
+
+        gather = cli._Gather(None)
+        tracemalloc.start()
+        try:
+            gather.ingest(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - held, gather
+
+    def test_transient_does_not_grow_with_the_rows(self, forged, tmp_path):
+        root, _ = forged
+        self.traced_ingest(Path(fb_db(root, "Messages.sqlite")))  # imports and caches filled on first use
+        transients = []
+        for rows in (1000, 4000):
+            path = self.grown(root, tmp_path / str(rows) / forge.FACEBOOK_DB_DIR / "Messages.sqlite", rows)
+            transient, gather = self.traced_ingest(path)
+            assert gather.tally.ok == [str(path)]
+            assert sum(event.kind in (EventKind.MESSAGE_SENT, EventKind.MESSAGE_RECEIVED)
+                       for event in gather.events) == rows
+            transients.append(transient)
+        assert transients[1] - transients[0] < self.TRANSIENT_GROWTH_BOUND
+
+    def test_first_message_event_is_built_before_the_last_row_is_read(self, forged, tmp_path, monkeypatch):
+        root, _ = forged
+        log = []
+        reader = facebook._message_reader
+
+        def logged(owner_pass=False):
+            record = reader(owner_pass)
+            return record if owner_pass else lambda *args: log.append("row") or record(*args)
+
+        monkeypatch.setattr(facebook, "_message_reader", logged)
+        from_message = mapping._from_fb_message
+        monkeypatch.setattr(mapping, "_from_fb_message", lambda *args: log.append("event") or from_message(*args))
+        path = self.grown(root, tmp_path / forge.FACEBOOK_DB_DIR / "Messages.sqlite", 50)
+        assert main(["timeline", str(path), "--out", str(tmp_path / "out.jsonl")]) == 0
+        assert log.count("row") == log.count("event") == 50
+        assert log.index("event") < len(log) - 1 - log[::-1].index("row")
+
+    def test_a_cache_failing_in_its_messages_fails_in_the_owner_pass(self, tmp_path, capfdbinary):
+        """A messages table damaged partway fails the cache before any record is read, so without --fb-owner the
+        warnings of the rows read before the damage are not given; with it, the rows are read and they are."""
+        path = tmp_path / "Messages.sqlite"
+        connection = sqlite3.connect(path)
+        connection.execute("PRAGMA page_size = 1024")
+        connection.execute("CREATE TABLE messages (sender TEXT, timestamp INTEGER, tags TEXT, body TEXT)")
+        connection.executemany("INSERT INTO messages VALUES (?, ?, ?, ?)",
+                               [('{"user_id": "1001"}', -1 if n == 0 else 1421600000000 + n, '["sent"]', "m%d" % n)
+                                for n in range(400)])
+        connection.commit()
+        connection.close()
+        data = bytearray(path.read_bytes())
+        last_leaf = len(data) - 1024  # the table's rows fill the file, so its last page is one of its leaves
+        data[last_leaf:last_leaf + 8] = b"\xff" * 8
+        path.write_bytes(bytes(data))
+        error = b"error: %s: DatabaseError: database disk image is malformed" % bytes(path)
+        code, out, err = _outcome(capfdbinary, ["timeline", str(path), "-v"])
+        assert (code, out, err.splitlines()) == (2, b"", [error, b"0 events, 0 warnings"])
+        code, out, err = _outcome(capfdbinary, ["timeline", str(path), "-v", "--fb-owner", "1001"])
+        assert (code, out, err.splitlines()) == (2, b"", [error, b"0 events, 1 warnings",
+                                                         b"warning: messages row 1 has no usable timestamp"])
 
 
 class TestRawScanStreamed:

@@ -10,7 +10,7 @@ from datetime import date
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from imartifacts import carver, facebook, mapping, sampledata as sd
+from imartifacts import carver, facebook, mapping, sampledata as sd, sqliteio
 from imartifacts.facebook import (
     ChatFragment,
     MalformedJson,
@@ -28,9 +28,9 @@ from imartifacts.sqliteio import DamagedDatabase, MissingTable, NotSqlite, open_
 
 
 def read(extract, path, warnings=None):
-    """extract's records from the database at path, on a connection opened for the call."""
+    """extract's records from the database at path, taken whole on a connection opened for the call."""
     with open_immutable(path, warnings) as connection:
-        return extract(connection, path, warnings)
+        return list(extract(connection, path, warnings))
 
 
 def _make_db(path, schema, table, rows):
@@ -292,7 +292,7 @@ class TestMessages:
         assert mapping._fb_direction(stripped[1], sd.OWNER_UID) == "received"
 
     def test_infer_owner(self, messages_db):
-        assert infer_owner_uid(read(extract_messages, messages_db)) == sd.OWNER_UID
+        assert infer_owner_uid((m.sender_uid, m.tags) for m in read(extract_messages, messages_db)) == sd.OWNER_UID
         assert infer_owner_uid([]) is None
 
     def test_malformed_columns_kept_with_warnings(self, tmp_path):
@@ -341,12 +341,12 @@ class TestMessages:
 
     def test_connection_closed_on_return_and_raise(self, messages_db, tmp_path):
         with open_immutable(messages_db) as connection:
-            read_messages = extract_messages(connection, messages_db)
-            assert extract_users(connection, messages_db)  # a reader leaves the caller's connection open
+            read_messages = list(extract_messages(connection, messages_db))
+            assert list(extract_users(connection, messages_db))  # a reader leaves the caller's connection open
         other = _make_db(tmp_path / "Other.sqlite", "CREATE TABLE other (x)", "other", [])
         with pytest.raises(MissingTable):
             with open_immutable(other) as raised:
-                extract_messages(raised, other)
+                list(extract_messages(raised, other))
         assert [m.row_id for m in read_messages] == [15, 16, 18, 19, 20]
         for opened in (connection, raised):
             with pytest.raises(sqlite3.ProgrammingError):
@@ -365,6 +365,142 @@ class TestMessages:
         with pytest.raises(DamagedDatabase, match="rowid") as caught:
             read(extract_messages, path)
         assert isinstance(caught.value.__cause__, sqlite3.OperationalError)
+
+
+def _sender(uid, key="user_id"):
+    return json.dumps({key: uid, "name": "Name %s" % uid, "email": ""})
+
+
+# Rows of (timestamp, sender, tags) the owner pass must weigh: timed and untimed rows, senders under each uid key,
+# unparsable and wrongly shaped sender JSON, and sent, received and salvaged tags.
+OWNER_TIMES = st.sampled_from([None, -1, "x", 0, 1421600000000, 1421600000001, str(1421600005000)])
+OWNER_SENDERS = st.one_of(
+    st.builds(_sender, st.sampled_from(["100001", "100002", "100003", 100004]),
+              st.sampled_from(["user_id", "uid", "id"])),
+    st.sampled_from([None, "", "{broken", "[1, 2]", '{"name": "no uid"}', '{"user_id": ""}']),
+)
+OWNER_TAGS = st.sampled_from([None, "", "[]", '["sent"]', '["inbox", "sent"]', '["inbox"]', '{"inbox", "sent"}',
+                              '{"sent": 1}', "sent", "[[", '["read", "source:chat"]'])
+OWNER_ROWS = st.lists(st.tuples(OWNER_TIMES, OWNER_SENDERS, OWNER_TAGS), max_size=12)
+ACCOUNT_DIR = "Users/u/AppData/Local/Packages/%s/LocalState/%s/DB" % (sd.FACEBOOK_PACKAGE_FAMILY, sd.OWNER_UID)
+
+
+def oracle_owner(rows, in_account_dir):
+    """The owner rule over plain (timestamp, sender, tags) rows in rowid order, written without the extractor's code.
+
+    A row counts if its timestamp is a non-negative whole number of milliseconds.  Its sender is the first
+    non-empty of user_id, uid and id in the sender JSON object, and its tags the items of the tags JSON array, or
+    else every double-quoted run in the text.  The owner is the sender of the most sent-tagged counted rows, the
+    greatest on a tie; with none, the account directory's uid if any row counts there.
+    """
+    counted, sent = 0, {}
+    for timestamp, sender, tags in rows:
+        try:
+            if int(timestamp) < 0:
+                continue
+        except (TypeError, ValueError):
+            continue
+        counted += 1
+        try:
+            obj = json.loads(sender)
+        except (TypeError, ValueError):
+            obj = None
+        uid = None
+        if isinstance(obj, dict):
+            uid = next((obj[key] for key in ("user_id", "uid", "id") if obj.get(key)), None)
+        try:
+            items = json.loads(tags)
+        except (TypeError, ValueError):
+            items = None
+        if not isinstance(items, list):
+            items = [] if tags is None else tags.split('"')[1::2][:tags.count('"') // 2]  # whole quoted runs
+        if "sent" in [str(item) for item in items] and uid:
+            sent[str(uid)] = sent.get(str(uid), 0) + 1
+    if sent:
+        top = max(sent.values())
+        return max(uid for uid, count in sent.items() if count == top)
+    return sd.OWNER_UID if counted and in_account_dir else None
+
+
+class TestOwnerPass:
+    """cache_owner reads the owner from one pass over the messages table, before any record is read."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(rows=OWNER_ROWS, in_account_dir=st.booleans())
+    def test_owner_matches_the_oracle(self, tmp_path_factory, rows, in_account_dir):
+        base = tmp_path_factory.mktemp("owner")
+        folder = base / ACCOUNT_DIR if in_account_dir else base / "loose"
+        folder.mkdir(parents=True)
+        path = _make_db(folder / "Messages.sqlite", "CREATE TABLE messages (sender TEXT, timestamp, tags TEXT)",
+                        "messages", [{"sender": sender, "timestamp": timestamp, "tags": tags}
+                                     for timestamp, sender, tags in rows])
+        with open_immutable(path) as connection:
+            stored = connection.execute("SELECT timestamp, sender, tags FROM messages ORDER BY rowid").fetchall()
+            assert facebook.cache_owner(connection, path) == oracle_owner(stored, in_account_dir)
+
+    @pytest.mark.parametrize("rows, owner", [
+        ([(1, _sender("100001"), '["sent"]'), (2, _sender("100002"), '["sent"]')], "100002"),  # a tie
+        ([(None, _sender("100001"), '["sent"]'), (2, _sender("100002"), '["inbox"]')], sd.OWNER_UID),  # untimed
+        ([(1, "{broken", '["sent"]'), (2, _sender("100002"), '{"inbox", "sent"}')], "100002"),  # salvaged
+        ([(-1, _sender("100001"), '["sent"]')], None),  # no row kept: no fallback either
+    ], ids=["tie", "untimed", "salvaged", "none-kept"])
+    def test_named_cases(self, tmp_path, rows, owner):
+        folder = tmp_path / ACCOUNT_DIR
+        folder.mkdir(parents=True)
+        path = _make_db(folder / "Messages.sqlite", "CREATE TABLE messages (sender TEXT, timestamp, tags TEXT)",
+                        "messages", [{"sender": s, "timestamp": t, "tags": g} for t, s, g in rows])
+        with open_immutable(path) as connection:
+            assert facebook.cache_owner(connection, path) == owner
+
+    def test_no_messages_table_has_no_owner(self, analytics_db):
+        with open_immutable(analytics_db) as connection:
+            assert facebook.cache_owner(connection, analytics_db) is None
+
+    def test_the_pass_reads_three_columns(self, messages_db, monkeypatch):
+        queries = []
+        plan = sqliteio.plan_query
+        monkeypatch.setattr(sqliteio, "plan_query", lambda *args: queries.append(plan(*args)) or queries[-1])
+        with open_immutable(messages_db) as connection:
+            assert facebook.cache_owner(connection, messages_db) == sd.OWNER_UID
+        assert queries == ['SELECT rowid AS rowid_, "timestamp", "sender", "tags" FROM "messages" NOT INDEXED'
+                           ' ORDER BY rowid_']
+
+
+class TestParseCache:
+    """Each distinct sender and tags text is parsed once per table read, and no row's warnings change."""
+
+    def messages(self, tmp_path, senders, tags='["inbox"]'):
+        rows = [dict(sd.MESSAGE_ROWS[0], rowid=index + 1, sender=sender, tags=tags)
+                for index, sender in enumerate(senders)]
+        return _messages_db(tmp_path, message_rows=rows, users_rows=())
+
+    def test_a_warned_parse_is_parsed_again_for_each_row(self, tmp_path):
+        warnings = []
+        messages = read(extract_messages, self.messages(tmp_path, ["{broken"] * 3, tags="[["), warnings)
+        assert len(messages) == 3
+        assert warnings == ["%s in messages row %d" % (what, row) for row in (1, 2, 3)
+                            for what in ("sender JSON unparsed", "tags unparsed")]
+
+    def test_equal_texts_share_one_parse(self, tmp_path):
+        first, second = read(extract_messages, self.messages(tmp_path, [_sender("100001")] * 2))
+        assert first.sender_name is second.sender_name and first.tags is second.tags
+        assert (first.sender_uid, first.sender_name, first.tags) == ("100001", "Name 100001", ("inbox",))
+
+    def test_every_sender_distinct_keeps_the_cache_at_its_bound(self, tmp_path, monkeypatch):
+        made = []
+
+        class Recording(facebook._ParseCache):
+            def __init__(self, parse):
+                super().__init__(parse)
+                made.append(self)
+
+        monkeypatch.setattr(facebook, "_ParseCache", Recording)
+        count = facebook.PARSE_CACHE_SIZE + 100
+        messages = read(extract_messages, self.messages(tmp_path, [_sender(str(n)) for n in range(count)]))
+        assert [m.sender_uid for m in messages] == [str(n) for n in range(count)]
+        senders, tags = made
+        assert len(senders.results) == facebook.PARSE_CACHE_SIZE
+        assert len(tags.results) == 1
 
 
 class TestUsers:

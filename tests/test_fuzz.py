@@ -6,6 +6,7 @@ example database is kept, so every run checks the same inputs.
 
 import io
 import struct
+from collections.abc import Iterator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -261,9 +262,11 @@ DATABASE_EXTRACTORS = [
 
 
 def read_database(extract, path):
-    """extract(connection, path, warnings) on a connection to path opened for the call."""
+    """extract(connection, path, warnings) on a connection to path opened for the call, a stream of records taken
+    whole before it closes."""
     with sqliteio.open_immutable(path, []) as connection:
-        return extract(connection, path, [])
+        records = extract(connection, path, [])
+        return list(records) if isinstance(records, Iterator) else records
 
 
 @pytest.fixture(scope="module")

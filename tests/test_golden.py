@@ -1,4 +1,5 @@
-"""Golden output gates: `report --format jsonl` and `timeline --format csv` over forged seeds 0-19.
+"""Golden output gates: `report --format jsonl`, `timeline --format csv` and the `facebook` and `skype` summaries
+over forged seeds 0-19.
 
 report_seed7.jsonl holds the bytes the pipeline wrote for seed 7 before
 the column reader, the once-per-path evidence relativizing and the summary
@@ -8,9 +9,12 @@ fast paths and the once-per-source provenances went in. digests.json holds
 the SHA-256 of both outputs for every other seed, taken before the record
 mappers moved into one table per type, and the SHA-256 of the
 `timeline -v` stderr of every seed, taken before each SQLite file was
-opened once per run. The expected timeline the forge writes comes from
-the same normalize, merge and emit code under test, so it cannot catch a
-change there; these files can, whatever code the change comes from.
+opened once per run, and of the stdout and stderr of `facebook` on every
+cache and `skype` on the tree's root, taken before the caches were read as
+streams; facebook_seed7.txt holds that `facebook` stdout for seed 7. The
+expected timeline the forge writes comes from the same normalize, merge and
+emit code under test, so it cannot catch a change there; these files can,
+whatever code the change comes from.
 """
 
 import hashlib
@@ -24,6 +28,7 @@ from imartifacts.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "report_seed7.jsonl"
 GOLDEN_CSV = Path(__file__).parent / "golden" / "timeline_seed7.csv"
+GOLDEN_FACEBOOK = Path(__file__).parent / "golden" / "facebook_seed7.txt"
 DIGESTS = json.loads((Path(__file__).parent / "golden" / "digests.json").read_text(encoding="utf-8"))
 OTHER_SEEDS = [seed for seed in range(20) if seed != 7]
 
@@ -69,3 +74,28 @@ def test_timeline_csv_matches_golden_digest(tmp_path, monkeypatch, seed):
 def test_timeline_verbose_stderr_matches_golden_digest(tmp_path, monkeypatch, capsys, seed):
     timeline_csv(tmp_path, monkeypatch, seed, "-v")
     assert hashlib.sha256(capsys.readouterr().err.encode()).hexdigest() == DIGESTS[str(seed)]["timeline_stderr"]
+
+
+def summary(tmp_path, monkeypatch, capsys, seed, command) -> tuple[bytes, bytes]:
+    """stdout and stderr of `facebook` on every cache of the forged seed, or of `skype` on its root, run inside it."""
+    root = tmp_path / "evidence"
+    forge.forge_fixture(seed, root)
+    monkeypatch.chdir(root)
+    caches = sorted(p.relative_to(root).as_posix() for p in root.rglob("*.sqlite"))
+    capsys.readouterr()
+    assert main([command, *(caches if command == "facebook" else ["."])]) == 0
+    captured = capsys.readouterr()
+    return captured.out.encode(), captured.err.encode()
+
+
+def test_facebook_summary_matches_golden_bytes(tmp_path, monkeypatch, capsys):
+    assert summary(tmp_path, monkeypatch, capsys, 7, "facebook") == (GOLDEN_FACEBOOK.read_bytes(), b"")
+
+
+@pytest.mark.parametrize("command", ["facebook", "skype"])
+@pytest.mark.parametrize("seed", range(20))
+def test_summary_matches_golden_digest(tmp_path, monkeypatch, capsys, seed, command):
+    out, err = summary(tmp_path, monkeypatch, capsys, seed, command)
+    want = DIGESTS[str(seed)]
+    assert hashlib.sha256(out).hexdigest() == want[command + "_stdout"]
+    assert hashlib.sha256(err).hexdigest() == want[command + "_stderr"]

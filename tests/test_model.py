@@ -252,6 +252,55 @@ class TestIsoTextOracle:
         assert _outcome(ts_from_iso_text, text) == _outcome(reference_ts_from_iso_text, text)
 
 
+# Month and day fields for strptime's %m and %d: every one or two digits, a space before a digit, and fields it
+# must refuse (empty, spaced, signed, too long, non-ASCII digits).
+YMD_FIELDS = ([str(n) for n in range(10)] + ["%02d" % n for n in range(100)] + [" %d" % n for n in range(10)]
+              + ["", " ", "  5", "5 ", "x", "+1", "-1", "001", "\u0665", "1\u0662", "\u00b2"])
+YMD_YEARS = ["2015", "2016", "0000", "0001", "9999", "\u0662\u0660\u0661\u0665", "201", "20150", " 201"]
+
+
+def _date_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return ValueError
+
+
+class TestDateFromYmd:
+    """date_from_ymd reads a date as datetime.strptime does, without importing it."""
+
+    @pytest.mark.parametrize("separator", ["-", ""])
+    def test_every_month_and_day_field_matches_strptime(self, separator):
+        layout = separator.join(("%Y", "%m", "%d"))
+        mismatched = []
+        for year in YMD_YEARS:
+            for month in YMD_FIELDS:
+                for day in YMD_FIELDS:
+                    text = separator.join((year, month, day))
+                    got = _date_outcome(lambda t: model.date_from_ymd(t, separator), text)
+                    want = _date_outcome(lambda t: datetime.strptime(t, layout).date(), text)
+                    if got != want:
+                        mismatched.append((text, got, want))
+        assert mismatched == []
+
+    def test_a_run_does_not_import_strptime(self, tmp_path):
+        """A report over a forged tree, friends' and Skype birthdays included, never loads _strptime."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from imartifacts import forge
+
+        forge.forge_fixture(7, tmp_path / "tree")
+        src = str(Path(model.__file__).resolve().parent.parent)
+        code = ("import sys; from imartifacts.cli import main; main(['report', sys.argv[1], '--out', sys.argv[2]]); "
+                "print('_strptime' in sys.modules)")
+        child = subprocess.run([sys.executable, "-c", code, str(tmp_path / "tree"), str(tmp_path / "out.jsonl")],
+                               capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+        assert child.stdout == "False\n", child.stderr
+
+
 class TestInferUnit:
     def test_threshold(self):
         assert infer_epoch_unit(999999999999) == "seconds"

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import sqlite3
+from collections.abc import Iterator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,9 +48,11 @@ READER_SPECS = sorted({aliases_of(spec) for columns in READER_PLANS for spec in 
 
 
 def read(extract, path, warnings=None):
-    """extract(connection, path, warnings) on a connection to path opened for the call."""
+    """extract(connection, path, warnings) on a connection to path opened for the call, a stream of records taken
+    whole before it closes."""
     with sqliteio.open_immutable(path, warnings) as connection:
-        return extract(connection, path, warnings)
+        records = extract(connection, path, warnings)
+        return list(records) if isinstance(records, Iterator) else records
 
 
 def store_dataset(connection, path, warnings=None):
@@ -117,7 +120,7 @@ def test_extractor_lookups_match_reference(forged_root, monkeypatch):
                 continue
             for _, extract in FB_TABLES:
                 try:
-                    extract(connection, path, [])
+                    list(extract(connection, path, []))
                 except sqliteio.MissingTable:
                     pass
     assert len(aliases) > 50
@@ -262,7 +265,7 @@ def test_plan_matches_reference_on_generated_tables(table):
         connection.close()
 
 
-@pytest.mark.parametrize("extract", [facebook.extract_messages, store_dataset],
+@pytest.mark.parametrize("extract", [lambda *opened: list(facebook.extract_messages(*opened)), store_dataset],
                          ids=["imartifacts.facebook-extract_messages", "imartifacts.skype-extract_main_db"])
 def test_garbage_pages_raise_damaged_database(tmp_path, extract):
     path = tmp_path / "garbage.db"
@@ -407,7 +410,8 @@ def test_read_table_gives_the_file_format_readers_rows(forged_seeds, monkeypatch
                 if tables & skype.STORE_TABLES:
                     list(skype.extract_main_db(connection, path))
                 else:
-                    facebook.extract_cache(connection, path)
+                    for group in facebook.extract_cache(connection, path).values():
+                        list(group)
     assert len(reads) == len(forged_seeds) * 12  # seven store tables and five cache tables per tree
     assert all(rows for *_, rows in reads)
     mismatched = []
