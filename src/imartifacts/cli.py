@@ -356,7 +356,7 @@ def _reap(worker: tuple[int, int], kill: bool = False) -> int:
     return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
-def _run_pipeline(args, paths, journal=None, root=None, warnings=()) -> int:
+def _run_pipeline(args, names, journal=None, root=None) -> int:
     """_gather_and_emit with automatic garbage collection paused, then set back as the caller had it.
 
     The run's records and events hold almost no reference cycles, so each
@@ -365,22 +365,31 @@ def _run_pipeline(args, paths, journal=None, root=None, warnings=()) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _gather_and_emit(args, paths, journal, root, warnings)
+        return _gather_and_emit(args, names, journal, root)
     finally:
         if enabled:
             gc.enable()
 
 
-def _gather_and_emit(args, paths, journal, root, warnings) -> int:
-    """Gather paths, then the journal CSV if given, merge and emit the timeline.
+def _gather_and_emit(args, names, journal, root) -> int:
+    """Gather the files that names name, then the journal CSV if given, merge and emit the timeline.
 
-    The report's warnings start with the given ones.  With root, evidence
+    Each file is read once, whatever it is called: a name that resolves to
+    the journal is left out, and one that resolves to an earlier name is
+    left out with a warning, the report's first.  With root, evidence
     paths are rewritten relative to it.  The largest raw
     inputs are scanned in forked workers (_start_scans) while this process
     reads the others; each worker's result is taken at its input's turn.
     """
     gather = _Gather(_load_catalog(args.catalog), args.fb_owner, args.skype_owner)
-    gather.warnings += warnings
+    first: dict[str, int | None] = {} if journal is None else {os.path.realpath(journal): None}
+    paths = []
+    for index, name in enumerate(names):
+        at = first.setdefault(os.path.realpath(name), index)  # unlike Path.resolve, realpath never raises on a loop
+        if at == index:
+            paths.append(Path(name))
+        elif at is not None:
+            gather.warnings.append("%s names the same file as %s, skipped" % (name, names[at]))
     workers = _start_scans(paths)
     try:
         for index, path in enumerate(paths):
@@ -534,22 +543,8 @@ def _cmd_pcap(args) -> int:
 
 
 def _cmd_timeline(args) -> int:
-    # Each file is read once, whatever it is called.  The journal CSV is ingested last, and an input that resolves
-    # to it is left out; one that resolves to an earlier input is left out with a warning.
-    journal = Path(args.ntfs_csv) if args.ntfs_csv else None
-    first: dict[str, int | None] = {}  # real path -> position of the input naming it, None for the journal
-    if journal:
-        first[os.path.realpath(journal)] = None  # unlike Path.resolve, realpath never raises on a link loop
-    paths, warnings = [], []
-    for index, name in enumerate(args.inputs):
-        if os.path.isdir(name):
-            continue
-        at = first.setdefault(os.path.realpath(name), index)
-        if at == index:
-            paths.append(Path(name))
-        elif at is not None:
-            warnings.append("%s names the same file as %s, skipped" % (name, args.inputs[at]))
-    return _run_pipeline(args, paths, journal=journal, warnings=warnings)
+    names = [name for name in args.inputs if not os.path.isdir(name)]
+    return _run_pipeline(args, names, journal=Path(args.ntfs_csv) if args.ntfs_csv else None)
 
 
 def _cmd_report(args) -> int:

@@ -439,7 +439,7 @@ def _parse_iso_column(value, warnings, context):
         return None
     try:
         return ts_from_iso_text(as_text(value))
-    except Exception:
+    except ExtractionError:
         warn(warnings, "unparsed time %r in %s" % (value, context))
         return None
 

@@ -155,7 +155,8 @@ _YMD = r"(?P<Y>\d\d\d\d)%s(?P<m>1[0-2]|0[1-9]|[1-9])%s(?P<d>3[0-1]|[1-2]\d|0[1-9
 
 
 def date_from_ymd(text: str, separator: str = "") -> date:
-    """datetime.strptime(text, f"%Y{separator}%m{separator}%d").date(), and ValueError where that raises one."""
+    """The date that datetime.strptime reads from text with f"%Y{separator}%m{separator}%d", and ValueError where
+    it raises one."""
     sep = re.escape(separator)
     match = re.match(_YMD % (sep, sep), text, re.IGNORECASE)
     if match is None or match.end() != len(text):
@@ -163,52 +164,43 @@ def date_from_ymd(text: str, separator: str = "") -> date:
     return date(int(match["Y"]), int(match["m"]), int(match["d"]))
 
 
-_ISO_LAYOUTS = (
-    "%Y-%m-%d %H:%M:%S.%f",
-    "%Y-%m-%d %H:%M:%S",
-    "%Y-%m-%dT%H:%M:%S.%f",
-    "%Y-%m-%dT%H:%M:%S",
-    "%Y-%m-%d %H:%M",
-    "%Y-%m-%d",
-)
-
-
-# The first four layouts with two-digit ASCII fields, read without strptime.
-_ISO_FAST_RE = re.compile(
-    r"([0-9]{4})-([0-9]{2})-([0-9]{2})[ T]([0-9]{2}):([0-9]{2}):([0-9]{2})(?:\.([0-9]{1,6}))?")
+# strptime's own patterns for %H, %M, %S and %f after _YMD's; ts_from_iso_text
+# says which texts they read.
+_ISO_RE = re.compile(_YMD % ("-", "-") + r"(?:(?:\s+|(?P<T>T))(?P<H>2[0-3]|[0-1]\d|\d):(?P<M>[0-5]\d|\d)"
+                     r"(?::(?P<S>6[0-1]|[0-5]\d|\d)(?:\.(?P<f>[0-9]{1,6}))?)?)?", re.IGNORECASE)
 
 
 def ts_from_iso_text(text: str) -> Timestamp:
-    """Decode a stored date-time string, assuming UTC when no offset is given."""
+    """Decode a stored date-time string, assuming UTC when no offset is given.
+
+    After a trailing Z is dropped, the text is read as strptime would read
+    "%Y-%m-%d %H:%M:%S.%f" with the time, its seconds and their fraction
+    optional in turn, a T in place of the space only with seconds, any run
+    of white space for the space, and letters in either case; nothing
+    imports _strptime.  Text that does not match, or names no real date
+    and time, is read by datetime.fromisoformat, which takes UTC offsets.
+    OutOfRange if neither reads it or the instant falls outside 1601-9999.
+    """
     cleaned = text.strip()
     candidate = cleaned[:-1] if cleaned.endswith("Z") else cleaned
-    match = _ISO_FAST_RE.fullmatch(candidate)
-    if match:
-        year, month, day, hour, minute, second, fraction = match.groups()
-        millis = int(fraction[:3].ljust(3, "0")) if fraction else 0
-        try:
-            parsed = datetime(int(year), int(month), int(day), int(hour), int(minute),
-                              int(second), millis * 1000, tzinfo=timezone.utc)
-        except ValueError:
-            pass  # a field out of range: strptime decides, as before
-        else:
-            return Timestamp(parsed, "iso_text", text)
     parsed = None
-    for layout in _ISO_LAYOUTS:
+    match = _ISO_RE.match(candidate)
+    if match is not None and match.end() == len(candidate) and (match["S"] or not match["T"]):
+        year, month, day, hour, minute, second, fraction = match.group("Y", "m", "d", "H", "M", "S", "f")
         try:
-            parsed = datetime.strptime(candidate, layout)
-            break
+            parsed = datetime(int(year), int(month), int(day), int(hour or 0), int(minute or 0), int(second or 0),
+                              int((fraction or "0")[:3].ljust(3, "0")) * 1000, tzinfo=timezone.utc)
         except ValueError:
-            continue
+            pass  # no such date or time: fromisoformat decides
     if parsed is None:
         try:
             parsed = datetime.fromisoformat(candidate)
+            parsed = parsed.replace(tzinfo=parsed.tzinfo or timezone.utc).astimezone(timezone.utc)
         except ValueError as exc:
             raise OutOfRange("unrecognized date-time text: %r" % (text,)) from exc
-    if parsed.tzinfo is None:
-        parsed = parsed.replace(tzinfo=timezone.utc)
-    parsed = parsed.astimezone(timezone.utc)
-    parsed = parsed.replace(microsecond=parsed.microsecond - parsed.microsecond % 1000)
+        except OverflowError as exc:
+            raise OutOfRange("date-time text outside the datetime range: %r" % (text,)) from exc
+        parsed = parsed.replace(microsecond=parsed.microsecond - parsed.microsecond % 1000)
     return Timestamp(parsed, "iso_text", text)
 
 

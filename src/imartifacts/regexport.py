@@ -256,8 +256,12 @@ def _package_tail(segments: list[str]) -> str | None:
     return "\\".join(segments[-2:]).casefold() if len(segments) >= 2 else None
 
 
+def _install_provenance(evidence_path: str) -> Provenance:
+    return Provenance(evidence_path, "regexport.install_time", Channel.REGISTRY)
+
+
 def _install_record(export: RegExport, key: str, package: PackageIdentity,
-                    evidence_path: str) -> InstallRecord:
+                    provenance: Provenance) -> InstallRecord:
     for value in export.keys[key]:
         if value.name.casefold() == "installtime":
             when, interpretation = _select_filetime(_filetime_bytes(value))
@@ -266,7 +270,7 @@ def _install_record(export: RegExport, key: str, package: PackageIdentity,
                 install_time=when,
                 key_path=key,
                 interpretation=interpretation,
-                provenance=Provenance(evidence_path, "regexport.install_time", Channel.REGISTRY),
+                provenance=provenance,
             )
     raise PackageKeyNotFound("key %s has no InstallTime value" % key)
 
@@ -282,7 +286,7 @@ def find_install_time(export: RegExport, package, evidence_path: str = "<reg-exp
     wanted = _package_tail([package.family, package.text])
     for key in export.keys:
         if _package_tail(_key_segments(key)) == wanted:
-            return _install_record(export, key, package, evidence_path)
+            return _install_record(export, key, package, _install_provenance(evidence_path))
     raise PackageKeyNotFound("no repository key for %s" % package.text)
 
 
@@ -294,8 +298,10 @@ def find_install_records(export: RegExport, evidence_path: str = "<reg-export>")
     find_install_time would resolve its package, through an index of the
     first key of each tail; a package whose time cannot be decoded is
     skipped.  One pass over the keys does both, since the first key with
-    a package key's tail is never after it.
+    a package key's tail is never after it.  Every record shares one
+    provenance.
     """
+    provenance = _install_provenance(evidence_path)
     first_keys: dict[str, str] = {}
     records = []
     for key in export.keys:
@@ -307,7 +313,7 @@ def find_install_records(export: RegExport, evidence_path: str = "<reg-export>")
         try:
             package = parse_package_id(segments[-1])
             if segments[-2].casefold() == package.family.casefold():
-                records.append(_install_record(export, first, package, evidence_path))
+                records.append(_install_record(export, first, package, provenance))
         except ExtractionError:
             continue
     return records
@@ -333,7 +339,8 @@ _PERSISTED_MARKER = ("persistedstorageitemtable", "managedbyapp")
 def find_persisted_items(
     export: RegExport, warnings: list[str] | None = None, evidence_path: str = "<reg-export>"
 ) -> list[PersistedItem]:
-    """Collect per-file storage records: one item per GUID subkey."""
+    """Collect per-file storage records: one item per GUID subkey, every one with the same provenance."""
+    provenance = Provenance(evidence_path, "regexport.persisted_items", Channel.REGISTRY)
     items = []
     for key, values in export.keys.items():
         segments = _key_segments(key)
@@ -366,7 +373,7 @@ def find_persisted_items(
                 last_updated=when,
                 interpretation=interpretation,
                 key_path=key,
-                provenance=Provenance(evidence_path, "regexport.persisted_items", Channel.REGISTRY),
+                provenance=provenance,
             )
         )
     return items

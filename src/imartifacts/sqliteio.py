@@ -76,9 +76,8 @@ def open_immutable(path: str | Path, warnings: list[str] | None = None) -> sqlit
     """Open a database file read-only and immutable.
 
     Verifies the file magic first so a bad path fails with NotSqlite
-    instead of a confusing driver error.  Appends a warning, once per
-    warnings list, when a WAL sidecar is present, since immutable mode
-    does not apply it.
+    instead of a confusing driver error.  Appends a warning to warnings
+    when a WAL sidecar is present, since immutable mode does not apply it.
     """
     path = os.fspath(path)
     try:
@@ -89,9 +88,7 @@ def open_immutable(path: str | Path, warnings: list[str] | None = None) -> sqlit
     if magic != SQLITE_MAGIC:
         raise NotSqlite("not a SQLite database: %s" % path)
     if warnings is not None and os.path.exists(path + "-wal"):
-        message = "wal-present-not-applied: %s" % path
-        if message not in warnings:  # a run opens each database once, but may be given one input twice
-            warnings.append(message)
+        warnings.append("wal-present-not-applied: %s" % path)
     uri = Path(path).absolute().as_uri() + "?mode=ro&immutable=1"  # "#", "?" and "%" percent-encoded
     connection = sqlite3.connect(uri, uri=True, factory=_ClosingConnection)
     connection.row_factory = sqlite3.Row
@@ -99,8 +96,9 @@ def open_immutable(path: str | Path, warnings: list[str] | None = None) -> sqlit
 
 
 def table_names(connection: sqlite3.Connection) -> dict[str, str]:
-    """Map casefolded table names to their stored spelling."""
-    rows = connection.execute("SELECT name FROM sqlite_master WHERE type = 'table'")
+    """Map casefolded table names to their stored spelling, taken as text: a damaged schema may hold one as a blob."""
+    rows = connection.execute(
+        "SELECT CAST(name AS TEXT) AS name FROM sqlite_master WHERE type = 'table' AND name NOTNULL")
     return {row["name"].casefold(): row["name"] for row in rows}
 
 

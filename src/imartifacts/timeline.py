@@ -30,6 +30,7 @@ from .model import (
     Channel,
     EventKind,
     ExtractionError,
+    OutOfRange,
     Provenance,
     Timestamp,
     TimelineEvent,
@@ -185,7 +186,10 @@ def _journal_timestamp(text: str, utc_offset_minutes: int) -> Timestamp:
     parsed = ts_from_iso_text(text)
     if not utc_offset_minutes:
         return parsed
-    shifted = parsed.utc_instant - timedelta(minutes=utc_offset_minutes)
+    try:
+        shifted = parsed.utc_instant - timedelta(minutes=utc_offset_minutes)
+    except OverflowError as exc:
+        raise OutOfRange("%r at UTC%+d minutes is outside the datetime range" % (text, utc_offset_minutes)) from exc
     return Timestamp(shifted, "iso_text", parsed.raw)
 
 

@@ -313,6 +313,21 @@ class TestPipelineCommands:
             "%s events, %d warnings" % (events, int(count) + 1),
             "warning: ./Messages.sqlite names the same file as Messages.sqlite, skipped", *warned]
 
+    def test_report_reads_a_linked_file_once_under_its_first_name(self, tmp_path, capfdbinary):
+        """Seed 0 plus zz_link.csv -> ntfs_journal.csv: the same 58 events, and one warning for the link."""
+        root = tmp_path / "evidence"
+        forge.forge_fixture(0, root)
+        code, out, err = _outcome(capfdbinary, ["report", str(root), "-v"])
+        assert code == 0 and len(out.splitlines()) == 58
+        (root / "zz_link.csv").symlink_to("ntfs_journal.csv")
+        linked = _outcome(capfdbinary, ["report", str(root), "-v"])
+        assert linked[:2] == (code, out)
+        counts, *warned = err.decode("utf-8").splitlines()
+        assert linked[2].decode("utf-8").splitlines() == [
+            "58 events, %d warnings" % (len(warned) + 1),
+            "warning: %s names the same file as %s, skipped" % (root / "zz_link.csv", root / "ntfs_journal.csv"),
+            *warned]
+
     def test_partial_failure_keeps_good_events(self, forged, tmp_path, capfd):
         root, _ = forged
         broken = tmp_path / "broken.db"

@@ -5,13 +5,15 @@ example database is kept, so every run checks the same inputs.
 """
 
 import io
+import random
 import struct
 from collections.abc import Iterator
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from imartifacts import facebook, forge, sampledata as sd, skype, sqliteio
+from imartifacts import cli, facebook, forge, sampledata as sd, skype, sqliteio
 from imartifacts.facebook import CHAT_MARKER, ChatFragment, extract_chat_json
 from imartifacts.locator import ZoneMarker, read_zone_identifier
 from imartifacts.model import ExtractionError
@@ -287,3 +289,108 @@ def test_sqlite_extractors_on_damaged_pages(forged_databases, tmp_path_factory, 
     path = tmp_path_factory.getbasetemp() / ("damaged-" + name)
     path.write_bytes(bytes(data))
     returns_or_extraction_error(lambda p: read_database(extract, p), path)
+
+
+# ---------------------------------------------------------------------------
+# Forged files, damaged, through the command line's reader of each kind
+
+CASES_PER_FILE = 400  # seed 0's 18 files make about 6,600 cases
+LARGE = 1 << 20  # memory.bin's 5 MiB is written out per case, so a file this large gets a tenth of the cases
+# Damage that random edits are unlikely to make, by file: a journal time that its offset takes past datetime's range.
+EXPLICIT_CASES = {"ntfs_journal.csv": (b"2015-01-22 11:52:18", b"0001-01-01T00:00:00+01:00")}
+
+
+@pytest.fixture(scope="module")
+def seed0_files(tmp_path_factory):
+    """{path relative to the root: bytes} of every file of the forged seed-0 tree."""
+    root = tmp_path_factory.mktemp("contract") / "evidence"
+    forge.forge_fixture(0, root)
+    return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def _damaged(data: bytes, rng: random.Random) -> bytes:
+    """data after one to three of: a truncation, one to eight bit flips, a zeroed run of up to 512 bytes."""
+    out = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        how = rng.randrange(3)
+        if how == 0:
+            del out[rng.randrange(len(out) + 1):]
+        elif how == 1:
+            for _ in range(rng.randint(1, 8)):
+                if out:
+                    out[rng.randrange(len(out))] ^= 1 << rng.randrange(8)
+        else:
+            start, length = rng.randrange(len(out) + 1), rng.randint(1, 512)
+            out[start:start + length] = bytes(len(out[start:start + length]))
+    return bytes(out)
+
+
+def _map_fault(path, kind):
+    """What _Gather._map makes of the file at path, read as kind or as sniffed: None for a result or an
+    ExtractionError, else the other exception's repr."""
+    try:
+        cli._Gather(None)._map(path, 0, kind, None, [])
+    except ExtractionError:
+        pass
+    except Exception as error:
+        return repr(error)
+    return None
+
+
+def test_each_reader_returns_or_raises_extraction_error_on_damaged_files(seed0_files, tmp_path):
+    """Each forged file emptied, doubled, damaged as EXPLICIT_CASES says and at random, sniffed or read as the kind
+    of the whole file."""
+    faults = []
+    for name, data in seed0_files.items():
+        path = tmp_path / Path(name).name
+        path.write_bytes(data)
+        kind = cli._sniff(path)
+        rng = random.Random(name)
+        count = CASES_PER_FILE // 10 if len(data) >= LARGE else CASES_PER_FILE
+        explicit = [data.replace(*EXPLICIT_CASES[name])] if name in EXPLICIT_CASES else []
+        for case, damaged in enumerate([b"", data + data, *explicit] + [_damaged(data, rng) for _ in range(count)]):
+            path.write_bytes(damaged)
+            fault = _map_fault(path, kind if case % 2 else None)
+            if fault is not None:
+                faults.append((name, case, fault))
+    assert faults == []
+
+
+def test_report_over_trees_with_damaged_files(seed0_files, tmp_path, monkeypatch, capfd):
+    """One to four files of the seed-0 tree damaged: exit 0 or 3, one error line per failed input, and only
+    damaged inputs fail, each with an ExtractionError."""
+    tallies, faults = [], []
+
+    class CheckedTally(cli._Tally):
+        def __init__(self):
+            super().__init__()
+            tallies.append(self)
+
+        def read(self, name, work):
+            def checked():
+                try:
+                    return work()
+                except ExtractionError:
+                    raise
+                except Exception as error:
+                    faults.append((name, repr(error)))
+                    raise
+            return super().read(name, checked)
+
+    monkeypatch.setattr(cli, "_Tally", CheckedTally)
+    rng = random.Random(22)
+    for run in range(6):
+        root = tmp_path / ("tree%d" % run)
+        damaged = rng.sample(sorted(seed0_files), rng.randint(1, 4))
+        for name, data in seed0_files.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_bytes(_damaged(data, rng) if name in damaged else data)
+        code = cli.main(["report", str(root), "--out", str(tmp_path / "out.jsonl")])
+        errors = [line for line in capfd.readouterr().err.splitlines() if line.startswith("error:")]
+        failed = tallies[-1].failed
+        assert code == (3 if failed else 0)
+        assert len(errors) == len(failed) == len(set(failed))
+        assert all(line.startswith("error: %s: " % name) for line, name in zip(errors, failed))
+        assert set(failed) <= {str(root / name) for name in damaged}
+    assert faults == []
+

@@ -156,8 +156,9 @@ class TestIsoText:
             ts_from_iso_text("not a date")
 
 
-# The strptime loop ts_from_iso_text ran before its fast path, kept here as
-# the oracle: it shares no code with the function under test.
+# The strptime loop ts_from_iso_text once ran, kept here as the oracle: it
+# shares no code with the function under test.  An offset that takes the
+# instant past datetime's range is OutOfRange, as the function raises it.
 _REFERENCE_LAYOUTS = (
     "%Y-%m-%d %H:%M:%S.%f",
     "%Y-%m-%d %H:%M:%S",
@@ -185,7 +186,10 @@ def reference_ts_from_iso_text(text: str) -> Timestamp:
             raise OutOfRange("unrecognized date-time text: %r" % (text,)) from exc
     if parsed.tzinfo is None:
         parsed = parsed.replace(tzinfo=timezone.utc)
-    parsed = parsed.astimezone(timezone.utc)
+    try:
+        parsed = parsed.astimezone(timezone.utc)
+    except OverflowError as exc:  # an offset past the range's edge
+        raise OutOfRange("outside the datetime range: %r" % (text,)) from exc
     parsed = parsed.replace(microsecond=parsed.microsecond - parsed.microsecond % 1000)
     return Timestamp(parsed, "iso_text", text)
 
@@ -247,6 +251,8 @@ class TestIsoTextOracle:
         "2015-01-22 11:46:60", "2015-13-22 11:46:02", "2015-02-29 00:00:00",
         "1600-12-31 23:59:59.999", "2015-01-22t11:46:02", "\u0662015-01-22 11:46:02",
         "2015-01-22 11:46:02.5z", "2015-01-22 11:46:02+01:00", " 2015-01-22 11:46:02 Z ",
+        "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00", "2015-1-2 3:04:05", "2015-01-22\t 11:46",
+        "2015-01-22T11:46", "2015-01- 2 3:4:5.1",
     ])
     def test_edge_cases_match_reference(self, text):
         assert _outcome(ts_from_iso_text, text) == _outcome(reference_ts_from_iso_text, text)
@@ -284,7 +290,8 @@ class TestDateFromYmd:
         assert mismatched == []
 
     def test_a_run_does_not_import_strptime(self, tmp_path):
-        """A report over a forged tree, friends' and Skype birthdays included, never loads _strptime."""
+        """A report over a forged tree, friends' and Skype birthdays and a journal time with one-digit fields
+        included, never loads _strptime."""
         import os
         import subprocess
         import sys
@@ -293,12 +300,15 @@ class TestDateFromYmd:
         from imartifacts import forge
 
         forge.forge_fixture(7, tmp_path / "tree")
+        (tmp_path / "tree" / "late.csv").write_text("LSN,Event Time,Event,File Name,Full Path\n"
+                                                    "1,2015-1-2 3:04:05,Open,a.txt,a.txt\n")
         src = str(Path(model.__file__).resolve().parent.parent)
         code = ("import sys; from imartifacts.cli import main; main(['report', sys.argv[1], '--out', sys.argv[2]]); "
                 "print('_strptime' in sys.modules)")
         child = subprocess.run([sys.executable, "-c", code, str(tmp_path / "tree"), str(tmp_path / "out.jsonl")],
                                capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
         assert child.stdout == "False\n", child.stderr
+        assert '"when_utc": "2015-01-02T03:04:05.000Z"' in (tmp_path / "out.jsonl").read_text()
 
 
 class TestInferUnit:

@@ -350,6 +350,7 @@ class TestInstallRecords:
         records = find_install_records(export, evidence_path="x.reg")
         assert [r.package.text for r in records] == [sd.FACEBOOK_PACKAGE_FULL, sd.SKYPE_PACKAGE_FULL]
         assert records[0].provenance.evidence_path == "x.reg"
+        assert records[1].provenance is records[0].provenance  # one per export
         assert find_install_records(export) == reference_install_records(export)
 
     def test_same_package_under_two_hives_and_cases(self):
@@ -466,6 +467,7 @@ class TestPersistedItems:
         assert items[0].last_updated.isoformat_ms() == "2015-01-19T21:13:42.000Z"
         assert items[1].last_updated.isoformat_ms() == "2015-01-19T21:13:54.000Z"
         assert items[0].interpretation == "little-endian-binary"
+        assert items[1].provenance is items[0].provenance  # one per export
 
     def test_absent_branch(self):
         export = parse_reg_export('Windows Registry Editor Version 5.00\n\n[HKLM\\X]\n"a"="b"\n')

@@ -8,7 +8,7 @@ from collections.abc import Iterator
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from imartifacts import facebook, forge, skype, sqliteio
+from imartifacts import cli, facebook, forge, skype, sqliteio
 from imartifacts.model import Channel
 from imartifacts.sqliteio import plan_query, row_value
 from sqlite_file import SqliteFile
@@ -278,16 +278,37 @@ def test_garbage_pages_raise_damaged_database(tmp_path, extract):
         connection.execute("SELECT 1")
 
 
-def test_wal_warning_once_per_warnings_list(tmp_path):
-    path = tmp_path / "store.db"
+def test_wal_database_named_twice_gives_one_warning(tmp_path, capfd):
+    """A run reads one file once under any name, so a database with a WAL beside it is warned about once."""
+    root = tmp_path / "evidence"
+    root.mkdir()
+    path = root / "Messages.sqlite"
     connection = sqlite3.connect(path)
     connection.execute("CREATE TABLE t (a)")
     connection.close()
-    path.with_name("store.db-wal").write_bytes(b"")
-    warnings = []
-    for _ in range(3):
-        sqliteio.open_immutable(path, warnings).close()
-    assert warnings == ["wal-present-not-applied: %s" % path]
+    path.with_name("Messages.sqlite-wal").write_bytes(b"")
+    link = root / "link.sqlite"
+    link.symlink_to(path)
+    for argv in (["timeline", str(path), str(root / "." / path.name), str(link)], ["report", str(root)]):
+        assert cli.main([*argv, "-v"]) == 0
+        warned = [line for line in capfd.readouterr().err.splitlines() if line.startswith("warning: wal-")]
+        assert warned == ["warning: wal-present-not-applied: %s" % path]
+
+
+def test_table_name_stored_as_a_blob_is_read_as_text(tmp_path):
+    """A damaged schema row may hold a table's name as a blob; the table is still found and read."""
+    path = tmp_path / "Messages.sqlite"
+    connection = sqlite3.connect(path)
+    connection.execute("CREATE TABLE messages (msg_id TEXT, sender_id TEXT, body TEXT, timestamp INTEGER)")
+    connection.execute("INSERT INTO messages VALUES ('m1', '1', 'hi', 1421685822000)")
+    connection.commit()
+    connection.execute("PRAGMA writable_schema = ON")
+    connection.execute("UPDATE sqlite_master SET name = CAST(name AS BLOB)")
+    connection.commit()
+    connection.close()
+    with sqliteio.open_immutable(path) as connection:
+        assert sqliteio.table_names(connection) == {"messages": "messages"}
+    assert [message.body for message in read(facebook.extract_messages, path, [])] == ["hi"]
 
 
 def test_undecodable_column_name_raises_damaged_database(tmp_path):

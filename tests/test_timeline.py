@@ -210,6 +210,17 @@ class TestNtfsCsv:
         assert events[1].when == events[0].when
         assert any("treated as blank" in w for w in warnings)
 
+    @pytest.mark.parametrize("raw, offset", [
+        ("0001-01-01T00:00:00+01:00", 0), ("9999-12-31T23:59:59-01:00", 0), ("9999-12-31 23:59:59", -60),
+    ])
+    def test_time_past_the_range_edge_costs_only_its_row(self, raw, offset):
+        """A time outside datetime's range, as written or once shifted by the offset, is read as blank."""
+        warnings = []
+        rows = [sd.NTFS_CSV_ROWS[0], ("274600000", raw, "File Deletion", "", "a.txt", "Users\\x\\a.txt")]
+        events = timeline.ingest_ntfs_csv(journal_text(rows=rows), warnings, utc_offset_minutes=offset)
+        assert len(events) == 2 and events[1].when == events[0].when
+        assert "line 3: unreadable event time %r, treated as blank" % raw in warnings
+
     def test_leading_blank_time_row_skipped(self):
         warnings = []
         rows = [("1", "", "File Deletion", "", "a.txt", "Users\\x\\a.txt")]
